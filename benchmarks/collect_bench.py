@@ -184,12 +184,12 @@ def _flat_metrics() -> dict:
     """Flat-forest encoding: descent speedup, trace identity, warm-start/RSS.
 
     The descent comparison runs entirely in-process (``workers=0``-style), so
-    its numbers are meaningful on any core count.  The warm-start comparison
-    spins up two 4-worker engines — zero-copy shared memory vs per-worker
-    object loading — and compares per-worker attach latency and private RSS;
-    raw warm-start milliseconds are host-dependent, so the regression gate
-    applies the ``min_cores`` rule to them while the in-process speedup and
-    the deterministic trace identity gate everywhere.
+    its numbers are meaningful on any core count.  The warm-start run spins
+    up a 4-worker engine and reports per-worker attach latency and the
+    shared/private RSS split; raw warm-start milliseconds are
+    host-dependent, so the regression gate applies the ``min_cores`` rule to
+    them while the in-process speedup and the deterministic trace identity
+    gate everywhere.
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
@@ -440,8 +440,8 @@ def collect() -> dict:
         "frontend": frontend,
         # Full flat-forest detail for the PR 6 acceptance record: the
         # trace-identity hash and descent timings, plus the 4-worker
-        # zero-copy vs object-loading comparison (per-worker warm-start
-        # latency and shared/private RSS split from /proc).
+        # zero-copy warm start (per-worker attach latency and
+        # shared/private RSS split from /proc).
         "flat": flat,
         # Multi-tenant registry detail for the PR 9 acceptance record: the
         # full churn-soak report (bounded-memory and no-leak verdicts, cold

@@ -130,8 +130,10 @@ def run_frontend_closed_loop(
     """
 
     async def main() -> Dict[str, float]:
-        with ServingEngine(snapshot_path, workers=workers, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, max_pending=4 * queries.shape[0]) as client:
+        with ServingEngine(snapshot_path, workers=workers) as engine:
+            async with AsyncServingClient(
+                engine, max_pending=4 * queries.shape[0], linger_s=0.001
+            ) as client:
                 for _ in range(warmup):
                     await client.classify_batch(queries, node_budget=node_budget)
                 samples: List[float] = []
@@ -173,9 +175,10 @@ def run_frontend_open_loop(
     """
 
     async def main() -> Dict[str, object]:
-        with ServingEngine(snapshot_path, workers=workers, linger_s=0.001) as engine:
+        with ServingEngine(snapshot_path, workers=workers) as engine:
             client = AsyncServingClient(
                 engine,
+                linger_s=0.001,
                 max_pending=max(64, limit),
                 budget_policy=policy or AdaptiveBudgetPolicy(),
             )
@@ -214,8 +217,8 @@ def run_frontend_trace_identity(
     """
 
     async def frontend_predictions() -> "Tuple[List[object], List[object]]":
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine) as client:
+        with ServingEngine(snapshot_path, workers=0) as engine:
+            async with AsyncServingClient(engine, linger_s=0.001) as client:
                 via_frontend = await client.classify_batch(queries, node_budget=node_budget)
                 direct = engine.predict_batch(queries, node_budget=node_budget)
                 return via_frontend, direct
@@ -283,42 +286,28 @@ def run_flat_descent_comparison(
 def run_warm_start_comparison(
     snapshot_path: "str | Path", queries: np.ndarray, workers: int = 4
 ) -> Dict[str, object]:
-    """Zero-copy shared-memory workers vs per-worker snapshot loading.
+    """Zero-copy shard workers: attach latency and per-worker memory split.
 
-    Spins the same snapshot up twice with ``workers`` shard processes —
-    ``zero_copy=True`` (one shared segment, workers attach) and
-    ``zero_copy=False`` (every worker restores the object graph) — serves a
-    probe batch on each, and compares the measured per-worker warm-start
-    latency and the private (non-shared) RSS reported by ``/proc``.  Both
-    ratios are same-machine comparisons; the private-RSS ratio is the
-    O(1)-memory-in-workers claim made measurable.
+    Spins the snapshot up with ``workers`` shard processes, serves a probe
+    batch, and reports each worker's warm start (the attach of the shared
+    segment plus the zero-copy wrapper build) and its shared/private RSS
+    from ``/proc``, next to the size of the one shared segment.
     """
-    results: Dict[str, object] = {"workers": int(workers)}
-    for key, zero_copy in (("zero_copy", True), ("object", False)):
-        with ServingEngine(snapshot_path, workers=workers, zero_copy=zero_copy) as engine:
-            engine.predict_batch(queries[:32])
-            profiles = engine.worker_profiles()
-            warm = [p["warm_start_ms"] for p in profiles if p["warm_start_ms"]]
-            private = [p["private_kb"] for p in profiles if p["private_kb"]]
-            shared = [p["shared_kb"] for p in profiles if p["shared_kb"]]
-            stats = engine.stats_snapshot()
-            results[key] = {
-                "n_workers": len(profiles),
-                "warm_start_ms_mean": float(np.mean(warm)) if warm else 0.0,
-                "warm_start_ms_max": float(np.max(warm)) if warm else 0.0,
-                "private_kb_mean": float(np.mean(private)) if private else 0.0,
-                "shared_kb_mean": float(np.mean(shared)) if shared else 0.0,
-                "shm_bytes": stats["shm_bytes"],
-            }
-    flat, obj = results["zero_copy"], results["object"]
-    results["warm_start_speedup"] = (
-        obj["warm_start_ms_mean"] / flat["warm_start_ms_mean"]
-        if flat["warm_start_ms_mean"]
-        else float("inf")
-    )
-    results["private_rss_ratio"] = (
-        obj["private_kb_mean"] / flat["private_kb_mean"]
-        if flat["private_kb_mean"]
-        else float("inf")
-    )
-    return results
+    with ServingEngine(snapshot_path, workers=workers) as engine:
+        engine.predict_batch(queries[:32])
+        profiles = engine.registry.worker_profiles()
+        shm_bytes = engine.registry.tenant_stats(engine.tenant)["shm_bytes"]
+    warm = [p["warm_start_ms"] for p in profiles if p["warm_start_ms"]]
+    private = [p["private_kb"] for p in profiles if p["private_kb"]]
+    shared = [p["shared_kb"] for p in profiles if p["shared_kb"]]
+    return {
+        "workers": int(workers),
+        "zero_copy": {
+            "n_workers": len(profiles),
+            "warm_start_ms_mean": float(np.mean(warm)) if warm else 0.0,
+            "warm_start_ms_max": float(np.max(warm)) if warm else 0.0,
+            "private_kb_mean": float(np.mean(private)) if private else 0.0,
+            "shared_kb_mean": float(np.mean(shared)) if shared else 0.0,
+            "shm_bytes": shm_bytes,
+        },
+    }

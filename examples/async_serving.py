@@ -67,8 +67,8 @@ async def main() -> None:
     tail = dataset.tail(train_until)
     print(f"snapshot: {classifier.n_classes} classes, serving the {len(tail.labels)}-object tail")
 
-    with ServingEngine(snapshot, workers=0, linger_s=0.001) as engine:
-        async with AsyncServingClient(engine, max_pending=512) as client:
+    with ServingEngine(snapshot, workers=0) as engine:
+        async with AsyncServingClient(engine, max_pending=512, linger_s=0.001) as client:
             # 2. The HTTP shim — external load generators would hit this.
             async with HttpFrontend(client) as http:
                 host, port = http.address

@@ -1,36 +1,28 @@
-"""Multi-process sharded serving of snapshotted Bayes forests.
+"""Serving snapshotted Bayes forests: one backend, an async front-end, HTTP.
 
-:class:`ServingEngine` serves a :mod:`repro.persist` snapshot from a pool of
-worker processes and exposes batched classification with exactly the
-predictions of the in-process classifier.  By default the snapshot's flat
-forest columns (:mod:`repro.core.flat`) live in one POSIX shared-memory
-segment (:mod:`repro.serving.shared_mem`) that every shard worker attaches
-to zero-copy — warm-start in milliseconds and one physical forest copy
-regardless of worker count — with classes packed onto shards by an LPT
-greedy over per-class kernel counts (:func:`plan_shard_assignment`).  A
-micro-batching request scheduler, graceful snapshot hot-swap (segments are
-prepared outside the serving guard and unlinked only after every worker has
-re-attached) and a synchronous single-process fallback make it the compute
-building block for production-style traffic.
+:class:`ModelRegistry` (:mod:`repro.serving.registry`) is the one serving
+backend.  It keeps an LRU cache of per-tenant flat-snapshot segments
+(bounded count and bytes, drain-before-unlink eviction and hot swap) in
+POSIX shared memory (:mod:`repro.serving.shared_mem`), applies per-tenant
+:class:`TenantPolicy` budget clamps and falls back to a shared global prior
+for unknown tenants.  With ``workers > 0`` it serves from one single-worker
+process per shard: every worker attaches a segment once, full-refinement
+rounds are class-sharded by an LPT packing of per-class kernel counts
+(:func:`plan_shard_assignment`) and budgeted rounds are query-sharded.
+Predictions are bit-identical to the in-process classifier.
+:class:`ServingEngine` serves a single snapshot as a registry's one pinned
+tenant.
 
 On top of it, :mod:`repro.serving.frontend` adds the asyncio request layer:
 :class:`AsyncServingClient` coalesces concurrent ``await classify(...)``
-calls into engine rounds with bounded-queue backpressure, per-request
+calls into backend rounds with bounded-queue backpressure, per-request
 deadlines and load-adaptive node budgets (:data:`ADAPTIVE`), and
 :class:`HttpFrontend` exposes the whole stack over a minimal stdlib HTTP
-endpoint for external load generators — including ``/stats``, which reports
-the engine's worker warm-start latency, shared/private RSS split and forest
-structure health.
-
-Multi-tenant serving (:mod:`repro.serving.registry`) scales the same stack
-to many independent forests: :class:`ModelRegistry` keeps an LRU cache of
-per-tenant flat-snapshot segments (bounded count and bytes, drain-before-
-unlink eviction), applies per-tenant :class:`TenantPolicy` budget clamps,
-falls back to a shared global prior for unknown tenants, and plugs into
-:class:`AsyncServingClient` / :class:`HttpFrontend` via ``tenant=`` and the
-versioned ``/v1/tenants/{tenant}/...`` routes.  Admission across tenants is
-*fair* (:mod:`repro.serving.admission`): a deficit-round-robin scheduler
-over per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus
+endpoint with the versioned ``/v1/tenants/{tenant}/...`` routes — including
+``/stats``, which reports the workers' warm-start latency, shared/private
+RSS split and forest structure health.  Admission across tenants is *fair*
+(:mod:`repro.serving.admission`): a deficit-round-robin scheduler over
+per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus
 per-tenant ``max_queue_depth`` bounds and ``requests_per_sec`` token-bucket
 quotas (the enveloped HTTP 429).  Every request failure across the stack
 derives from :class:`ServingError` (:mod:`repro.serving.errors`), which
@@ -38,7 +30,7 @@ carries the stable wire code the HTTP error envelope exposes.
 """
 
 from .admission import DeficitRoundRobin, TenantQueueStats, TokenBucket
-from .engine import ServingEngine, ServingStats, plan_shard_assignment
+from .engine import ServingEngine
 from .errors import (
     ERROR_CODES,
     DeadlineExceededError,
@@ -62,12 +54,11 @@ from .frontend import (
     HttpFrontend,
     drive_open_loop,
 )
-from .registry import ModelRegistry, RegistryStats, TenantPolicy
+from .registry import ModelRegistry, RegistryStats, TenantPolicy, plan_shard_assignment
 from .shared_mem import SharedColumnStore, attach_columns, memory_profile, segment_exists
 
 __all__ = [
     "ServingEngine",
-    "ServingStats",
     "plan_shard_assignment",
     "SharedColumnStore",
     "attach_columns",

@@ -1,504 +1,67 @@
-"""Sharded multi-process serving engine for snapshotted Bayes forests.
+"""Single-snapshot serving: a one-tenant view of the model registry.
 
-Architecture (see DESIGN.md, snapshots & serving):
-
-* **Zero-copy shard workers.**  By default the engine places the snapshot's
-  flat forest columns (:mod:`repro.core.flat`) into one POSIX shared-memory
-  segment (:mod:`repro.serving.shared_mem`) and each shard worker *attaches*
-  instead of loading: warm-start is an ``shm_open`` plus building thin
-  :class:`~repro.core.flat.FlatForest` wrappers over borrowed pages —
-  milliseconds instead of a full snapshot parse — and the forest occupies one
-  physical copy regardless of worker count (O(1) memory in workers).  When a
-  snapshot predates the flat columns the engine compiles them on the fly
-  (the same hook keeps hot swaps working for legacy snapshots), and
-  ``zero_copy=False`` restores the old per-worker object-graph loading.
-* **LPT shard packing.**  Classes are packed onto shards with a
-  longest-processing-time greedy over the manifest's per-class kernel counts
-  — the heaviest unassigned class goes to the least-loaded shard — instead
-  of dealing round-robin, so full-refinement rounds (cost is dominated by a
-  shard's total kernel count) finish together instead of waiting for an
-  unlucky stride.  ``plan_shard_assignment`` is the pure planning kernel.
-* **Scatter/gather scoring.**  ``predict_batch`` broadcasts the query block
-  to every shard, each worker scores its classes with one vectorised
-  ``log_density_batch`` per tree, and the front-end reassembles the full
-  score matrix and takes the same repr-sorted argmax as
-  ``AnytimeBayesClassifier._predict_batch_full`` — predictions are
-  bit-identical to the in-process classifier.
-* **Budgeted (anytime) requests** cannot be class-sharded: the qbk rotation
-  interleaves classes through one shared posterior.  They are sharded by
-  *query* instead — each worker drives the full forest's (zero-copy, or
-  lazily restored) ``classify_anytime_batch`` lockstep refinement over its
-  slice of the batch (per-query results are independent of the slicing).
-* **Micro-batching scheduler.**  ``submit`` enqueues single queries; a
-  dispatcher thread groups them (up to ``max_batch``, waiting at most
-  ``linger_s`` after the first request) and serves each group with one
-  scatter/gather round — the serving-side analogue of the stream driver's
-  micro-batched chunks.
-* **Hot swap.**  ``swap_snapshot`` validates the new container and prepares
-  its shared segment *outside* the serving guard, then waits out in-flight
-  rounds (a round must never tear across two snapshots or gather against a
-  stale label layout), re-attaches every shard and switches the front-end
-  label layout together, and finally unlinks the old segment.
-* **Observability.**  ``stats_snapshot`` reports, next to the serving
-  counters, the shared segment (name, bytes), per-worker warm-start latency
-  and shared-vs-private RSS (``/proc``-based), and the forest structure
-  health summary computed from the flat interval columns — this is what the
-  async front-end's ``/stats`` endpoint returns verbatim.
-* **Fallback.**  ``workers=0`` (or a failed pool spin-up) serves synchronously
-  from an in-process forest with the identical API and results.
-
-Shared-memory lifecycle: the engine owns every segment it creates and is the
-only unlinker — ``close()`` (or garbage collection of the engine's store)
-disposes the current segment, a completed swap disposes the previous one,
-and workers only ever close their own attachment.  A worker that crashes
-cannot leak the segment: its attachment dies with the process and the name
-still belongs to the engine.
+:class:`ServingEngine` serves one forest snapshot as the pinned ``default``
+tenant of a private :class:`~repro.serving.ModelRegistry`, so it shares the
+registry's shard pool (class-sharded full refinement with LPT packing,
+query-sharded budgets), shared-memory segment lifecycle, drain-before-unlink
+hot swap, node-cost estimate and stats — see :mod:`repro.serving.registry`.
+The view keeps the single-model call surface: ``predict_batch`` on a query
+block, ``swap_snapshot`` to a new snapshot, and ``close``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
-import time
-import warnings
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Hashable, List, Optional
 
 import numpy as np
 
-from ..core.classifier import AnytimeBayesClassifier
-from ..core.flat import FlatForest
-from ..persist import load_forest, read_flat_columns, read_manifest
-from .shared_mem import (
-    SharedColumnStore,
-    attach_columns,
-    memory_profile,
-    release_attachment,
-)
+from ..persist import read_manifest
+from .registry import BudgetSpec, ModelRegistry, RegistryStats, TenantPolicy
 
-__all__ = ["ServingEngine", "ServingStats", "plan_shard_assignment"]
-
-# Per-query node budgets accepted by the serving surface: one scalar budget
-# for the whole batch, or one budget per query.
-BudgetSpec = Union[int, Sequence[int], np.ndarray]
-
-# Process-global state of a shard worker (one worker process per shard, so a
-# plain module dict is per-shard state).
-_WORKER: dict = {}
-
-# Once-per-process guard for the ServingEngine.submit() deprecation warning.
-# A module-level flag rather than a `warnings` filter: filters are global
-# mutable state tests and applications reconfigure freely (pytest resets
-# them per test), which made the warning fire on every call.
-_SUBMIT_DEPRECATION_WARNED = False
-
-
-def plan_shard_assignment(counts: Sequence[float], n_shards: int) -> List[List[int]]:
-    """Pack class indices onto shards, balancing total per-shard count (LPT).
-
-    Longest-processing-time greedy: visit classes by descending ``counts``
-    (ties by index, for determinism) and give each to the currently
-    least-loaded shard.  Full-refinement scoring costs one vectorised pass
-    over every kernel of a shard, so balancing kernel counts balances the
-    critical path of a scatter/gather round — LPT is within 4/3 of the
-    optimal makespan, versus unbounded skew for round-robin when class sizes
-    differ.  Returns ``n_shards`` lists of class indices, each sorted
-    ascending (so gathered score blocks stay in global column order).
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be at least 1")
-    order = sorted(range(len(counts)), key=lambda index: (-counts[index], index))
-    loads = [0.0] * n_shards
-    bins: List[List[int]] = [[] for _ in range(n_shards)]
-    for index in order:
-        shard = min(range(n_shards), key=lambda s: (loads[s], s))
-        bins[shard].append(index)
-        loads[shard] += counts[index]
-    for contents in bins:
-        contents.sort()
-    return bins
-
-
-def _serving_labels(forest: AnytimeBayesClassifier) -> List[Hashable]:
-    """Servable (non-empty) classes in the global repr-sorted column order."""
-    return sorted(
-        (label for label, tree in forest.trees.items() if tree.n_objects > 0), key=repr
-    )
-
-
-def _load_into_worker(spec: dict) -> None:
-    """(Re)initialise this worker process from an engine-built spec.
-
-    ``spec["mode"]`` selects the path:
-
-    * ``"flat"`` — attach to the engine's shared segment and wrap zero-copy
-      :class:`FlatForest` views: the full forest (for budgeted rounds) plus
-      this shard's tree subset (for class-sharded scoring).  No snapshot
-      I/O happens in the worker at all.
-    * ``"object"`` — legacy per-worker ``load_forest`` of the snapshot,
-      keeping only this shard's trees.
-
-    Either way the previous attachment (if any) is released *after* the new
-    state is in place, so a failed swap leaves the worker serving the old
-    forest.  Records the warm-start latency for ``stats_snapshot``.
-    """
-    start = time.perf_counter()
-    old_shm = _WORKER.get("shm")
-    if spec["mode"] == "flat":
-        shm, columns = attach_columns(spec["shm_name"], spec["layout"])
-        full = FlatForest.from_columns(
-            columns,
-            labels=spec["labels"],
-            descent=spec["descent"],
-            qbk_k=spec["qbk_k"],
-            dimension=spec["dimension"],
-        )
-        state = {
-            "mode": "flat",
-            "shm": shm,
-            "snapshot_path": spec["snapshot_path"],
-            "trees": {label: full.trees[label] for label in spec["assigned"]},
-            "log_priors": dict(full.log_priors),
-            "full": full,
-        }
-    else:
-        forest = load_forest(spec["snapshot_path"])
-        state = {
-            "mode": "object",
-            "shm": None,
-            "snapshot_path": spec["snapshot_path"],
-            # Shard trees in global column order; the other classes' trees are
-            # dropped so per-worker memory scales with the shard.
-            "trees": {label: forest.trees[label] for label in spec["assigned"]},
-            "log_priors": dict(forest.log_priors),
-            "full": None,
-        }
-    state["warm_start_ms"] = (time.perf_counter() - start) * 1e3
-    _WORKER.clear()
-    _WORKER.update(state)
-    release_attachment(old_shm)
-
-
-def _init_worker(spec: dict) -> None:
-    _load_into_worker(spec)
-
-
-def _ping() -> int:
-    """Warm-up no-op: forces the initializer to run before traffic arrives."""
-    return os.getpid()
-
-
-def _worker_profile() -> dict:
-    """This worker's warm-start latency and memory split, for ``/stats``.
-
-    ``shared_kb`` counts pages mapped by more than one process — with
-    zero-copy workers that is dominated by the one physical copy of the
-    forest columns — while ``private_kb`` is the worker's own incremental
-    footprint, the quantity that stays O(1) as workers are added.
-    """
-    return {
-        "pid": os.getpid(),
-        "mode": _WORKER.get("mode"),
-        "warm_start_ms": _WORKER.get("warm_start_ms"),
-        **memory_profile(),
-    }
-
-
-def _score_shard(queries: np.ndarray) -> np.ndarray:
-    """Posterior scores ``log P(c) + log pdq_c(x)`` for this shard's classes.
-
-    Returns an ``(m, k)`` block whose columns follow the shard's slice of the
-    global repr-sorted label order; every tree is evaluated with one batched
-    full-model call over its packed leaf arrays.
-    """
-    queries = np.asarray(queries, dtype=float)
-    trees = _WORKER["trees"]
-    log_priors = _WORKER["log_priors"]
-    scores = np.empty((queries.shape[0], len(trees)))
-    for column, (label, tree) in enumerate(trees.items()):
-        scores[:, column] = log_priors[label] + tree.log_density_batch(queries)
-    return scores
-
-
-def _predict_budgeted(queries: np.ndarray, budgets: "BudgetSpec") -> List[Hashable]:
-    """Anytime predictions for a query slice under per-query node budgets.
-
-    Runs the full forest so the qbk rotation sees every class — zero-copy
-    workers already hold it as shared-column views; object workers restore
-    it lazily, once, then cache it.  Per-query results are identical to the
-    in-process ``classify_anytime_batch``.
-    """
-    forest = _WORKER.get("full")
-    if forest is None:
-        forest = load_forest(_WORKER["snapshot_path"])
-        _WORKER["full"] = forest
-    results = forest.classify_anytime_batch(
-        np.asarray(queries, dtype=float), max_nodes=budgets, record_history=False
-    )
-    return [result.final_prediction for result in results]
-
-
-def _swap_snapshot(spec: dict) -> int:
-    _load_into_worker(spec)
-    return os.getpid()
-
-
-@dataclass
-class ServingStats:
-    """Lightweight serving counters and round timings.
-
-    Attributes
-    ----------
-    requests:
-        Total queries accepted by :meth:`ServingEngine.predict_batch` (one
-        per query row, not per call).
-    batches:
-        Number of scatter/gather serving rounds executed.
-    swaps:
-        Number of completed snapshot hot swaps.
-    last_round_s / total_round_s:
-        Wall-clock duration of the most recent serving round and the running
-        sum over all rounds — the raw material for utilisation estimates in
-        the async front-end (:mod:`repro.serving.frontend`).
-    """
-
-    requests: int = 0
-    batches: int = 0
-    swaps: int = 0
-    last_round_s: float = 0.0
-    total_round_s: float = 0.0
+__all__ = ["ServingEngine"]
 
 
 class ServingEngine:
-    """Serve a forest snapshot from sharded worker processes.
+    """Serve one forest snapshot from a registry that holds it as its only tenant.
 
     Parameters
     ----------
     snapshot_path:
         A container written by :func:`repro.persist.save_forest`.
     workers:
-        Number of shard processes.  ``0`` forces the synchronous in-process
-        fallback; ``None`` uses ``min(cpu_count, n_classes)``.  More workers
-        than servable classes are clamped (an empty shard serves nothing).
-    max_batch / linger_s:
-        Micro-batching knobs of the request scheduler: a dispatch round
-        closes when ``max_batch`` requests are pending or ``linger_s`` has
-        passed since the round's first request.
-    mp_context:
-        Optional multiprocessing start method (``"fork"``/``"spawn"``).
-    zero_copy:
-        ``True`` serves the flat-forest columns from one shared-memory
-        segment that every worker attaches to (compiling the columns
-        engine-side when the snapshot predates them); ``False`` restores the
-        object graph per worker (legacy).  Default ``None`` means ``True`` —
-        the zero-copy path is trace-identical and strictly cheaper; the knob
-        exists for comparison benchmarks and as an escape hatch.
+        Shard worker processes.  ``0`` serves in-process; ``None`` uses
+        ``min(cpu_count, servable classes)``.  More workers than servable
+        classes are clamped (a class-sharded round has no work for them).
+
+    Predictions are bit-identical to ``AnytimeBayesClassifier.predict_batch``
+    on the restored snapshot, whatever the worker count.
     """
 
-    def __init__(
-        self,
-        snapshot_path: "str | Path",
-        workers: Optional[int] = None,
-        max_batch: int = 256,
-        linger_s: float = 0.002,
-        mp_context: Optional[str] = None,
-        zero_copy: Optional[bool] = None,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
+    #: The registry tenant the engine serves (the async client's default tenant).
+    tenant = "default"
+
+    def __init__(self, snapshot_path: "str | Path", workers: Optional[int] = None) -> None:
         manifest = read_manifest(snapshot_path)
-        self._snapshot_path = str(snapshot_path)
-        self.dimension = int(manifest["dimension"])
-        self._labels = self._servable_labels(manifest)
-        if not self._labels:
-            raise ValueError("snapshot holds no servable (non-empty) classes")
+        servable = sum(1 for count in manifest["class_counts"] if count > 0)
         if workers is None:
-            workers = min(os.cpu_count() or 1, len(self._labels))
-        workers = int(workers)
+            workers = min(os.cpu_count() or 1, servable)
         if workers < 0:
             raise ValueError("workers must be non-negative")
-        self.zero_copy = True if zero_copy is None else bool(zero_copy)
-        self.n_shards = min(workers, len(self._labels))
-        self.max_batch = int(max_batch)
-        self.linger_s = float(linger_s)
-        self.stats = ServingStats()
-        self._stats_lock = threading.Lock()
-        # EWMA of the observed per-node-read round cost of *budgeted* rounds
-        # (seconds per lockstep step); None until the first budgeted round.
-        # The async front-end reads it to translate idle time into node
-        # budgets, and deadline-aware rounds use it to clamp budgets.
-        self._node_cost_ewma: Optional[float] = None
-        # Readers-writer guard between serving rounds and hot swaps: many
-        # rounds may scatter concurrently, but a swap waits for in-flight
-        # rounds and blocks new ones — otherwise a round could tear across
-        # the old and new snapshot (half its shard tasks enqueued before the
-        # swap tasks, half after) or read a label layout that no longer
-        # matches the gathered score blocks.
-        self._swap_cond = threading.Condition()
-        self._active_rounds = 0
-        self._swapping = False
-        self._local_forest: Optional[Union[AnytimeBayesClassifier, FlatForest]] = None
-        self._pools: Optional[List[ProcessPoolExecutor]] = None
-        self._store: Optional[SharedColumnStore] = None
-        self._structure_stats: Optional[dict] = None
-        self._assignment = self._plan_assignment(manifest, self._labels, self.n_shards)
-        if self.n_shards > 0:
-            spec_base: Optional[dict] = None
-            if self.zero_copy:
-                self._store, spec_base, self._structure_stats = self._build_store(
-                    self._snapshot_path, manifest
-                )
-            self._spin_up(mp_context, spec_base)
-            if self.n_shards == 0 and self._store is not None:
-                # Spin-up fell back to in-process serving; nothing attaches.
-                self._store.dispose()
-                self._store = None
-        if self.zero_copy and self._structure_stats is None:
-            self._refresh_local_structure()
-        # Micro-batcher state (dispatcher thread started on first submit).
-        self._pending: deque = deque()
-        self._cond = threading.Condition()
-        self._dispatcher: Optional[threading.Thread] = None
-        self._closed = False
-
-    @staticmethod
-    def _servable_labels(manifest: dict) -> List[Hashable]:
-        alive = [
-            label
-            for label, count in zip(manifest["classes"], manifest["class_counts"])
-            if count > 0
-        ]
-        return sorted(alive, key=repr)
-
-    @staticmethod
-    def _plan_assignment(
-        manifest: dict, labels: List[Hashable], n_shards: int
-    ) -> List[np.ndarray]:
-        """Per-shard global column index arrays from LPT kernel-count packing."""
-        if n_shards < 1:
-            return []
-        counts_by_label = {
-            label: count
-            for label, count in zip(manifest["classes"], manifest["class_counts"])
-        }
-        bins = plan_shard_assignment(
-            [counts_by_label[label] for label in labels], n_shards
-        )
-        return [np.asarray(contents, dtype=np.intp) for contents in bins]
-
-    def _build_store(
-        self, path: str, manifest: dict
-    ) -> Tuple[SharedColumnStore, dict, dict]:
-        """Place the snapshot's flat columns in shared memory.
-
-        Returns ``(store, worker spec base, structure stats)``.  Prefers the
-        snapshot's own memory-mappable flat members; a snapshot that predates
-        them (``include_flat=False`` or format v1) is restored once
-        engine-side and compiled — the compile-on-swap hook that keeps
-        zero-copy serving working for any loadable snapshot.  The structure
-        health summary is computed from the columns while they are at hand.
-        """
-        if manifest.get("has_flat"):
-            columns = read_flat_columns(path, mmap=True)
-        else:
-            columns = FlatForest.from_classifier(load_forest(path)).to_columns()
-        flat = FlatForest.from_columns(
-            columns,
-            labels=manifest["classes"],
-            descent=manifest["descent"],
-            qbk_k=manifest["qbk_k"],
-            dimension=int(manifest["dimension"]),
-        )
-        structure = flat.structure_stats()
-        store = SharedColumnStore(columns)
-        spec = {
-            "mode": "flat",
-            "snapshot_path": path,
-            "shm_name": store.name,
-            "layout": store.layout,
-            "labels": list(manifest["classes"]),
-            "descent": manifest["descent"],
-            "qbk_k": manifest["qbk_k"],
-            "dimension": int(manifest["dimension"]),
-        }
-        return store, spec, structure
-
-    def _shard_spec(self, spec_base: Optional[dict], shard: int) -> dict:
-        assigned = [self._labels[index] for index in self._assignment[shard]]
-        if spec_base is None:
-            return {
-                "mode": "object",
-                "snapshot_path": self._snapshot_path,
-                "assigned": assigned,
-            }
-        return {**spec_base, "assigned": assigned}
-
-    def _refresh_local_structure(self) -> None:
-        """Structure stats for fallback mode, from the local flat forest."""
+        #: Swaps reject another feature dimension, so this never changes.
+        self.dimension = int(manifest["dimension"])
+        #: The registry behind the view (its stats, worker profiles, structure).
+        self.registry = ModelRegistry(capacity=1, workers=min(int(workers), servable))
         try:
-            local = self._local()
-            if isinstance(local, FlatForest):
-                self._structure_stats = local.structure_stats()
-        except Exception:  # pragma: no cover - diagnostics must not break serving
-            self._structure_stats = None
+            self.registry.load(self.tenant, snapshot_path, policy=TenantPolicy(pinned=True))
+        except BaseException:
+            self.registry.close()
+            raise
 
-    def _spin_up(self, mp_context: Optional[str], spec_base: Optional[dict]) -> None:
-        context = multiprocessing.get_context(mp_context) if mp_context else None
-        pools: List[ProcessPoolExecutor] = []
-        try:
-            for shard in range(self.n_shards):
-                pools.append(
-                    ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=context,
-                        initializer=_init_worker,
-                        initargs=(self._shard_spec(spec_base, shard),),
-                    )
-                )
-            # Warm every worker now: the snapshot is restored before the first
-            # request instead of on its critical path.  Submit-all first so
-            # the per-worker restores run concurrently instead of start-up
-            # paying n_shards serialized loads.
-            for future in [pool.submit(_ping) for pool in pools]:
-                future.result()
-        except Exception as error:  # pragma: no cover - environment dependent
-            for pool in pools:
-                pool.shutdown(wait=False, cancel_futures=True)
-            warnings.warn(
-                f"serving worker pools unavailable ({error!r}); "
-                "falling back to synchronous in-process serving",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.n_shards = 0
-            self._pools = None
-            return
-        self._pools = pools
-
-    # -- lifecycle ----------------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the dispatcher, shut down the shards, unlink the shared segment."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._cond.notify_all()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-        if self._pools is not None:
-            for pool in self._pools:
-                pool.shutdown(wait=True)
-            self._pools = None
-        if self._store is not None:
-            # Workers are gone; the engine is the owner and sole unlinker.
-            self._store.dispose()
-            self._store = None
+        """Drain rounds, stop the shard workers and unlink the snapshot's segment."""
+        self.registry.close()
 
     def __enter__(self) -> "ServingEngine":
         return self
@@ -508,448 +71,58 @@ class ServingEngine:
 
     @property
     def is_multiprocess(self) -> bool:
-        """True when requests are served by shard processes (not the fallback)."""
-        return self._pools is not None
+        """True when rounds are served by shard processes (not in-process)."""
+        return self.registry.workers > 0
+
+    @property
+    def n_shards(self) -> int:
+        """Number of shard worker processes (``0`` in-process)."""
+        return self.registry.workers
 
     @property
     def labels(self) -> List[Hashable]:
         """Servable class labels in global (repr-sorted) column order."""
-        return list(self._labels)
+        return list(self.registry._resident_entry(self.tenant).labels)
 
     @property
     def snapshot_path(self) -> str:
         """Path of the snapshot currently being served (updated by swaps)."""
-        return self._snapshot_path
+        return self.registry._resident_entry(self.tenant).snapshot_path
 
     @property
-    def shard_assignment(self) -> List[List[Hashable]]:
-        """Per-shard servable labels from the LPT packing (global column order)."""
-        return [
-            [self._labels[index] for index in indices] for indices in self._assignment
-        ]
-
-    def node_cost_estimate(self) -> Optional[float]:
-        """EWMA estimate of seconds per lockstep node-read round, or ``None``.
-
-        Calibrated from observed *budgeted* serving rounds (a round of
-        per-query budgets ``b`` executes ``max(b)`` lockstep steps); full
-        refinement rounds do not update it.  ``None`` until the first
-        budgeted round has been served.
-        """
-        with self._stats_lock:
-            return self._node_cost_ewma
-
-    def worker_profiles(self) -> List[dict]:
-        """Live per-worker warm-start latency and RSS split (one dict per shard).
-
-        Round-trips a profiling task through every shard pool; empty in
-        fallback mode.  ``warm_start_ms`` measures the worker's most recent
-        (re)initialisation — a shared-memory attach for zero-copy workers, a
-        full snapshot restore for object workers — and the memory fields
-        split the worker's RSS into shared and private pages.
-        """
-        if self._pools is None:
-            return []
-        try:
-            futures = [pool.submit(_worker_profile) for pool in self._pools]
-            return [future.result() for future in futures]
-        except Exception:  # pragma: no cover - a broken pool is reported empty
-            return []
+    def stats(self) -> RegistryStats:
+        """The registry's counters (requests, batches, loads, swaps, ...)."""
+        return self.registry.stats
 
     def stats_snapshot(self) -> dict:
-        """One consistent, JSON-able view of the engine state and counters.
+        """The registry's stats document plus the forest structure-health summary."""
+        document = self.registry.stats_snapshot()
+        document["structure"] = self.registry.structure_stats(self.tenant)
+        return document
 
-        Returns a dict with the :class:`ServingStats` counters plus the
-        deployment facts a monitoring endpoint wants: snapshot path, shard
-        count and per-shard class packing, multiprocess flag, the zero-copy
-        deployment (shared segment name and size, per-worker warm-start
-        latency and shared/private RSS) and the forest structure-health
-        summary computed from the flat interval columns.  Safe to call
-        concurrently with serving.  The document carries a
-        ``schema_version`` key (currently ``3``) stamping its shape, shared
-        with :meth:`repro.serving.ModelRegistry.stats_snapshot`.
-        """
-        with self._stats_lock:
-            counters = {
-                "schema_version": 3,
-                "requests": self.stats.requests,
-                "batches": self.stats.batches,
-                "swaps": self.stats.swaps,
-                "last_round_s": self.stats.last_round_s,
-                "total_round_s": self.stats.total_round_s,
-                "node_cost_s": self._node_cost_ewma,
-            }
-        workers = self.worker_profiles()
-        warm_starts = [
-            profile["warm_start_ms"]
-            for profile in workers
-            if profile.get("warm_start_ms") is not None
-        ]
-        counters.update(
-            {
-                "snapshot_path": self._snapshot_path,
-                "n_shards": self.n_shards,
-                "multiprocess": self.is_multiprocess,
-                "n_classes": len(self._labels),
-                "max_batch": self.max_batch,
-                "linger_s": self.linger_s,
-                "mode": "zero_copy" if self.zero_copy else "object",
-                "shm_name": self._store.name if self._store is not None else None,
-                "shm_bytes": self._store.size if self._store is not None else None,
-                "shard_classes": [
-                    [str(label) for label in shard] for shard in self.shard_assignment
-                ],
-                "warm_start_ms": max(warm_starts) if warm_starts else None,
-                "workers": workers,
-                "structure": self._structure_stats,
-            }
-        )
-        return counters
+    def node_cost_estimate(self) -> Optional[float]:
+        """EWMA seconds per lockstep node read over budgeted rounds (or ``None``)."""
+        return self.registry.node_cost_estimate()
 
-    def _local(self) -> Union[AnytimeBayesClassifier, FlatForest]:
-        if self._local_forest is None:
-            if self.zero_copy:
-                manifest = read_manifest(self._snapshot_path)
-                if manifest.get("has_flat"):
-                    self._local_forest = FlatForest.from_columns(
-                        read_flat_columns(self._snapshot_path, mmap=True),
-                        labels=manifest["classes"],
-                        descent=manifest["descent"],
-                        qbk_k=manifest["qbk_k"],
-                        dimension=int(manifest["dimension"]),
-                    )
-                else:
-                    self._local_forest = FlatForest.from_classifier(
-                        load_forest(self._snapshot_path)
-                    )
-            else:
-                self._local_forest = load_forest(self._snapshot_path)
-        return self._local_forest
-
-    # -- batched serving ----------------------------------------------------------------------
     def predict_batch(
-        self, queries: np.ndarray, node_budget: "Optional[BudgetSpec]" = None, deadline_s: Optional[float] = None
+        self, queries: np.ndarray, node_budget: "Optional[BudgetSpec]" = None
     ) -> List[Hashable]:
-        """Predict labels for a query block, sharded across the workers.
+        """Predict labels for a ``(m, dimension)`` query block, in query order.
 
-        Parameters
-        ----------
-        queries:
-            ``(m, dimension)`` feature block.
-        node_budget:
-            ``None`` runs the class-sharded full-refinement scoring path; an
-            integer (or per-query sequence) runs the query-sharded anytime
-            path.  Either way the predictions are bit-identical to
-            ``AnytimeBayesClassifier.predict_batch`` on the restored forest.
-        deadline_s:
-            Optional time allowance (seconds) for a *budgeted* round.  When
-            the engine has a node-cost estimate from earlier budgeted rounds,
-            the per-query budgets are clamped so the round's lockstep
-            refinement is expected to finish within the allowance (never
-            below one node read).  Ignored for full-refinement rounds and
-            before the first cost observation — the clamp is an adaptive
-            policy, so deadline-aware rounds trade the fixed-budget trace
-            identity for bounded latency.
-
-        Returns
-        -------
-        list
-            One predicted label per query row, in query order.
-
-        Raises
-        ------
-        ValueError
-            If ``queries`` is not an ``(m, dimension)`` array or a per-query
-            ``node_budget`` sequence does not match the query count.
+        ``node_budget=None`` runs full refinement; an integer (or per-query
+        sequence) runs the anytime lockstep path.  Raises ``ValueError`` for
+        a malformed block or per-query budget sequence.
         """
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2 or queries.shape[1] != self.dimension:
-            raise ValueError(f"queries must be an (m, {self.dimension}) array")
-        with self._stats_lock:
-            self.stats.requests += queries.shape[0]
-            self.stats.batches += 1
-        if queries.shape[0] == 0:
-            return []
-        if node_budget is not None and deadline_s is not None:
-            node_budget = self._deadline_clamped_budgets(queries.shape[0], node_budget, deadline_s)
-        with self._swap_cond:
-            while self._swapping:
-                self._swap_cond.wait()
-            self._active_rounds += 1
-        start = time.perf_counter()
-        try:
-            if self._pools is None:
-                predictions = self._local().predict_batch(queries, node_budget=node_budget)
-            elif node_budget is None:
-                predictions = self._scatter_full(queries)
-            else:
-                predictions = self._scatter_budgeted(queries, node_budget)
-            # Only completed rounds feed the timing stats — a round that
-            # raised (bad budgets, crashed worker) would otherwise pollute
-            # the node-cost EWMA with near-zero samples and unbound every
-            # later deadline clamp.
-            self._observe_round(time.perf_counter() - start, node_budget)
-            return predictions
-        finally:
-            with self._swap_cond:
-                self._active_rounds -= 1
-                self._swap_cond.notify_all()
+        return self.registry.predict_batch(self.tenant, queries, node_budget=node_budget)
 
-    def _deadline_clamped_budgets(
-        self, count: int, node_budget: "BudgetSpec", deadline_s: float
-    ) -> np.ndarray:
-        """Clamp per-query budgets so the round should meet ``deadline_s``."""
-        budgets = np.asarray(node_budget)
-        if budgets.ndim == 0:
-            budgets = np.full(count, int(node_budget))
-        elif budgets.shape != (count,):
-            # Malformed per-query budgets: let the serving path raise its
-            # canonical ValueError instead of a broadcast error here.
-            return budgets
-        cost = self.node_cost_estimate()
-        if cost is None or cost <= 0:
-            return budgets
-        affordable = max(1, int(max(deadline_s, 0.0) / cost))
-        return np.minimum(budgets, affordable)
-
-    def _observe_round(self, elapsed: float, node_budget: "Optional[BudgetSpec]") -> None:
-        """Record a round's wall-clock; budgeted rounds refresh the node cost."""
-        with self._stats_lock:
-            self.stats.last_round_s = elapsed
-            self.stats.total_round_s += elapsed
-            if node_budget is None:
-                return
-            steps = int(np.max(node_budget)) if np.ndim(node_budget) else int(node_budget)
-            if steps < 1:
-                return
-            cost = elapsed / steps
-            if self._node_cost_ewma is None:
-                self._node_cost_ewma = cost
-            else:
-                self._node_cost_ewma += 0.3 * (cost - self._node_cost_ewma)
-
-    def _scatter_full(self, queries: np.ndarray) -> List[Hashable]:
-        pools = self._pools
-        if pools is None:
-            raise RuntimeError("serving engine has no worker pools")
-        futures = [pool.submit(_score_shard, queries) for pool in pools]
-        blocks = [future.result() for future in futures]
-        scores = np.empty((queries.shape[0], len(self._labels)))
-        for indices, block in zip(self._assignment, blocks):
-            # Shard score blocks follow each shard's sorted index list; the
-            # LPT packing is not a stride, so gather through the explicit
-            # per-shard column indices into the global repr-sorted matrix.
-            scores[:, indices] = block
-        best = np.argmax(scores, axis=1)
-        return [self._labels[index] for index in best]
-
-    def _scatter_budgeted(self, queries: np.ndarray, node_budget: "BudgetSpec") -> List[Hashable]:
-        budgets = np.asarray(node_budget)
-        if budgets.ndim == 0:
-            budgets = np.full(queries.shape[0], int(node_budget))
-        elif budgets.shape != (queries.shape[0],):
-            raise ValueError("per-query node_budget must have one budget per query")
-        pools = self._pools
-        if pools is None:
-            raise RuntimeError("serving engine has no worker pools")
-        shards = min(self.n_shards, queries.shape[0])
-        query_slices = np.array_split(queries, shards)
-        budget_slices = np.array_split(budgets, shards)
-        futures = [
-            pools[shard].submit(_predict_budgeted, query_slices[shard], budget_slices[shard])
-            for shard in range(shards)
-        ]
-        predictions: List[Hashable] = []
-        for future in futures:
-            predictions.extend(future.result())
-        return predictions
-
-    # -- micro-batching request scheduler ----------------------------------------------------
-    def classify(
-        self, features: Sequence[float] | np.ndarray, node_budget: "Optional[BudgetSpec]" = None
-    ) -> Future:
-        """Enqueue one query; returns a future resolving to its predicted label.
-
-        Requests are grouped by the dispatcher into micro-batches served with
-        one scatter/gather round each; full-refinement and budgeted requests
-        are batched separately (they take different sharding paths).  Raises
-        :class:`ValueError` when ``features`` is not a ``(dimension,)``
-        vector and :class:`RuntimeError` when the engine is closed.  For
-        asyncio callers prefer
-        :meth:`repro.serving.AsyncServingClient.classify`, which adds
-        deadlines, backpressure and adaptive budgets on top of the same
-        engine rounds.  (Known as ``submit`` before the v1 API redesign;
-        the old name survives as a deprecated alias.)
-        """
-        features = np.asarray(features, dtype=float)
-        if features.shape != (self.dimension,):
-            raise ValueError(f"features must have shape ({self.dimension},)")
-        future: Future = Future()
-        with self._cond:
-            if self._closed:
-                raise RuntimeError("serving engine is closed")
-            self._pending.append((features, node_budget, future))
-            if self._dispatcher is None:
-                self._dispatcher = threading.Thread(
-                    target=self._dispatch_loop, name="serving-dispatcher", daemon=True
-                )
-                self._dispatcher.start()
-            self._cond.notify_all()
-        return future
-
-    def submit(
-        self, features: Sequence[float] | np.ndarray, node_budget: "Optional[BudgetSpec]" = None
-    ) -> Future:
-        """Deprecated alias of :meth:`classify` (pre-v1 name; warns, still works).
-
-        The v1 API redesign settled on ``classify`` across the engine, the
-        async client and the HTTP surface; ``submit`` collided with
-        :meth:`concurrent.futures.Executor.submit` and said nothing about
-        *what* is being done.  Existing callers keep working — they just see
-        a :class:`DeprecationWarning` on the first call in the process (a
-        module-level guard, not ``warnings`` filtering: a migration loop
-        calling ``submit`` per request must not pay a warning — or flood the
-        log — per call).
-        """
-        global _SUBMIT_DEPRECATION_WARNED
-        if not _SUBMIT_DEPRECATION_WARNED:
-            _SUBMIT_DEPRECATION_WARNED = True
-            warnings.warn(
-                "ServingEngine.submit() is deprecated; use ServingEngine.classify()",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return self.classify(features, node_budget=node_budget)
-
-    def flush(self) -> None:
-        """Block until every request submitted so far has been dispatched."""
-        while True:
-            with self._cond:
-                if not self._pending:
-                    return
-            # The dispatcher drains in linger-bounded rounds; just yield.
-            time.sleep(self.linger_s or 0.0005)
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            batch: List[Tuple[np.ndarray, object, Future]] = []
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if self._closed and not self._pending:
-                    return
-                if self.linger_s > 0:
-                    # Linger: give the round a chance to fill up to max_batch.
-                    deadline = time.monotonic() + self.linger_s
-                    while len(self._pending) < self.max_batch and not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(timeout=remaining)
-                while self._pending and len(batch) < self.max_batch:
-                    batch.append(self._pending.popleft())
-            if batch:
-                self._serve_group(batch)
-
-    def _serve_group(self, batch: List[Tuple[np.ndarray, object, Future]]) -> None:
-        # Full-refinement and budgeted requests take different sharding paths;
-        # budgeted ones still share a single lockstep batch via per-query budgets.
-        unbudgeted = [(features, future) for features, budget, future in batch if budget is None]
-        budgeted = [
-            (features, budget, future) for features, budget, future in batch if budget is not None
-        ]
-        for group, node_budget in (
-            (unbudgeted, None),
-            (budgeted, [int(budget) for _, budget, _ in budgeted] if budgeted else None),
-        ):
-            if not group:
-                continue
-            features = np.stack([item[0] for item in group])
-            futures = [item[-1] for item in group]
-            try:
-                predictions = self.predict_batch(features, node_budget=node_budget)
-            except Exception as error:  # propagate to every waiter in the round
-                for future in futures:
-                    future.set_exception(error)
-                continue
-            for future, prediction in zip(futures, predictions):
-                future.set_result(prediction)
-
-    # -- hot swap ----------------------------------------------------------------------------
     def swap_snapshot(self, snapshot_path: "str | Path") -> None:
         """Atomically switch serving to a new snapshot (graceful hot swap).
 
-        The container is validated and — in zero-copy mode — its flat
-        columns are compiled and placed in a *new* shared segment first,
-        entirely outside the serving guard, so the expensive part of a swap
-        steals no serving time.  The swap then takes the writer side of the
-        guard: in-flight rounds finish on the old forest, new rounds wait,
-        every shard re-attaches (releasing its old attachment) and the
-        front-end label layout and shard packing switch together — no round
-        ever mixes score blocks from two snapshots.  The old segment is
-        unlinked only after every worker runs on the new one.  Typical flow:
-        a background trainer keeps a live forest learning via
-        ``partial_fit``, periodically ``save_forest``s it and swaps the
-        engine over.
+        The registry builds the new segment and has every worker attach it
+        while rounds keep flowing, then drains in-flight rounds (they finish
+        on the old forest), switches, and unlinks the old segment.  A
+        snapshot that is unreadable, has no servable class or has another
+        feature dimension is rejected and the engine keeps serving the old
+        one.
         """
-        manifest = read_manifest(snapshot_path)
-        if int(manifest["dimension"]) != self.dimension:
-            raise ValueError(
-                f"snapshot dimension {manifest['dimension']} does not match "
-                f"the engine dimension {self.dimension}"
-            )
-        labels = self._servable_labels(manifest)
-        if not labels:
-            raise ValueError("snapshot holds no servable (non-empty) classes")
-        path = str(snapshot_path)
-        assignment = self._plan_assignment(manifest, labels, self.n_shards)
-        new_store: Optional[SharedColumnStore] = None
-        spec_base: Optional[dict] = None
-        new_structure: Optional[dict] = None
-        if self._pools is not None and self.zero_copy:
-            # Prepare the new segment before touching the serving guard: the
-            # compile / mmap / copy-in work happens while rounds keep flowing.
-            new_store, spec_base, new_structure = self._build_store(path, manifest)
-        # Writer side of the swap guard: wait out in-flight serving rounds
-        # (they complete on the old forest), keep new rounds parked until
-        # every shard and the label layout have switched together.
-        with self._swap_cond:
-            while self._swapping:
-                self._swap_cond.wait()
-            self._swapping = True
-            while self._active_rounds > 0:
-                self._swap_cond.wait()
-        try:
-            old_labels, old_assignment = self._labels, self._assignment
-            self._labels, self._assignment = labels, assignment
-            if self._pools is not None:
-                try:
-                    futures = [
-                        pool.submit(_swap_snapshot, self._shard_spec(spec_base, shard))
-                        for shard, pool in enumerate(self._pools)
-                    ]
-                    for future in futures:
-                        future.result()
-                except Exception:
-                    # Workers still serve the old forest (their re-init is
-                    # atomic); roll the front-end layout back and drop the
-                    # unused segment.
-                    self._labels, self._assignment = old_labels, old_assignment
-                    if new_store is not None:
-                        new_store.dispose()
-                    raise
-                if new_store is not None:
-                    old_store, self._store = self._store, new_store
-                    self._structure_stats = new_structure
-                    if old_store is not None:
-                        old_store.dispose()
-            self._snapshot_path = path
-            self._local_forest = None
-            if self._pools is None and self.zero_copy:
-                self._refresh_local_structure()
-            with self._stats_lock:
-                self.stats.swaps += 1
-        finally:
-            with self._swap_cond:
-                self._swapping = False
-                self._swap_cond.notify_all()
+        self.registry.load(self.tenant, snapshot_path)

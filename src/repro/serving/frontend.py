@@ -1,15 +1,16 @@
-"""Asyncio request front-end for the serving engine.
+"""Asyncio request front-end for the serving backend.
 
 The anytime premise of the paper is that a classifier should convert whatever
-time exists *between* request arrivals into refinement quality.  The sharded
-:class:`~repro.serving.engine.ServingEngine` realises the compute side of
-that; this module adds the missing traffic side — an asyncio-native request
-layer so real (network) arrivals feed the same scatter/gather rounds:
+time exists *between* request arrivals into refinement quality.  The
+:class:`~repro.serving.ModelRegistry` shard pool realises the compute side
+of that (a :class:`~repro.serving.ServingEngine` is a registry serving one
+snapshot); this module adds the traffic side — an asyncio-native request
+layer so real (network) arrivals feed the same serving rounds:
 
 * :class:`AsyncServingClient` — ``await classify(x, deadline_ms=...)`` backed
   by an event-loop-side micro-batcher: bounded per-tenant queues coalesce
   concurrent requests (up to ``max_batch``, waiting at most ``linger_s``
-  after the first) into engine rounds executed off-loop in a worker thread.
+  after the first) into backend rounds executed off-loop in a worker thread.
   Rounds are assembled by a deficit-round-robin scheduler over the tenant
   queues (:mod:`repro.serving.admission`), so under contention each tenant's
   served share tracks its :class:`~repro.serving.TenantPolicy` weight
@@ -22,36 +23,32 @@ layer so real (network) arrivals feed the same scatter/gather rounds:
 * **Load-adaptive budgets** — :class:`ArrivalRateEstimator` keeps an EWMA of
   the observed inter-arrival gaps and :class:`AdaptiveBudgetPolicy` maps the
   estimated idle time per arrival to a per-round ``node_budget`` (calibrated
-  by the engine's measured cost per lockstep node read).  Light traffic gets
-  deep refinement, bursts degrade gracefully to shallow reads — the paper's
-  anytime curve realised as a serving policy.  Request it with
+  by the backend's measured cost per lockstep node read).  Light traffic
+  gets deep refinement, bursts degrade gracefully to shallow reads — the
+  paper's anytime curve realised as a serving policy.  Request it with
   ``node_budget=ADAPTIVE``.
 * :class:`HttpFrontend` — a minimal stdlib HTTP shim
   (:func:`asyncio.start_server`; no third-party dependency) speaking one JSON
-  document per request/response on ``/classify``, ``/classify_batch``,
-  ``/healthz``, ``/stats`` and ``/swap``, so external load generators can
-  drive the engine over a socket.  ``/stats`` merges the front-end counters
-  with ``ServingEngine.stats_snapshot()``, which now includes the zero-copy
-  deployment facts: shared-segment name and size, per-worker warm-start
-  (attach) latency, each worker's shared-vs-private RSS split and the forest
-  structure-health summary derived from the flat interval columns.
+  document per request/response on the versioned
+  ``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``, ``/healthz``
+  and ``/stats``, so external load generators can drive the backend over a
+  socket.  ``/stats`` merges the front-end counters with the registry's
+  ``stats_snapshot()`` (per-worker warm-start and shared/private RSS) and
+  the resident forests' structure-health summaries.
 * :func:`drive_open_loop` — an open-loop load driver that replays a
   :class:`~repro.stream.DataStream` against a client at its arrival
   timestamps and returns per-request records for
   :class:`~repro.evaluation.RequestTrace` (optionally tenant-tagged).
 
-Since the v1 API redesign the front-end is **multi-tenant**: the client can
-route requests to a :class:`~repro.serving.ModelRegistry` (``tenant="acme"``)
-as well as to a single :class:`ServingEngine`, and the HTTP shim exposes the
-versioned ``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``.  The
-pre-v1 unversioned routes survive as thin aliases onto the ``default``
-tenant — same handlers, byte-identical payloads.  All endpoints share one
-structured error envelope (see :mod:`repro.serving.errors`)::
+The pre-v1 unversioned routes survive as one alias table onto the
+``default`` tenant's ``/v1`` routes — same handlers, byte-identical
+payloads.  All endpoints share one structured error envelope (see
+:mod:`repro.serving.errors`)::
 
     {"error": {"code": "queue_full", "message": "...", "retry_after_ms": 50}}
 
 Fixed-budget and full-refinement requests are served by exactly the same
-engine entry point a direct caller would use, so their predictions are
+backend entry point a direct caller would use, so their predictions are
 trace-identical to ``ServingEngine.predict_batch`` (pinned by
 ``benchmarks/test_serving_frontend.py`` via ``classification_trace_hash``).
 """
@@ -85,7 +82,6 @@ from .errors import (
     FrontendError,
     QueueFullError,
     QuotaExceededError,
-    TenantNotFoundError,
     error_envelope,
 )
 from .registry import ModelRegistry, TenantPolicy
@@ -246,7 +242,7 @@ class AdaptiveBudgetPolicy:
     ``budget = clamp(utilisation * mean_gap_s / node_cost_s)`` — of the time
     expected until the next arrival, spend a ``utilisation`` fraction on
     lockstep node reads (the rest absorbs queueing, gather and estimator
-    error), at the engine's measured seconds-per-node-read cost.  Light
+    error), at the backend's measured seconds-per-node-read cost.  Light
     traffic (large gaps) therefore refines up to ``max_budget`` nodes; a
     burst (tiny gaps) degrades to ``min_budget`` instead of queue collapse.
 
@@ -255,9 +251,9 @@ class AdaptiveBudgetPolicy:
     min_budget / max_budget:
         Inclusive clamp of the granted per-query budget.
     node_cost_s:
-        Fallback seconds per lockstep node read, used until the engine has
+        Fallback seconds per lockstep node read, used until the backend has
         calibrated its own estimate from observed budgeted rounds
-        (:meth:`~repro.serving.ServingEngine.node_cost_estimate`).
+        (:meth:`~repro.serving.ModelRegistry.node_cost_estimate`).
     utilisation:
         Fraction of the inter-arrival gap to spend refining, in ``(0, 1]``.
     """
@@ -288,7 +284,7 @@ class AdaptiveBudgetPolicy:
         mean_gap_s:
             The arrival-rate estimator's current mean inter-arrival gap.
         node_cost_hint:
-            The engine's calibrated cost per node read, if available;
+            The backend's calibrated cost per node read, if available;
             overrides the policy's static ``node_cost_s`` fallback.
         """
         cost = node_cost_hint if node_cost_hint and node_cost_hint > 0 else self.node_cost_s
@@ -309,22 +305,22 @@ class _PendingRequest:
 
 
 class AsyncServingClient:
-    """Asyncio-native classification client over a :class:`ServingEngine`.
+    """Asyncio-native classification client over a serving backend.
 
     Concurrent ``await classify(...)`` calls are coalesced by an
-    event-loop-side micro-batcher into engine rounds: the first queued
+    event-loop-side micro-batcher into backend rounds: the first queued
     request opens a round, the round dispatches when ``max_batch`` requests
-    are pending or ``linger_s`` has passed, and the blocking engine call runs
-    in a worker thread so the event loop stays responsive.  Requests wait in
-    per-tenant FIFO queues and rounds are assembled by a deficit-round-robin
-    scheduler (:class:`~repro.serving.admission.DeficitRoundRobin`) weighted
-    by each tenant's :class:`TenantPolicy.weight` — fairness under
-    contention, exact FIFO when a single tenant is active.  Admission is
-    bounded three ways: the global ``max_pending`` and the per-tenant
-    ``max_queue_depth`` fail fast with :class:`QueueFullError`, and a
-    tenant's ``requests_per_sec`` token-bucket quota fails with
-    :class:`QuotaExceededError` — callers see backpressure instead of
-    unbounded latency.
+    are pending or ``linger_s`` has passed, and the blocking backend call
+    runs in a worker thread so the event loop stays responsive.  Requests
+    wait in per-tenant FIFO queues and rounds are assembled by a
+    deficit-round-robin scheduler
+    (:class:`~repro.serving.admission.DeficitRoundRobin`) weighted by each
+    tenant's :class:`TenantPolicy.weight` — fairness under contention, exact
+    FIFO when a single tenant is active.  Admission is bounded three ways:
+    the global ``max_pending`` and the per-tenant ``max_queue_depth`` fail
+    fast with :class:`QueueFullError`, and a tenant's ``requests_per_sec``
+    token-bucket quota fails with :class:`QuotaExceededError` — callers see
+    backpressure instead of unbounded latency.
 
     All methods must be called from a single asyncio event loop (the one that
     first used the client).
@@ -332,20 +328,21 @@ class AsyncServingClient:
     Parameters
     ----------
     engine:
-        The engine serving the *default tenant*.  Optional when ``registry``
-        is given (then every tenant, the default included, routes to the
-        registry).  The client does not take ownership: closing the client
-        leaves the engine running.
+        A :class:`ServingEngine` serving the default tenant.  Its registry
+        answers everything else (dimension, node cost, swaps, stats), while
+        rounds go through :meth:`ServingEngine.predict_batch`.  The client
+        does not take ownership: closing the client leaves the engine running.
     registry:
-        Optional :class:`~repro.serving.ModelRegistry` serving the
-        non-default tenants (and the default one too when no ``engine`` is
-        given).  At least one of ``engine``/``registry`` is required.
+        A :class:`~repro.serving.ModelRegistry` serving every tenant, the
+        default one included.  Exactly one of ``engine``/``registry`` is
+        required.
     default_tenant:
         The tenant name requests without an explicit ``tenant=`` resolve to
-        (the tenant the legacy unversioned HTTP routes alias onto).
+        (the tenant the legacy unversioned HTTP routes alias onto).  With an
+        ``engine`` it must be the engine's tenant, ``"default"``.
     max_batch / linger_s:
-        Micro-batching knobs; default to the engine's settings (or the
-        engine constructor defaults when only a registry is given).
+        Micro-batching knobs: a round closes when ``max_batch`` requests are
+        pending or ``linger_s`` seconds after its first request.
     max_pending:
         Bound of the request queue (backpressure threshold), summed over
         every tenant's admission queue.
@@ -359,16 +356,15 @@ class AsyncServingClient:
         Optional explicit per-tenant :class:`TenantPolicy` mapping for the
         admission layer (DRR ``weight``, ``max_queue_depth``,
         ``requests_per_sec``).  Looked up before the registry's registered
-        policies — the way to configure admission for engine-only
-        deployments, which have no registry to carry policies.  Tenants in
-        neither source get the default policy (weight 1.0, no bounds).
+        policies.  Tenants in neither source get the default policy
+        (weight 1.0, no bounds).
     """
 
     def __init__(
         self,
         engine: Optional[ServingEngine] = None,
-        max_batch: Optional[int] = None,
-        linger_s: Optional[float] = None,
+        max_batch: int = 256,
+        linger_s: float = 0.002,
         max_pending: int = 1024,
         default_budget: object = None,
         budget_policy: Optional[AdaptiveBudgetPolicy] = None,
@@ -379,21 +375,29 @@ class AsyncServingClient:
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if engine is None and registry is None:
-            raise ValueError("need an engine, a registry, or both")
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        if linger_s < 0:
+            raise ValueError("linger_s must be non-negative")
         if not default_tenant:
             raise ValueError("default_tenant must be a non-empty string")
+        if registry is not None:
+            if engine is not None:
+                raise ValueError("pass an engine or a registry, not both")
+            backend = registry
+        elif engine is None:
+            raise ValueError("need an engine or a registry")
+        elif default_tenant != engine.tenant:
+            raise ValueError(f"an engine serves the {engine.tenant!r} tenant")
+        else:
+            backend = engine.registry
         self._engine = engine
         self._registry = registry
+        #: The registry that answers for every tenant (the engine's own, if any).
+        self._backend = backend
         self.default_tenant = str(default_tenant)
-        engine_batch = engine.max_batch if engine is not None else 256
-        engine_linger = engine.linger_s if engine is not None else 0.002
-        self.max_batch = int(max_batch if max_batch is not None else engine_batch)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self.linger_s = float(engine_linger if linger_s is None else linger_s)
-        if self.linger_s < 0:
-            raise ValueError("linger_s must be non-negative")
+        self.max_batch = int(max_batch)
+        self.linger_s = float(linger_s)
         self.max_pending = int(max_pending)
         self.default_budget = default_budget
         self.budget_policy = budget_policy or AdaptiveBudgetPolicy()
@@ -410,12 +414,12 @@ class AsyncServingClient:
     # -- public API ---------------------------------------------------------------------------
     @property
     def engine(self) -> Optional[ServingEngine]:
-        """The default tenant's serving engine (``None`` in registry-only mode)."""
+        """The default tenant's serving engine (``None`` for a registry client)."""
         return self._engine
 
     @property
     def registry(self) -> Optional[ModelRegistry]:
-        """The model registry serving non-default tenants, when configured."""
+        """The model registry this client was given (``None`` for an engine client)."""
         return self._registry
 
     def _resolve_tenant(self, tenant: Optional[str]) -> str:
@@ -425,24 +429,6 @@ class AsyncServingClient:
         if not isinstance(tenant, str) or not tenant:
             raise ValueError("tenant must be a non-empty string")
         return tenant
-
-    def _expected_dimension(self, tenant: str) -> Optional[int]:
-        """Feature dimension to validate against now, if any backend knows it."""
-        if tenant == self.default_tenant and self._engine is not None:
-            return self._engine.dimension
-        if self._registry is not None:
-            return self._registry.expected_dimension(tenant)
-        return None
-
-    def _node_cost(self) -> Optional[float]:
-        """The calibrated seconds-per-node-read hint from whichever backend has one."""
-        if self._engine is not None:
-            cost = self._engine.node_cost_estimate()
-            if cost is not None:
-                return cost
-        if self._registry is not None:
-            return self._registry.node_cost_estimate()
-        return None
 
     @property
     def queue_depth(self) -> int:
@@ -457,13 +443,9 @@ class AsyncServingClient:
         so a policy change applies to the next admission decision.
         """
         policy = self._tenant_policies.get(tenant)
-        if policy is not None:
-            return policy
-        if self._registry is not None:
-            registered = self._registry.tenant_policy(tenant)
-            if registered is not None:
-                return registered
-        return self._default_policy
+        if policy is None:
+            policy = self._backend.tenant_policy(tenant)
+        return policy if policy is not None else self._default_policy
 
     def _bucket_for(self, tenant: str, policy: TenantPolicy) -> Optional[TokenBucket]:
         """The tenant's quota bucket (rebuilt when the policy's rate changes)."""
@@ -530,7 +512,7 @@ class AsyncServingClient:
         detail: bool = False,
         tenant: Optional[str] = None,
     ) -> "ClassifyResult | Hashable":
-        """Classify one feature vector through the micro-batched engine.
+        """Classify one feature vector through the micro-batched backend.
 
         Parameters
         ----------
@@ -550,7 +532,7 @@ class AsyncServingClient:
             budget, latency) instead of the bare label.
         tenant:
             Which tenant's model serves the request (``None`` = the client's
-            ``default_tenant``).  Non-default tenants require a registry.
+            ``default_tenant``).
 
         Returns
         -------
@@ -569,14 +551,14 @@ class AsyncServingClient:
         FrontendClosedError
             If the client is closed (or closes without draining).
         TenantNotFoundError
-            If the tenant resolves to no model (no registry, or an
-            unregistered tenant without a prior snapshot).
+            If the tenant resolves to no model (an unregistered tenant
+            without a prior snapshot).
         ValueError
             If ``features`` does not match the tenant's model dimension.
         """
         features = np.asarray(features, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
-        expected = self._expected_dimension(resolved_tenant)
+        expected = self._backend.expected_dimension(resolved_tenant)
         if features.ndim != 1 or (expected is not None and features.shape != (expected,)):
             raise ValueError(f"features must have shape ({expected or 'dimension'},)")
         if self._closed:
@@ -673,7 +655,7 @@ class AsyncServingClient:
         """
         queries = np.asarray(queries, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
-        expected = self._expected_dimension(resolved_tenant)
+        expected = self._backend.expected_dimension(resolved_tenant)
         if queries.ndim != 2 or (expected is not None and queries.shape[1] != expected):
             raise ValueError(f"queries must be an (m, {expected or 'dimension'}) array")
         if self._closed:
@@ -698,28 +680,15 @@ class AsyncServingClient:
     ) -> None:
         """Hot-swap one tenant's model to a new snapshot without dropping requests.
 
-        For the engine-backed default tenant this runs
-        :meth:`ServingEngine.swap_snapshot` in a worker thread; for
-        registry-backed tenants it runs :meth:`ModelRegistry.load` (which
-        registers the tenant if needed).  Either way in-flight rounds finish
+        Runs :meth:`ModelRegistry.load` on the backend registry in a worker
+        thread (registering the tenant if needed): in-flight rounds finish
         on the old snapshot and queued requests are served by the new one
-        once the swap completes.  Raises whatever the backend validation
+        once the swap completes.  Raises whatever the registry's validation
         raises (bad container, dimension mismatch).
         """
-        resolved_tenant = self._resolve_tenant(tenant)
         loop = asyncio.get_running_loop()
-        if resolved_tenant == self.default_tenant and self._engine is not None:
-            await loop.run_in_executor(
-                None, functools.partial(self._engine.swap_snapshot, snapshot_path)
-            )
-            return
-        if self._registry is None:
-            raise TenantNotFoundError(
-                f"tenant {resolved_tenant!r} cannot be swapped: no model registry"
-            )
-        await loop.run_in_executor(
-            None, functools.partial(self._registry.load, resolved_tenant, snapshot_path)
-        )
+        load = functools.partial(self._backend.load, self._resolve_tenant(tenant), snapshot_path)
+        await loop.run_in_executor(None, load)
 
     def stats_snapshot(self) -> dict:
         """JSON-able front-end stats: counters, queues, arrival estimate.
@@ -761,7 +730,7 @@ class AsyncServingClient:
         immediately with :class:`FrontendClosedError`.  Either way every
         pending future is resolved — no waiter is left hanging — and later
         :meth:`classify` calls raise :class:`FrontendClosedError`.  The
-        underlying engine stays open (the caller owns it).
+        underlying engine or registry stays open (the caller owns it).
         """
         if self._closed:
             return
@@ -804,8 +773,7 @@ class AsyncServingClient:
                 await self._wakeup.wait()
             if self.linger_s > 0 and not self._closed:
                 # Linger: let the round fill towards max_batch before
-                # dispatching — the event-loop analogue of the engine
-                # dispatcher thread's wait.
+                # dispatching.
                 round_deadline = loop.time() + self.linger_s
                 while len(self._admission) < self.max_batch and not self._closed:
                     remaining = round_deadline - loop.time()
@@ -825,7 +793,7 @@ class AsyncServingClient:
 
     async def _serve_round(self, batch: List[_PendingRequest]) -> None:
         # Requests whose waiter gave up (deadline timeout cancels the future)
-        # are dropped before any engine work is spent on them.
+        # are dropped before any backend work is spent on them.
         live: List[_PendingRequest] = []
         for request in batch:
             if request.future.done():
@@ -845,8 +813,8 @@ class AsyncServingClient:
         for (tenant, unbudgeted), group in groups.items():
             budgets = None if unbudgeted else self._resolve_budgets(group)
             rounds.append(self._execute_group(group, budgets=budgets, tenant=tenant))
-        # The engine supports concurrent serving rounds (readers side of the
-        # swap guard), so the slow full-refinement round must not delay the
+        # The backend serves concurrent rounds (a swap drains them all), so
+        # the slow full-refinement round must not delay the
         # deadline-carrying budgeted one behind it.
         await asyncio.gather(*rounds)
 
@@ -855,21 +823,21 @@ class AsyncServingClient:
 
         The adaptive choice is additionally clamped by the tightest remaining
         deadline among the *adaptive* requests (translated into affordable
-        node reads via the engine's calibrated cost).  Fixed-budget requests
+        node reads via the backend's calibrated cost).  Fixed-budget requests
         are never clamped — their trace identity with direct
         ``predict_batch`` is part of the contract, which is why the clamp
-        happens here on the adaptive choice alone and not engine-side on the
-        whole round.
+        happens here on the adaptive choice alone and never on the whole
+        round.
         """
         adaptive = [request for request in budgeted if request.node_budget is ADAPTIVE]
         chosen: Optional[int] = None
         if adaptive:
             chosen = self.budget_policy.budget(
-                self.estimator.mean_gap_s, node_cost_hint=self._node_cost()
+                self.estimator.mean_gap_s, node_cost_hint=self._backend.node_cost_estimate()
             )
             deadlines = [request.deadline for request in adaptive if request.deadline is not None]
             if deadlines:
-                cost = self._node_cost()
+                cost = self._backend.node_cost_estimate()
                 if cost is not None and cost > 0:
                     loop = asyncio.get_running_loop()
                     remaining = max(min(deadlines) - loop.time(), 0.0)
@@ -882,42 +850,26 @@ class AsyncServingClient:
             for request in budgeted
         ]
 
-    def _backend_call(
-        self, tenant: str, features: np.ndarray, budgets: Optional[List[int]]
-    ) -> "functools.partial[List[Hashable]]":
-        """The blocking one-round call for a tenant: engine or registry.
-
-        The engine serves the default tenant when present (the pre-v1
-        single-model deployment — byte- and trace-identical to the legacy
-        path); everything else goes through the registry.  A tenant with no
-        backend fails the whole group with
-        :class:`~repro.serving.TenantNotFoundError`.
-        """
-        if tenant == self.default_tenant and self._engine is not None:
-            return functools.partial(self._engine.predict_batch, features, node_budget=budgets)
-        if self._registry is None:
-            raise TenantNotFoundError(
-                f"tenant {tenant!r} has no serving backend (no model registry configured)"
-            )
-        return functools.partial(
-            self._registry.predict_batch, tenant, features, node_budget=budgets
-        )
-
     async def _execute_group(
         self, group: List[_PendingRequest], budgets: Optional[List[int]], tenant: str
     ) -> None:
         loop = asyncio.get_running_loop()
-        features = np.stack([request.features for request in group])
-        try:
-            call = self._backend_call(tenant, features, budgets)
-        except TenantNotFoundError as error:
-            for request in group:
-                if not request.future.done():
-                    self.stats.failed += 1
-                    request.future.set_exception(error)
-            return
         self.stats.batches += 1
         try:
+            # Rows of another dimension (validation deferred while the
+            # tenant was not resident) fail the round here, not the batcher.
+            features = np.stack([request.features for request in group])
+            if self._engine is not None and tenant == self.default_tenant:
+                # Engine rounds go through ServingEngine.predict_batch itself,
+                # the entry point a direct caller (or an instrumenting wrapper)
+                # sees.
+                call = functools.partial(
+                    self._engine.predict_batch, features, node_budget=budgets
+                )
+            else:
+                call = functools.partial(
+                    self._backend.predict_batch, tenant, features, node_budget=budgets
+                )
             predictions = await loop.run_in_executor(None, call)
         except Exception as error:  # propagate to every live waiter in the round
             for request in group:
@@ -1036,14 +988,19 @@ _STATUS_TEXT = {
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_LINES = 64
 
+#: Pre-v1 unversioned routes, each an alias of the default tenant's v1 action.
+_LEGACY_ROUTES = {"/classify": "classify", "/classify_batch": "classify_batch", "/swap": "swap"}
+
 
 class HttpFrontend:
     """Minimal stdlib HTTP/1.1 shim over an :class:`AsyncServingClient`.
 
     One JSON document per request and response body.  The **v1 surface** is
-    tenant-scoped; the pre-v1 unversioned routes are kept as thin aliases
-    onto the client's default tenant (same handlers, byte-identical
-    payloads).
+    tenant-scoped; the pre-v1 unversioned ``/classify``, ``/classify_batch``
+    and ``/swap`` are one alias table onto the client's default tenant's
+    ``/v1`` routes (same handlers, byte-identical payloads).  Whatever backs
+    the client, its registry (an engine's own, for an engine client)
+    answers the swap, stats and health routes.
 
     ``POST /v1/tenants/{tenant}/classify`` (alias ``POST /classify``)
         Body ``{"features": [...], "node_budget": int | null | "adaptive",
@@ -1060,29 +1017,31 @@ class HttpFrontend:
 
     ``POST /v1/tenants/{tenant}/swap`` (alias ``POST /swap``)
         Body ``{"snapshot_path": "..."}``; hot-swaps that tenant's model
-        (engine swap for the engine-backed default tenant, registry load
-        otherwise).  Example response::
+        (a registry load: drain, replace, unlink the old segment).  Example
+        response::
 
             {"swapped": true, "tenant": "default", "snapshot_path": "/tmp/f.npz"}
 
     ``GET /v1/tenants/{tenant}/stats``
         That tenant's stats document (per-tenant nesting of the registry's
-        ``stats_snapshot()``) plus its front-end admission view (queue
-        depth, DRR weight/deficit, granted-round share, rejection mix).
-        Example response::
+        ``stats_snapshot()``), its forest structure-health summary
+        (computed on request; ``null`` when not resident) and its front-end
+        admission view (queue depth, DRR weight/deficit, granted-round
+        share, rejection mix).  Example response::
 
             {"tenant": "acme", "resident": true, "shm_bytes": 1048576,
              "decay_rate": 0.01, "requests": 128, "cold_load_ms": 2.4,
              "policy": {"max_node_budget": 32, "pinned": false, ...},
+             "structure": {"n_classes": 10, "total_kernels": 800, ...},
              "admission": {"queue_depth": 3, "weight": 2.0, "deficit": 0.0,
                            "granted_round_share": 0.4,
                            "rejected_quota": 7, ...}, ...}
 
     ``GET /v1/registry``
-        Registry-wide view: bounds, counters and the per-tenant nesting.
-        Example response::
+        Registry-wide view: bounds, counters and the per-tenant nesting;
+        404 for an engine client.  Example response::
 
-            {"schema_version": 2, "capacity": 4, "resident": 2,
+            {"schema_version": 3, "capacity": 4, "resident": 2,
              "resident_bytes": 2097152, "counters": {"loads": 7,
              "evictions": 3, ...}, "tenants": {"acme": {...}, ...}}
 
@@ -1093,26 +1052,31 @@ class HttpFrontend:
         ``{"evicted": true, "tenant": "acme"}``.
 
     ``GET /healthz``
-        Liveness plus deployment facts.  Example response::
+        Liveness plus deployment facts: the default tenant's snapshot
+        (``null`` when it is not registered), the shard worker count
+        (``0``: in-process) and the registered tenants.  Example response::
 
             {"status": "ok", "snapshot_path": "/tmp/forest.npz",
-             "multiprocess": false, "n_shards": 1, "tenants": 2}
+             "workers": 2, "tenants": 1}
 
     ``GET /stats``
-        One merged document: ``schema_version``, the engine's
-        ``stats_snapshot()`` (``null`` in registry-only mode), the
-        front-end counters and, when a registry is configured, its
-        tenant-nested snapshot.  Example response (abridged)::
+        One merged document: ``schema_version``, the front-end counters,
+        the registry's tenant-nested ``stats_snapshot()`` (with per-worker
+        warm start and shared/private RSS) and each resident tenant's
+        forest structure-health summary, computed on request.  Example
+        response (abridged)::
 
-            {"schema_version": 3,
-             "engine": {"schema_version": 3, "requests": 512, "swaps": 1,
-                        "mode": "zero_copy", "shm_bytes": 1048576, ...},
+            {"schema_version": 4,
              "frontend": {"submitted": 512, "served": 510,
                           "rejected_queue_full": 2, "rejected_quota": 7,
                           "queue_depth": 0,
                           "arrival": {"rate_per_s": 350.0, ...},
                           "admission": {"rounds": 40, "tenants": {...}}, ...},
-             "registry": {"schema_version": 3, "tenants": {...}, ...}}
+             "registry": {"schema_version": 3, "workers": 2,
+                          "worker_profiles": [{"pid": 4242, "warm_start_ms": 1.1,
+                                               "private_kb": 5120.0, ...}, ...],
+                          "tenants": {...}, ...},
+             "structure": {"default": {"n_classes": 10, "total_kernels": 1600, ...}}}
 
     Every error, on every endpoint, uses one structured envelope
     (:func:`repro.serving.errors.error_envelope`)::
@@ -1123,8 +1087,10 @@ class HttpFrontend:
     (global or per-tenant) responds ``503``, a tenant over its
     ``requests_per_sec`` quota ``429``, a missed deadline ``504``, malformed
     requests (including malformed JSON bodies) ``400``, unknown tenants
-    ``404``.  **Every 429 and 503 carries a ``Retry-After`` header** derived
-    from the envelope's ``retry_after_ms``.  The server binds with :func:`asyncio.start_server`;
+    ``404``.  **Every 429 and 503 carries a ``Retry-After`` header**: the
+    envelope's ``retry_after_ms`` rounded *up* to whole seconds, so a client
+    honouring either never retries early.  The server binds with
+    :func:`asyncio.start_server`;
     no third-party HTTP stack is required (an ``aiohttp`` front could serve
     the same client, but the stdlib shim keeps the dependency surface at
     zero).
@@ -1252,11 +1218,11 @@ class HttpFrontend:
             f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         if status in (429, 503):
-            # Retry-After is whole seconds on the wire; the envelope's
-            # retry_after_ms (present on every 429/503) keeps the precision.
+            # Retry-After is whole seconds on the wire, rounded up so it never
+            # undercuts the envelope's retry_after_ms (present on every 429/503).
             error_body = payload.get("error") if isinstance(payload.get("error"), dict) else {}
             retry_ms = error_body.get("retry_after_ms", 0) or 0
-            headers.append(f"Retry-After: {max(0, int(round(retry_ms / 1000.0)))}")
+            headers.append(f"Retry-After: {max(0, math.ceil(retry_ms / 1000.0))}")
         writer.write(("\r\n".join(headers) + "\r\n\r\n").encode("latin-1") + body)
         await writer.drain()
 
@@ -1303,7 +1269,7 @@ class HttpFrontend:
             raise _HttpError(404, "no model registry is configured on this server")
         return registry
 
-    async def _handle_classify(self, tenant: Optional[str], body: bytes) -> "Tuple[int, dict]":
+    async def _handle_classify(self, tenant: str, body: bytes) -> "Tuple[int, dict]":
         payload = self._parse_body(body)
         result = await self._client.classify(
             np.asarray(payload["features"], dtype=float),
@@ -1318,9 +1284,7 @@ class HttpFrontend:
             "latency_ms": result.latency_s * 1e3,
         }
 
-    async def _handle_classify_batch(
-        self, tenant: Optional[str], body: bytes
-    ) -> "Tuple[int, dict]":
+    async def _handle_classify_batch(self, tenant: str, body: bytes) -> "Tuple[int, dict]":
         payload = self._parse_body(body)
         queries = np.asarray(payload["features"], dtype=float)
         predictions = await self._client.classify_batch(
@@ -1331,35 +1295,25 @@ class HttpFrontend:
         )
         return 200, {"predictions": predictions, "count": len(predictions)}
 
-    async def _handle_swap(self, tenant: Optional[str], body: bytes) -> "Tuple[int, dict]":
+    async def _handle_swap(self, tenant: str, body: bytes) -> "Tuple[int, dict]":
         payload = self._parse_body(body)
         snapshot_path = str(payload["snapshot_path"])
         await self._client.swap_snapshot(snapshot_path, tenant=tenant)
-        resolved = tenant if tenant is not None else self._client.default_tenant
-        engine = self._client.engine
-        if resolved == self._client.default_tenant and engine is not None:
-            snapshot_path = engine.snapshot_path
-        return 200, {"swapped": True, "tenant": resolved, "snapshot_path": snapshot_path}
+        return 200, {"swapped": True, "tenant": tenant, "snapshot_path": snapshot_path}
 
     def _handle_tenant_stats(self, tenant: str) -> "Tuple[int, dict]":
-        registry = self._client.registry
-        if registry is not None and tenant in registry.known_tenants():
-            stats = registry.tenant_stats(tenant)
-            stats["admission"] = self._client.tenant_admission_snapshot(tenant)
-            return 200, stats
-        engine = self._client.engine
-        if tenant == self._client.default_tenant and engine is not None:
-            return 200, {
-                "tenant": tenant,
-                "resident": True,
-                "snapshot_path": engine.snapshot_path,
-                "engine": engine.stats_snapshot(),
-                "admission": self._client.tenant_admission_snapshot(tenant),
-            }
-        raise _HttpError(404, f"tenant {tenant!r} is not registered", code="tenant_not_found")
+        backend = self._client._backend
+        stats = backend.tenant_stats(tenant)  # TenantNotFoundError -> 404
+        stats["structure"] = backend.structure_stats(tenant)
+        stats["admission"] = self._client.tenant_admission_snapshot(tenant)
+        return 200, stats
 
     async def _dispatch(self, method: str, path: str, body: bytes) -> "Tuple[int, dict]":
         client = self._client
+        backend = client._backend
+        alias = _LEGACY_ROUTES.get(path)
+        if alias is not None:
+            path = f"/v1/tenants/{client.default_tenant}/{alias}"
         tenant_route = self._tenant_route(path)
         if tenant_route is not None:
             tenant, action = tenant_route
@@ -1397,32 +1351,26 @@ class HttpFrontend:
             evicted = await loop.run_in_executor(None, registry.evict, tenant_name)
             return 200, {"evicted": bool(evicted), "tenant": tenant_name}
         if path == "/healthz" and method == "GET":
-            engine = client.engine
-            health: dict = {"status": "ok"}
-            if engine is not None:
-                health.update(
-                    snapshot_path=engine.snapshot_path,
-                    multiprocess=engine.is_multiprocess,
-                    n_shards=engine.n_shards,
-                )
-            if client.registry is not None:
-                health["tenants"] = len(client.registry.known_tenants())
-            return 200, health
-        if path == "/stats" and method == "GET":
-            engine = client.engine
-            stats_doc: dict = {
-                "schema_version": 3,
-                "engine": engine.stats_snapshot() if engine is not None else None,
-                "frontend": client.stats_snapshot(),
+            tenants = backend.known_tenants()
+            default_path = (
+                backend.tenant_stats(client.default_tenant)["snapshot_path"]
+                if client.default_tenant in tenants
+                else None
+            )
+            return 200, {
+                "status": "ok",
+                "snapshot_path": default_path,
+                "workers": backend.workers,
+                "tenants": len(tenants),
             }
-            if client.registry is not None:
-                stats_doc["registry"] = client.registry.stats_snapshot()
-            return 200, stats_doc
-        # Legacy unversioned aliases: same handlers, default tenant.
-        if path == "/classify" and method == "POST":
-            return await self._handle_classify(None, body)
-        if path == "/classify_batch" and method == "POST":
-            return await self._handle_classify_batch(None, body)
-        if path == "/swap" and method == "POST":
-            return await self._handle_swap(None, body)
+        if path == "/stats" and method == "GET":
+            return 200, {
+                "schema_version": 4,
+                "frontend": client.stats_snapshot(),
+                "registry": backend.stats_snapshot(),
+                "structure": {
+                    tenant: backend.structure_stats(tenant)
+                    for tenant in backend.resident_tenants()
+                },
+            }
         raise _HttpError(404, f"no route for {method} {path}")

@@ -1,28 +1,28 @@
-"""Multi-tenant model registry: many forests, one serving engine.
+"""Model registry: the serving backend for one forest or many.
 
 The paper's anytime Bayes forest is *one* classifier; production traffic from
 millions of users means *many* — per-tenant models with independent
-drift/decay clocks, loaded and retired on demand.  PR 6's flat snapshot
-encoding made a per-tenant load nearly free (mmap the columns, copy into one
-shared segment, wrap zero-copy views); this module adds the missing control
-plane:
+drift/decay clocks, loaded and retired on demand.  The flat snapshot
+encoding makes a load nearly free (mmap the columns, copy into one shared
+segment, wrap zero-copy views); this module is the control plane and the
+data plane on top of it.  Single-snapshot serving
+(:class:`~repro.serving.ServingEngine`) is a registry holding one pinned
+tenant.
 
 * **Per-tenant flat-snapshot entries.**  Each resident tenant owns one
   :class:`~repro.serving.shared_mem.SharedColumnStore` segment holding its
-  flat forest columns plus a zero-copy :class:`~repro.core.flat.FlatForest`
-  wrapper.  Classification goes through exactly the same lockstep drivers as
-  single-tenant serving, so a tenant's anytime refinement traces
-  (``classification_trace_hash``) are bit-identical to serving that tenant's
-  snapshot alone.
+  flat forest columns.  Classification goes through exactly the same
+  drivers as the in-process classifier, so a tenant's predictions and
+  anytime refinement traces (``classification_trace_hash``) are
+  bit-identical to serving that tenant's snapshot alone.
 * **LRU load/evict cache with bounded shared memory.**  At most ``capacity``
   tenants are resident, and their segments total at most ``capacity_bytes``.
   Loading past a bound evicts the least-recently-used tenants; an evicted
   tenant stays *registered* and transparently reloads on its next request
-  (the measured cold-load path).  Eviction reuses the PR 6 swap discipline:
-  it waits for the tenant's in-flight rounds to drain, then releases the
-  registry's attachment and unlinks the segment via the store — the registry
-  and the engine are the only modules allowed to trigger segment disposal
-  (machine-checked by reprolint RL003).
+  (the measured cold-load path).  Eviction and hot swap share one
+  discipline: wait for the tenant's in-flight rounds to drain, then unlink
+  the segment via the store — this module is the only one allowed to
+  trigger segment disposal (machine-checked by reprolint RL003).
 * **Per-tenant decay clocks and budget policies.**  Every tenant's snapshot
   carries its own logical :class:`~repro.index.decay.DecayClock`, so tenants
   age and drift independently by construction; the registry surfaces each
@@ -32,10 +32,19 @@ plane:
   seen is served by a shared global *prior* forest (when configured) instead
   of failing — the personalisation story's "new user" path — and counted
   per tenant so promotion to a real model is observable.
-* **One shared worker pool.**  With ``workers > 0`` all tenants share a
-  single process pool; rounds are query-sharded across it and each worker
-  keeps a small LRU of tenant segment attachments (attach once, serve many).
-  ``workers=0`` (default) serves in-process through the identical code path.
+* **One shard pool.**  ``workers > 0`` runs one single-worker process per
+  shard.  Every worker attaches a segment once, when the segment is built,
+  and releases it when the segment is disposed, so a round's tasks carry
+  only the segment name and the queries.  Full-refinement rounds are
+  class-sharded: the servable classes are packed onto shards by an LPT
+  greedy over their kernel counts (:func:`plan_shard_assignment`), each
+  shard scores its classes with one vectorised density pass per tree, and
+  the parent gathers the score blocks and takes the repr-sorted argmax.
+  Budgeted rounds cannot be class-sharded (the qbk rotation interleaves
+  classes through one posterior), so they are query-sharded: each shard
+  drives the lockstep anytime refinement of the full forest over its slice
+  of the batch.  ``workers=0`` (default) serves in-process from a
+  zero-copy forest over the same segment.
 
 Durability comes from :mod:`repro.persist.tenants`: a versioned JSON tenant
 manifest maps names to snapshot paths and policies, and
@@ -44,34 +53,123 @@ manifest maps names to snapshot paths and policies, and
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 import warnings
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..core.classifier import AnytimeClassification
-from ..core.flat import FlatForest
+from ..core.flat import FlatForest, FlatTree
 from ..persist import load_forest, read_flat_columns, read_manifest, read_tenant_manifest
 from .errors import RegistryClosedError, TenantNotFoundError
-from .shared_mem import SharedColumnStore, attach_columns, release_attachment
+from .shared_mem import SharedColumnStore, attach_columns, memory_profile, release_attachment
 
-__all__ = ["ModelRegistry", "RegistryStats", "TenantPolicy"]
+__all__ = ["ModelRegistry", "RegistryStats", "TenantPolicy", "plan_shard_assignment"]
 
-#: Per-query node budgets accepted by the tenant serving surface (mirrors
-#: :data:`repro.serving.engine.BudgetSpec`).
+#: Per-query node budgets accepted by the serving surface: one scalar budget
+#: for the whole batch, or one budget per query.
 BudgetSpec = Union[int, Sequence[int], np.ndarray]
 
-#: Per-process attachment cache of the shared worker pool: ``shm name ->
-#: (shm handle, FlatForest)``.  One worker process per pool slot, so a plain
-#: module dict is per-worker state.
-_POOL_STATE: dict = {}
+#: Per-process state of a shard worker (one process per shard, so module
+#: globals are per-shard state): every attached segment by name, as
+#: ``(handle, full forest, this shard's trees in global column order)``.
+_SEGMENTS: Dict[str, Tuple[object, FlatForest, Dict[Hashable, FlatTree]]] = {}
+#: The shard worker's most recent attach latency, for ``worker_profiles``.
+_PROFILE: Dict[str, float] = {}
+
+
+def plan_shard_assignment(counts: Sequence[float], n_shards: int) -> List[List[int]]:
+    """Pack class indices onto shards, balancing total per-shard count (LPT).
+
+    Longest-processing-time greedy: visit classes by descending ``counts``
+    (ties by index, for determinism) and give each to the currently
+    least-loaded shard.  Full-refinement scoring costs one vectorised pass
+    over every kernel of a shard, so balancing kernel counts balances the
+    critical path of a class-sharded round — LPT is within 4/3 of the
+    optimal makespan, versus unbounded skew for round-robin when class sizes
+    differ.  Returns ``n_shards`` lists of class indices, each sorted
+    ascending (so gathered score blocks stay in global column order).
+    """
+    if n_shards < 1:
+        raise ValueError("n_shards must be at least 1")
+    order = sorted(range(len(counts)), key=lambda index: (-counts[index], index))
+    loads = [0.0] * n_shards
+    bins: List[List[int]] = [[] for _ in range(n_shards)]
+    for index in order:
+        shard = min(range(n_shards), key=lambda s: (loads[s], s))
+        bins[shard].append(index)
+        loads[shard] += counts[index]
+    for contents in bins:
+        contents.sort()
+    return bins
+
+
+# -- shard worker tasks ---------------------------------------------------------------------
+def _shard_attach(spec: dict, assigned: List[Hashable]) -> None:
+    """Attach a newly built segment in this shard worker (once per segment).
+
+    Wraps zero-copy views twice over the same pages: the full forest (for
+    budgeted rounds) and this shard's LPT share of the servable classes
+    (for full-refinement rounds).
+    """
+    start = time.perf_counter()
+    shm, columns = attach_columns(spec["shm_name"], spec["layout"])
+    forest = FlatForest.from_columns(
+        columns,
+        labels=spec["labels"],
+        descent=spec["descent"],
+        qbk_k=spec["qbk_k"],
+        dimension=spec["dimension"],
+    )
+    _SEGMENTS[spec["shm_name"]] = (shm, forest, {label: forest.trees[label] for label in assigned})
+    _PROFILE["warm_start_ms"] = (time.perf_counter() - start) * 1e3
+
+
+def _shard_detach(name: str) -> None:
+    """Release this worker's attachment of a disposed segment."""
+    attached = _SEGMENTS.pop(name, None)
+    if attached is not None:
+        shm = attached[0]
+        del attached  # drop the forest's views before closing the mapping
+        release_attachment(shm)  # type: ignore[arg-type]
+
+
+def _shard_score(name: str, queries: np.ndarray) -> np.ndarray:
+    """Posterior scores ``log P(c) + log pdq_c(x)`` for this shard's classes.
+
+    Returns an ``(m, k)`` block whose columns follow the shard's slice of
+    the global repr-sorted label order.
+    """
+    _, forest, trees = _SEGMENTS[name]
+    scores = np.empty((queries.shape[0], len(trees)))
+    for column, (label, tree) in enumerate(trees.items()):
+        scores[:, column] = forest.log_priors[label] + tree.log_density_batch(queries)
+    return scores
+
+
+def _shard_predict(name: str, queries: np.ndarray, budgets: np.ndarray) -> List[Hashable]:
+    """Anytime predictions for a query slice, refined over the full forest."""
+    results = _SEGMENTS[name][1].classify_anytime_batch(
+        queries, max_nodes=budgets, record_history=False
+    )
+    return [result.final_prediction for result in results]
+
+
+def _shard_profile() -> dict:
+    """This worker's pid, attached segments, last attach latency and RSS split."""
+    return {
+        "pid": os.getpid(),
+        "segments": len(_SEGMENTS),
+        "warm_start_ms": _PROFILE.get("warm_start_ms"),
+        **memory_profile(),
+    }
 
 
 @dataclass(frozen=True)
@@ -191,24 +289,32 @@ class RegistryStats:
 
 @dataclass
 class _TenantEntry:
-    """One resident tenant: its segment, zero-copy forest and counters."""
+    """One resident tenant: its segment, serving layout and counters."""
 
     tenant: str
     snapshot_path: str
     policy: TenantPolicy
     store: SharedColumnStore
-    shm: object
-    forest: Optional[FlatForest]
-    spec: dict
-    dimension: int
-    n_classes: int
+    #: ``FlatForest.from_columns`` keywords: all labels, descent, qbk_k, dimension.
+    meta: dict
+    #: Servable (non-empty) classes in repr-sorted order: the score columns
+    #: of a full-refinement round.
+    labels: List[Hashable]
     decay_rate: float
-    cold_load_ms: float
+    #: Per-shard score column indices from the LPT packing (empty in-process).
+    assignment: List[np.ndarray] = field(default_factory=list)
+    #: The in-process forest over this process's attachment; built with the
+    #: segment in-process, on first use for a pool-served tenant.
+    forest: Optional[FlatForest] = None
+    shm: object = None
+    cold_load_ms: float = 0.0
     active: int = 0
     requests: int = 0
     batches: int = 0
-    loaded_generation: int = 0
-    last_round_s: float = 0.0
+
+    @property
+    def dimension(self) -> int:
+        return int(self.meta["dimension"])
 
 
 @dataclass
@@ -218,61 +324,10 @@ class _TenantSpec:
     snapshot_path: str
     policy: TenantPolicy
     loads: int = 0
-    cold_starts: int = 0
-
-
-def _pool_initializer(cache_size: int) -> None:
-    """Initialise a shared-pool worker's attachment cache."""
-    _POOL_STATE["cache"] = OrderedDict()
-    _POOL_STATE["cache_size"] = int(cache_size)
-
-
-def _pool_forest(spec: dict) -> FlatForest:
-    """This worker's zero-copy forest for a tenant spec (attach-once LRU).
-
-    Keyed by segment name: a tenant reload builds a *new* segment, so stale
-    cache entries for disposed segments simply age out (their mapping stays
-    valid until closed — POSIX keeps unlinked segments alive for attached
-    processes, which is what makes engine-side eviction safe mid-round).
-    """
-    cache: "OrderedDict[str, Tuple[object, FlatForest]]" = _POOL_STATE.setdefault(
-        "cache", OrderedDict()
-    )
-    key = spec["shm_name"]
-    cached = cache.get(key)
-    if cached is not None:
-        cache.move_to_end(key)
-        return cached[1]
-    shm, columns = attach_columns(spec["shm_name"], spec["layout"])
-    forest = FlatForest.from_columns(
-        columns,
-        labels=spec["labels"],
-        descent=spec["descent"],
-        qbk_k=spec["qbk_k"],
-        dimension=spec["dimension"],
-    )
-    cache[key] = (shm, forest)
-    limit = int(_POOL_STATE.get("cache_size", 8))
-    while len(cache) > limit:
-        _, (old_shm, old_forest) = cache.popitem(last=False)
-        del old_forest
-        release_attachment(old_shm)  # type: ignore[arg-type]
-    return forest
-
-
-def _pool_predict(
-    spec: dict, queries: np.ndarray, budgets: Optional[np.ndarray]
-) -> List[Hashable]:
-    """Serve one query slice for one tenant inside a pool worker."""
-    forest = _pool_forest(spec)
-    if budgets is None:
-        return forest.predict_batch(queries)
-    results = forest.classify_anytime_batch(queries, max_nodes=budgets, record_history=False)
-    return [result.final_prediction for result in results]
 
 
 class ModelRegistry:
-    """Serve many independent forest snapshots from one shared engine.
+    """Serve many independent forest snapshots from one shard pool.
 
     Parameters
     ----------
@@ -288,19 +343,14 @@ class ModelRegistry:
         tenants are served by this forest (cold-start fallback) instead of
         raising :class:`~repro.serving.TenantNotFoundError`.
     workers:
-        Size of the shared process pool.  ``0`` (default) serves in-process;
-        ``N > 0`` query-shards every round across one pool shared by all
-        tenants, each worker keeping an LRU of segment attachments.
-    mp_context:
-        Optional multiprocessing start method for the pool.
-    worker_cache_size:
-        Per-worker attachment-cache bound (defaults to ``capacity + 1`` so a
-        steady-state worker can hold every resident tenant plus the prior).
+        Shard worker processes.  ``0`` (default) serves in-process; ``N > 0``
+        runs one single-worker process per shard, shared by all tenants
+        (class-sharded full refinement, query-sharded budgets), started
+        with the first segment the registry builds.
 
     Thread safety: all public methods may be called concurrently; eviction
     and per-tenant snapshot swaps wait for that tenant's in-flight rounds to
-    drain (the PR 6 swap discipline) and never tear a round across two
-    snapshots.
+    drain and never tear a round across two snapshots.
     """
 
     def __init__(
@@ -309,8 +359,6 @@ class ModelRegistry:
         capacity_bytes: Optional[int] = None,
         prior_snapshot: "str | Path | None" = None,
         workers: int = 0,
-        mp_context: Optional[str] = None,
-        worker_cache_size: Optional[int] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -325,19 +373,22 @@ class ModelRegistry:
         self._entries: "OrderedDict[str, _TenantEntry]" = OrderedDict()
         self._known: Dict[str, _TenantSpec] = {}
         self._busy: Set[str] = set()  # tenants mid-load/evict/swap: acquires park
-        self._generation = 0
         self._closed = False
         self._node_cost_ewma: Optional[float] = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
-        if workers > 0:
-            cache_size = int(worker_cache_size or (self.capacity + 1))
-            self._spin_up_pool(int(workers), mp_context, cache_size)
+        self._shards: List[ProcessPoolExecutor] = []
+        # The pool starts with the first segment build: workers forked after
+        # the parent's load-time allocations share those pages copy-on-write
+        # (about 2 MB PSS less on a 2-worker engine than forking first).
+        self._workers_to_start = int(workers)
         self._prior: Optional[_TenantEntry] = None
         if prior_snapshot is not None:
-            self._prior = self._build_entry(
-                "__prior__", str(prior_snapshot), TenantPolicy(pinned=True)
-            )
+            try:
+                self._prior = self._build_entry(
+                    "__prior__", str(prior_snapshot), TenantPolicy(pinned=True)
+                )
+            except BaseException:
+                self.close()
+                raise
 
     @classmethod
     def from_manifest(cls, manifest_path: "str | Path", **kwargs: object) -> "ModelRegistry":
@@ -375,15 +426,20 @@ class ModelRegistry:
                     self._cond.wait()
             self._destroy_entry(self._prior)
             self._prior = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for pool in self._shards:
+            pool.shutdown(wait=True)
+        self._shards = []
 
     def __enter__(self) -> "ModelRegistry":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    @property
+    def workers(self) -> int:
+        """Shard worker processes serving rounds (``0``: in-process, or none started yet)."""
+        return len(self._shards)
 
     # -- registration and residency ----------------------------------------------------------
     def register(
@@ -424,23 +480,28 @@ class ModelRegistry:
         """Make a tenant resident (registering it first if needed).
 
         Idempotent for a tenant already resident on the same snapshot (the
-        call only refreshes its LRU position).  A resident tenant loaded
-        with a *different* snapshot path is hot-swapped: the new segment is
-        built first, in-flight rounds drain, and only then is the old
-        segment unlinked — no round ever tears across two snapshots.
-        Returns the tenant's stats dict (including ``cold_load_ms`` for
-        fresh loads).
+        call only refreshes its LRU position and policy).  A resident tenant
+        loaded with a *different* snapshot path is hot-swapped: the new
+        segment is built (and attached by every shard worker) first,
+        in-flight rounds drain, and only then is the old segment unlinked —
+        no round ever tears across two snapshots.  The registration changes
+        only once the new snapshot has loaded, so a rejected snapshot leaves
+        the tenant exactly as it was.  Returns the tenant's stats dict
+        (including ``cold_load_ms`` for fresh loads).
 
         Raises
         ------
         ValueError
-            For an invalid tenant name, or when ``snapshot_path`` is omitted
-            for an unregistered tenant.
+            For an invalid tenant name, when ``snapshot_path`` is omitted
+            for an unregistered tenant, when the snapshot has no servable
+            class, or when a swap's snapshot has another feature dimension
+            than the resident one.
         repro.persist.SnapshotError
             When the container is unreadable.
         """
         name = self._valid_tenant(tenant)
         with self._cond:
+            self._wait_not_busy(name)
             self._ensure_open()
             known = self._known.get(name)
             if snapshot_path is None:
@@ -453,38 +514,33 @@ class ModelRegistry:
             resolved_policy = policy if policy is not None else (
                 known.policy if known is not None else TenantPolicy()
             )
-            if known is None:
-                known = _TenantSpec(path, resolved_policy)
-                self._known[name] = known
-            else:
-                known.snapshot_path = path
-                known.policy = resolved_policy
             entry = self._entries.get(name)
             if entry is not None and entry.snapshot_path == path:
                 # Double-load idempotence: touch the LRU, update the policy.
                 entry.policy = resolved_policy
+                self._known[name].policy = resolved_policy
                 self._entries.move_to_end(name)
                 return self._tenant_stats_locked(name)
-            self._wait_not_busy(name)
             self._busy.add(name)
-            swapping = name in self._entries
         try:
-            new_entry = self._build_entry(name, path, resolved_policy)
+            new_entry = self._build_entry(
+                name, path, resolved_policy, None if entry is None else entry.dimension
+            )
         except BaseException:
             with self._cond:
                 self._busy.discard(name)
                 self._cond.notify_all()
             raise
-        evicted: List[_TenantEntry] = []
         with self._cond:
+            known = self._known.setdefault(name, _TenantSpec(path, resolved_policy))
+            known.snapshot_path, known.policy = path, resolved_policy
             old = self._entries.pop(name, None)
-            if old is not None:
-                while old.active > 0:
-                    self._cond.wait()
+            while old is not None and old.active > 0:
+                self._cond.wait()
             self._entries[name] = new_entry
             known.loads += 1
             self.stats.loads += 1
-            if swapping:
+            if old is not None:
                 self.stats.swaps += 1
             evicted = self._evict_overflow_locked(keep=name)
             self._busy.discard(name)
@@ -555,7 +611,13 @@ class ModelRegistry:
             return None
 
     def node_cost_estimate(self) -> Optional[float]:
-        """EWMA seconds per lockstep node read over budgeted rounds (or ``None``)."""
+        """EWMA seconds per lockstep node read over budgeted rounds (or ``None``).
+
+        Calibrated from completed *budgeted* rounds (a round of per-query
+        budgets ``b`` runs ``max(b)`` lockstep steps); full-refinement rounds
+        do not update it.  The async front-end turns idle time into node
+        budgets with it.
+        """
         with self._cond:
             return self._node_cost_ewma
 
@@ -601,11 +663,11 @@ class ModelRegistry:
             budgets = self._resolve_budgets(queries.shape[0], node_budget, entry.policy)
             if queries.shape[0] == 0:
                 return []
-            if self._pool is not None:
+            if self._shards:
                 predictions = self._pool_round(entry, queries, budgets)
             else:
                 forest = entry.forest
-                assert forest is not None  # entries hold a forest until destroyed
+                assert forest is not None  # in-process entries build it with the segment
                 if budgets is None:
                     predictions = forest.predict_batch(queries)
                 else:
@@ -613,6 +675,8 @@ class ModelRegistry:
                         queries, max_nodes=budgets, record_history=False
                     )
                     predictions = [result.final_prediction for result in results]
+            # Only completed rounds feed the timing stats: a round that raised
+            # (bad budgets, crashed worker) would pollute the node-cost EWMA.
             self._observe_round(entry, queries.shape[0], time.perf_counter() - start, budgets)
             return predictions
         finally:
@@ -644,9 +708,7 @@ class ModelRegistry:
                 raise ValueError(f"queries must be an (m, {entry.dimension}) array")
             budgets = self._resolve_budgets(queries.shape[0], max_nodes, entry.policy)
             assert budgets is not None
-            forest = entry.forest
-            assert forest is not None
-            return forest.classify_anytime_batch(
+            return self._forest(entry).classify_anytime_batch(
                 queries, max_nodes=budgets, record_history=record_history
             )
         finally:
@@ -654,12 +716,14 @@ class ModelRegistry:
 
     # -- observability -----------------------------------------------------------------------
     def stats_snapshot(self) -> dict:
-        """One consistent JSON-able view: registry bounds, counters, tenants.
+        """One consistent JSON-able view: registry bounds, counters, tenants, workers.
 
         The ``tenants`` mapping nests one stats dict per *registered* tenant
         (resident or not) — the per-tenant nesting the v1 ``/stats`` schema
-        exposes.  ``schema_version`` stamps the document shape.
+        exposes.  ``worker_profiles`` holds :meth:`worker_profiles` (empty
+        in-process).  ``schema_version`` stamps the document shape.
         """
+        profiles = self.worker_profiles()
         with self._cond:
             tenants = {name: self._tenant_stats_locked(name) for name in sorted(self._known)}
             resident_bytes = sum(entry.store.size for entry in self._entries.values())
@@ -670,7 +734,8 @@ class ModelRegistry:
                 "resident": len(self._entries),
                 "registered": len(self._known),
                 "resident_bytes": resident_bytes,
-                "workers": self._pool_size,
+                "workers": len(self._shards),
+                "worker_profiles": profiles,
                 "node_cost_s": self._node_cost_ewma,
                 "counters": {
                     "requests": self.stats.requests,
@@ -699,6 +764,47 @@ class ModelRegistry:
                 raise TenantNotFoundError(f"tenant {tenant!r} is not registered")
             return self._tenant_stats_locked(tenant)
 
+    def worker_profiles(self) -> List[dict]:
+        """Live per-worker pid, attached segments, warm start and RSS split.
+
+        One round trip per shard worker; empty in-process or once the pool
+        is broken.  ``warm_start_ms`` is the worker's most recent segment
+        attach; ``shared_kb`` counts pages mapped by several processes (the
+        one physical copy of each segment), ``private_kb`` the worker's own
+        footprint, which stays flat as workers are added.
+        """
+        try:
+            futures = [pool.submit(_shard_profile) for pool in self._shards]
+            return [future.result() for future in futures]
+        except BrokenExecutor:
+            return []
+
+    def _resident_entry(self, tenant: str) -> _TenantEntry:
+        """The tenant's resident entry, once no load, swap or eviction is under way."""
+        with self._cond:
+            self._wait_not_busy(tenant)
+            entry = self._entries.get(tenant)
+            if entry is None:
+                raise TenantNotFoundError(f"tenant {tenant!r} is not resident")
+            return entry
+
+    def structure_stats(self, tenant: str) -> Optional[dict]:
+        """A resident tenant's forest structure-health summary, computed now.
+
+        Derived on demand from the flat interval columns
+        (:meth:`~repro.core.flat.FlatForest.structure_stats`), so loads and
+        swaps never pay for it; ``None`` when the tenant is not resident.
+        """
+        with self._cond:
+            entry = self._entries.get(tenant)
+            if entry is None:
+                return None
+            entry.active += 1
+        try:
+            return self._forest(entry).structure_stats()
+        finally:
+            self._release(entry)
+
     # -- internals ---------------------------------------------------------------------------
     @staticmethod
     def _valid_tenant(tenant: str) -> str:
@@ -714,20 +820,23 @@ class ModelRegistry:
         while tenant in self._busy:
             self._cond.wait()
 
-    def _spin_up_pool(self, workers: int, mp_context: Optional[str], cache_size: int) -> None:
-        context = get_context(mp_context) if mp_context else None
+    def _spin_up(self, workers: int) -> None:
+        """Start one single-worker process pool per shard (in-process on failure).
+
+        Called with the condition held, so concurrent first builds start one
+        pool; the forked workers never touch the registry or its lock.
+        """
+        shards: List[ProcessPoolExecutor] = []
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_pool_initializer,
-                initargs=(cache_size,),
-            )
-            # Force worker start-up now so pool failures surface here, not on
-            # the first tenant's critical path.
-            for future in [pool.submit(int, 0) for _ in range(workers)]:
+            for _ in range(workers):
+                shards.append(ProcessPoolExecutor(max_workers=1))
+            # Start every worker now, concurrently, so a pool failure falls
+            # back to in-process serving before anything is attached.
+            for future in [pool.submit(os.getpid) for pool in shards]:
                 future.result()
         except Exception as error:  # pragma: no cover - environment dependent
+            for pool in shards:
+                pool.shutdown(wait=False, cancel_futures=True)
             warnings.warn(
                 f"registry worker pool unavailable ({error!r}); "
                 "falling back to in-process serving",
@@ -735,64 +844,106 @@ class ModelRegistry:
                 stacklevel=3,
             )
             return
-        self._pool = pool
-        self._pool_size = workers
+        self._shards = shards
 
-    def _build_entry(self, tenant: str, path: str, policy: TenantPolicy) -> _TenantEntry:
-        """Materialise a tenant: snapshot columns -> shared segment -> forest."""
+    def _build_entry(
+        self, tenant: str, path: str, policy: TenantPolicy, dimension: Optional[int] = None
+    ) -> _TenantEntry:
+        """Materialise a tenant: snapshot columns -> shared segment -> attachments.
+
+        A snapshot without flat members (``include_flat=False`` or format v1)
+        is restored once and compiled here.  ``dimension`` (the resident
+        entry's, on a swap) rejects a snapshot of another feature dimension
+        before any segment is built.  Every shard worker attaches the new
+        segment before this returns; in-process, the forest is built now.
+        """
         start = time.perf_counter()
         manifest = read_manifest(path)
+        if dimension is not None and int(manifest["dimension"]) != dimension:
+            raise ValueError(
+                f"snapshot dimension {manifest['dimension']} does not match "
+                f"the tenant's dimension {dimension}"
+            )
+        counts = dict(zip(manifest["classes"], manifest["class_counts"]))
+        labels = sorted((label for label, count in counts.items() if count > 0), key=repr)
+        if not labels:
+            raise ValueError("snapshot holds no servable (non-empty) classes")
         if manifest.get("has_flat"):
             columns = read_flat_columns(path, mmap=True)
         else:
             columns = FlatForest.from_classifier(load_forest(path)).to_columns()
         store = SharedColumnStore(columns)
         del columns  # drop the mmap references; the segment owns the bytes now
-        shm, views = attach_columns(store.name, store.layout)
-        forest = FlatForest.from_columns(
-            views,
-            labels=manifest["classes"],
-            descent=manifest["descent"],
-            qbk_k=manifest["qbk_k"],
-            dimension=int(manifest["dimension"]),
-        )
+        meta = {
+            "labels": manifest["classes"],
+            "descent": manifest["descent"],
+            "qbk_k": manifest["qbk_k"],
+            "dimension": int(manifest["dimension"]),
+        }
         config = manifest.get("config") or {}
-        self._generation += 1
-        return _TenantEntry(
+        entry = _TenantEntry(
             tenant=tenant,
             snapshot_path=path,
             policy=policy,
             store=store,
-            shm=shm,
-            forest=forest,
-            spec={
-                "tenant": tenant,
-                "shm_name": store.name,
-                "layout": store.layout,
-                "labels": manifest["classes"],
-                "descent": manifest["descent"],
-                "qbk_k": manifest["qbk_k"],
-                "dimension": int(manifest["dimension"]),
-            },
-            dimension=int(manifest["dimension"]),
-            n_classes=len(manifest["classes"]),
+            meta=meta,
+            labels=labels,
             decay_rate=float(config.get("decay_rate", 0.0)),
-            cold_load_ms=(time.perf_counter() - start) * 1e3,
-            loaded_generation=self._generation,
         )
+        with self._cond:
+            if self._workers_to_start:
+                workers, self._workers_to_start = self._workers_to_start, 0
+                self._spin_up(workers)
+        try:
+            if self._shards:
+                bins = plan_shard_assignment([counts[label] for label in labels], len(self._shards))
+                entry.assignment = [np.asarray(contents, dtype=np.intp) for contents in bins]
+                spec = {"shm_name": store.name, "layout": store.layout, **meta}
+                futures = [
+                    pool.submit(_shard_attach, spec, [labels[index] for index in contents])
+                    for pool, contents in zip(self._shards, bins)
+                ]
+                for future in futures:
+                    future.result()
+            else:
+                self._forest(entry)
+        except BaseException:
+            self._destroy_entry(entry)
+            raise
+        entry.cold_load_ms = (time.perf_counter() - start) * 1e3
+        return entry
+
+    def _forest(self, entry: _TenantEntry) -> FlatForest:
+        """The entry's in-process zero-copy forest, attached on first use."""
+        with self._cond:
+            if entry.forest is None:
+                entry.shm, views = attach_columns(entry.store.name, entry.store.layout)
+                entry.forest = FlatForest.from_columns(views, **entry.meta)
+            return entry.forest
 
     def _destroy_entry(self, entry: _TenantEntry) -> None:
-        """Release the registry's attachment and unlink the tenant's segment.
+        """Unlink the tenant's segment and release every attachment of it.
 
-        The zero-copy forest holds views into the attachment, so references
-        are dropped first; the store's dispose is the segment's single
-        unlink (reprolint RL003 allows it exactly here and in the engine).
+        POSIX keeps an unlinked segment mapped for whoever still attaches
+        it, so the unlink need not wait for the shard workers, which release
+        theirs behind any task already queued to them.  The store's dispose
+        is the segment's single unlink (reprolint RL003 allows it only here).
         """
+        releases = []
+        for pool in self._shards:
+            try:
+                releases.append(pool.submit(_shard_detach, entry.store.name))
+            except BrokenExecutor:
+                pass
         entry.forest = None
-        entry.spec = {}
         release_attachment(entry.shm)  # type: ignore[arg-type]
         entry.shm = None
         entry.store.dispose()
+        for release in releases:
+            try:
+                release.result()
+            except BrokenExecutor:  # the worker died, and its attachment with it
+                pass
 
     def _evict_overflow_locked(self, keep: str) -> List[_TenantEntry]:
         """Pop LRU entries past the capacity bounds (caller disposes them).
@@ -915,24 +1066,31 @@ class ModelRegistry:
     def _pool_round(
         self, entry: _TenantEntry, queries: np.ndarray, budgets: Optional[np.ndarray]
     ) -> List[Hashable]:
-        """Query-shard one tenant round across the shared worker pool."""
-        pool = self._pool
-        assert pool is not None
-        shards = max(1, min(self._pool_size, queries.shape[0]))
-        query_slices = np.array_split(queries, shards)
-        budget_slices: List[Optional[np.ndarray]]
+        """One round on the shard pool: class-sharded full refinement, query-sharded budgets."""
+        name = entry.store.name
         if budgets is None:
-            budget_slices = [None] * shards
-        else:
-            budget_slices = list(np.array_split(budgets, shards))
+            shards = [
+                (pool, columns)
+                for pool, columns in zip(self._shards, entry.assignment)
+                if columns.size
+            ]
+            futures = [pool.submit(_shard_score, name, queries) for pool, _ in shards]
+            scores = np.empty((queries.shape[0], len(entry.labels)))
+            for (_, columns), future in zip(shards, futures):
+                # LPT bins are not strides: gather each shard's block through
+                # its explicit column indices into the repr-sorted matrix.
+                scores[:, columns] = future.result()
+            # np.argmax takes the first maximum, so ties break exactly like
+            # the in-process drive_predict_full over the same column order.
+            return [entry.labels[index] for index in np.argmax(scores, axis=1)]
+        count = min(len(self._shards), queries.shape[0])
         futures = [
-            pool.submit(_pool_predict, entry.spec, query_slices[shard], budget_slices[shard])
-            for shard in range(shards)
+            pool.submit(_shard_predict, name, rows, row_budgets)
+            for pool, rows, row_budgets in zip(
+                self._shards, np.array_split(queries, count), np.array_split(budgets, count)
+            )
         ]
-        predictions: List[Hashable] = []
-        for future in futures:
-            predictions.extend(future.result())
-        return predictions
+        return [prediction for future in futures for prediction in future.result()]
 
     def _observe_round(
         self,
@@ -946,7 +1104,6 @@ class ModelRegistry:
             self.stats.batches += 1
             entry.requests += count
             entry.batches += 1
-            entry.last_round_s = elapsed
             if budgets is None or budgets.size == 0:
                 return
             steps = int(np.max(budgets))
@@ -981,7 +1138,11 @@ class ModelRegistry:
                     "shm_name": entry.store.name,
                     "shm_bytes": entry.store.size,
                     "dimension": entry.dimension,
-                    "n_classes": entry.n_classes,
+                    "n_classes": len(entry.meta["labels"]),
+                    "shard_classes": [
+                        [str(entry.labels[index]) for index in columns]
+                        for columns in entry.assignment
+                    ],
                     "decay_rate": entry.decay_rate,
                     "cold_load_ms": entry.cold_load_ms,
                     "requests": entry.requests,

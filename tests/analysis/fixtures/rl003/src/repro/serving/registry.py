@@ -1,8 +1,7 @@
 """RL003 golden fixture, disposer side: eviction may dispose via the API.
 
-The model registry is one of exactly two modules (with the engine) allowed
-to trigger segment disposal — always through ``SharedColumnStore.dispose``,
-never a raw ``unlink``.
+The model registry is the only module allowed to trigger segment disposal
+— always through ``SharedColumnStore.dispose``, never a raw ``unlink``.
 """
 
 

@@ -1,11 +1,9 @@
 """Serving engine: sharded results must equal the in-process classifier's.
 
 Small forests, 2-worker pools — these tests pin correctness (bit-identical
-predictions, micro-batching, hot swap, fallback) and leave throughput to
-``benchmarks/test_serving_throughput.py``.
+predictions, hot swap, in-process serving) of the one-tenant registry view
+and leave throughput to ``benchmarks/test_serving_throughput.py``.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -69,49 +67,6 @@ def test_more_workers_than_classes_is_clamped(snapshot, expected):
         assert engine.predict_batch(queries[:16]) == expected["full"][:16]
 
 
-def test_micro_batcher_groups_requests(snapshot, expected):
-    path, queries = snapshot
-    with ServingEngine(path, workers=2, max_batch=16, linger_s=0.01) as engine:
-        futures = [engine.classify(query) for query in queries[:24]]
-        budgeted = [engine.classify(query, node_budget=8) for query in queries[:8]]
-        assert [future.result(timeout=120) for future in futures] == expected["full"][:24]
-        assert [future.result(timeout=120) for future in budgeted] == expected["budget_8"][:8]
-        # 32 submissions were served in far fewer dispatch rounds.
-        assert engine.stats.requests == 32
-        assert engine.stats.batches < 32
-    with pytest.raises(RuntimeError, match="closed"):
-        engine.classify(queries[0])
-
-
-def test_submit_is_a_deprecated_alias_of_classify(snapshot, expected, monkeypatch):
-    from repro.serving import engine as engine_module
-
-    path, queries = snapshot
-    # The warning is once-per-process (module-level guard); reset it so this
-    # test sees it regardless of suite ordering.
-    monkeypatch.setattr(engine_module, "_SUBMIT_DEPRECATION_WARNED", False)
-    with ServingEngine(path, workers=0) as engine:
-        with pytest.warns(DeprecationWarning, match="classify"):
-            future = engine.submit(queries[0])
-        assert future.result(timeout=120) == expected["full"][0]
-
-
-def test_submit_deprecation_warns_once_per_process(snapshot, monkeypatch):
-    from repro.serving import engine as engine_module
-
-    path, queries = snapshot
-    monkeypatch.setattr(engine_module, "_SUBMIT_DEPRECATION_WARNED", False)
-    with ServingEngine(path, workers=0) as engine:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(5):
-                engine.submit(queries[0]).result(timeout=120)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        # Five calls, one warning: the guard is a module flag, so even an
-        # "always" warnings filter cannot re-arm it.
-        assert len(deprecations) == 1
-
-
 def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
     path, queries = snapshot
     classifier = load_forest(path)
@@ -134,11 +89,13 @@ def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
 def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
     """Rounds racing hot swaps must come wholly from one snapshot or the other.
 
-    The engine guards swaps with a readers-writer protocol; without it a
-    round could score half its shards on the old forest and half on the new
-    one (or gather against a stale label layout and crash).  Swapping between
-    two forests with *different class sets* makes any tear loud.
+    A round pins one registry entry (segment and label layout) and a swap
+    drains the pinned rounds before switching; without that a round could
+    score half its shards on the old forest and half on the new one (or
+    gather against a stale label layout and crash).  Swapping between two
+    forests with *different class sets* makes any tear loud.
     """
+    import sys
     import threading
 
     path, queries = snapshot
@@ -155,22 +112,37 @@ def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
     with ServingEngine(path, workers=2) as engine:
         results, errors = [], []
 
-        def serve():
+        def serve(budget):
             try:
-                for _ in range(12):
-                    results.append(engine.predict_batch(queries))
+                for _ in range(8):
+                    results.append((budget, engine.predict_batch(queries, node_budget=budget)))
             except Exception as error:  # noqa: BLE001 - surfaced via the errors list
                 errors.append(error)
 
-        thread = threading.Thread(target=serve)
-        thread.start()
-        for target in (other_path, path, other_path):
-            engine.swap_snapshot(target)
-        thread.join()
+        # More serving threads than cores, switching often: full (class-sharded)
+        # and budgeted (query-sharded) rounds race every swap.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=serve, args=(b,)) for b in (None, None, 8)]
+            for thread in threads:
+                thread.start()
+            for target in (other_path, path, other_path):
+                engine.swap_snapshot(target)
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert results and all(
-        outcome == expected["old"] or outcome == expected["new"] for outcome in results
-    )
+    expected_budgeted = {
+        "old": load_forest(path).predict_batch(queries, node_budget=8),
+        "new": load_forest(other_path).predict_batch(queries, node_budget=8),
+    }
+    assert len(results) == 24
+    for budget, outcome in results:
+        allowed = expected if budget is None else expected_budgeted
+        assert outcome == allowed["old"] or outcome == allowed["new"]
 
 
 def test_swap_validates_the_new_snapshot(snapshot, tmp_path):
@@ -191,6 +163,7 @@ def test_swap_validates_the_new_snapshot(snapshot, tmp_path):
         with pytest.raises(SnapshotError):
             engine.swap_snapshot(garbage)
         # Engine still serves from the old snapshot after rejected swaps.
+        assert engine.snapshot_path == str(path)
         assert engine.predict_batch(queries[:8]) == load_forest(path).predict_batch(queries[:8])
 
 
@@ -199,8 +172,6 @@ def test_engine_validates_inputs(snapshot):
     with ServingEngine(path, workers=0) as engine:
         with pytest.raises(ValueError, match="queries"):
             engine.predict_batch(queries[0])
-        with pytest.raises(ValueError, match="features"):
-            engine.classify(queries)
         with pytest.raises(ValueError, match="budget per query"):
             engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
     with pytest.raises(ValueError, match="workers"):

@@ -1,6 +1,6 @@
 """Async front-end: batching semantics, adaptive budgets and failure modes.
 
-Everything runs on the ``workers=0`` synchronous engine so the tests pin the
+Everything runs on the ``workers=0`` in-process engine so the tests pin the
 front-end's own behaviour (coalescing, backpressure, deadlines, shutdown,
 swap) without multiprocess noise; engine parity across worker counts is
 pinned by ``tests/serving/test_engine.py``.
@@ -41,7 +41,7 @@ def snapshot(tmp_path_factory):
 @pytest.fixture()
 def engine(snapshot):
     path, _ = snapshot
-    with ServingEngine(path, workers=0, linger_s=0.001) as engine:
+    with ServingEngine(path, workers=0) as engine:
         yield engine
 
 
@@ -50,7 +50,7 @@ def test_fixed_budget_and_full_refinement_match_engine(snapshot, engine):
     queries = dataset.features[240:272]
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(engine, linger_s=0.001) as client:
             fixed = await client.classify_batch(queries, node_budget=8)
             full = await client.classify_batch(queries)
             single = await client.classify(queries[0], node_budget=8)
@@ -66,7 +66,7 @@ def test_detail_reports_granted_budget_and_latency(snapshot, engine):
     _, dataset = snapshot
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(engine, linger_s=0.001) as client:
             fixed = await client.classify(dataset.features[250], node_budget=6, detail=True)
             full = await client.classify(dataset.features[250], detail=True)
             adaptive = await client.classify(
@@ -251,7 +251,7 @@ def test_adaptive_accepts_plain_string_budget(snapshot, engine):
     uninterned = "".join(["adap", "tive"])
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(engine, linger_s=0.001) as client:
             result = await client.classify(
                 dataset.features[240], node_budget=uninterned, detail=True
             )
@@ -299,7 +299,7 @@ def test_validation_errors(snapshot, engine):
     _, dataset = snapshot
 
     async def run():
-        async with AsyncServingClient(engine) as client:
+        async with AsyncServingClient(engine, linger_s=0.001) as client:
             with pytest.raises(ValueError, match="features"):
                 await client.classify(dataset.features[:4])
             with pytest.raises(ValueError, match="queries"):
@@ -310,6 +310,13 @@ def test_validation_errors(snapshot, engine):
         AsyncServingClient(engine, max_pending=0)
     with pytest.raises(ValueError, match="linger_s"):
         AsyncServingClient(engine, linger_s=-1.0)
+    # One backend per client: an engine or a registry, never both or neither.
+    with pytest.raises(ValueError, match="not both"):
+        AsyncServingClient(engine, registry=engine.registry)
+    with pytest.raises(ValueError, match="engine or a registry"):
+        AsyncServingClient()
+    with pytest.raises(ValueError, match="tenant"):
+        AsyncServingClient(engine, default_tenant="acme")
 
 
 def test_arrival_rate_estimator_ewma():
@@ -345,7 +352,9 @@ def test_adaptive_budget_policy_clamps():
         AdaptiveBudgetPolicy(utilisation=1.5)
 
 
-def test_engine_calibrates_node_cost_and_clamps_on_deadline(snapshot):
+def test_engine_calibrates_node_cost_and_clamps_on_deadline(snapshot, monkeypatch):
+    """Budgeted rounds calibrate the node cost, and the client clamps an
+    adaptive budget to what the request's deadline affords at that cost."""
     path, dataset = snapshot
     queries = dataset.features[240:256]
     with ServingEngine(path, workers=0) as engine:
@@ -353,11 +362,24 @@ def test_engine_calibrates_node_cost_and_clamps_on_deadline(snapshot):
         engine.predict_batch(queries, node_budget=8)
         cost = engine.node_cost_estimate()
         assert cost is not None and cost > 0
-        # A zero deadline clamps any budget down to a single node read.
-        clamped = engine.predict_batch(queries, node_budget=500, deadline_s=0.0)
-        assert clamped == engine.predict_batch(queries, node_budget=1)
         snapshot_stats = engine.stats_snapshot()
-        assert snapshot_stats["batches"] == 3
-        assert snapshot_stats["last_round_s"] > 0
+        assert snapshot_stats["counters"]["batches"] == 1
         assert snapshot_stats["node_cost_s"] == engine.node_cost_estimate()
-        assert snapshot_stats["snapshot_path"] == str(path)
+        assert snapshot_stats["tenants"][engine.tenant]["snapshot_path"] == str(path)
+
+        # At one second per node read, a 1.5 s deadline affords one node
+        # read: below the adaptive policy's floor of two.
+        monkeypatch.setattr(engine.registry, "node_cost_estimate", lambda: 1.0)
+
+        async def run():
+            async with AsyncServingClient(engine, linger_s=0.001) as client:
+                free = await client.classify(queries[0], node_budget=ADAPTIVE, detail=True)
+                clamped = await client.classify(
+                    queries[0], node_budget=ADAPTIVE, deadline_ms=1500, detail=True
+                )
+                return free, clamped
+
+        free, clamped = asyncio.run(run())
+        assert free.node_budget == AdaptiveBudgetPolicy().min_budget
+        assert clamped.node_budget == 1
+        assert clamped.prediction == engine.predict_batch(queries[:1], node_budget=1)[0]

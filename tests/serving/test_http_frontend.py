@@ -58,8 +58,8 @@ def _serve(snapshot_path, coroutine_factory, **client_kwargs):
     """Run a coroutine against a started engine + client + HTTP front-end."""
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, **client_kwargs) as client:
+        with ServingEngine(snapshot_path, workers=0) as engine:
+            async with AsyncServingClient(engine, **{"linger_s": 0.001, **client_kwargs}) as client:
                 async with HttpFrontend(client) as http:
                     host, port = http.address
                     return await coroutine_factory(engine, client, host, port)
@@ -73,15 +73,23 @@ def test_healthz_and_stats(snapshot):
     async def scenario(engine, client, host, port):
         health = await _request(host, port, "GET", "/healthz")
         stats = await _request(host, port, "GET", "/stats")
-        return health, stats
+        tenant = await _request(host, port, "GET", "/v1/tenants/default/stats")
+        return health, stats, tenant
 
-    (health_status, health), (stats_status, stats) = _serve(path, scenario)
+    (health_status, health), (stats_status, stats), (tenant_status, tenant) = _serve(
+        path, scenario
+    )
     assert health_status == 200 and health["status"] == "ok"
     assert health["snapshot_path"] == str(path)
-    assert stats_status == 200
-    assert stats["engine"]["snapshot_path"] == str(path)
+    assert health["workers"] == 0 and health["tenants"] == 1
+    # An engine client's /stats and tenant stats come from the engine's registry.
+    assert stats_status == 200 and stats["schema_version"] == 4
+    assert stats["registry"]["tenants"]["default"]["snapshot_path"] == str(path)
+    assert stats["structure"]["default"]["total_kernels"] > 0
     assert stats["frontend"]["queue_depth"] == 0
     assert "arrival" in stats["frontend"]
+    assert tenant_status == 200 and tenant["snapshot_path"] == str(path)
+    assert tenant["structure"]["total_kernels"] > 0 and "admission" in tenant
 
 
 def test_classify_routes_match_direct_engine(snapshot):

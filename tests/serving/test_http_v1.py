@@ -8,6 +8,7 @@ endpoint speaks the one structured envelope with a stable code.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -65,11 +66,11 @@ async def _request(host, port, method, path, payload=None):
 
 
 def _serve_engine(snapshot_path, coroutine_factory, **client_kwargs):
-    """Engine-backed default tenant (the pre-v1 deployment shape)."""
+    """Engine client: the engine's one-tenant registry serves the default tenant."""
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0, linger_s=0.001) as engine:
-            async with AsyncServingClient(engine, **client_kwargs) as client:
+        with ServingEngine(snapshot_path, workers=0) as engine:
+            async with AsyncServingClient(engine, **{"linger_s": 0.001, **client_kwargs}) as client:
                 async with HttpFrontend(client) as http:
                     return await coroutine_factory(engine, client, *http.address)
 
@@ -77,7 +78,7 @@ def _serve_engine(snapshot_path, coroutine_factory, **client_kwargs):
 
 
 def _serve_registry(snapshot_path, coroutine_factory, **registry_kwargs):
-    """Registry-only deployment: every tenant (default included) via registry."""
+    """Registry client: every tenant (default included) via the registry."""
 
     async def main():
         registry = ModelRegistry(**registry_kwargs)
@@ -239,6 +240,9 @@ def test_every_503_carries_retry_after(snapshot):
     envelope = json.loads(content)["error"]
     assert envelope["code"] == "queue_full"
     assert envelope["retry_after_ms"] >= 0
+    # Whole seconds, rounded up: the header never tells a client to retry
+    # sooner than the envelope does.
+    assert int(headers["retry-after"]) * 1000 >= envelope["retry_after_ms"]
 
 
 def test_quota_breach_is_an_enveloped_429_with_retry_after(snapshot):
@@ -266,8 +270,9 @@ def test_quota_breach_is_an_enveloped_429_with_retry_after(snapshot):
     envelope = json.loads(content)["error"]
     assert envelope["code"] == "quota_exceeded"
     assert envelope["retry_after_ms"] > 0
-    # The header is the envelope hint in whole seconds.
-    assert int(headers["retry-after"]) == round(envelope["retry_after_ms"] / 1000.0)
+    # The header is the envelope hint in whole seconds, rounded up.
+    assert int(headers["retry-after"]) * 1000 >= envelope["retry_after_ms"]
+    assert int(headers["retry-after"]) == math.ceil(envelope["retry_after_ms"] / 1000.0)
 
 
 def test_tenant_queue_depth_bound_is_a_per_tenant_503(snapshot):
@@ -297,6 +302,7 @@ def test_tenant_queue_depth_bound_is_a_per_tenant_503(snapshot):
     envelope = json.loads(content)["error"]
     assert envelope["code"] == "queue_full"
     assert "tenant" in envelope["message"]  # names the per-tenant bound, not the global one
+    assert int(headers["retry-after"]) * 1000 >= envelope["retry_after_ms"]
 
 
 def test_legacy_aliases_stay_byte_identical_under_admission_policies(snapshot):
@@ -346,7 +352,8 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
         "max_queue_depth": None,
         "requests_per_sec": None,
     }
-    assert merged[0] == 200 and merged[1]["schema_version"] == 3
+    assert merged[0] == 200 and merged[1]["schema_version"] == 4
+    assert stats[1]["structure"]["total_kernels"] > 0
     frontend = merged[1]["frontend"]
     assert frontend["rejected_quota"] == 0
     assert frontend["admission"]["tenants"]["default"]["granted"] == len(queries)

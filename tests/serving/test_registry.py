@@ -9,7 +9,7 @@ import pytest
 from repro.core import AnytimeBayesClassifier
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
-from repro.persist import load_flat_forest, save_forest, save_tenant_manifest
+from repro.persist import SnapshotError, load_flat_forest, save_forest, save_tenant_manifest
 from repro.serving import (
     ModelRegistry,
     RegistryClosedError,
@@ -35,6 +35,18 @@ def other_snapshot(tmp_path_factory):
     classifier = AnytimeBayesClassifier()
     classifier.fit(dataset.features[:200], dataset.labels[:200])
     path = tmp_path_factory.mktemp("registry-other") / "other.npz"
+    save_forest(classifier, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def subset_snapshot(tmp_path_factory):
+    """A forest over five of the ten pendigits classes (another class set)."""
+    dataset = make_dataset("pendigits", size=400, random_state=9)
+    keep = np.isin(dataset.labels, [0, 2, 4, 6, 8])
+    classifier = AnytimeBayesClassifier()
+    classifier.fit(dataset.features[keep], dataset.labels[keep])
+    path = tmp_path_factory.mktemp("registry-subset") / "subset.npz"
     save_forest(classifier, path)
     return path
 
@@ -201,6 +213,74 @@ def test_shared_worker_pool_matches_in_process(snapshot):
         pooled.load("a", path)
         assert pooled.predict_batch("a", queries) == expected_full
         assert pooled.predict_batch("a", queries, node_budget=8) == expected_budgeted
+
+
+def test_shard_pool_serves_tenants_with_different_class_sets(snapshot, subset_snapshot):
+    """Class-sharded full and query-sharded budgeted rounds on one pool, for
+    two tenants whose class sets (hence LPT packings) differ, across swaps."""
+    path, queries = snapshot
+
+    def check(registry, tenant, source):
+        flat = load_flat_forest(source)
+        assert registry.predict_batch(tenant, queries) == flat.predict_batch(queries)
+        assert registry.predict_batch(tenant, queries, node_budget=8) == flat.predict_batch(
+            queries, node_budget=8
+        )
+
+    with ModelRegistry(capacity=2, workers=2) as pooled:
+        pooled.load("a", path)
+        pooled.load("b", subset_snapshot)
+        packings = {t: pooled.tenant_stats(t)["shard_classes"] for t in ("a", "b")}
+        assert packings["a"] != packings["b"] and all(len(p) == 2 for p in packings.values())
+        check(pooled, "a", path)
+        check(pooled, "b", subset_snapshot)
+        # Swap both tenants onto each other's snapshot between rounds.
+        pooled.load("a", subset_snapshot)
+        pooled.load("b", path)
+        check(pooled, "a", subset_snapshot)
+        check(pooled, "b", path)
+        # Attachments follow the resident set: two segments per worker, one
+        # after an eviction.
+        assert [p["segments"] for p in pooled.worker_profiles()] == [2, 2]
+        pooled.evict("a")
+        assert [p["segments"] for p in pooled.worker_profiles()] == [1, 1]
+
+
+def test_rejected_load_keeps_the_registration(snapshot, tmp_path):
+    """A snapshot the registry rejects must not rewrite the tenant's
+    registration: the old model serves on, and reloads after an eviction."""
+    path, queries = snapshot
+    garbage = tmp_path / "garbage.npz"
+    garbage.write_bytes(b"junk")
+    expected = load_flat_forest(path).predict_batch(queries[:4])
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", path)
+        with pytest.raises(SnapshotError):
+            registry.load("a", garbage)
+        assert registry.tenant_stats("a")["snapshot_path"] == str(path)
+        registry.evict("a")
+        assert registry.predict_batch("a", queries[:4]) == expected  # cold reload
+        # A failed first load leaves no phantom tenant behind.
+        with pytest.raises(SnapshotError):
+            registry.load("ghost", garbage)
+        assert registry.known_tenants() == ["a"]
+
+
+def test_swap_rejects_another_feature_dimension(snapshot, tmp_path):
+    path, queries = snapshot
+    other = AnytimeBayesClassifier()
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        other.partial_fit(rng.normal(size=3), "a")  # wrong dimensionality
+    wrong_dim = tmp_path / "wrong.npz"
+    save_forest(other, wrong_dim)
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", path)
+        with pytest.raises(ValueError, match="dimension"):
+            registry.load("a", wrong_dim)
+        assert registry.stats.loads == 1 and registry.stats.swaps == 0
+        assert registry.tenant_stats("a")["snapshot_path"] == str(path)
+        assert len(registry.predict_batch("a", queries[:4])) == 4
 
 
 def test_from_manifest_registers_lazily(snapshot, tmp_path):

@@ -1,11 +1,11 @@
 """Zero-copy serving: shared-memory workers, LPT packing, segment lifecycle.
 
-Pins ISSUE 6's serving layer: shard workers attaching to one shared-memory
-segment serve predictions bit-identical to the legacy per-worker object
-loading, the LPT shard planner balances per-class kernel counts, snapshots
-without flat members are compiled on the fly (construction and hot swap),
-and the segment is unlinked exactly once — on engine close, after a swap,
-and even when a worker has been killed.
+Pins the serving backend's shard pool through the one-tenant engine view:
+the LPT shard planner balances per-class kernel counts, every worker
+attaches the one shared-memory segment and reports its warm start and
+memory split, snapshots without flat members are compiled on the fly
+(construction and hot swap), and the segment is unlinked exactly once — on
+close, after a swap, and even when a worker has been killed.
 """
 
 import os
@@ -39,6 +39,10 @@ def snapshot(tmp_path_factory):
     legacy = tmp_path_factory.mktemp("zero_copy") / "legacy.npz"
     save_forest(classifier, legacy, include_flat=False)
     return path, legacy, dataset.features[300:]
+
+
+def _shm_name(engine):
+    return engine.registry.tenant_stats(engine.tenant)["shm_name"]
 
 
 def _segment_is_gone(name):
@@ -85,28 +89,13 @@ def test_lpt_assignment_is_deterministic_and_total():
 def test_engine_assignment_covers_all_labels(snapshot):
     path, _, _ = snapshot
     with ServingEngine(path, workers=2) as engine:
-        packed = engine.shard_assignment
+        packed = engine.stats_snapshot()["tenants"][engine.tenant]["shard_classes"]
         assert len(packed) == engine.n_shards
         flattened = [label for shard in packed for label in shard]
-        assert sorted(flattened, key=repr) == engine.labels
+        assert sorted(flattened) == sorted(str(label) for label in engine.labels)
 
 
 # -- zero-copy serving ----------------------------------------------------------------------
-def test_zero_copy_predictions_match_object_workers(snapshot):
-    path, _, queries = snapshot
-    local = load_forest(path)
-    expected_full = local.predict_batch(queries)
-    expected_budget = local.predict_batch(queries, node_budget=8)
-    with ServingEngine(path, workers=2) as engine:
-        assert engine.zero_copy
-        assert engine.predict_batch(queries) == expected_full
-        assert engine.predict_batch(queries, node_budget=8) == expected_budget
-    with ServingEngine(path, workers=2, zero_copy=False) as engine:
-        assert not engine.zero_copy
-        assert engine.predict_batch(queries) == expected_full
-        assert engine.predict_batch(queries, node_budget=8) == expected_budget
-
-
 def test_zero_copy_fallback_serves_identically(snapshot):
     path, _, queries = snapshot
     local = load_forest(path)
@@ -114,8 +103,7 @@ def test_zero_copy_fallback_serves_identically(snapshot):
         assert not engine.is_multiprocess
         assert engine.predict_batch(queries) == local.predict_batch(queries)
         stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
-        assert stats["shm_name"] is None  # no workers → no segment
+        assert stats["workers"] == 0 and stats["worker_profiles"] == []
         assert stats["structure"]["total_kernels"] > 0
 
 
@@ -124,16 +112,15 @@ def test_stats_report_segment_warm_start_and_memory(snapshot):
     with ServingEngine(path, workers=2) as engine:
         engine.predict_batch(queries[:8])
         stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
-        assert stats["shm_name"] and stats["shm_bytes"] > 0
-        assert stats["warm_start_ms"] > 0
-        assert len(stats["workers"]) == 2
-        for profile in stats["workers"]:
-            assert profile["mode"] == "flat"
+        tenant = stats["tenants"][engine.tenant]
+        assert tenant["shm_name"] and tenant["shm_bytes"] > 0
+        assert len(stats["worker_profiles"]) == 2
+        for profile in stats["worker_profiles"]:
+            assert profile["segments"] == 1  # attached once, at load
             assert profile["warm_start_ms"] > 0
             assert profile["rss_kb"] > 0
             assert profile["shared_kb"] > 0
-        assert len(stats["shard_classes"]) == 2
+        assert len(tenant["shard_classes"]) == 2
         structure = stats["structure"]
         assert structure["n_classes"] == len(engine.labels)
         assert structure["total_kernels"] > 0
@@ -146,7 +133,7 @@ def test_segment_is_unlinked_on_close(snapshot):
     path, _, queries = snapshot
     engine = ServingEngine(path, workers=2)
     try:
-        name = engine.stats_snapshot()["shm_name"]
+        name = _shm_name(engine)
         assert name is not None
         assert not _segment_is_gone(name)
         assert engine.predict_batch(queries[:4])
@@ -165,24 +152,25 @@ def test_swap_replaces_segment_and_unlinks_old(snapshot, tmp_path):
     new_path = tmp_path / "retrained.npz"
     save_forest(retrained, new_path)
     with ServingEngine(path, workers=2) as engine:
-        old_name = engine.stats_snapshot()["shm_name"]
+        old_name = _shm_name(engine)
         engine.swap_snapshot(new_path)
-        stats = engine.stats_snapshot()
-        assert stats["swaps"] == 1
-        assert stats["shm_name"] != old_name
+        new_name = _shm_name(engine)
+        assert engine.stats.swaps == 1
+        assert new_name != old_name
         assert _segment_is_gone(old_name)
-        assert not _segment_is_gone(stats["shm_name"])
+        assert not _segment_is_gone(new_name)
         assert engine.predict_batch(queries) == retrained.predict_batch(queries)
-    assert _segment_is_gone(stats["shm_name"])
+        # Workers release the old attachment: each holds the new segment only.
+        assert [p["segments"] for p in engine.registry.worker_profiles()] == [1, 1]
+    assert _segment_is_gone(new_name)
 
 
 def test_worker_crash_does_not_leak_the_segment(snapshot):
     path, _, queries = snapshot
     engine = ServingEngine(path, workers=2)
     try:
-        stats = engine.stats_snapshot()
-        name = stats["shm_name"]
-        victim = stats["workers"][0]["pid"]
+        name = _shm_name(engine)
+        victim = engine.registry.worker_profiles()[0]["pid"]
         os.kill(victim, signal.SIGKILL)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
@@ -193,8 +181,9 @@ def test_worker_crash_does_not_leak_the_segment(snapshot):
             time.sleep(0.05)
     finally:
         engine.close()
-    # The dead worker never ran cleanup, yet the engine-owned unlink happened
-    # exactly once — the name is free and nothing spammed the resource tracker.
+    # The dead worker never ran cleanup, yet the registry-owned unlink
+    # happened exactly once — the name is free and nothing spammed the
+    # resource tracker.
     assert _segment_is_gone(name)
 
 
@@ -203,9 +192,7 @@ def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
     with ServingEngine(legacy, workers=2) as engine:
-        stats = engine.stats_snapshot()
-        assert stats["mode"] == "zero_copy"
-        assert stats["shm_name"] is not None
+        assert _shm_name(engine) is not None
         assert engine.predict_batch(queries) == local.predict_batch(queries)
         assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
             queries, node_budget=8
@@ -218,5 +205,5 @@ def test_swap_to_legacy_snapshot_compiles_on_swap(snapshot):
     with ServingEngine(path, workers=2) as engine:
         engine.swap_snapshot(legacy)
         assert engine.snapshot_path == str(legacy)
-        assert engine.stats_snapshot()["shm_name"] is not None
+        assert _shm_name(engine) is not None
         assert engine.predict_batch(queries) == local.predict_batch(queries)

@@ -200,7 +200,7 @@ class PickleFreePersistence(Rule):
 class SharedMemoryLifecycle(Rule):
     """RL003: shared-memory segments have exactly one owner module.
 
-    PR 6's zero-copy serving hinges on a strict lifecycle: the engine-side
+    Zero-copy serving hinges on a strict lifecycle: the serving-side
     ``SharedColumnStore`` is the only creator/unlinker, and worker attaches
     must suppress CPython's resource-tracker registration (otherwise a worker
     exit unlinks the segment under everyone else — the silent-corruption bug
@@ -212,10 +212,10 @@ class SharedMemoryLifecycle(Rule):
 
     Segment *disposal* through the sanctioned API (``store.dispose()``) is
     almost as sensitive: it unlinks the segment for every attached process.
-    Exactly two modules may trigger it — the serving engine (hot swap /
-    close) and the model registry (tenant eviction) — always via the
-    shared_mem API, never a raw ``unlink``.  A ``.dispose()`` on a
-    store-like receiver anywhere else is flagged.
+    Exactly one module may trigger it — the model registry, the one serving
+    backend (eviction, hot swap, close) — always via the shared_mem API,
+    never a raw ``unlink``.  A ``.dispose()`` on a store-like receiver
+    anywhere else is flagged.
     """
 
     code = "RL003"
@@ -225,8 +225,8 @@ class SharedMemoryLifecycle(Rule):
     _SHMLIKE = ("shm", "segment", "shared_mem", "seg")
     _STORELIKE = ("store",) + _SHMLIKE
     #: Modules allowed to call ``.dispose()`` on a SharedColumnStore: the
-    #: engine (swap/close) and the registry (tenant eviction), nothing else.
-    _DISPOSERS = ("/serving/engine.py", "/serving/registry.py")
+    #: registry (eviction, swap, close), nothing else.
+    _DISPOSERS = ("/serving/registry.py",)
 
     def applies_to(self, relpath: str, project: ProjectContext) -> bool:
         return relpath.endswith(".py")
@@ -255,7 +255,7 @@ class SharedMemoryLifecycle(Rule):
                     found.append(
                         self.violation(
                             ctx, node, "`.unlink()` on a shared-memory handle outside "
-                            "serving/shared_mem.py; the engine-side store is the single unlinker"
+                            "serving/shared_mem.py; the serving-side store is the single unlinker"
                         )
                     )
                 elif (
@@ -266,8 +266,7 @@ class SharedMemoryLifecycle(Rule):
                     found.append(
                         self.violation(
                             ctx, node, "segment disposal (`.dispose()` on a column store) is "
-                            "confined to serving/engine.py (swap/close) and "
-                            "serving/registry.py (tenant eviction)"
+                            "confined to serving/registry.py (eviction, swap, close)"
                         )
                     )
         return found
@@ -490,8 +489,8 @@ class BatchHotPathLoops(Rule):
     columns; one innocent ``for query in queries: ... .density(query)``
     regression would silently give that back.  In ``core/`` and ``serving/``,
     functions on the batch hot path (``*_batch``, the ``drive_*`` drivers,
-    engine scatter/submit) must not loop over a batch parameter while calling
-    a scalar-path evaluator in the loop body — use the batch/SoA helpers
+    the registry's shard rounds) must not loop over a batch parameter while
+    calling a scalar-path evaluator in the loop body — use the batch/SoA helpers
     (``leaf_arrays`` / ``log_density_batch`` / ``_entry_batch_params``).
     Per-item *bookkeeping* loops (building result objects) stay legal.
     """
@@ -502,9 +501,9 @@ class BatchHotPathLoops(Rule):
     _HOT_EXACT = {
         "drive_predict_full",
         "_drive_batch_chunk",
-        "submit",
-        "_scatter_budgeted",
-        "_predict_budgeted",
+        "_pool_round",
+        "_shard_score",
+        "_shard_predict",
     }
     _BATCH_PARAM_NAMES = {
         "queries",
