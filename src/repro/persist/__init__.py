@@ -12,8 +12,12 @@ sharded serving engine in :mod:`repro.serving` is built on exactly that).
 Snapshots additionally carry the compiled flat-forest columns
 (:class:`repro.core.flat.FlatForest`) as uncompressed, memory-mappable
 members: ``load_flat_forest`` opens the read-optimised twin of the same
-forest without rebuilding an object graph, and ``read_flat_columns`` exposes
-the raw columns for the serving engine to place in shared memory.
+forest without rebuilding an object graph, ``read_flat_columns`` exposes
+the raw columns, and ``read_snapshot`` returns the manifest with those
+columns for the serving registry to place in shared memory.  Every loader
+makes one pass over the archive, and ``save_forest`` publishes atomically
+(temp file, then rename), so re-saving never tears a reader's mapped
+columns.
 
 Multi-tenant deployments additionally persist a *tenant manifest*
 (:mod:`repro.persist.tenants`): a small versioned JSON catalogue mapping
@@ -30,6 +34,7 @@ from .snapshot import (
     load_forest,
     read_flat_columns,
     read_manifest,
+    read_snapshot,
     save_forest,
 )
 from .tenants import (
@@ -47,6 +52,7 @@ __all__ = [
     "load_forest",
     "read_flat_columns",
     "read_manifest",
+    "read_snapshot",
     "read_tenant_manifest",
     "save_forest",
     "save_tenant_manifest",

@@ -44,9 +44,13 @@ Design constraints, in order:
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, BinaryIO, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +69,7 @@ __all__ = [
     "load_flat_forest",
     "read_flat_columns",
     "read_manifest",
+    "read_snapshot",
 ]
 
 #: Bumped whenever the container layout changes incompatibly.
@@ -165,6 +170,10 @@ def save_forest(
     :func:`load_flat_forest`; ``include_flat=False`` writes the object-graph
     state only (smaller file, serving recompiles on load).
 
+    The file is published atomically: written beside ``path`` and renamed
+    over it, so a reader still holding the old snapshot (an open file or
+    memory-mapped columns) keeps it intact.
+
     Returns the path written.  Raises :class:`SnapshotError` for classifiers
     that cannot be represented (unfitted, custom descent strategies outside
     the registry, non-serializable labels).
@@ -263,12 +272,33 @@ def save_forest(
     # savez appends ".npz" to bare filenames; writing through a file object
     # keeps the caller's path verbatim.  Members are deliberately
     # uncompressed (STORED) so loaders can memory-map them in place.
-    with open(path, "wb") as handle:
-        np.savez(handle, **arrays)
+    _publish(path, lambda handle: np.savez(handle, **arrays))
     return path
 
 
+def _publish(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write a file atomically: a sibling temp file, then ``os.replace``.
+
+    Readers that hold the old file (an open handle, or a memory map of
+    snapshot columns) keep its inode intact; rewriting the path in place
+    would truncate the pages under their maps (SIGBUS on the next read).
+    The temp file is deleted if writing or renaming fails.
+    """
+    temp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    try:
+        with open(temp, "xb") as handle:
+            write(handle)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 # -- loading ----------------------------------------------------------------------------------
+#
+# Every loader makes one pass over the archive (``_open_snapshot``).  Flat
+# members are mapped through that pass's parsed zip directory: reopening the
+# zip per member re-parses every directory entry each time.
 
 def _parse_manifest(data: Any) -> dict:
     if "manifest" not in data.files:
@@ -288,6 +318,38 @@ def _parse_manifest(data: Any) -> dict:
     return manifest
 
 
+@contextmanager
+def _open_snapshot(path: "str | Path") -> Iterator[Tuple[BinaryIO, Any, dict]]:
+    """Open a snapshot once: yields ``(handle, data, manifest)``.
+
+    ``data`` is the ``np.load`` archive over ``handle`` (its ``zip`` holds
+    the parsed central directory) and ``manifest`` the validated manifest.
+    Any error inside the block, the caller's included, surfaces as
+    :class:`SnapshotError`.
+    """
+    try:
+        with open(path, "rb") as handle, np.load(handle, allow_pickle=False) as data:
+            yield handle, data, _parse_manifest(data)
+    except SnapshotError:
+        raise
+    except Exception as error:
+        raise SnapshotError(f"unreadable snapshot {path}: {error}") from error
+
+
+def _summary(manifest: dict) -> dict:
+    """The decoded manifest fields :func:`read_manifest` returns."""
+    return {
+        "format_version": manifest["format_version"],
+        "dimension": manifest["dimension"],
+        "descent": manifest["descent"],
+        "qbk_k": manifest["qbk_k"],
+        "config": manifest["config"],
+        "classes": [_decode_label(spec) for spec in manifest["classes"]],
+        "class_counts": [tree["n"] for tree in manifest["trees"]],
+        "has_flat": bool(manifest.get("flat", False)),
+    }
+
+
 def read_manifest(path: "str | Path") -> dict:
     """Read and decode only the snapshot manifest (no tree reconstruction).
 
@@ -296,25 +358,8 @@ def read_manifest(path: "str | Path") -> dict:
     ``class_counts`` (stored observations per class).  The serving front-end
     uses this to plan shard assignments without paying for a full restore.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            manifest = _parse_manifest(data)
-        # Field extraction stays inside the typed-error envelope: a manifest
-        # with valid magic/version but missing fields is still corrupt.
-        return {
-            "format_version": manifest["format_version"],
-            "dimension": manifest["dimension"],
-            "descent": manifest["descent"],
-            "qbk_k": manifest["qbk_k"],
-            "config": manifest["config"],
-            "classes": [_decode_label(spec) for spec in manifest["classes"]],
-            "class_counts": [tree["n"] for tree in manifest["trees"]],
-            "has_flat": bool(manifest.get("flat", False)),
-        }
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"unreadable snapshot {path}: {error}") from error
+    with _open_snapshot(path) as (_, _, manifest):
+        return _summary(manifest)
 
 
 def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
@@ -372,8 +417,7 @@ def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
     }
 
 
-def _restore(data: Any) -> AnytimeBayesClassifier:
-    manifest = _parse_manifest(data)
+def _restore(data: Any, manifest: dict) -> AnytimeBayesClassifier:
     config = BayesTreeConfig.from_dict(manifest["config"])
     classifier = AnytimeBayesClassifier(
         config=config, descent=manifest["descent"], qbk_k=manifest["qbk_k"]
@@ -394,43 +438,72 @@ def _restore(data: Any) -> AnytimeBayesClassifier:
     return classifier
 
 
-def _member_memmap(path: "str | Path", member: str) -> Optional[np.ndarray]:
-    """Memory-map one uncompressed ``.npy`` member inside the ``.npz`` zip.
+def _member_view(
+    handle: BinaryIO, archive: zipfile.ZipFile, mapped: np.ndarray, member: str
+) -> Optional[np.ndarray]:
+    """A read-only view of one uncompressed ``.npy`` member in the mapped archive.
 
-    Returns a read-only ``np.memmap`` view into the snapshot file, or ``None``
-    when the member cannot be mapped (compressed, Fortran-ordered, object
-    dtype, unknown npy version) — callers fall back to a plain copying read.
-    The offset arithmetic walks the zip *local* file header (30 fixed bytes +
-    name + extra field; the extra field may differ from the central
+    ``archive`` is the zip over ``handle`` whose central directory was parsed
+    once for the whole load, and ``mapped`` a ``np.memmap`` of the whole
+    file.  Returns ``None`` when the member cannot be mapped (compressed,
+    Fortran-ordered, object dtype, unknown npy version, or declaring more
+    bytes than the member stores) — callers fall back to a plain copying
+    read.  The offset arithmetic walks the zip *local* file header (30 fixed
+    bytes + name + extra field; the extra field may differ from the central
     directory's copy) and then the npy header, after which the file cursor
     sits exactly on the raw array bytes.
     """
-    with zipfile.ZipFile(path) as archive:
-        try:
-            info = archive.getinfo(member + ".npy")
-        except KeyError:
-            return None
-        if info.compress_type != zipfile.ZIP_STORED:
-            return None
-        with open(path, "rb") as handle:
-            handle.seek(info.header_offset)
-            header = handle.read(30)
-            if len(header) != 30 or header[:4] != b"PK\x03\x04":
-                return None
-            name_length = int.from_bytes(header[26:28], "little")
-            extra_length = int.from_bytes(header[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_length + extra_length)
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-            else:
-                return None
-            if fortran or dtype.hasobject:
-                return None
-            offset = handle.tell()
-    return np.memmap(path, dtype=dtype, mode="r", shape=shape, offset=offset)
+    try:
+        info = archive.getinfo(member + ".npy")
+    except KeyError:  # stored without the .npy suffix
+        return None
+    if info.compress_type != zipfile.ZIP_STORED:
+        return None
+    handle.seek(info.header_offset)
+    header = handle.read(30)
+    if len(header) != 30 or header[:4] != b"PK\x03\x04":
+        return None
+    name_length = int.from_bytes(header[26:28], "little")
+    extra_length = int.from_bytes(header[28:30], "little")
+    start = info.header_offset + 30 + name_length + extra_length
+    handle.seek(start)
+    version = np.lib.format.read_magic(handle)
+    if version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+    elif version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+    else:
+        return None
+    if fortran or dtype.hasobject:
+        return None
+    offset = handle.tell()
+    end = offset + math.prod(shape) * dtype.itemsize
+    if end > start + info.file_size:
+        return None
+    return mapped[offset:end].view(dtype).reshape(shape)
+
+
+def _flat_columns(
+    path: "str | Path", handle: BinaryIO, data: Any, manifest: dict, mmap: bool
+) -> Dict[str, np.ndarray]:
+    """The flat columns of an open snapshot (``flat__`` prefix stripped).
+
+    With ``mmap`` every member that can be mapped is a view into one
+    read-only ``np.memmap`` of the file; the rest are read normally.
+    """
+    if not manifest.get("flat", False):
+        raise SnapshotError(
+            f"snapshot {path} carries no flat forest columns "
+            "(saved with include_flat=False?)"
+        )
+    mapped = np.memmap(handle, mode="r") if mmap else None
+    columns: Dict[str, np.ndarray] = {}
+    for name in data.files:
+        if not name.startswith(_FLAT_PREFIX):
+            continue
+        view = None if mapped is None else _member_view(handle, data.zip, mapped, name)
+        columns[name[len(_FLAT_PREFIX) :]] = data[name] if view is None else view
+    return columns
 
 
 def read_flat_columns(path: "str | Path", mmap: bool = True) -> Dict[str, np.ndarray]:
@@ -442,34 +515,22 @@ def read_flat_columns(path: "str | Path", mmap: bool = True) -> Dict[str, np.nda
     that cannot be mapped are read normally.  Raises :class:`SnapshotError`
     when the snapshot carries no flat columns or is unreadable.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            manifest = _parse_manifest(data)
-            if not manifest.get("flat", False):
-                raise SnapshotError(
-                    f"snapshot {path} carries no flat forest columns "
-                    "(saved with include_flat=False?)"
-                )
-            names = [name for name in data.files if name.startswith(_FLAT_PREFIX)]
-            if not mmap:
-                return {name[len(_FLAT_PREFIX) :]: data[name] for name in names}
-        columns: Dict[str, np.ndarray] = {}
-        unmapped: List[str] = []
-        for name in names:
-            view = _member_memmap(path, name)
-            if view is None:
-                unmapped.append(name)
-            else:
-                columns[name[len(_FLAT_PREFIX) :]] = view
-        if unmapped:
-            with np.load(path, allow_pickle=False) as data:
-                for name in unmapped:
-                    columns[name[len(_FLAT_PREFIX) :]] = data[name]
-        return columns
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"unreadable snapshot {path}: {error}") from error
+    with _open_snapshot(path) as (handle, data, manifest):
+        return _flat_columns(path, handle, data, manifest, mmap)
+
+
+def read_snapshot(path: "str | Path") -> Tuple[dict, Optional[Dict[str, np.ndarray]]]:
+    """Read a snapshot's manifest and memory-mapped flat columns in one pass.
+
+    Returns ``(manifest, columns)``: the :func:`read_manifest` dict and the
+    flat columns as :func:`read_flat_columns` maps them, or ``None`` for a
+    snapshot saved without flat columns.  This is the serving registry's
+    load: one open of the file and one parse of its zip directory.
+    """
+    with _open_snapshot(path) as (handle, data, manifest):
+        summary = _summary(manifest)
+        columns = _flat_columns(path, handle, data, manifest, mmap=True) if summary["has_flat"] else None
+        return summary, columns
 
 
 def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:
@@ -483,20 +544,15 @@ def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:
     :class:`SnapshotVersionError` / :class:`SnapshotError` like the other
     loaders, including for structurally inconsistent flat columns.
     """
-    try:
-        info = read_manifest(path)
-        columns = read_flat_columns(path, mmap=mmap)
+    with _open_snapshot(path) as (handle, data, manifest):
+        summary = _summary(manifest)
         return FlatForest.from_columns(
-            columns,
-            labels=info["classes"],
-            descent=info["descent"],
-            qbk_k=info["qbk_k"],
-            dimension=int(info["dimension"]),
+            _flat_columns(path, handle, data, manifest, mmap),
+            labels=summary["classes"],
+            descent=summary["descent"],
+            qbk_k=summary["qbk_k"],
+            dimension=int(summary["dimension"]),
         )
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"unreadable snapshot {path}: {error}") from error
 
 
 def load_forest(path: "str | Path") -> AnytimeBayesClassifier:
@@ -507,10 +563,5 @@ def load_forest(path: "str | Path") -> AnytimeBayesClassifier:
     saved one.  Raises :class:`SnapshotVersionError` for snapshots of another
     format version and :class:`SnapshotError` for anything unreadable.
     """
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            return _restore(data)
-    except SnapshotError:
-        raise
-    except Exception as error:
-        raise SnapshotError(f"unreadable snapshot {path}: {error}") from error
+    with _open_snapshot(path) as (_, data, manifest):
+        return _restore(data, manifest)

@@ -42,7 +42,7 @@ import json
 from pathlib import Path
 from typing import Dict, Mapping, Optional
 
-from .snapshot import SnapshotError
+from .snapshot import SnapshotError, _publish
 
 __all__ = [
     "TENANT_MANIFEST_VERSION",
@@ -60,7 +60,7 @@ def save_tenant_manifest(
     tenants: Mapping[str, Mapping[str, object]],
     prior_snapshot: "str | Path | None" = None,
 ) -> None:
-    """Write a tenant manifest document.
+    """Write a tenant manifest document (atomically: temp file, then rename).
 
     Parameters
     ----------
@@ -95,7 +95,8 @@ def save_tenant_manifest(
         "prior_snapshot": None if prior_snapshot is None else str(prior_snapshot),
         "tenants": catalogue,
     }
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    _publish(Path(path), lambda handle: handle.write(text.encode("utf-8")))
 
 
 def read_tenant_manifest(path: "str | Path") -> dict:

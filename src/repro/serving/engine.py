@@ -119,10 +119,11 @@ class ServingEngine:
         """Atomically switch serving to a new snapshot (graceful hot swap).
 
         The registry builds the new segment and has every worker attach it
-        while rounds keep flowing, then drains in-flight rounds (they finish
-        on the old forest), switches, and unlinks the old segment.  A
-        snapshot that is unreadable, has no servable class or has another
-        feature dimension is rejected and the engine keeps serving the old
-        one.
+        while rounds keep flowing on the old forest, then drains in-flight
+        rounds, switches, and unlinks the old segment.  A snapshot re-saved
+        at the current path is swapped in too; the same unchanged file is a
+        no-op.  A snapshot that is unreadable, has no servable class or has
+        another feature dimension is rejected and the engine keeps serving
+        the old one.
         """
         self.registry.load(self.tenant, snapshot_path)

@@ -681,10 +681,13 @@ class AsyncServingClient:
         """Hot-swap one tenant's model to a new snapshot without dropping requests.
 
         Runs :meth:`ModelRegistry.load` on the backend registry in a worker
-        thread (registering the tenant if needed): in-flight rounds finish
-        on the old snapshot and queued requests are served by the new one
-        once the swap completes.  Raises whatever the registry's validation
-        raises (bad container, dimension mismatch).
+        thread (registering the tenant if needed).  The old snapshot keeps
+        serving while the new one builds; the tenant's rounds park only
+        while its in-flight rounds drain, and later rounds are served by the
+        new snapshot.  A snapshot re-saved at the tenant's current path is
+        swapped in; the same unchanged file is a no-op.  Raises whatever
+        the registry's validation raises (bad container, dimension
+        mismatch).
         """
         loop = asyncio.get_running_loop()
         load = functools.partial(self._backend.load, self._resolve_tenant(tenant), snapshot_path)

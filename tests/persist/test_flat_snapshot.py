@@ -10,10 +10,16 @@ with :class:`SnapshotError` instead of loading garbage.
 """
 
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
@@ -23,8 +29,10 @@ from repro.persist import (
     load_forest,
     read_flat_columns,
     read_manifest,
+    read_snapshot,
     save_forest,
 )
+from repro.serving import ModelRegistry
 
 
 def _decayed_forest(size=220, decay_rate=0.02, seed=5):
@@ -160,3 +168,75 @@ def test_flat_and_manifest_stay_aligned_after_continued_stream(tmp_path):
         "class_counts"
     ]
     assert _trace(flat, queries) == _trace(classifier, queries)
+
+
+def test_loads_parse_the_zip_directory_once(tmp_path, monkeypatch):
+    """One pass per load, the registry's included: mapping the columns
+    reuses the parsed directory instead of reopening the zip per member."""
+    classifier, _ = _decayed_forest(size=140)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    parses = []
+    real_init = zipfile.ZipFile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        parses.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "__init__", counting_init)
+    for load in (read_flat_columns, load_flat_forest, read_snapshot):
+        parses.clear()
+        load(path)
+        assert len(parses) == 1, load.__name__
+    with ModelRegistry() as registry:
+        parses.clear()
+        registry.load("a", path)
+        assert len(parses) == 1
+
+
+def test_read_snapshot_matches_the_separate_readers(tmp_path):
+    classifier, _ = _decayed_forest(size=140)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    manifest, columns = read_snapshot(path)
+    assert manifest == read_manifest(path)
+    expected = read_flat_columns(path, mmap=False)
+    assert sorted(columns) == sorted(expected)
+    for name, column in expected.items():
+        np.testing.assert_array_equal(columns[name], column)
+    legacy = tmp_path / "legacy.npz"
+    save_forest(classifier, legacy, include_flat=False)
+    assert read_snapshot(legacy) == (read_manifest(legacy), None)
+
+
+_RESAVE_UNDER_A_LIVE_MAP = """
+import sys
+from repro.core import AnytimeBayesClassifier
+from repro.data import make_dataset
+from repro.persist import load_flat_forest, save_forest
+
+path = sys.argv[1]
+dataset = make_dataset("pendigits", size=320, random_state=0)
+queries = dataset.features[300:]
+save_forest(AnytimeBayesClassifier().fit(dataset.features[:300], dataset.labels[:300]), path)
+live = load_flat_forest(path)
+before = live.predict_batch(queries)
+small = make_dataset("pendigits", size=60, random_state=1)
+save_forest(AnytimeBayesClassifier().fit(small.features, small.labels), path)
+print("unchanged" if live.predict_batch(queries) == before else "changed")
+"""
+
+
+def test_resaving_under_a_live_memory_map_keeps_it_intact(tmp_path):
+    """Re-saving a snapshot in place must not truncate a reader's mapped pages."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _RESAVE_UNDER_A_LIVE_MAP, str(tmp_path / "forest.npz")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.split() == ["unchanged"]

@@ -23,7 +23,9 @@ from repro.persist import (
     SnapshotVersionError,
     load_forest,
     read_manifest,
+    read_tenant_manifest,
     save_forest,
+    save_tenant_manifest,
 )
 
 
@@ -170,6 +172,33 @@ def test_garbage_and_truncated_files_are_rejected(tmp_path):
     np.savez(alien.open("wb"), something=np.arange(3))
     with pytest.raises(SnapshotError, match="manifest"):
         load_forest(alien)
+
+
+def test_failed_save_keeps_the_old_snapshot_and_no_temp_file(tmp_path, monkeypatch):
+    classifier, _ = _decayed_midstream_forest(size=120)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    before = path.read_bytes()
+
+    def broken_savez(handle, **arrays):
+        handle.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_forest(classifier, path)
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["forest.npz"]
+
+
+def test_tenant_manifest_is_replaced_not_rewritten(tmp_path):
+    path = tmp_path / "tenants.json"
+    save_tenant_manifest(path, {"a": {"snapshot": "a.npz"}})
+    with open(path) as reader:  # a reader still holding the old document
+        save_tenant_manifest(path, {"b": {"snapshot": "b.npz"}})
+        assert list(json.loads(reader.read())["tenants"]) == ["a"]
+    assert list(read_tenant_manifest(path)["tenants"]) == ["b"]
+    assert [entry.name for entry in tmp_path.iterdir()] == ["tenants.json"]
 
 
 def _rewrite_manifest(source, target, mutate):

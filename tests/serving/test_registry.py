@@ -1,5 +1,6 @@
 """ModelRegistry lifecycle: LRU eviction, drains, cold starts, idempotence."""
 
+import shutil
 import threading
 import time
 
@@ -9,7 +10,13 @@ import pytest
 from repro.core import AnytimeBayesClassifier
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
-from repro.persist import SnapshotError, load_flat_forest, save_forest, save_tenant_manifest
+from repro.persist import (
+    SnapshotError,
+    load_flat_forest,
+    load_forest,
+    save_forest,
+    save_tenant_manifest,
+)
 from repro.serving import (
     ModelRegistry,
     RegistryClosedError,
@@ -17,6 +24,7 @@ from repro.serving import (
     TenantPolicy,
     segment_exists,
 )
+from repro.serving import registry as registry_module
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +136,99 @@ def test_double_load_is_idempotent(snapshot):
         assert second["shm_name"] == name  # same segment, no rebuild
         assert registry.stats.loads == 1
         assert segment_exists(name)
+
+
+def test_resaved_snapshot_at_the_same_path_swaps(snapshot, other_snapshot, tmp_path):
+    """Idempotence covers an unchanged file only: a forest re-saved at the
+    resident path is loaded, not ignored as a double load."""
+    path, queries = snapshot
+    live = tmp_path / "live.npz"
+    shutil.copyfile(path, live)
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", live)
+        old_name = _shm_name(registry, "a")
+        assert registry.predict_batch("a", queries) == load_flat_forest(path).predict_batch(queries)
+        save_forest(load_forest(other_snapshot), live)
+        registry.load("a", live)
+        assert registry.stats.swaps == 1
+        assert not segment_exists(old_name)
+        expected = load_flat_forest(other_snapshot).predict_batch(queries)
+        assert registry.predict_batch("a", queries) == expected
+        registry.load("a", live)  # the same, unchanged file: idempotent again
+        assert registry.stats.swaps == 1 and registry.stats.loads == 2
+
+
+def test_swap_keeps_serving_the_resident_snapshot_while_it_builds(
+    snapshot, other_snapshot, monkeypatch
+):
+    """Rounds for a tenant whose swap is still building are served by the
+    resident snapshot instead of parking for the whole build."""
+    path, queries = snapshot
+    old_answers = load_flat_forest(path).predict_batch(queries)
+    new_answers = load_flat_forest(other_snapshot).predict_batch(queries)
+    assert old_answers != new_answers
+    building, release = threading.Event(), threading.Event()
+    real_store = registry_module.SharedColumnStore
+
+    def held_store(columns):
+        building.set()
+        release.wait(timeout=60)
+        return real_store(columns)
+
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", path)
+        monkeypatch.setattr(registry_module, "SharedColumnStore", held_store)
+        swapper = threading.Thread(target=registry.load, args=("a", other_snapshot), daemon=True)
+        served = []
+        server = threading.Thread(
+            target=lambda: served.append(registry.predict_batch("a", queries)), daemon=True
+        )
+        try:
+            swapper.start()
+            assert building.wait(timeout=30), "the swap never started building"
+            server.start()
+            server.join(timeout=10)
+            assert not server.is_alive(), "a round parked behind the swap's build"
+            assert served == [old_answers]
+        finally:
+            release.set()
+        swapper.join(timeout=60)
+        assert not swapper.is_alive()
+        assert registry.stats.swaps == 1
+        assert registry.predict_batch("a", queries) == new_answers
+
+
+def test_eviction_pops_before_draining(snapshot):
+    """An eviction parked on an in-flight round has already taken the tenant
+    out of service: new rounds park instead of pinning the doomed entry,
+    then cold-reload once the eviction has finished."""
+    path, queries = snapshot
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", path)
+        entry = registry._acquire("a")  # pin an in-flight round by hand
+        name = entry.store.name
+        evictor = threading.Thread(target=registry.evict, args=("a",), daemon=True)
+        served = []
+        server = threading.Thread(
+            target=lambda: served.append(registry.predict_batch("a", queries[:4])), daemon=True
+        )
+        try:
+            evictor.start()
+            deadline = time.monotonic() + 10
+            while registry.resident_tenants() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert registry.resident_tenants() == [] and evictor.is_alive()
+            server.start()
+            server.join(timeout=0.3)
+            assert server.is_alive(), "a new round pinned the entry being evicted"
+            assert entry.active == 1
+        finally:
+            registry._release(entry)
+        evictor.join(timeout=30)
+        server.join(timeout=30)
+        assert not segment_exists(name)
+        assert served == [load_flat_forest(path).predict_batch(queries[:4])]
+        assert registry.stats.evictions == 1 and registry.stats.reloads == 1
 
 
 def test_evicted_tenant_reloads_on_demand(snapshot):
