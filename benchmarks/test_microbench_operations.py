@@ -183,6 +183,18 @@ def _warm_classifier(items, cls=AnytimeBayesClassifier):
     return classifier
 
 
+class _PerItemView:
+    """A classifier without ``classify_anytime_batch``: the per-item stream path."""
+
+    def __init__(self, classifier):
+        self._classifier = classifier
+
+    def __getattr__(self, name):
+        if name == "classify_anytime_batch":
+            raise AttributeError(name)
+        return getattr(self._classifier, name)
+
+
 def test_bench_stream_test_then_train_10k(benchmark):
     """10k-object micro-batched test-then-train run (ISSUE 2 tentpole gate).
 
@@ -216,10 +228,10 @@ def test_bench_stream_test_then_train_10k(benchmark):
     # Trace identity: batched micro-batches == sequential scalar driver.
     prefix = rest[:1000]
     batched = run_anytime_stream(
-        _warm_classifier(items), prefix, online_learning=True, chunk_size=64, use_batch=True
+        _warm_classifier(items), prefix, online_learning=True, chunk_size=64
     )
     scalar = run_anytime_stream(
-        _warm_classifier(items), prefix, online_learning=True, chunk_size=64, use_batch=False
+        _PerItemView(_warm_classifier(items)), prefix, online_learning=True, chunk_size=64
     )
     assert [s.prediction for s in batched.steps] == [s.prediction for s in scalar.steps]
     assert [s.nodes_read for s in batched.steps] == [s.nodes_read for s in scalar.steps]
@@ -233,7 +245,7 @@ def test_bench_stream_test_then_train_10k(benchmark):
     )
     sample = items[5064:5464]
     start = time.perf_counter()
-    run_anytime_stream(legacy, sample, online_learning=True, chunk_size=1, use_batch=False)
+    run_anytime_stream(_PerItemView(legacy), sample, online_learning=True, chunk_size=1)
     legacy_per_item = (time.perf_counter() - start) / len(sample)
     legacy_estimate = legacy_per_item * 10_000
 

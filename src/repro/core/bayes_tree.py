@@ -31,7 +31,7 @@ import numpy as np
 
 from ..index.cluster_feature import ClusterFeature
 from ..index.decay import LOG_HALF, DecayClock, DecayedClusterFeature, decay_factor
-from ..index.entry import LeafEntry
+from ..index.entry import DirectoryEntry, LeafEntry
 from ..index.node import AnyEntry
 from ..index.node import Node
 from ..index.rstar import RStarTree
@@ -42,6 +42,8 @@ from .frontier import (
     EPANECHNIKOV_KIND,
     GAUSSIAN_KIND,
     Frontier,
+    _BatchParams,
+    _Expansion,
     _entry_batch_params,
     component_log_densities,
     pdq,
@@ -53,8 +55,6 @@ __all__ = ["BayesTree"]
 #: Silverman's rule targets the Gaussian kernel, the Epanechnikov kernel
 #: needs a ~2.2x wider window for the same amount of smoothing.
 _EPANECHNIKOV_RESCALE = 2.214
-
-_BatchParams = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class _LeafMeansBuffer:
@@ -574,6 +574,29 @@ class BayesTree:
         self._root_params_cache = (key, params)
         return params
 
+    def expand(self, entry: Optional[DirectoryEntry]) -> _Expansion:
+        """The entries below ``entry`` (the root block for ``None``), packed.
+
+        Returns ``(entries, levels, (means, scales, kinds, n_objects))``: the
+        child node's entries as the frontier's handles, the level each one
+        points to (a node's entries are all of one kind, so every entry gets
+        ``node.level - 1``: -1 for kernels), and their mixture parameters
+        under the tree's current bandwidth and variance inflation.
+        """
+        if entry is None:
+            node, params = self.root, self.root_batch_params()
+        else:
+            node = entry.child
+            params = _entry_batch_params(
+                node.entries, self._variance_inflation(), self._bandwidth
+            )
+        return node.entries, [node.level - 1] * len(node.entries), params
+
+    @staticmethod
+    def min_distance(entry: DirectoryEntry, query: np.ndarray) -> float:
+        """MINDIST from ``query`` to ``entry``'s MBR (geometric descent measure)."""
+        return entry.mbr.min_distance(query)
+
     def frontier(
         self,
         query: Sequence[float] | np.ndarray,
@@ -591,15 +614,7 @@ class BayesTree:
         query = np.asarray(query, dtype=float)
         if query.shape != (self.dimension,):
             raise ValueError(f"query must have shape ({self.dimension},)")
-        return Frontier(
-            self.root.entries,
-            root_level=self.root.level,
-            query=query,
-            variance_inflation=self._variance_inflation(),
-            leaf_bandwidth=self._bandwidth,
-            root_params=self.root_batch_params(),
-            root_log_densities=root_log_densities,
-        )
+        return Frontier(self, query, root_log_densities)
 
     def leaf_arrays(self) -> _BatchParams:
         """Packed ``(means, scales, kinds, log_weights)`` over all leaf entries.

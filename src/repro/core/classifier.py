@@ -19,9 +19,10 @@ The classifier follows the paper exactly:
 All posteriors are computed and compared in **log space**
 (``log P(c) + log pdq_c(x)``): in high dimensions the linear-space product
 underflows to exact zero for every class, which used to degrade the argmax to
-a tie-break by label repr.  ``classify_anytime_batch`` additionally advances
-many queries' frontiers in lockstep so that queries reading the same tree node
-share one vectorised evaluation of its children (see DESIGN.md, batch API).
+a tie-break by label repr.  ``classify_anytime_batch`` advances many queries'
+frontiers in lockstep so that queries reading the same tree node share one
+vectorised evaluation of its children, and ``classify_anytime`` is that same
+driver on one row (see DESIGN.md, batch API).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from ..stats.gaussian import probabilities_from_log, safe_exp
 from .bayes_tree import BayesTree
 from .config import BayesTreeConfig, default_qbk_k
 from .descent import DescentStrategy, make_descent_strategy
-from .frontier import Frontier, FrontierItem, _entry_batch_params, component_log_densities
+from .frontier import Frontier, FrontierItem, component_log_densities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -161,13 +162,14 @@ class _BatchQueryState:
 # -- shared classification drivers -------------------------------------------------------------
 #
 # The anytime machinery below is deliberately model-agnostic: it only needs a
-# mapping of alive per-class trees exposing ``root_batch_params()``,
-# ``frontier(query, root_log_densities=...)`` and ``log_density_batch()``,
-# plus the forest-wide log priors.  Both the live object-graph forest
-# (:class:`AnytimeBayesClassifier`) and the compiled flat forest
-# (:class:`repro.core.flat.FlatForest`) drive their classifications through
-# these functions, which is what pins the two representations to hash-equal
-# refinement traces — there is only one driver to diverge from.
+# mapping of alive per-class trees exposing ``expand(handle)``,
+# ``min_distance(handle, query)``, ``frontier(query, root_log_densities=...)``
+# and ``log_density_batch()``, plus the forest-wide log priors.  Both the
+# live object-graph forest (:class:`AnytimeBayesClassifier`) and the compiled
+# flat forest (:class:`repro.core.flat.FlatForest`) drive every
+# classification through these functions — ``classify_anytime`` is the
+# lockstep driver on one row — which is what pins the two representations to
+# hash-equal refinement traces: there is only one driver to diverge from.
 
 
 def _posterior_argmax(posterior: Dict[Hashable, float]) -> Hashable:
@@ -208,68 +210,26 @@ def _choose_refinement(
     return rotation.next(top)
 
 
-def _refine_group(members: List[Tuple[_BatchQueryState, Frontier, FrontierItem]]) -> None:
+def _refine_group(members: List[Tuple[Frontier, FrontierItem]]) -> None:
     """Refine one tree node for every query in ``members`` with one evaluation.
 
-    All members read the same node of the same class tree, so the children's
-    component parameters (including the tree's variance inflation) are
-    identical across the group and the children's log densities for all
-    member queries form one batched call.  Compiled flat nodes carry their
-    packed parameters as zero-copy column slices (``packed_params``); object
-    nodes are packed here once per group.
+    All members read the same node of the same class tree, so one
+    ``tree.expand`` serves the group: its children's component parameters
+    (including the tree's variance inflation) are identical across the
+    group, and the children's log densities for all member queries form one
+    batched call.
     """
-    _, first_frontier, first_item = members[0]
-    child_node = first_item.entry.child  # type: ignore[union-attr]
-    children = list(child_node.entries)
-    if len(members) == 1 or not children:
-        for _, frontier, item in members:
-            frontier.refine_item(item)
+    first_frontier, first_item = members[0]
+    children = first_frontier.tree.expand(first_item.entry)
+    if len(members) == 1 or not children[0]:
+        for frontier, item in members:
+            frontier.refine_item(item, children=children)
         return
-    params = child_node.packed_params
-    if params is None:
-        params = _entry_batch_params(
-            children, first_frontier.variance_inflation, first_frontier.leaf_bandwidth
-        )
-    means, scales, kinds, _ = params
-    batch = np.stack([frontier.query for _, frontier, _ in members])
+    means, scales, kinds, _ = children[2]
+    batch = np.stack([frontier.query for frontier, _ in members])
     log_densities = component_log_densities(batch, means, scales, kinds)
-    for row, (_, frontier, item) in enumerate(members):
-        frontier.refine_item(
-            item, child_log_densities=log_densities[row], child_params=params
-        )
-
-
-def drive_classify_anytime(
-    trees: Dict[Hashable, "BayesTree"],
-    log_priors: Dict[Hashable, float],
-    descent: DescentStrategy,
-    k: int,
-    query: np.ndarray,
-    max_nodes: int,
-) -> AnytimeClassification:
-    """Sequential anytime classification of one query over ``trees``.
-
-    ``trees`` holds the alive (non-empty) per-class models; the caller has
-    already validated the inputs.  Records the prediction after every node
-    read (the x-axis of the paper's Figures 2-4).
-    """
-    query = np.asarray(query, dtype=float)
-    frontiers = {label: tree.frontier(query) for label, tree in trees.items()}
-    result = AnytimeClassification(query=query)
-
-    log_posterior = _posterior_of(frontiers, log_priors)
-    _record_step(result, log_posterior)
-
-    rotation = _QbkRotation()
-    for _ in range(max_nodes):
-        label = _choose_refinement(frontiers, log_posterior, k, rotation)
-        if label is None:
-            break
-        frontiers[label].refine(descent)
-        result.nodes_read += 1
-        log_posterior = _posterior_of(frontiers, log_priors)
-        _record_step(result, log_posterior)
-    return result
+    for row, (frontier, item) in enumerate(members):
+        frontier.refine_item(item, child_log_densities=log_densities[row], children=children)
 
 
 def drive_classify_anytime_batch(
@@ -313,7 +273,7 @@ def _drive_batch_chunk(
     # row instead of re-evaluating the root entries per query.
     root_rows: List[Tuple[Hashable, "BayesTree", np.ndarray]] = []
     for label, tree in trees.items():
-        means, scales, kinds, _ = tree.root_batch_params()
+        means, scales, kinds, _ = tree.expand(None)[2]
         root_rows.append(
             (label, tree, component_log_densities(queries, means, scales, kinds))
         )
@@ -339,9 +299,13 @@ def _drive_batch_chunk(
         )
 
     while True:
-        # Each active query chooses its next node read exactly as the
-        # sequential driver would (qbk rotation + descent strategy).
-        plans: List[Tuple[_BatchQueryState, Frontier, FrontierItem]] = []
+        # Each active query chooses its next node read (qbk rotation +
+        # descent strategy), and the planned reads are grouped by tree node
+        # — ``(label, handle)``; entries hash by identity, slots by value —
+        # so all queries reading the same node share one vectorised
+        # evaluation of its children.
+        planned: List[_BatchQueryState] = []
+        groups: Dict[Tuple[Hashable, object], List[Tuple[Frontier, FrontierItem]]] = {}
         for state in states:
             if not state.active:
                 continue
@@ -353,20 +317,15 @@ def _drive_batch_chunk(
                 state.active = False
                 continue
             frontier = state.frontiers[label]
-            item = descent.choose(frontier.refinable_items(), frontier.query)
-            plans.append((state, frontier, item))
-        if not plans:
+            item = descent.choose(frontier.refinable_items(), frontier.query, frontier.tree)
+            groups.setdefault((label, item.entry), []).append((frontier, item))
+            planned.append(state)
+        if not planned:
             break
-
-        # Group the planned reads by tree node: all queries reading the
-        # same node share one vectorised evaluation of its children.
-        groups: Dict[int, List[Tuple[_BatchQueryState, Frontier, FrontierItem]]] = {}
-        for plan in plans:
-            groups.setdefault(id(plan[2].entry.child), []).append(plan)
         for members in groups.values():
             _refine_group(members)
 
-        for state, _, _ in plans:
+        for state in planned:
             state.result.nodes_read += 1
             state.log_posterior = _posterior_of(state.frontiers, log_priors)
             if record_history:
@@ -399,8 +358,8 @@ def validate_batch_budgets(
     """Normalise ``max_nodes`` into one non-negative int budget per query."""
     budgets = np.asarray(max_nodes)
     if budgets.dtype.kind not in "iu":
-        # Match the sequential driver, which raises on float budgets via
-        # range(max_nodes); silent truncation would under-budget queries.
+        # Float budgets are refused, not truncated: truncation would
+        # silently under-budget queries.
         raise ValueError("max_nodes must be an integer or a sequence of integers")
     if budgets.ndim == 0:
         budgets = np.full(queries.shape[0], int(budgets))
@@ -618,19 +577,6 @@ class AnytimeBayesClassifier:
             return max(1, min(self.qbk_k, self.n_classes))
         return min(default_qbk_k(self.n_classes), self.n_classes)
 
-    def _log_posterior(self, frontiers: Dict[Hashable, Frontier]) -> Dict[Hashable, float]:
-        """Unnormalised log posteriors ``log P(c) + log pdq_c(x)``."""
-        return _posterior_of(frontiers, self.log_priors)
-
-    @staticmethod
-    def _argmax(posterior: Dict[Hashable, float]) -> Hashable:
-        # Deterministic tie breaking by label repr keeps experiments reproducible.
-        return _posterior_argmax(posterior)
-
-    @staticmethod
-    def _record(result: AnytimeClassification, log_posterior: Dict[Hashable, float]) -> None:
-        _record_step(result, log_posterior)
-
     def classify_anytime(
         self,
         query: Sequence[float] | np.ndarray,
@@ -639,51 +585,22 @@ class AnytimeBayesClassifier:
         """Classify ``query`` and record the prediction after every node read.
 
         ``max_nodes`` is the total number of additional node reads across all
-        class trees (the unit of the x-axis in the paper's Figures 2-4).
+        class trees (the unit of the x-axis in the paper's Figures 2-4).  The
+        k most probable classes refine in turns (qbk, §2.2).  This is the
+        lockstep driver of :meth:`classify_anytime_batch` on one row.
         """
         if not self.is_fitted:
             raise ValueError("classifier has not been fitted")
-        if max_nodes < 0:
-            raise ValueError("max_nodes must be non-negative")
-        return drive_classify_anytime(
+        queries = np.asarray(query, dtype=float)[None, :]
+        return drive_classify_anytime_batch(
             self._alive_trees(),
             self.log_priors,
             self.descent,
             self._effective_k(),
-            np.asarray(query, dtype=float),
-            max_nodes,
-        )
-
-    def _choose_refinement(
-        self,
-        frontiers: Dict[Hashable, Frontier],
-        log_posterior: Dict[Hashable, float],
-        k: int,
-        rotation: _QbkRotation,
-    ) -> Optional[Hashable]:
-        """Pick the class whose frontier gets the next node read (qbk, §2.2)."""
-        return _choose_refinement(frontiers, log_posterior, k, rotation)
-
-    def _refine_one(
-        self,
-        frontiers: Dict[Hashable, Frontier],
-        log_posterior: Dict[Hashable, float],
-        k: int,
-        rotation: _QbkRotation,
-    ) -> Optional[Hashable]:
-        """Perform one node read following the qbk improvement strategy.
-
-        The k most probable classes (by the current log posterior) refine in
-        turns, with the rotation tracked explicitly by ``rotation``; classes
-        whose frontier is exhausted are skipped without disturbing the
-        rotation of the remaining ones.  Returns the refined class label, or
-        None when no tree can be refined any more.
-        """
-        label = self._choose_refinement(frontiers, log_posterior, k, rotation)
-        if label is None:
-            return None
-        frontiers[label].refine(self.descent)
-        return label
+            queries,
+            validate_batch_budgets(queries, max_nodes),
+            True,
+        )[0]
 
     # -- batch anytime classification --------------------------------------------------------------
     def classify_anytime_batch(
@@ -696,7 +613,8 @@ class AnytimeBayesClassifier:
 
         Produces exactly the same per-query results as calling
         :meth:`classify_anytime` in a loop (each query's refinement sequence
-        is independent of the others), but amortises the work: the root
+        is independent of the others, and :meth:`classify_anytime` is this
+        driver on one row), but amortises the work: the root
         models are packed once and evaluated for a whole chunk of queries
         with one batched call per class, per round every active query
         performs one node read, the reads are grouped by tree node, and each
@@ -730,10 +648,6 @@ class AnytimeBayesClassifier:
             budgets,
             record_history,
         )
-
-    #: Shared with the module-level batch driver; kept addressable on the
-    #: class for white-box tests and subclass instrumentation.
-    _refine_group = staticmethod(_refine_group)
 
     # -- convenience prediction APIs -----------------------------------------------------------------
     def predict(self, query: Sequence[float] | np.ndarray, node_budget: Optional[int] = None) -> Hashable:

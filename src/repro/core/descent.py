@@ -9,13 +9,15 @@ for the query object w.r.t. the Gaussian component of each entry."
 
 A strategy looks at the *refinable* frontier items (those whose entry is a
 directory entry, i.e. has a child node that could be read next) and picks the
-one to expand in the next time step.
+one to expand in the next time step.  The items' entries are the tree's
+handles, so the geometric measure asks the tree for
+``tree.min_distance(item.entry, query)``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence, TYPE_CHECKING
+from typing import Any, Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -38,10 +40,13 @@ class DescentStrategy(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def choose(self, candidates: Sequence["FrontierItem"], query: np.ndarray) -> "FrontierItem":
+    def choose(
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+    ) -> "FrontierItem":
         """Return the frontier item to refine next.
 
-        ``candidates`` is never empty and contains only refinable items.
+        ``candidates`` is never empty and contains only refinable items of a
+        frontier over ``tree``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -58,7 +63,9 @@ class BreadthFirstDescent(DescentStrategy):
 
     name = "bft"
 
-    def choose(self, candidates: Sequence["FrontierItem"], query: np.ndarray) -> "FrontierItem":
+    def choose(
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+    ) -> "FrontierItem":
         return min(candidates, key=lambda item: (-item.level, item.order))
 
 
@@ -71,7 +78,9 @@ class DepthFirstDescent(DescentStrategy):
 
     name = "dft"
 
-    def choose(self, candidates: Sequence["FrontierItem"], query: np.ndarray) -> "FrontierItem":
+    def choose(
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+    ) -> "FrontierItem":
         return max(candidates, key=lambda item: item.order)
 
 
@@ -90,7 +99,9 @@ class GlobalBestDescent(DescentStrategy):
         self.measure = measure
         self.name = "glo" if measure == "probabilistic" else "glo-geometric"
 
-    def choose(self, candidates: Sequence["FrontierItem"], query: np.ndarray) -> "FrontierItem":
+    def choose(
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+    ) -> "FrontierItem":
         if self.measure == "probabilistic":
             # Highest weighted density first: the entry currently contributing
             # the most to the query's density is the most promising to refine.
@@ -104,7 +115,7 @@ class GlobalBestDescent(DescentStrategy):
             )
             return candidates[int(np.argmax(scores))]
         distances = np.fromiter(
-            (item.entry.mbr.min_distance(query) for item in candidates),
+            (tree.min_distance(item.entry, query) for item in candidates),
             dtype=float,
             count=len(candidates),
         )

@@ -14,17 +14,23 @@ Because slots are assigned pre-order with each node's entries contiguous and
 each subtree contiguous, the two structural operations of the query engine
 become array slices:
 
-* "expand this frontier item" is ``columns[child_start:child_end]`` — the
-  packed parameters of the read node's children, no pointer walk, no
-  per-entry packing loop;
+* "expand this frontier item" is :meth:`FlatTree.expand`: the slot range
+  ``[child_start, child_end)`` as the children's handles plus zero-copy
+  column slices of their packed parameters — no pointer walk, no per-entry
+  packing loop, no per-entry objects;
 * "how large / deep / balanced is this subtree" is a range reduction over
   ``[child_start, post)`` — the cheap structure-health metrics reported by
   the serving stats.
 
+A frontier over a flat tree therefore holds slot ints where a frontier over
+a live tree holds index entries; both refine through the one
+:class:`~repro.core.frontier.Frontier` and the tree's ``expand`` /
+``min_distance``.
+
 Equivalence is the design contract, not an aspiration: the flat columns are
 written by the *same* packing routine the object-graph query path uses
 (:func:`repro.core.frontier._entry_batch_params`, after the same decay sync),
-and classification drives through the *same* module-level drivers in
+and classification drives through the *same* module-level driver in
 :mod:`repro.core.classifier`.  The per-entry parameters, the reduction
 orders, and hence every float on the query path are identical bit for bit —
 ``classification_trace_hash`` over the two paths must agree, and the test
@@ -40,7 +46,7 @@ compile, share — and what makes the columns safe to place in shared memory
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,21 +54,25 @@ from ..index.mbr import MBR
 from ..stats.gaussian import logsumexp
 from .classifier import (
     AnytimeClassification,
-    drive_classify_anytime,
     drive_classify_anytime_batch,
     drive_predict_full,
     validate_batch_budgets,
 )
 from .config import default_qbk_k
 from .descent import DescentStrategy, make_descent_strategy
-from .frontier import Frontier, _entry_batch_params
+from .frontier import (
+    EPANECHNIKOV_KIND,
+    GAUSSIAN_KIND,
+    Frontier,
+    _BatchParams,
+    _Expansion,
+    _entry_batch_params,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..index.node import Node
 
 __all__ = ["FlatTree", "FlatForest"]
-
-_BatchParams = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Integer metadata slots of a FlatTree (``meta_i`` column), in order.
 _META_I_FIELDS = (
@@ -108,83 +118,6 @@ TREE_COLUMNS = (
 )
 
 
-class _FlatNode:
-    """Materialised view of one node's contiguous entry block.
-
-    Duck-types the two attributes the refinement machinery reads from
-    :class:`repro.index.node.Node` — ``level`` and ``entries`` — plus the
-    ``packed_params`` fast path: zero-copy column slices of the children's
-    mixture parameters, consumed directly by
-    :meth:`repro.core.frontier.Frontier.refine_item`.
-    """
-
-    __slots__ = ("level", "entries", "packed_params")
-
-    def __init__(self, level: int, entries: List[object], packed_params: _BatchParams) -> None:
-        self.level = level
-        self.entries = entries
-        self.packed_params = packed_params
-
-
-class _FlatDirEntry:
-    """Directory-entry proxy over one slot of the flat columns.
-
-    Carries exactly the surface the frontier/descent machinery touches:
-    ``is_directory``, ``n_objects``, ``child`` (a cached :class:`_FlatNode`
-    shared across all frontiers, so the batch driver's group-by-``id(child)``
-    coalescing works unchanged) and ``mbr`` (for geometric descent).
-    """
-
-    __slots__ = ("_tree", "_slot", "_mbr")
-
-    is_directory = True
-
-    def __init__(self, tree: "FlatTree", slot: int) -> None:
-        self._tree = tree
-        self._slot = slot
-        self._mbr: Optional[MBR] = None
-
-    @property
-    def n_objects(self) -> float:
-        return self._tree._entry_n_list[self._slot]
-
-    @property
-    def child(self) -> _FlatNode:
-        return self._tree._node_at(self._slot)
-
-    @property
-    def mbr(self) -> MBR:
-        mbr = self._mbr
-        if mbr is None:
-            row = int(self._tree.dir_index[self._slot])
-            mbr = MBR._trusted(
-                np.asarray(self._tree.dir_mbr_lower[row], dtype=float),
-                np.asarray(self._tree.dir_mbr_upper[row], dtype=float),
-            )
-            self._mbr = mbr
-        return mbr
-
-
-class _FlatLeafEntry:
-    """Leaf-entry (kernel) proxy over one slot of the flat columns.
-
-    Leaf items are never refined, so only the kind flag and the decayed
-    weight are needed on the query path.
-    """
-
-    __slots__ = ("_tree", "_slot")
-
-    is_directory = False
-
-    def __init__(self, tree: "FlatTree", slot: int) -> None:
-        self._tree = tree
-        self._slot = slot
-
-    @property
-    def n_objects(self) -> float:
-        return self._tree._entry_n_list[self._slot]
-
-
 class FlatTree:
     """One Bayes tree compiled into contiguous pre-order SoA columns.
 
@@ -219,6 +152,9 @@ class FlatTree:
         meta: Mapping[str, int],
         meta_floats: Mapping[str, float],
     ) -> None:
+        # Plain ndarray views of memory-mapped columns (no copy): every node
+        # read slices them, and a np.memmap slice costs ~10x an ndarray one.
+        columns = {name: np.asarray(array) for name, array in columns.items()}
         self.entry_means = columns["entry_means"]
         self.entry_scales = columns["entry_scales"]
         self.entry_kinds = columns["entry_kinds"]
@@ -245,15 +181,6 @@ class FlatTree:
         self.meta: Dict[str, int] = dict(meta)
         self.meta_floats: Dict[str, float] = dict(meta_floats)
         self.dimension = int(self.entry_means.shape[1])
-        #: Python-float view of ``entry_n``: the frontier sums per-entry
-        #: weights in Python (same op order as the object graph), and
-        #: ``tolist`` converts once instead of once per access.
-        self._entry_n_list: List[float] = self.entry_n.tolist()
-        self._entries: List[Optional[object]] = [None] * self.meta["n_entries"]
-        self._nodes: Dict[int, _FlatNode] = {}
-        self._root_entries: List[object] = [
-            self._entry_at(slot) for slot in range(self.meta["root_count"])
-        ]
         self._leaf_scales_full: Optional[np.ndarray] = None
 
     # -- compilation ------------------------------------------------------------------------
@@ -535,8 +462,31 @@ class FlatTree:
                     "flat tree child ranges do not partition the non-root slots"
                 )
         leaf_mask = ~dir_mask
-        if np.any(child_start[leaf_mask] != -1) or np.any(post[leaf_mask] != -1):
+        if (
+            np.any(child_start[leaf_mask] != -1)
+            or np.any(child_end[leaf_mask] != -1)
+            or np.any(post[leaf_mask] != -1)
+        ):
             raise ValueError("flat tree kernel slots must not carry child intervals")
+        # Geometric descent reads MBR row dir_index[slot]: every directory
+        # slot owns exactly one row, and kernel slots own none.  Checked by a
+        # range test plus bincount: np.sort or np.isin here faulted in about
+        # 0.3 MB of numpy code pages in every shard worker that attaches.
+        dir_index = np.asarray(columns["dir_index"])
+        rows = dir_index[dir_mask]
+        if (
+            np.any(dir_index[leaf_mask] != -1)
+            or np.any((rows < 0) | (rows >= n_dir))
+            or np.any(np.bincount(rows, minlength=n_dir) != 1)
+        ):
+            raise ValueError(
+                "flat tree dir_index must map the directory slots one-to-one onto "
+                "the MBR rows and hold -1 for kernel slots"
+            )
+        for name in ("entry_kinds", "leaf_kinds"):
+            kinds = np.asarray(columns[name])
+            if np.any((kinds != GAUSSIAN_KIND) & (kinds != EPANECHNIKOV_KIND)):
+                raise ValueError(f"flat tree column {name!r} holds an unknown component kind")
         for name in ("leaf_means", "leaf_kinds", "leaf_log_weights", "leaf_times"):
             expected = n_leaf
             if columns[name].shape[0] != expected:
@@ -552,41 +502,6 @@ class FlatTree:
                 f"expected {expected_scales}"
             )
 
-    # -- node/entry materialisation ----------------------------------------------------------
-    def _entry_at(self, slot: int) -> object:
-        entry = self._entries[slot]
-        if entry is None:
-            if self.entry_levels[slot] >= 0:
-                entry = _FlatDirEntry(self, slot)
-            else:
-                entry = _FlatLeafEntry(self, slot)
-            self._entries[slot] = entry
-        return entry
-
-    def _node_at(self, slot: int) -> _FlatNode:
-        """The child node of the directory entry at ``slot`` (cached).
-
-        The cache keys nodes by slot, so every frontier of every query sees
-        the *same* node object per subtree — the batch driver groups planned
-        reads by ``id(child)`` and this preserves its coalescing.
-        """
-        node = self._nodes.get(slot)
-        if node is None:
-            start = int(self.child_start[slot])
-            end = int(self.child_end[slot])
-            node = _FlatNode(
-                level=int(self.entry_levels[slot]),
-                entries=[self._entry_at(child) for child in range(start, end)],
-                packed_params=(
-                    self.entry_means[start:end],
-                    self.entry_scales[start:end],
-                    self.entry_kinds[start:end],
-                    self.entry_n[start:end],
-                ),
-            )
-            self._nodes[slot] = node
-        return node
-
     # -- query surface (mirrors BayesTree) ---------------------------------------------------
     @property
     def n_objects(self) -> int:
@@ -599,15 +514,33 @@ class FlatTree:
     def height(self) -> int:
         return self.meta["height"]
 
-    def root_batch_params(self) -> _BatchParams:
-        """Packed root-entry parameters: the leading column slice, zero copy."""
-        count = self.meta["root_count"]
+    def expand(self, slot: Optional[int]) -> _Expansion:
+        """The entries below ``slot`` (the root block for ``None``), as columns.
+
+        Returns ``(slots, levels, (means, scales, kinds, n_objects))``: the
+        child block's slot range as the frontier's handles, the level each
+        slot points to, and zero-copy slices of the parameter columns — the
+        same values :meth:`BayesTree.expand` packs, sliced instead of packed.
+        """
+        if slot is None:
+            start, end = 0, self.meta["root_count"]
+        else:
+            start, end = int(self.child_start[slot]), int(self.child_end[slot])
         return (
-            self.entry_means[:count],
-            self.entry_scales[:count],
-            self.entry_kinds[:count],
-            self.entry_n[:count],
+            range(start, end),
+            self.entry_levels[start:end].tolist(),
+            (
+                self.entry_means[start:end],
+                self.entry_scales[start:end],
+                self.entry_kinds[start:end],
+                self.entry_n[start:end],
+            ),
         )
+
+    def min_distance(self, slot: int, query: np.ndarray) -> float:
+        """MINDIST from ``query`` to the MBR of directory slot ``slot``."""
+        row = int(self.dir_index[slot])
+        return MBR._trusted(self.dir_mbr_lower[row], self.dir_mbr_upper[row]).min_distance(query)
 
     def frontier(
         self,
@@ -617,24 +550,15 @@ class FlatTree:
         """Anytime density-query state over the flat columns.
 
         Same surface, validation and seeding as :meth:`BayesTree.frontier`;
-        the frontier's refinement steps consume the columns' packed slices
-        through the nodes' ``packed_params`` instead of re-packing entries.
+        the frontier's refinement steps read the columns through
+        :meth:`expand` instead of re-packing entries.
         """
         if self.n_objects == 0:
             raise ValueError("cannot query an empty Bayes tree")
         query = np.asarray(query, dtype=float)
         if query.shape != (self.dimension,):
             raise ValueError(f"query must have shape ({self.dimension},)")
-        variance_inflation = None if self.bandwidth is None else self.bandwidth ** 2
-        return Frontier(
-            self._root_entries,
-            root_level=self.meta["root_level"],
-            query=query,
-            variance_inflation=variance_inflation,
-            leaf_bandwidth=self.bandwidth,
-            root_params=self.root_batch_params(),
-            root_log_densities=root_log_densities,
-        )
+        return Frontier(self, query, root_log_densities)
 
     def leaf_arrays(self) -> _BatchParams:
         """Packed full kernel model ``(means, scales, kinds, log_weights)``."""
@@ -866,19 +790,23 @@ class FlatForest:
     def classify_anytime(
         self, query: Sequence[float] | np.ndarray, max_nodes: int
     ) -> AnytimeClassification:
-        """Anytime classification over the flat columns (bit-identical trace)."""
+        """Anytime classification over the flat columns (bit-identical trace).
+
+        The lockstep driver on one row, like
+        :meth:`AnytimeBayesClassifier.classify_anytime`.
+        """
         if not self.is_fitted:
             raise ValueError("classifier has not been fitted")
-        if max_nodes < 0:
-            raise ValueError("max_nodes must be non-negative")
-        return drive_classify_anytime(
+        queries = np.asarray(query, dtype=float)[None, :]
+        return drive_classify_anytime_batch(
             self._alive_trees(),
             self.log_priors,
             self.descent,
             self._effective_k(),
-            np.asarray(query, dtype=float),
-            max_nodes,
-        )
+            queries,
+            validate_batch_budgets(queries, max_nodes),
+            True,
+        )[0]
 
     def classify_anytime_batch(
         self,

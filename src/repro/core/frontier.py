@@ -14,6 +14,14 @@ node (one additional node read); the density is updated incrementally by
 subtracting the refined entry's contribution and adding its children's — the
 constant-time update the paper highlights at the end of §2.2.
 
+A frontier never walks node objects itself.  Its tree answers one query-side
+operation, ``expand(handle)``: the handles, levels and packed component
+parameters ``(means, scales, kinds, n_objects)`` of the entries below
+``handle`` (``None`` is the root block).  A live :class:`BayesTree` hands out
+its index entries and packs their parameters; a compiled
+:class:`~repro.core.flat.FlatTree` hands out slot ints and zero-copy column
+slices.  Geometric descent asks the tree for ``min_distance(handle, query)``.
+
 The implementation keeps the entire query side in **log space** and evaluates
 whole entry batches at once: every frontier owns a :class:`FrontierArrays`
 buffer packing the entries' means, variances and mixture weights into
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +63,13 @@ __all__ = [
 #: the batched Epanechnikov evaluator instead).
 GAUSSIAN_KIND = 0
 EPANECHNIKOV_KIND = 1
+
+#: Packed ``(means, scales, kinds, n_objects)`` of one block of entries.
+_BatchParams = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: What ``tree.expand(handle)`` returns: the handles, levels and packed
+#: parameters of the entries below ``handle``.
+_Expansion = Tuple[Sequence[Any], List[int], _BatchParams]
 
 
 def entry_component_params(
@@ -247,7 +262,8 @@ class FrontierItem:
     Attributes
     ----------
     entry:
-        The tree entry (directory entry or leaf/kernel entry).
+        The tree's handle for the entry, as :meth:`expand` returned it: the
+        index entry of a live tree, or the slot int of a flat tree.
     level:
         Level of the node the entry points to (leaf entries have level -1,
         directory entries the level of their child node).
@@ -263,7 +279,7 @@ class FrontierItem:
         Row index of the entry inside the frontier's :class:`FrontierArrays`.
     """
 
-    entry: AnyEntry
+    entry: Any
     level: int
     order: int
     log_contribution: float
@@ -276,13 +292,8 @@ class FrontierItem:
 
     @property
     def is_refinable(self) -> bool:
-        """Directory entries can be replaced by their children; kernels cannot.
-
-        Duck-typed on ``entry.is_directory`` (not ``isinstance``) so the
-        flat-forest entry proxies of :mod:`repro.core.flat` refine through
-        the identical machinery.
-        """
-        return self.entry.is_directory
+        """Directory entries can be replaced by their children; kernels cannot."""
+        return self.level >= 0
 
 
 def _entry_density(
@@ -338,7 +349,7 @@ def _entry_batch_params(
     entries: Sequence[AnyEntry],
     variance_inflation: Optional[np.ndarray],
     leaf_bandwidth: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> _BatchParams:
     """Pack ``(means, scales, kinds, n_objects)`` arrays for a batch of entries."""
     first_mean, _, _ = entry_component_params(entries[0], variance_inflation, leaf_bandwidth)
     dimension = first_mean.shape[0]
@@ -414,68 +425,50 @@ class Frontier:
 
     def __init__(
         self,
-        root_entries: Sequence[AnyEntry],
-        root_level: int,
+        tree: Any,
         query: np.ndarray,
-        variance_inflation: Optional[np.ndarray] = None,
-        leaf_bandwidth: Optional[np.ndarray] = None,
-        root_params: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
         root_log_densities: Optional[np.ndarray] = None,
     ) -> None:
-        """``leaf_bandwidth`` is the owning tree's shared kernel bandwidth,
-        resolved for leaf entries at evaluation time (tree-managed entries do
-        not carry per-entry copies).  ``root_params`` /
-        ``root_log_densities`` optionally carry the packed component
-        parameters of the root entries (shared across queries, see
-        :meth:`BayesTree.root_batch_params`) and this query's precomputed
-        unweighted log densities for them."""
+        """``tree`` is the live or flat tree whose ``expand`` supplies the
+        entries; ``root_log_densities`` optionally carries this query's
+        precomputed unweighted log densities for the root block (one row of
+        the batch driver's shared evaluation)."""
+        self.tree = tree
         self.query = np.asarray(query, dtype=float)
-        self.variance_inflation = (
-            None if variance_inflation is None else np.asarray(variance_inflation, dtype=float)
-        )
-        self.leaf_bandwidth = (
-            None if leaf_bandwidth is None else np.asarray(leaf_bandwidth, dtype=float)
-        )
-        self.total_objects = float(sum(entry.n_objects for entry in root_entries))
+        handles, levels, params = tree.expand(None)
+        # Summed in list order: np.sum's pairwise order would move the last
+        # bits of every mixture weight, and with them the pinned trace hashes.
+        self.total_objects = float(sum(params[3].tolist()))
         self._log_total = math.log(self.total_objects) if self.total_objects > 0 else None
         self._counter = 0
         self._items: List[FrontierItem] = []
         self._slot_items: List[FrontierItem] = []
         self.nodes_read = 0
         self.arrays = FrontierArrays(
-            dimension=self.query.shape[0], capacity=max(32, 2 * len(root_entries))
+            dimension=self.query.shape[0], capacity=max(32, 2 * len(handles))
         )
-        root_entries = list(root_entries)
-        levels = [
-            root_level - 1 if entry.is_directory else -1 for entry in root_entries
-        ]
-        self._append_entries(
-            root_entries, levels, log_densities=root_log_densities, params=root_params
-        )
+        self._append_entries(handles, levels, params, root_log_densities)
         self._log_density = self.arrays.log_density()
 
     # -- construction helpers ---------------------------------------------------------
     def _append_entries(
         self,
-        entries: Sequence[AnyEntry],
+        handles: Sequence[Any],
         levels: Sequence[int],
+        params: _BatchParams,
         log_densities: Optional[np.ndarray] = None,
-        params: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Append a batch of entries, evaluating their densities in one call.
+        """Append one expanded block, evaluating its densities in one call.
 
-        ``log_densities`` and ``params`` may carry precomputed unweighted log
-        densities / packed component parameters for the batch (the batch
-        classification driver shares one packing and one evaluation across all
-        queries that read the same node).
+        ``log_densities`` may carry precomputed unweighted log densities for
+        the block (the batch classification driver shares one evaluation
+        across all queries that read the same node).
         """
-        if not entries:
+        if not handles:
             return
-        if params is None:
-            params = _entry_batch_params(entries, self.variance_inflation, self.leaf_bandwidth)
         means, scales, kinds, n_objects = params
         if self._log_total is None:
-            log_weights = np.full(len(entries), -np.inf)
+            log_weights = np.full(len(handles), -np.inf)
         else:
             with np.errstate(divide="ignore"):
                 log_weights = np.log(n_objects) - self._log_total
@@ -490,8 +483,8 @@ class Frontier:
         counter = self._counter
         items_append = self._items.append
         slots_append = self._slot_items.append
-        for i, (entry, level) in enumerate(zip(entries, levels)):
-            item = FrontierItem(entry, level, counter, contribs[i], start + i)
+        for i, (handle, level) in enumerate(zip(handles, levels)):
+            item = FrontierItem(handle, level, counter, contribs[i], start + i)
             counter += 1
             items_append(item)
             slots_append(item)
@@ -539,14 +532,16 @@ class Frontier:
         """Recompute the density non-incrementally (used for verification).
 
         Deliberately goes through the scalar linear-space reference path so it
-        is an independent check of the incremental log-space engine.
+        is an independent check of the incremental log-space engine.  Needs
+        index entries as handles, i.e. a frontier over a live tree.
         """
+        bandwidth = self.tree.bandwidth
         return pdq_scalar(
             self.query,
             [item.entry for item in self._items],
             total_objects=self.total_objects,
-            variance_inflation=self.variance_inflation,
-            leaf_bandwidth=self.leaf_bandwidth,
+            variance_inflation=None if bandwidth is None else bandwidth ** 2,
+            leaf_bandwidth=bandwidth,
         )
 
     def represented_objects(self) -> float:
@@ -563,49 +558,36 @@ class Frontier:
         candidates = self.refinable_items()
         if not candidates:
             return None
-        item = strategy.choose(candidates, self.query)
+        item = strategy.choose(candidates, self.query, self.tree)
         return self.refine_item(item)
 
     def refine_item(
         self,
         item: FrontierItem,
         child_log_densities: Optional[np.ndarray] = None,
-        child_params: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+        children: Optional[_Expansion] = None,
     ) -> FrontierItem:
         """Replace ``item`` by the entries of its child node (paper §2.2).
 
         The density is updated incrementally:
         ``p_{t+1}(x) = p_t(x) - contribution(e_s) + sum_children contribution``.
         The children are evaluated with a single batched log density call;
-        ``child_log_densities`` / ``child_params`` let the batch driver pass a
-        precomputed row of a shared evaluation and the shared packed component
-        parameters instead.  Summing the cached contributions via log-sum-exp
-        keeps exactly the O(frontier) cost of the paper's update while
-        avoiding both the catastrophic cancellation of the subtract-then-add
-        form and linear-space underflow.
+        ``children`` / ``child_log_densities`` let the batch driver pass the
+        group's one ``tree.expand(item.entry)`` and this query's row of the
+        shared evaluation instead.  Summing the cached contributions via
+        log-sum-exp keeps exactly the O(frontier) cost of the paper's update
+        while avoiding both the catastrophic cancellation of the
+        subtract-then-add form and linear-space underflow.
         """
         if not item.is_refinable:
             raise ValueError("cannot refine a leaf (kernel) entry")
         if item not in self._items:
             raise ValueError("item is not part of this frontier")
-        entry: DirectoryEntry = item.entry  # type: ignore[assignment]
-        child_node = entry.child
+        if children is None:
+            children = self.tree.expand(item.entry)
+        handles, levels, params = children
         self._remove_item(item)
-        children = list(child_node.entries)
-        levels = [
-            child_node.level - 1 if child_entry.is_directory else -1
-            for child_entry in children
-        ]
-        if child_params is None:
-            # Compiled flat nodes carry their packed component parameters as
-            # zero-copy column slices; consuming them here replaces the
-            # per-entry packing loop with an array slice (the XPath-style
-            # "children are a range" payoff).  Object-graph nodes leave the
-            # attribute None and take the packing path unchanged.
-            child_params = child_node.packed_params
-        self._append_entries(
-            children, levels, log_densities=child_log_densities, params=child_params
-        )
+        self._append_entries(handles, levels, params, child_log_densities)
         self._log_density = self.arrays.log_density()
         self.nodes_read += 1
         return item

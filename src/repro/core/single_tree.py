@@ -214,7 +214,7 @@ class SingleTreeAnytimeClassifier:
             refinable = [item for item in items if item.is_refinable]
             if not refinable:
                 break
-            chosen = self.descent.choose(refinable, query)  # type: ignore[arg-type]
+            chosen = self.descent.choose(refinable, query, self.tree)  # type: ignore[arg-type]
             items.remove(chosen)
             child = chosen.entry.child  # type: ignore[union-attr]
             for entry in child.entries:

@@ -59,11 +59,6 @@ class LeafEntry:
     timestamp: float = 0.0
     weight: float = 1.0
 
-    #: Duck-typed entry kind shared with the flat-forest entry proxies
-    #: (:mod:`repro.core.flat`): the query path branches on this attribute
-    #: instead of ``isinstance`` so compiled entries participate unchanged.
-    is_directory = False
-
     def __post_init__(self) -> None:
         self.point = np.asarray(self.point, dtype=float)
         if self.point.ndim != 1:
@@ -173,10 +168,6 @@ class DirectoryEntry:
     cluster_feature: ClusterFeature
     child: "Node"
     last_update: float = 0.0
-
-    #: See :attr:`LeafEntry.is_directory` — duck-typed entry kind used by the
-    #: frontier/descent machinery (shared with the flat-forest proxies).
-    is_directory = True
 
     @property
     def dimension(self) -> int:

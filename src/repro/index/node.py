@@ -30,15 +30,6 @@ class Node:
     level: int
     entries: List[AnyEntry] = field(default_factory=list)
 
-    #: Precomputed ``(means, scales, kinds, n_objects)`` of this node's
-    #: entries, or ``None``.  Object-graph nodes leave it ``None`` (their
-    #: parameters depend on the evolving bandwidth/decay state and are packed
-    #: per query); compiled flat-forest nodes (:mod:`repro.core.flat`) carry
-    #: zero-copy column slices here and the frontier consumes them directly.
-    #: A plain class attribute, not a dataclass field, so node construction
-    #: and equality semantics are untouched.
-    packed_params = None
-
     def __post_init__(self) -> None:
         # Stacked (lowers, uppers) arrays over this node's entry MBRs, lazily
         # built and maintained by the R* insertion machinery (ChooseSubtree

@@ -190,7 +190,6 @@ def run_anytime_stream(
     limit: Optional[int] = None,
     online_learning: bool = False,
     chunk_size: Optional[int] = None,
-    use_batch: Optional[bool] = None,
 ) -> StreamRunResult:
     """Classify every stream object under its anytime budget.
 
@@ -216,13 +215,10 @@ def run_anytime_stream(
         trained on *all* previous objects.  Larger chunks model the realistic
         setting where labels arrive with a delay and let the classifier
         amortise node reads across the chunk via
-        ``classify_anytime_batch`` — results are trace-identical to the
-        scalar per-item driver run with the same ``chunk_size``.
-    use_batch:
-        Force (True) or forbid (False) the batched classification path;
-        ``None`` auto-detects ``classifier.classify_anytime_batch``.  Both
-        paths produce identical results for the same ``chunk_size``; the
-        switch exists for equivalence tests and benchmarks.
+        ``classify_anytime_batch`` when the classifier has it (the forest
+        does; the single-tree classifier classifies item by item) — results
+        are trace-identical to per-item ``classify_anytime`` calls with the
+        same ``chunk_size``.
 
     Classifiers exposing ``advance_time`` (the adaptive Bayes forest) have
     their logical clock driven by the items' arrival timestamps, so temporal
@@ -234,12 +230,7 @@ def run_anytime_stream(
     size = 1 if chunk_size is None else int(chunk_size)
     if size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if use_batch is None:
-        batched = hasattr(classifier, "classify_anytime_batch")
-    else:
-        batched = bool(use_batch)
-        if batched and not hasattr(classifier, "classify_anytime_batch"):
-            raise ValueError("classifier does not provide classify_anytime_batch")
+    batched = hasattr(classifier, "classify_anytime_batch")
     timestamped = hasattr(classifier, "advance_time")
 
     result = StreamRunResult()

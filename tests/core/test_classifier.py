@@ -174,7 +174,7 @@ class TestAnytimeClassification:
         assert len(predictions) == 10
 
     def test_qbk_refines_only_top_k_classes(self):
-        from repro.core.classifier import _QbkRotation
+        from repro.core.classifier import _QbkRotation, _choose_refinement, _posterior_of
 
         classifier, points, labels = fitted_classifier(seed=9, qbk_k=1)
         query = points[0]  # clearly class 0
@@ -182,14 +182,15 @@ class TestAnytimeClassification:
 
         # Monkey-patch style check: run the anytime loop manually.
         frontiers = {label: tree.frontier(query) for label, tree in classifier.trees.items()}
-        log_posterior = classifier._log_posterior(frontiers)
+        log_posterior = _posterior_of(frontiers, classifier.log_priors)
         rotation = _QbkRotation()
         for _ in range(10):
-            refined = classifier._refine_one(frontiers, log_posterior, k=1, rotation=rotation)
+            refined = _choose_refinement(frontiers, log_posterior, 1, rotation)
             if refined is None:
                 break
+            frontiers[refined].refine(classifier.descent)
             frontier_reads[refined] += 1
-            log_posterior = classifier._log_posterior(frontiers)
+            log_posterior = _posterior_of(frontiers, classifier.log_priors)
         # With k=1 all reads go to the most probable class (class 0 here).
         assert frontier_reads[0] == max(frontier_reads.values())
         assert frontier_reads[0] >= 8
@@ -268,7 +269,7 @@ class TestQbkRotation:
         After the tiny tree is fully refined, the qbk rotation must keep
         serving the two remaining classes strictly in turns.
         """
-        from repro.core.classifier import _QbkRotation
+        from repro.core.classifier import _QbkRotation, _choose_refinement, _posterior_of
 
         rng = np.random.default_rng(42)
         points = np.vstack(
@@ -283,15 +284,16 @@ class TestQbkRotation:
         query = np.array([0.25, 0.25])  # ambiguous: every class stays in the top-k
         frontiers = {label: tree.frontier(query) for label, tree in classifier.trees.items()}
         rotation = _QbkRotation()
-        log_posterior = classifier._log_posterior(frontiers)
+        log_posterior = _posterior_of(frontiers, classifier.log_priors)
         served = []
         # 40 reads: enough to exhaust the tiny class but not the big ones.
         for _ in range(40):
-            refined = classifier._refine_one(frontiers, log_posterior, k=3, rotation=rotation)
+            refined = _choose_refinement(frontiers, log_posterior, 3, rotation)
             if refined is None:
                 break
+            frontiers[refined].refine(classifier.descent)
             served.append(refined)
-            log_posterior = classifier._log_posterior(frontiers)
+            log_posterior = _posterior_of(frontiers, classifier.log_priors)
         assert frontiers[2].is_fully_refined
         assert not frontiers[0].is_fully_refined and not frontiers[1].is_fully_refined
         exhausted_at = max(index for index, label in enumerate(served) if label == 2)

@@ -93,6 +93,18 @@ def test_zero_rate_stream_trace_identical_to_clockless_protocol():
         )
 
 
+class PerItemView:
+    """The forest without ``classify_anytime_batch``: the per-item path."""
+
+    def __init__(self, classifier):
+        self._classifier = classifier
+
+    def __getattr__(self, name):
+        if name == "classify_anytime_batch":
+            raise AttributeError(name)
+        return getattr(self._classifier, name)
+
+
 def test_decayed_stream_scalar_and_batch_paths_are_trace_identical():
     """Under active decay the batched and scalar drivers must still agree."""
     dataset = _dataset(size=200, seed=2)
@@ -101,13 +113,16 @@ def test_decayed_stream_scalar_and_batch_paths_are_trace_identical():
     tail = type(dataset)(dataset.name, dataset.features[50:], dataset.labels[50:], dataset.n_classes)
 
     traces = []
-    for use_batch in (True, False):
+    for per_item in (False, True):
         classifier = AnytimeBayesClassifier(config=config)
         for i in range(50):
             classifier.partial_fit(head_x[i], head_y[i], timestamp=0.0)
         stream = DataStream(tail, random_state=4)
         result = run_anytime_stream(
-            classifier, stream, online_learning=True, chunk_size=16, use_batch=use_batch
+            PerItemView(classifier) if per_item else classifier,
+            stream,
+            online_learning=True,
+            chunk_size=16,
         )
         traces.append([(s.prediction, s.correct, s.nodes_read) for s in result.steps])
     assert traces[0] == traces[1]

@@ -54,7 +54,7 @@ def test_breadth_first_refines_levels_in_order():
         candidates = frontier.refinable_items()
         if not candidates:
             break
-        chosen = strategy.choose(candidates, frontier.query)
+        chosen = strategy.choose(candidates, frontier.query, tree)
         seen_levels.append(chosen.level)
         frontier.refine_item(chosen)
     # Levels must be non-increasing: higher levels are exhausted before lower ones.
@@ -68,12 +68,12 @@ def test_depth_first_descends_before_broadening():
     # The second refinement must expand a child of the first refined entry,
     # i.e. the newest refinable item (LIFO behaviour).
     first_candidates = frontier.refinable_items()
-    first = strategy.choose(first_candidates, frontier.query)
+    first = strategy.choose(first_candidates, frontier.query, tree)
     max_order_before = max(item.order for item in frontier.items)
     frontier.refine_item(first)
     second_candidates = frontier.refinable_items()
     if second_candidates:
-        second = strategy.choose(second_candidates, frontier.query)
+        second = strategy.choose(second_candidates, frontier.query, tree)
         if any(item.order > max_order_before for item in second_candidates):
             assert second.order > max_order_before
 
@@ -84,7 +84,7 @@ def test_global_best_probabilistic_picks_highest_contribution():
     frontier = tree.frontier(query)
     strategy = GlobalBestDescent(measure="probabilistic")
     candidates = frontier.refinable_items()
-    chosen = strategy.choose(candidates, query)
+    chosen = strategy.choose(candidates, query, tree)
     assert chosen.contribution == pytest.approx(max(c.contribution for c in candidates))
 
 
@@ -94,7 +94,7 @@ def test_global_best_geometric_picks_closest_mbr():
     frontier = tree.frontier(query)
     strategy = GlobalBestDescent(measure="geometric")
     candidates = frontier.refinable_items()
-    chosen = strategy.choose(candidates, query)
+    chosen = strategy.choose(candidates, query, tree)
     distances = [c.entry.mbr.min_distance(query) for c in candidates]
     assert chosen.entry.mbr.min_distance(query) == pytest.approx(min(distances))
 
@@ -110,7 +110,7 @@ def test_global_best_refines_the_cluster_containing_the_query():
         candidates = frontier.refinable_items()
         if not candidates:
             break
-        chosen = strategy.choose(candidates, query)
+        chosen = strategy.choose(candidates, query, tree)
         refined_centers.append(chosen.entry.cluster_feature.mean())
         frontier.refine_item(chosen)
     for center in refined_centers:

@@ -124,6 +124,54 @@ def test_malformed_columns_are_rejected():
     with pytest.raises(ValueError):
         FlatTree.from_columns(torn)
 
+    # Geometric descent reads MBR row dir_index[slot]: a row that is missing,
+    # out of range or shared must not load (-1 would silently read the last
+    # row, 10**6 would raise IndexError mid-round).
+    directory = columns["entry_levels"] >= 0
+    kernel_slot = int(np.flatnonzero(~directory)[0])
+    for name, slot, value, message in (
+        ("dir_index", directory, -1, "dir_index"),
+        ("dir_index", directory, 10**6, "dir_index"),
+        ("dir_index", np.flatnonzero(directory)[1], columns["dir_index"][directory][0], "dir_index"),
+        ("dir_index", kernel_slot, 0, "dir_index"),
+        ("child_end", kernel_slot, 3, "child intervals"),
+        ("entry_kinds", 0, 7, "kind"),
+        ("leaf_kinds", 0, 7, "kind"),
+    ):
+        bad = dict(columns)
+        bad[name] = np.array(columns[name], copy=True)
+        bad[name][slot] = value
+        with pytest.raises(ValueError, match=message):
+            FlatTree.from_columns(bad)
+
+
+def test_flat_frontier_expands_slots_through_column_views():
+    """A flat frontier holds slot ints and refines through ``FlatTree.expand``."""
+    classifier, queries = _streamed_forest(size=160)
+    flat = classifier.compile_flat()
+    tree = next(tree for tree in flat.trees.values() if tree.meta["root_level"] > 0)
+
+    slots, levels, (means, scales, kinds, n_objects) = tree.expand(None)
+    root_count = tree.meta["root_count"]
+    assert slots == range(root_count)
+    assert levels == tree.entry_levels[:root_count].tolist()
+    for view, column in zip(
+        (means, scales, kinds, n_objects),
+        (tree.entry_means, tree.entry_scales, tree.entry_kinds, tree.entry_n),
+    ):
+        assert np.shares_memory(view, column)
+
+    frontier = tree.frontier(queries[0])
+    assert [item.entry for item in frontier] == list(range(root_count))
+    item = frontier.refinable_items()[0]
+    start, end = int(tree.child_start[item.entry]), int(tree.child_end[item.entry])
+    children = tree.expand(item.entry)
+    assert children[0] == range(start, end)
+    assert np.shares_memory(children[2][0], tree.entry_means)
+    frontier.refine_item(item)
+    assert all(isinstance(item.entry, int) for item in frontier)
+    assert {item.entry for item in frontier} >= set(range(start, end))
+
 
 def test_flat_forest_is_read_only_surface():
     classifier, queries = _streamed_forest(size=160)

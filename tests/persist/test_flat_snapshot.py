@@ -9,7 +9,6 @@ columns — truncated members, interval/length disagreement — are rejected
 with :class:`SnapshotError` instead of loading garbage.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -21,6 +20,7 @@ import pytest
 
 import repro
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
+from repro.core.descent import DESCENT_STRATEGIES
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
 from repro.persist import (
@@ -35,10 +35,10 @@ from repro.persist import (
 from repro.serving import ModelRegistry
 
 
-def _decayed_forest(size=220, decay_rate=0.02, seed=5):
+def _decayed_forest(size=220, decay_rate=0.02, seed=5, descent="glo"):
     dataset = make_dataset("pendigits", size=size, random_state=seed)
     config = BayesTreeConfig(decay_rate=decay_rate, expiry_threshold=1e-3)
-    classifier = AnytimeBayesClassifier(config=config)
+    classifier = AnytimeBayesClassifier(config=config, descent=descent)
     for i in range(size - 40):
         classifier.partial_fit(
             dataset.features[i], dataset.labels[i], timestamp=float(i) * 0.5
@@ -62,8 +62,11 @@ def _rewrite(source, target, mutate_arrays):
         np.savez(handle, **arrays)
 
 
-def test_flat_members_load_trace_identical(tmp_path):
-    classifier, queries = _decayed_forest()
+@pytest.mark.parametrize("descent", sorted(DESCENT_STRATEGIES))
+def test_flat_members_load_trace_identical(tmp_path, descent):
+    # glo-geometric reads the MBR columns through FlatTree.min_distance,
+    # over read-only mapped columns when mmap=True.
+    classifier, queries = _decayed_forest(descent=descent)
     path = tmp_path / "forest.npz"
     save_forest(classifier, path)
     assert read_manifest(path)["has_flat"] is True
@@ -135,6 +138,23 @@ def test_interval_column_disagreement_is_rejected(tmp_path):
     torn = tmp_path / "torn_intervals.npz"
     _rewrite(path, torn, tear_intervals)
     with pytest.raises(SnapshotError):
+        load_flat_forest(torn)
+
+
+def test_torn_dir_index_member_is_rejected(tmp_path):
+    classifier, _ = _decayed_forest(size=140)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+
+    def tear_dir_index(arrays):
+        name = next(n for n in arrays if n.endswith("t0__dir_index"))
+        dir_index = np.array(arrays[name], copy=True)
+        dir_index[dir_index >= 0] = -1
+        arrays[name] = dir_index
+
+    torn = tmp_path / "torn_dir_index.npz"
+    _rewrite(path, torn, tear_dir_index)
+    with pytest.raises(SnapshotError, match="dir_index"):
         load_flat_forest(torn)
 
 

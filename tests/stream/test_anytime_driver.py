@@ -28,9 +28,22 @@ def make_setup(seed=0, per_class=40, arrival=None):
     return classifier, stream
 
 
-def fresh_run(seed, **kwargs):
+class PerItemView:
+    """The classifier without ``classify_anytime_batch``: the per-item path."""
+
+    def __init__(self, classifier):
+        self._classifier = classifier
+
+    def __getattr__(self, name):
+        if name == "classify_anytime_batch":
+            raise AttributeError(name)
+        return getattr(self._classifier, name)
+
+
+def fresh_run(seed, per_item=False, **kwargs):
     classifier, stream = make_setup(seed=seed)
-    return classifier, run_anytime_stream(classifier, stream, **kwargs)
+    driven = PerItemView(classifier) if per_item else classifier
+    return classifier, run_anytime_stream(driven, stream, **kwargs)
 
 
 def test_limit_zero_classifies_and_learns_nothing():
@@ -70,24 +83,12 @@ def test_limit_and_chunk_size_validation():
         run_anytime_stream(classifier, stream, chunk_size=0)
 
 
-def test_use_batch_requires_batch_capable_classifier():
-    class ScalarOnly:
-        def classify_anytime(self, x, max_nodes):  # pragma: no cover - never called
-            raise AssertionError
-
-    _, stream = make_setup(seed=4)
-    with pytest.raises(ValueError):
-        run_anytime_stream(ScalarOnly(), stream, use_batch=True)
-
-
 @pytest.mark.parametrize("chunk_size", [1, 7, 32])
 def test_batched_and_scalar_drivers_are_trace_identical(chunk_size):
     """Same chunking => identical predictions, correctness flags and node reads."""
-    _, batched = fresh_run(
-        5, limit=60, online_learning=True, chunk_size=chunk_size, use_batch=True
-    )
+    _, batched = fresh_run(5, limit=60, online_learning=True, chunk_size=chunk_size)
     _, scalar = fresh_run(
-        5, limit=60, online_learning=True, chunk_size=chunk_size, use_batch=False
+        5, per_item=True, limit=60, online_learning=True, chunk_size=chunk_size
     )
     assert [s.prediction for s in batched.steps] == [s.prediction for s in scalar.steps]
     assert [s.correct for s in batched.steps] == [s.correct for s in scalar.steps]
@@ -98,7 +99,7 @@ def test_batched_and_scalar_drivers_are_trace_identical(chunk_size):
 def test_default_chunk_is_classic_test_then_train():
     """chunk_size default (1) matches the fully-sequential protocol exactly."""
     _, default_run = fresh_run(6, limit=40, online_learning=True)
-    _, sequential = fresh_run(6, limit=40, online_learning=True, chunk_size=1, use_batch=False)
+    _, sequential = fresh_run(6, per_item=True, limit=40, online_learning=True, chunk_size=1)
     assert [s.prediction for s in default_run.steps] == [
         s.prediction for s in sequential.steps
     ]
