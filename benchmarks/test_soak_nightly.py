@@ -61,6 +61,9 @@ def test_long_drift_stream_stays_accurate_and_bounded():
     window = result.sliding_window_accuracy(500)
     assert float(window[-1]) > 0.5, "decayed forest failed to track the final concept"
     assert result.accuracy > 0.4
+    # Hundreds of in-place expiry sweeps must leave every class tree valid.
+    for tree in classifier.trees.values():
+        tree.validate()
 
 
 def test_sustained_serving_with_periodic_hot_swaps(tmp_path):

@@ -351,32 +351,29 @@ class BayesTree:
         """Drop every kernel whose decayed weight fell below the threshold.
 
         Paper §4.2: entries are reused "if their contribution is too
-        insignificant due to their age".  The index is rebuilt from the
-        surviving entries (which keep their insertion timestamps and labels)
-        through the regular R* insertion machinery, so all structural
-        invariants hold by construction; statistics, leaf buffers and the
-        bandwidth are refreshed from the survivors.  Returns the number of
-        expired observations.
+        insignificant due to their age".  The stale kernels are deleted from
+        their leaves in place (:meth:`RStarTree.remove_leaf_entries`), so
+        only their paths change; survivors keep their insertion timestamps,
+        labels and, outside those paths, their place in the tree.
+        Statistics, leaf buffers and the bandwidth are refreshed from the
+        survivors.  Returns the number of expired observations.
         """
         threshold = self.config.expiry_threshold
         if threshold <= 0 or not self.clock.enabled:
             return 0
         now = self.clock.now
         self._last_expiry_sweep = now
-        survivors: List[LeafEntry] = []
-        dropped = 0
+        stale: List[LeafEntry] = []
         for entry in self.index.iter_leaf_entries():
             entry.decay_to(now, self.clock.decay_rate)
-            if entry.weight >= threshold:
-                survivors.append(entry)
-            else:
-                dropped += 1
-        if dropped == 0:
+            if entry.weight < threshold:
+                stale.append(entry)
+        if not stale:
             return 0
-        self.index = self.index.rebuilt_with(survivors)
+        self.index.remove_leaf_entries(stale)
         self._decay_sync_key = None
         self.recompute_statistics()
-        return dropped
+        return len(stale)
 
     # -- snapshot state (persistence support, see repro.persist) --------------------------
     def export_state(self) -> dict:

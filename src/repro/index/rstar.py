@@ -17,6 +17,13 @@ Insertion follows the R*-tree (Beckmann et al., 1990):
   every directory entry always summarises its subtree exactly — that property
   is what makes the frontier mixture models of the Bayes tree consistent.
 
+Deletion follows Guttman's R-tree *Delete/CondenseTree* (SIGMOD 1984):
+:meth:`RStarTree.remove_leaf_entries` drops stored observations from their
+leaves, dissolves nodes left below their minimum fill and re-inserts their
+entries at their own level, refreshes the summaries along the changed paths
+only, and shortens the root.  The expiry sweep of decayed Bayes trees deletes
+its stale kernels this way.
+
 The class is deliberately agnostic of classification; the Bayes tree in
 ``repro.core`` wraps it with kernels, descent strategies and the anytime
 classifier logic.
@@ -343,20 +350,67 @@ class RStarTree:
             for entry in node.entries:
                 entry.decay_to(now, rate)
 
-    def rebuilt_with(self, entries: Sequence[LeafEntry]) -> "RStarTree":
-        """Fresh tree over the given (already stamped) leaf entries.
+    def remove_leaf_entries(self, stale: Sequence[LeafEntry]) -> None:
+        """Delete the given stored observations in place (Guttman's CondenseTree).
 
-        Used by the expiry sweep: survivors keep their insertion timestamps
-        and labels and are re-inserted through the regular R* machinery, so
-        every structural invariant holds by construction.  The version tag
-        continues from this tree's, keeping downstream caches sound.
+        Used by the expiry sweep.  One post-order walk removes the entries
+        from their leaves.  A non-root node left below its minimum fill is
+        dissolved: its directory entry leaves the parent and its remaining
+        entries are re-inserted at their own level, as forced reinsertion
+        does.  Every other ancestor of a changed node is refreshed, so
+        subtrees without a stale entry keep their shape and summaries.  The
+        root is then shortened while it is a directory node with one entry;
+        an orphan whose level is above the shortened root is re-inserted as
+        its leaf entries.  The version tag goes up by one.
+
+        Raises ``ValueError`` when some of ``stale`` is not stored in the
+        tree; the stored ones are still removed, and the size stays exact.
         """
-        tree = RStarTree(self.dimension, params=self.params, clock=self.clock)
-        for entry in entries:
-            tree._insert_entry(entry, target_level=0, reinserted_levels=set())
-            tree._size += 1
-        tree.version = self.version + 1
-        return tree
+        stale_ids = {id(entry) for entry in stale}
+        orphans: List[Tuple[AnyEntry, int]] = []
+        removed = self._condense(self.root, stale_ids, orphans)
+        while not self.root.is_leaf and len(self.root.entries) == 1:
+            self.root = self.root.entries[0].child  # type: ignore[union-attr]
+        if not self.root.entries:
+            self.root = Node(level=0)
+        for entry, level in orphans:
+            if level > self.root.level:
+                for leaf_entry in entry.child.iter_leaf_entries():  # type: ignore[union-attr]
+                    self._insert_entry(leaf_entry, target_level=0, reinserted_levels=set())
+            else:
+                self._insert_entry(entry, target_level=level, reinserted_levels=set())
+        self._size -= removed
+        self.version += 1
+        if removed != len(stale_ids):
+            raise ValueError(
+                f"{len(stale_ids) - removed} of the entries to remove are not stored in the tree"
+            )
+
+    def _condense(self, node: Node, stale_ids: set, orphans: List[Tuple[AnyEntry, int]]) -> int:
+        """Post-order step of :meth:`remove_leaf_entries`; returns the count removed below ``node``.
+
+        Entries of dissolved children are appended to ``orphans`` with the
+        level of the node they belong in.
+        """
+        if node.is_leaf:
+            kept = [entry for entry in node.entries if id(entry) not in stale_ids]
+            removed = len(node.entries) - len(kept)
+        else:
+            kept, removed = [], 0
+            for entry in node.entries:
+                child = entry.child  # type: ignore[union-attr]
+                below = self._condense(child, stale_ids, orphans)
+                if below:
+                    removed += below
+                    if len(child.entries) < self.params.capacity(child)[0]:
+                        orphans.extend((orphan, child.level) for orphan in child.entries)
+                        continue
+                    entry.refresh(clock=self.clock)  # type: ignore[union-attr]
+                kept.append(entry)
+        if removed:
+            node.entries = kept
+            node._bounds_cache = None
+        return removed
 
     # -- structural serialization (snapshot support) -----------------------------------------
     def export_structure(self) -> Tuple[Dict[str, np.ndarray], List[LeafEntry]]:

@@ -437,6 +437,7 @@ class ModelRegistry:
             if self._closed:
                 return
             self._closed = True
+            self._workers_to_start = 0  # a build racing close() starts no pool
             self._cond.notify_all()
         for tenant in list(self.resident_tenants()):
             self.evict(tenant, _count=False)
@@ -520,6 +521,9 @@ class ModelRegistry:
             than the resident one.
         repro.persist.SnapshotError
             When the container is unreadable.
+        RegistryClosedError
+            When the registry is closed, also by a ``close()`` that ran while
+            the snapshot was loading (the built segment is then unlinked).
         """
         name = self._valid_tenant(tenant)
         with self._cond:
@@ -558,24 +562,31 @@ class ModelRegistry:
                 self._cond.notify_all()
             raise
         with self._cond:
-            known = self._known.setdefault(name, _TenantSpec(path, resolved_policy))
-            known.snapshot_path, known.policy = path, resolved_policy
             # The commit: acquires park (the tenant is busy and not resident)
             # only while the old entry's in-flight rounds drain.
             old = self._entries.pop(name, None)
             while old is not None and old.active > 0:
                 self._cond.wait()
-            self._entries[name] = new_entry
-            known.loads += 1
-            self.stats.loads += 1
-            if old is not None:
-                self.stats.swaps += 1
-            evicted = self._evict_overflow_locked(keep=name)
+            # Checked after the drain, whose waits release the lock: a close()
+            # that ran during the build or the drain found no entry to evict.
+            closed = self._closed
+            if not closed:
+                known = self._known.setdefault(name, _TenantSpec(path, resolved_policy))
+                known.snapshot_path, known.policy = path, resolved_policy
+                self._entries[name] = new_entry
+                known.loads += 1
+                self.stats.loads += 1
+                if old is not None:
+                    self.stats.swaps += 1
+                evicted = self._evict_overflow_locked(keep=name)
+                result = self._tenant_stats_locked(name)
             self._busy.discard(name)
             self._cond.notify_all()
-            result = self._tenant_stats_locked(name)
         if old is not None:
             self._destroy_entry(old)
+        if closed:
+            self._destroy_entry(new_entry)
+            raise RegistryClosedError("model registry is closed")
         for victim in evicted:
             self._destroy_entry(victim)
         return result
@@ -965,7 +976,7 @@ class ModelRegistry:
         for pool in self._shards:
             try:
                 releases.append(pool.submit(_shard_detach, entry.store.name))
-            except BrokenExecutor:
+            except RuntimeError:  # broken, or shut down by a racing close(): its worker exits
                 pass
         entry.forest = None
         release_attachment(entry.shm)  # type: ignore[arg-type]
@@ -1061,13 +1072,18 @@ class ModelRegistry:
                 self._cond.notify_all()
             raise
         with self._cond:
-            self._entries[tenant] = entry
-            spec.loads += 1
-            self.stats.loads += 1
-            self.stats.reloads += 1
-            evicted = self._evict_overflow_locked(keep=tenant)
+            closed = self._closed  # a close() during the build found nothing to evict
+            if not closed:
+                self._entries[tenant] = entry
+                spec.loads += 1
+                self.stats.loads += 1
+                self.stats.reloads += 1
+                evicted = self._evict_overflow_locked(keep=tenant)
             self._busy.discard(tenant)
             self._cond.notify_all()
+        if closed:
+            self._destroy_entry(entry)
+            raise RegistryClosedError("model registry is closed")
         for victim in evicted:
             self._destroy_entry(victim)
 

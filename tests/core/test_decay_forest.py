@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTree, BayesTreeConfig
 from repro.evaluation import run_drift_recovery_experiment
+from repro.index import RStarTree
 
 
 def _feed(classifier, rng, center, label, count, start, gap=1.0):
@@ -108,6 +109,31 @@ class TestExpiry:
         tree.advance_time(1000.0)  # a class that stops receiving data
         assert tree.n_objects == 0
         tree.validate()
+
+    def test_expiry_deletes_stale_kernels_in_place(self, monkeypatch):
+        """Regression: a sweep dropping 5% of the kernels re-inserted every
+        survivor through the R* machinery (hundreds of insertions); deleting
+        in place re-inserts only the orphans of dissolved nodes."""
+        rng = np.random.default_rng(10)
+        config = BayesTreeConfig(decay_rate=0.05, expiry_threshold=1e-2)
+        tree = BayesTree(dimension=4, config=config)
+        for i in range(400):
+            tree.insert(rng.normal(size=4), timestamp=0.3 * i)
+        assert tree.n_objects == 400  # all younger than the ~133-unit horizon
+        # Raw clock advance (no automatic sweep): the 20 oldest kernels,
+        # stamped before t=6, are now past the horizon.
+        tree.clock.advance(138.7)
+        calls = []
+        insert_entry = RStarTree._insert_entry
+
+        def counted(index, *args, **kwargs):
+            calls.append(args)
+            return insert_entry(index, *args, **kwargs)
+
+        monkeypatch.setattr(RStarTree, "_insert_entry", counted)
+        assert tree.expire() == 20
+        tree.validate()
+        assert len(calls) < tree.n_objects / 4
 
     def test_expiry_disabled_without_threshold(self):
         rng = np.random.default_rng(5)

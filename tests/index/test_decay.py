@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import BayesTree, BayesTreeConfig
 from repro.index import (
     ClusterFeature,
     DecayClock,
@@ -133,14 +136,128 @@ class TestDecayedRStarTree:
         np.testing.assert_array_equal(a_cf.linear_sum, b_cf.linear_sum)
         assert a_cf.n == b_cf.n
 
-    def test_rebuilt_with_preserves_entries_and_bumps_version(self):
-        rng = np.random.default_rng(4)
-        clock = DecayClock(decay_rate=0.05)
-        tree = RStarTree(dimension=2, clock=clock)
-        _grow(tree, rng, 50)
-        survivors = [e for i, e in enumerate(tree.iter_leaf_entries()) if i % 2 == 0]
-        rebuilt = tree.rebuilt_with(survivors)
-        assert len(rebuilt) == len(survivors)
-        assert rebuilt.version == tree.version + 1
-        rebuilt.validate()
-        assert {id(e) for e in rebuilt.iter_leaf_entries()} == {id(e) for e in survivors}
+
+class TestRemoveLeafEntries:
+    @staticmethod
+    def _tree(seed, count):
+        tree = RStarTree(dimension=2, clock=DecayClock(decay_rate=0.05))
+        _grow(tree, np.random.default_rng(seed), count)
+        return tree
+
+    def test_remove_leaf_entries_preserves_survivors_and_bumps_version(self):
+        tree = self._tree(4, 50)
+        entries = list(tree.iter_leaf_entries())
+        survivors = entries[::2]
+        version = tree.version
+        tree.remove_leaf_entries(entries[1::2])
+        assert len(tree) == len(survivors)
+        assert tree.version == version + 1
+        tree.validate()
+        assert {id(e) for e in tree.iter_leaf_entries()} == {id(e) for e in survivors}
+
+    def test_removing_every_entry_leaves_an_empty_leaf_root(self):
+        tree = self._tree(5, 50)
+        tree.remove_leaf_entries(list(tree.iter_leaf_entries()))
+        assert len(tree) == 0
+        assert tree.root.is_leaf and tree.root.entries == []
+        tree.validate()
+        _grow(tree, np.random.default_rng(6), 40, start_time=tree.clock.now)
+        assert len(tree) == 40
+        tree.validate()
+
+    def test_emptying_all_but_one_subtree_shortens_the_root(self):
+        tree = self._tree(7, 120)
+        assert tree.root.level >= 1 and len(tree.root.entries) >= 2
+        keep = tree.root.entries[0].child
+        kept = {id(e) for e in keep.iter_leaf_entries()}
+        height = tree.height
+        tree.remove_leaf_entries([e for e in tree.iter_leaf_entries() if id(e) not in kept])
+        assert tree.root is keep
+        assert tree.height == height - 1
+        assert {id(e) for e in tree.iter_leaf_entries()} == kept
+        tree.validate()
+
+    def test_orphan_above_the_shortened_root_is_reinserted_as_leaf_entries(self):
+        tree = self._tree(8, 120)
+        assert tree.root.level == 2
+        # Keep one leaf: its parent falls below the minimum fanout and is
+        # dissolved, orphaning that leaf's level-1 entry, while every other
+        # subtree empties and the root is left with nothing.
+        leaf = tree.root.entries[0].child.entries[0].child
+        kept = {id(e) for e in leaf.entries}
+        tree.remove_leaf_entries([e for e in tree.iter_leaf_entries() if id(e) not in kept])
+        assert tree.root.is_leaf and tree.root is not leaf
+        assert {id(e) for e in tree.root.entries} == kept
+        assert len(tree) == len(kept)
+        tree.validate()
+
+    def test_removing_an_entry_not_in_the_tree_raises(self):
+        tree = self._tree(9, 30)
+        stored = next(tree.iter_leaf_entries())
+        with pytest.raises(ValueError, match="not stored"):
+            tree.remove_leaf_entries([stored, LeafEntry(point=np.zeros(2))])
+        # The stored entry is still removed and the size stays exact.
+        assert len(tree) == 29
+        assert all(e is not stored for e in tree.iter_leaf_entries())
+        tree.validate()
+
+
+def _rebuilt_reference(tree):
+    """Reference model: every kernel of ``tree`` re-inserted into a new index (a full rebuild)."""
+    reference = BayesTree(tree.dimension, config=tree.config)
+    reference.clock.advance(tree.clock.now)
+    index = RStarTree(tree.dimension, params=tree.config.tree, clock=reference.clock)
+    for entry in tree.index.iter_leaf_entries():
+        copy = LeafEntry(point=entry.point, label=entry.label, timestamp=entry.timestamp)
+        index._insert_entry(copy, target_level=0, reinserted_levels=set())
+        index._size += 1
+    return reference.adopt_index(index)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    dimension=st.integers(min_value=1, max_value=4),
+    decay_rate=st.sampled_from([0.02, 0.1, 0.5]),
+    threshold=st.sampled_from([1e-1, 1e-2, 1e-3]),
+    params=st.sampled_from(
+        [TreeParameters(), TreeParameters(max_fanout=4, min_fanout=2, leaf_capacity=4, leaf_min=2)]
+    ),
+    count=st.integers(min_value=10, max_value=160),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_in_place_expiry_matches_a_rebuilt_tree(
+    dimension, decay_rate, threshold, params, count, seed
+):
+    """After every sweep the tree is valid, holds exactly the kernels at or
+    above the threshold, and models the same density as a rebuilt tree."""
+    rng = np.random.default_rng(seed)
+    config = BayesTreeConfig(decay_rate=decay_rate, expiry_threshold=threshold, tree=params)
+    tree = BayesTree(dimension=dimension, config=config)
+    horizon = tree.clock.horizon(threshold)
+    inserted = []
+    now, sweep = 0.0, tree._last_expiry_sweep
+    for step in range(count):
+        # About 30 arrivals per horizon, with a rare pause that expires everything.
+        now += horizon * (1.5 if rng.random() < 0.02 else rng.exponential(1 / 30))
+        point = rng.normal(loc=0.02 * step, size=dimension)
+        tree.insert(point, timestamp=now)
+        inserted.append((now, point.tobytes()))
+        if tree._last_expiry_sweep == sweep:
+            continue
+        sweep = tree._last_expiry_sweep
+        tree.validate()
+        assert tree._leaf_means.size == len(tree.index)
+        stored = sorted((e.timestamp, e.point.tobytes()) for e in tree.index.iter_leaf_entries())
+        expected = sorted(
+            (stamp, key) for stamp, key in inserted
+            if decay_factor(decay_rate, now - stamp) >= threshold
+        )
+        assert stored == expected
+        if len(tree) == 0:
+            continue
+        queries = np.vstack([rng.normal(loc=0.02 * step, size=(4, dimension)), point])
+        np.testing.assert_allclose(
+            tree.log_density_batch(queries),
+            _rebuilt_reference(tree).log_density_batch(queries),
+            rtol=1e-9,
+        )

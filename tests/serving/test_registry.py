@@ -231,6 +231,77 @@ def test_eviction_pops_before_draining(snapshot):
         assert registry.stats.evictions == 1 and registry.stats.reloads == 1
 
 
+def _close_during_cold_build(registry, start_build, monkeypatch):
+    """Close the registry while ``start_build()`` cold-loads a tenant.
+
+    The snapshot read blocks until ``close()`` has returned.  Returns what
+    the loading thread raised (or returned) and the segments it built.
+    """
+    reading, release = threading.Event(), threading.Event()
+    real_read, real_store = registry_module.read_snapshot, registry_module.SharedColumnStore
+    built = []
+
+    def held_read(snapshot_path):
+        reading.set()
+        release.wait(timeout=60)
+        return real_read(snapshot_path)
+
+    def recorded_store(columns):
+        store = real_store(columns)
+        built.append(store.name)
+        return store
+
+    monkeypatch.setattr(registry_module, "read_snapshot", held_read)
+    monkeypatch.setattr(registry_module, "SharedColumnStore", recorded_store)
+    outcome = []
+
+    def build():
+        try:
+            outcome.append(start_build())
+        except Exception as error:
+            outcome.append(error)
+
+    loader = threading.Thread(target=build, daemon=True)
+    loader.start()
+    try:
+        assert reading.wait(timeout=30), "the cold load never started reading"
+        registry.close()
+        assert registry.resident_tenants() == []
+    finally:
+        release.set()
+    loader.join(timeout=60)
+    assert not loader.is_alive()
+    return outcome, built
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_close_racing_a_load_disposes_the_built_segment(snapshot, monkeypatch, workers):
+    """Regression: a load whose build outlived close() installed the tenant
+    after close()'s eviction pass, leaving its segment behind (and, as the
+    registry's first build, started a shard pool nothing would stop)."""
+    path, _ = snapshot
+    registry = ModelRegistry(capacity=2, workers=workers)
+    registry.register("t", path)
+    outcome, built = _close_during_cold_build(registry, lambda: registry.load("t"), monkeypatch)
+    assert len(outcome) == 1 and isinstance(outcome[0], RegistryClosedError)
+    assert registry.resident_tenants() == []
+    assert len(built) == 1 and not segment_exists(built[0])
+    assert registry.workers == 0
+
+
+def test_close_racing_a_cold_reload_disposes_the_built_segment(snapshot, monkeypatch):
+    """The same race through a request's transparent reload of a registered tenant."""
+    path, queries = snapshot
+    registry = ModelRegistry(capacity=2)
+    registry.register("t", path)
+    outcome, built = _close_during_cold_build(
+        registry, lambda: registry.predict_batch("t", queries[:2]), monkeypatch
+    )
+    assert len(outcome) == 1 and isinstance(outcome[0], RegistryClosedError)
+    assert registry.resident_tenants() == []
+    assert len(built) == 1 and not segment_exists(built[0])
+
+
 def test_evicted_tenant_reloads_on_demand(snapshot):
     path, queries = snapshot
     with ModelRegistry(capacity=1) as registry:
