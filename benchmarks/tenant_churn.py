@@ -7,9 +7,9 @@ holds — and measures what the registry must keep true under churn:
   capacity times the largest segment, no matter how many tenants rotate
   through (asserted from ``stats_snapshot()`` every round, cross-checked
   against ``memory_profile()``'s /proc shared-RSS reading);
-* **no segment leaks**: every shm segment ever created for an evicted
-  tenant is actually unlinked (``segment_exists``), and closing the
-  registry releases the rest;
+* **no segment leaks**: no shm segment name outlives the round that loaded
+  it (``segment_exists``), whether its tenant is still resident or not, and
+  none is linked after the registry closes;
 * **tail latency and cold-load cost**: request latency percentiles over the
   churn run, with the cold-reload rounds reported separately so the
   eviction policy's cost stays visible.
@@ -65,13 +65,18 @@ def run_tenant_churn_soak(
     to a non-resident tenant forces a cold reload and an LRU eviction.  The
     returned report carries the bounded-memory and no-leak verdicts plus
     latency/cold-load statistics; callers (CI gate, soak test) assert on the
-    verdicts rather than re-deriving them.
+    verdicts rather than re-deriving them.  ``leaked_segments`` counts every
+    segment name that still resolves after the round that loaded it, resident
+    or not: the registry unlinks a name once every process has mapped it, and
+    a random name never comes back, so one probe per name right after that
+    round is as strict as probing it after every later round.
     """
     if n_tenants <= capacity:
         raise ValueError("churn needs more tenants than cache capacity")
     rng = np.random.default_rng(random_state)
     tenants = [f"tenant-{index:02d}" for index in range(n_tenants)]
     seen_segments: Dict[str, str] = {}
+    leaked: List[str] = []
     round_ms: List[float] = []
     cold_round_ms: List[float] = []
     peak_resident = 0
@@ -99,20 +104,15 @@ def run_tenant_churn_soak(
             peak_resident = max(peak_resident, resident_bytes)
             for name, tenant_stats in stats["tenants"].items():
                 if tenant_stats.get("resident"):
-                    seen_segments[str(tenant_stats["shm_name"])] = name
+                    segment = str(tenant_stats["shm_name"])
+                    if segment not in seen_segments and segment_exists(segment):
+                        leaked.append(segment)
+                    seen_segments[segment] = name
                     max_segment = max(max_segment, int(tenant_stats["shm_bytes"]))
             if round_index % 8 == 0:
                 shared_kb_samples.append(float(memory_profile()["shared_kb"]))
         bound_bytes = capacity * max_segment
         bounded = peak_resident <= bound_bytes
-        resident_now = {
-            str(registry.tenant_stats(name)["shm_name"]) for name in registry.resident_tenants()
-        }
-        leaked = [
-            name
-            for name in seen_segments
-            if name not in resident_now and segment_exists(name)
-        ]
         final_stats = registry.stats_snapshot()
         cold_loads = [
             float(entry["cold_load_ms"])

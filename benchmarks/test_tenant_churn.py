@@ -35,7 +35,7 @@ def _assert_churn_invariants(report):
         f"resident shm {report['peak_resident_bytes']} exceeded the "
         f"capacity bound {report['bound_bytes']}"
     )
-    assert report["leaked_segments"] == 0, "evicted tenant segments left linked"
+    assert report["leaked_segments"] == 0, "segment names outlived the round that loaded them"
     assert report["leaked_after_close"] == 0, "registry close leaked segments"
     assert report["evictions"] > 0, "churn never overflowed the cache"
 

@@ -2,8 +2,9 @@
 
 :class:`ModelRegistry` (:mod:`repro.serving.registry`) is the one serving
 backend.  It keeps an LRU cache of per-tenant flat-snapshot segments
-(bounded count and bytes, drain-before-unlink eviction and hot swap) in
-POSIX shared memory (:mod:`repro.serving.shared_mem`), applies per-tenant
+(bounded count and bytes, drain-before-release eviction and hot swap) in
+POSIX shared memory (:mod:`repro.serving.shared_mem`) whose names are
+unlinked as soon as every process has mapped them, applies per-tenant
 :class:`TenantPolicy` budget clamps and falls back to a shared global prior
 for unknown tenants.  With ``workers > 0`` it serves from one single-worker
 process per shard: every worker attaches a segment once, full-refinement

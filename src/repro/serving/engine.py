@@ -3,7 +3,7 @@
 :class:`ServingEngine` serves one forest snapshot as the pinned ``default``
 tenant of a private :class:`~repro.serving.ModelRegistry`, so it shares the
 registry's shard pool (class-sharded full refinement with LPT packing,
-query-sharded budgets), shared-memory segment lifecycle, drain-before-unlink
+query-sharded budgets), shared-memory segment lifecycle, drain-before-release
 hot swap, node-cost estimate and stats — see :mod:`repro.serving.registry`.
 The view keeps the single-model call surface: ``predict_batch`` on a query
 block, ``swap_snapshot`` to a new snapshot, and ``close``.
@@ -60,7 +60,7 @@ class ServingEngine:
             raise
 
     def close(self) -> None:
-        """Drain rounds, stop the shard workers and unlink the snapshot's segment."""
+        """Drain rounds, stop the shard workers and release the snapshot's segment."""
         self.registry.close()
 
     def __enter__(self) -> "ServingEngine":
@@ -120,7 +120,7 @@ class ServingEngine:
 
         The registry builds the new segment and has every worker attach it
         while rounds keep flowing on the old forest, then drains in-flight
-        rounds, switches, and unlinks the old segment.  A snapshot re-saved
+        rounds, switches, and releases the old segment.  A snapshot re-saved
         at the current path is swapped in too; the same unchanged file is a
         no-op.  A snapshot that is unreadable, has no servable class or has
         another feature dimension is rejected and the engine keeps serving

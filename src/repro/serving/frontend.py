@@ -1020,7 +1020,7 @@ class HttpFrontend:
 
     ``POST /v1/tenants/{tenant}/swap`` (alias ``POST /swap``)
         Body ``{"snapshot_path": "..."}``; hot-swaps that tenant's model
-        (a registry load: drain, replace, unlink the old segment).  Example
+        (a registry load: drain, replace, release the old segment).  Example
         response::
 
             {"swapped": true, "tenant": "default", "snapshot_path": "/tmp/f.npz"}

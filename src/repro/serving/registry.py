@@ -23,10 +23,15 @@ tenant.
   tenant stays *registered* and transparently reloads on its next request
   (the measured cold-load path).  Eviction and hot swap share one
   discipline: take the tenant's old entry out of service, wait for its
-  in-flight rounds to drain, then unlink the segment via the store — this
-  module is the only one allowed to trigger segment disposal
+  in-flight rounds to drain, then release every map of the segment via the
+  store — this module is the only one allowed to trigger segment disposal
   (machine-checked by reprolint RL003).  A hot swap builds the new segment
   while the old one keeps serving.
+* **Names live only for their build.**  A build creates the segment,
+  writes the columns, has every shard worker map it by name, and then
+  unlinks the name; the parent serves from the map it created.  No
+  ``repro-forest-*`` name exists between builds, so no resource tracker
+  process is needed to clean one up after a crash, and none is started.
 * **Per-tenant decay clocks and budget policies.**  Every tenant's snapshot
   carries its own logical :class:`~repro.index.decay.DecayClock`, so tenants
   age and drift independently by construction; the registry surfaces each
@@ -39,16 +44,20 @@ tenant.
 * **One shard pool.**  ``workers > 0`` runs one single-worker process per
   shard.  Every worker attaches a segment once, when the segment is built,
   and releases it when the segment is disposed, so a round's tasks carry
-  only the segment name and the queries.  Full-refinement rounds are
-  class-sharded: the servable classes are packed onto shards by an LPT
-  greedy over their kernel counts (:func:`plan_shard_assignment`), each
-  shard scores its classes with one vectorised density pass per tree, and
-  the parent gathers the score blocks and takes the repr-sorted argmax.
+  only the segment name (by then just a key into the worker's maps) and
+  the queries.  Full-refinement rounds are class-sharded: the servable
+  classes are packed onto shards by an LPT greedy over their kernel counts
+  (:func:`plan_shard_assignment`), each shard scores its classes with one
+  vectorised density pass per tree, and the parent gathers the score
+  blocks and takes the repr-sorted argmax.
   Budgeted rounds cannot be class-sharded (the qbk rotation interleaves
   classes through one posterior), so they are query-sharded: each shard
   drives the lockstep anytime refinement of the full forest over its slice
   of the batch.  ``workers=0`` (default) serves in-process from a
-  zero-copy forest over the same segment.
+  zero-copy forest over the parent's own map of the segment.  A shard
+  worker that dies breaks the pool for good: the first round or build
+  that sees it shuts every shard down, warns once, and from then on the
+  registry serves in-process (``workers`` reads 0), that round included.
 
 Durability comes from :mod:`repro.persist.tenants`: a versioned JSON tenant
 manifest maps names to snapshot paths and policies, and
@@ -286,7 +295,7 @@ class RegistryStats:
         The subset of ``loads`` that re-materialised an evicted tenant on
         demand (the measured cold-start-latency path).
     evictions:
-        Completed drain-and-unlink evictions (LRU pressure or explicit).
+        Completed drain-and-release evictions (LRU pressure or explicit).
     swaps:
         In-place snapshot replacements of a resident tenant.
     cold_start_requests:
@@ -322,10 +331,9 @@ class _TenantEntry:
     decay_rate: float
     #: Per-shard score column indices from the LPT packing (empty in-process).
     assignment: List[np.ndarray] = field(default_factory=list)
-    #: The in-process forest over this process's attachment; built with the
-    #: segment in-process, on first use for a pool-served tenant.
+    #: The in-process forest over the creator's map of the segment; built
+    #: with the segment in-process, on first use for a pool-served tenant.
     forest: Optional[FlatForest] = None
-    shm: object = None
     cold_load_ms: float = 0.0
     active: int = 0
     requests: int = 0
@@ -432,7 +440,7 @@ class ModelRegistry:
 
     # -- lifecycle ---------------------------------------------------------------------------
     def close(self) -> None:
-        """Evict every tenant (and the prior), dispose all segments, stop the pool."""
+        """Evict every tenant (and the prior), release every segment map, stop the pool."""
         with self._cond:
             if self._closed:
                 return
@@ -506,8 +514,8 @@ class ModelRegistry:
         file re-saved at the same path since it loaded — is hot-swapped: the
         new segment is built (and attached by every shard worker) while the
         old snapshot keeps serving, then in-flight rounds drain, and only
-        then is the old segment unlinked — no round ever tears across two
-        snapshots.  The registration changes only once the new snapshot has
+        then are the old segment's maps released — no round ever tears
+        across two snapshots.  The registration changes only once the new snapshot has
         loaded, so a rejected snapshot leaves the tenant exactly as it was.
         Returns the tenant's stats dict (including ``cold_load_ms`` for
         fresh loads).
@@ -523,7 +531,7 @@ class ModelRegistry:
             When the container is unreadable.
         RegistryClosedError
             When the registry is closed, also by a ``close()`` that ran while
-            the snapshot was loading (the built segment is then unlinked).
+            the snapshot was loading (the built segment is then released).
         """
         name = self._valid_tenant(tenant)
         with self._cond:
@@ -592,12 +600,13 @@ class ModelRegistry:
         return result
 
     def evict(self, tenant: str, _count: bool = True) -> bool:
-        """Evict a tenant's model, unlinking its segment after rounds drain.
+        """Evict a tenant's model, releasing its segment's maps after rounds drain.
 
         The tenant stays registered: its next request transparently reloads
         the snapshot (cold start).  Returns ``False`` when the tenant was
         not resident.  Blocks until the tenant's in-flight serving rounds
-        complete — the caller observes the segment gone, not merely doomed.
+        complete — the caller observes the segment released, not merely
+        doomed.
         """
         name = self._valid_tenant(tenant)
         with self._cond:
@@ -703,18 +712,7 @@ class ModelRegistry:
             budgets = self._resolve_budgets(queries.shape[0], node_budget, entry.policy)
             if queries.shape[0] == 0:
                 return []
-            if self._shards:
-                predictions = self._pool_round(entry, queries, budgets)
-            else:
-                forest = entry.forest
-                assert forest is not None  # in-process entries build it with the segment
-                if budgets is None:
-                    predictions = forest.predict_batch(queries)
-                else:
-                    results = forest.classify_anytime_batch(
-                        queries, max_nodes=budgets, record_history=False
-                    )
-                    predictions = [result.final_prediction for result in results]
+            predictions = self._round(entry, queries, budgets)
             # Only completed rounds feed the timing stats: a round that raised
             # (bad budgets, crashed worker) would pollute the node-cost EWMA.
             self._observe_round(entry, queries.shape[0], time.perf_counter() - start, budgets)
@@ -890,13 +888,14 @@ class ModelRegistry:
     def _build_entry(
         self, tenant: str, path: str, policy: TenantPolicy, dimension: Optional[int] = None
     ) -> _TenantEntry:
-        """Materialise a tenant: snapshot columns -> shared segment -> attachments.
+        """Materialise a tenant: snapshot columns -> shared segment -> maps -> unlink.
 
         A snapshot without flat members (``include_flat=False`` or format v1)
         is restored once and compiled here.  ``dimension`` (the resident
         entry's, on a swap) rejects a snapshot of another feature dimension
-        before any segment is built.  Every shard worker attaches the new
-        segment before this returns; in-process, the forest is built now.
+        before any segment is built.  Every shard worker maps the new
+        segment (in-process, the forest over the creator's map is built
+        instead), and then its name is unlinked, all before this returns.
         """
         start = time.perf_counter()
         # Stat before reading: a file replaced in between is stamped with the
@@ -937,40 +936,86 @@ class ModelRegistry:
             if self._workers_to_start:
                 workers, self._workers_to_start = self._workers_to_start, 0
                 self._spin_up(workers)
+            shards = self._shards
         try:
-            if self._shards:
-                bins = plan_shard_assignment([counts[label] for label in labels], len(self._shards))
-                entry.assignment = [np.asarray(contents, dtype=np.intp) for contents in bins]
-                spec = {"shm_name": store.name, "layout": store.layout, **meta}
-                futures = [
-                    pool.submit(_shard_attach, spec, [labels[index] for index in contents])
-                    for pool, contents in zip(self._shards, bins)
-                ]
-                for future in futures:
-                    future.result()
-            else:
+            if not (shards and self._attach_shards(entry, shards, counts)):
                 self._forest(entry)
         except BaseException:
             self._destroy_entry(entry)
             raise
+        # Every process that serves the segment has mapped it: drop the name,
+        # so no crash from here on can leak it.
+        store.unlink_name()
         entry.cold_load_ms = (time.perf_counter() - start) * 1e3
         return entry
 
+    def _attach_shards(
+        self,
+        entry: _TenantEntry,
+        shards: List[ProcessPoolExecutor],
+        counts: Mapping[Hashable, float],
+    ) -> bool:
+        """Have every shard worker map the entry's segment; ``False`` once the pool is gone."""
+        bins = plan_shard_assignment([counts[label] for label in entry.labels], len(shards))
+        entry.assignment = [np.asarray(contents, dtype=np.intp) for contents in bins]
+        spec = {"shm_name": entry.store.name, "layout": entry.store.layout, **entry.meta}
+        try:
+            futures = [
+                pool.submit(_shard_attach, spec, [entry.labels[index] for index in contents])
+                for pool, contents in zip(shards, bins)
+            ]
+            for future in futures:
+                future.result()
+        except RuntimeError as error:
+            if not self._pool_failed(shards, error):
+                raise
+            entry.assignment = []
+            return False
+        return True
+
+    def _pool_failed(self, shards: List[ProcessPoolExecutor], error: RuntimeError) -> bool:
+        """Whether ``error`` means the shard pool is gone; if so, serve in-process for good.
+
+        A ``BrokenExecutor`` from a round or an attach means a shard worker
+        died.  The first caller to see it, under the condition, shuts every
+        shard pool down, warns once and clears each resident entry's shard
+        packing; later rounds wrap the parent's own map of each segment,
+        which needs no name.  A submit to a pool that another caller has
+        just shut down fails too, and is answered the same way.
+        """
+        with self._cond:
+            if shards is not self._shards:
+                return True  # another round or build already fell back
+            if not isinstance(error, BrokenExecutor):
+                return False
+            self._shards = []
+            for entry in list(self._entries.values()) + [self._prior]:
+                if entry is not None:
+                    entry.assignment = []
+            for pool in shards:
+                pool.shutdown(wait=False)
+            warnings.warn(
+                f"registry shard worker died ({error!r}); serving in-process from now on",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        return True
+
     def _forest(self, entry: _TenantEntry) -> FlatForest:
-        """The entry's in-process zero-copy forest, attached on first use."""
+        """The entry's in-process zero-copy forest over the creator's map, built on first use."""
         with self._cond:
             if entry.forest is None:
-                entry.shm, views = attach_columns(entry.store.name, entry.store.layout)
-                entry.forest = FlatForest.from_columns(views, **entry.meta)
+                entry.forest = FlatForest.from_columns(entry.store.views(), **entry.meta)
             return entry.forest
 
     def _destroy_entry(self, entry: _TenantEntry) -> None:
-        """Unlink the tenant's segment and release every attachment of it.
+        """Release every map of the tenant's segment.
 
-        POSIX keeps an unlinked segment mapped for whoever still attaches
-        it, so the unlink need not wait for the shard workers, which release
-        theirs behind any task already queued to them.  The store's dispose
-        is the segment's single unlink (reprolint RL003 allows it only here).
+        The name went when the build finished (a build that failed before
+        that is unlinked here), so nothing can attach the segment any more;
+        the shard workers release their maps behind any task already queued
+        to them, and the store's dispose closes the parent's map (reprolint
+        RL003 allows it only here).
         """
         releases = []
         for pool in self._shards:
@@ -979,8 +1024,6 @@ class ModelRegistry:
             except RuntimeError:  # broken, or shut down by a racing close(): its worker exits
                 pass
         entry.forest = None
-        release_attachment(entry.shm)  # type: ignore[arg-type]
-        entry.shm = None
         entry.store.dispose()
         for release in releases:
             try:
@@ -1115,31 +1158,50 @@ class ModelRegistry:
             budgets = np.minimum(budgets, policy.max_node_budget)
         return budgets.astype(np.int64, copy=False)
 
-    def _pool_round(
+    def _round(
         self, entry: _TenantEntry, queries: np.ndarray, budgets: Optional[np.ndarray]
+    ) -> List[Hashable]:
+        """One serving round: on the shard pool while it is whole, else in-process."""
+        with self._cond:  # a pool fallback swaps both together
+            shards, assignment = self._shards, entry.assignment
+        if shards:
+            try:
+                return self._pool_round(entry, shards, assignment, queries, budgets)
+            except RuntimeError as error:
+                if not self._pool_failed(shards, error):
+                    raise
+        forest = self._forest(entry)
+        if budgets is None:
+            return forest.predict_batch(queries)
+        results = forest.classify_anytime_batch(queries, max_nodes=budgets, record_history=False)
+        return [result.final_prediction for result in results]
+
+    @staticmethod
+    def _pool_round(
+        entry: _TenantEntry,
+        shards: List[ProcessPoolExecutor],
+        assignment: List[np.ndarray],
+        queries: np.ndarray,
+        budgets: Optional[np.ndarray],
     ) -> List[Hashable]:
         """One round on the shard pool: class-sharded full refinement, query-sharded budgets."""
         name = entry.store.name
         if budgets is None:
-            shards = [
-                (pool, columns)
-                for pool, columns in zip(self._shards, entry.assignment)
-                if columns.size
-            ]
-            futures = [pool.submit(_shard_score, name, queries) for pool, _ in shards]
+            packed = [(pool, columns) for pool, columns in zip(shards, assignment) if columns.size]
+            futures = [pool.submit(_shard_score, name, queries) for pool, _ in packed]
             scores = np.empty((queries.shape[0], len(entry.labels)))
-            for (_, columns), future in zip(shards, futures):
+            for (_, columns), future in zip(packed, futures):
                 # LPT bins are not strides: gather each shard's block through
                 # its explicit column indices into the repr-sorted matrix.
                 scores[:, columns] = future.result()
             # np.argmax takes the first maximum, so ties break exactly like
             # the in-process drive_predict_full over the same column order.
             return [entry.labels[index] for index in np.argmax(scores, axis=1)]
-        count = min(len(self._shards), queries.shape[0])
+        count = min(len(shards), queries.shape[0])
         futures = [
             pool.submit(_shard_predict, name, rows, row_budgets)
             for pool, rows, row_budgets in zip(
-                self._shards, np.array_split(queries, count), np.array_split(budgets, count)
+                shards, np.array_split(queries, count), np.array_split(budgets, count)
             )
         ]
         return [prediction for future in futures for prediction in future.result()]

@@ -5,11 +5,13 @@ which makes cross-process sharing trivial in principle: place the bytes in a
 POSIX shared-memory segment once, and let every shard worker wrap zero-copy
 array views around the same physical pages.  This module owns the mechanics:
 
-* :class:`SharedColumnStore` — engine side.  Packs a ``name → array`` mapping
-  into one segment (64-byte-aligned members) and records a layout table
-  ``name → (offset, shape, dtype)`` that travels to workers as plain picklable
-  data.  The creating process is responsible for the single ``unlink``; a
-  ``weakref.finalize`` guarantees it even on unclean interpreter exit.
+* :class:`SharedColumnStore` — creator side.  Packs a ``name → array``
+  mapping into one segment (64-byte-aligned members) and records a layout
+  table ``name → (offset, shape, dtype)`` that travels to workers as plain
+  picklable data.  The creator reads its own map (:meth:`~SharedColumnStore.views`)
+  and removes the segment's name (:meth:`~SharedColumnStore.unlink_name`)
+  once every other process has mapped it; a ``weakref.finalize`` closes the
+  map, and unlinks a name still linked, even on unclean interpreter exit.
 * :func:`attach_columns` — worker side.  Attaches to the segment by name,
   validates the advertised layout against the actual segment size (a
   truncated segment raises ``ValueError`` instead of serving garbage), and
@@ -18,13 +20,16 @@ array views around the same physical pages.  This module owns the mechanics:
   ``/stats`` endpoint to demonstrate the O(1)-in-workers memory behaviour
   (shared pages are counted once, private pages per process).
 
-CPython 3.12-and-earlier quirk: ``SharedMemory`` registers every *attach*
-with the ``resource_tracker`` on POSIX, so a worker exiting would unlink a
-segment it merely mapped.  :func:`attach_columns` suppresses that
-registration while attaching (the tracker process is shared across forked
-workers, so registering-then-unregistering would strip the *creator's*
-entry and make its eventual ``unlink`` double-unregister) — the engine-side
-finalizer is the only unlinker.
+No resource tracker: the stdlib ``SharedMemory`` registers every create and
+every attach with ``multiprocessing.resource_tracker`` on POSIX, and
+unregisters on unlink; each call starts the tracker, a separate interpreter
+process, if it is not running.  The tracker exists to unlink names a crash
+leaks, but a segment's name here lives only from its create to its unlink,
+a few milliseconds inside one build, so there is nothing for it to do.
+Every create, attach and unlink in this module therefore runs inside
+:func:`_untracked`, which suppresses both calls — one code path for
+Python 3.10–3.13 (reprolint RL003 keeps it that way).  POSIX keeps an
+unlinked segment's pages for as long as any process maps them.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ import gc
 import secrets
 import threading
 import weakref
+from contextlib import contextmanager
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -70,39 +76,62 @@ def _plan_layout(columns: Mapping[str, np.ndarray]) -> Tuple[ColumnLayout, int]:
     return layout, max(offset, 1)
 
 
-#: Serialises attach-time tracker patching within a process.
-_ATTACH_LOCK = threading.Lock()
+#: Serialises the tracker patching of :func:`_untracked` within a process.
+_TRACKER_LOCK = threading.Lock()
 
 
-def _attach_untracked(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it as owned.
+def _ignore(name: object, rtype: object) -> None:
+    """Stand-in for ``resource_tracker.register``/``unregister``: does nothing."""
 
-    On POSIX, stdlib 3.12-and-earlier registers every mapping with the
-    ``resource_tracker`` as if the mapper owned it, so an attaching process
-    exiting would tear the segment down for everyone else.  Unregistering
-    *after* the attach is no better: forked workers share the creator's
-    tracker process, so the unregister strips the creator's entry and its
-    eventual ``unlink`` trips a tracker ``KeyError``.  Instead, suppress the
-    registration for the duration of the attach — ownership stays exactly
-    where :class:`SharedColumnStore` put it.
+
+@contextmanager
+def _untracked() -> Iterator[None]:
+    """Run a ``SharedMemory`` create, attach or unlink without the resource tracker.
+
+    The stdlib calls ``resource_tracker.register`` on create and on attach
+    and ``resource_tracker.unregister`` on unlink, and each call first
+    starts the tracker process if it is not running.  Suppressing both for
+    the duration of the call means no process of the serving stack ever
+    starts one, and no attaching process is registered as an owner whose
+    exit would unlink the segment for everyone else.  The patch is
+    process-wide while it lasts, so another thread's tracker call inside
+    that window, one shm system call long, is dropped too.
     """
-    with _ATTACH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None
+    with _TRACKER_LOCK:
+        register, unregister = resource_tracker.register, resource_tracker.unregister
+        resource_tracker.register = resource_tracker.unregister = _ignore
         try:
-            return shared_memory.SharedMemory(name=name, create=False)
+            yield
         finally:
-            resource_tracker.register = original
+            resource_tracker.register, resource_tracker.unregister = register, unregister
+
+
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Map an existing segment by name, untracked."""
+    with _untracked():
+        return shared_memory.SharedMemory(name=name, create=False)
+
+
+def _unlink(shm: shared_memory.SharedMemory) -> None:
+    """Remove a segment's name, untracked; a name already gone is fine."""
+    try:
+        with _untracked():
+            shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 class SharedColumnStore:
-    """A named shared-memory segment holding a set of read-only numpy columns.
+    """A shared-memory segment holding a set of read-only numpy columns.
 
-    Created by the serving engine from the flat forest's columns; shard
-    workers attach with :func:`attach_columns` using the store's ``name`` and
-    ``layout``.  The store owns the segment: :meth:`dispose` (or garbage
-    collection of the store, via ``weakref.finalize``) closes and unlinks it
-    exactly once.
+    Created by the model registry from a flat forest's columns; shard
+    workers attach with :func:`attach_columns` using the store's ``name``
+    and ``layout``, and the creator wraps :meth:`views` of its own map.
+    Once every process that needs the segment has mapped it,
+    :meth:`unlink_name` removes the name, so nothing attaches by name after
+    that.  :meth:`dispose` (or garbage collection of the store, via
+    ``weakref.finalize``) closes the creator's map exactly once, and also
+    unlinks the name if a failed build never did.
     """
 
     def __init__(self, columns: Mapping[str, np.ndarray], name: Optional[str] = None) -> None:
@@ -110,7 +139,8 @@ class SharedColumnStore:
         if name is None:
             # Short random suffix: segment names are a global OS namespace.
             name = f"repro-forest-{secrets.token_hex(6)}"
-        self._shm = shared_memory.SharedMemory(name=name, create=True, size=total)
+        with _untracked():
+            self._shm = shared_memory.SharedMemory(name=name, create=True, size=total)
         self.name = self._shm.name
         self.layout = layout
         self.size = total
@@ -121,31 +151,45 @@ class SharedColumnStore:
             view[...] = source
         self._finalizer = weakref.finalize(self, _dispose_segment, self._shm)
 
-    def dispose(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        self._finalizer()
+    def views(self) -> Dict[str, np.ndarray]:
+        """Read-only zero-copy views of every column over the creator's map."""
+        return _map_columns(self._shm, self.layout)
 
-    @property
-    def disposed(self) -> bool:
-        """True once the segment has been closed and unlinked."""
-        return not self._finalizer.alive
+    def unlink_name(self) -> None:
+        """Remove the segment's name (idempotent); every existing map stays valid."""
+        _unlink(self._shm)
+
+    def dispose(self) -> None:
+        """Close the creator's map, unlinking the name if still linked (idempotent)."""
+        self._finalizer()
 
 
 def _dispose_segment(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.close()
     except BufferError:
-        # Live views in this process keep the mapping alive; the unlink
-        # below still removes the name, and the mapping goes when they do.
+        # Live views in this process keep the mapping alive; it goes when
+        # they do.
         pass
     except Exception:
         pass
     try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
+        _unlink(shm)
     except Exception:
         pass
+
+
+def _map_columns(shm: shared_memory.SharedMemory, layout: ColumnLayout) -> Dict[str, np.ndarray]:
+    """Read-only zero-copy views of a mapped segment's columns."""
+    buffer = shm.buf
+    if buffer is None:  # np.ndarray(buffer=None) would hand out fresh, unrelated memory
+        raise ValueError(f"shared memory segment {shm.name!r} is no longer mapped here")
+    columns: Dict[str, np.ndarray] = {}
+    for column_name, (offset, shape, dtype_str) in layout.items():
+        view = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=buffer, offset=offset)
+        view.flags.writeable = False
+        columns[column_name] = view
+    return columns
 
 
 def attach_columns(
@@ -159,7 +203,7 @@ def attach_columns(
     is smaller than the advertised layout — attaching to a truncated segment
     must fail loudly, not serve partial columns.
     """
-    shm = _attach_untracked(name)
+    shm = _attach(name)
     required = 0
     for offset, shape, dtype_str in layout.values():
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype_str).itemsize
@@ -170,12 +214,7 @@ def attach_columns(
             f"shared memory segment {name!r} holds {shm.size} bytes but the "
             f"column layout requires {required} (truncated segment)"
         )
-    columns: Dict[str, np.ndarray] = {}
-    for column_name, (offset, shape, dtype_str) in layout.items():
-        view = np.ndarray(shape, dtype=np.dtype(dtype_str), buffer=shm.buf, offset=offset)
-        view.flags.writeable = False
-        columns[column_name] = view
-    return shm, columns
+    return shm, _map_columns(shm, layout)
 
 
 def release_attachment(shm: Optional[shared_memory.SharedMemory]) -> None:
@@ -200,13 +239,12 @@ def release_attachment(shm: Optional[shared_memory.SharedMemory]) -> None:
 def segment_exists(name: str) -> bool:
     """Whether a shared-memory segment with this name is still linked.
 
-    Probe for leak assertions: after an eviction or swap has disposed a
-    :class:`SharedColumnStore`, its name must no longer resolve.  The probe
-    attaches tracker-suppressed and closes immediately, so it neither adopts
-    nor extends the segment's lifetime.
+    Probe for leak assertions: once a build has returned, its segment's
+    name must no longer resolve.  The probe attaches untracked and closes
+    immediately, so it neither adopts nor extends the segment's lifetime.
     """
     try:
-        shm = _attach_untracked(name)
+        shm = _attach(name)
     except FileNotFoundError:
         return False
     shm.close()

@@ -96,17 +96,20 @@ def test_capacity_bytes_bound_evicts_down(snapshot):
 
 
 def test_evict_waits_for_in_flight_rounds(snapshot):
-    path, _ = snapshot
+    path, queries = snapshot
+    expected = load_flat_forest(path).predict_batch(queries[:4])
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", path)
         entry = registry._acquire("a")  # pin an in-flight round by hand
         name = entry.store.name
+        assert not segment_exists(name)  # the name went with the build
         evictor = threading.Thread(target=registry.evict, args=("a",), daemon=True)
         evictor.start()
         time.sleep(0.15)
-        # The eviction must be parked on the drain, segment still linked.
+        # The eviction must be parked on the drain, and the pinned round's
+        # forest still answers over the map the name no longer reaches.
         assert evictor.is_alive()
-        assert segment_exists(name)
+        assert entry.forest.predict_batch(queries[:4]) == expected
         registry._release(entry)
         evictor.join(timeout=10)
         assert not evictor.is_alive()
@@ -135,7 +138,7 @@ def test_double_load_is_idempotent(snapshot):
         second = registry.load("a", path)
         assert second["shm_name"] == name  # same segment, no rebuild
         assert registry.stats.loads == 1
-        assert segment_exists(name)
+        assert not segment_exists(name)  # unlinked by the first build, not relinked
 
 
 def test_resaved_snapshot_at_the_same_path_swaps(snapshot, other_snapshot, tmp_path):

@@ -200,22 +200,25 @@ class PickleFreePersistence(Rule):
 class SharedMemoryLifecycle(Rule):
     """RL003: shared-memory segments have exactly one owner module.
 
-    Zero-copy serving hinges on a strict lifecycle: the serving-side
-    ``SharedColumnStore`` is the only creator/unlinker, and worker attaches
-    must suppress CPython's resource-tracker registration (otherwise a worker
-    exit unlinks the segment under everyone else — the silent-corruption bug
-    class this rule exists for).  Enforced shape: ``multiprocessing.shared_memory``
+    Zero-copy serving hinges on a strict lifecycle: a segment's name lives
+    only from its create to the unlink that follows once every process has
+    mapped it, so no resource tracker process is needed, and none may start.
+    The stdlib ``SharedMemory`` registers every create and attach with
+    ``multiprocessing.resource_tracker`` and unregisters on unlink, and each
+    of those calls starts the tracker if it is not running; a tracked attach
+    also makes the attaching process an owner whose exit unlinks the segment
+    under everyone else.  Enforced shape: ``multiprocessing.shared_memory``
     may only be imported in ``serving/shared_mem.py``; ``.unlink()`` on
-    shm-like handles is confined to that module too; and inside it, any
-    function attaching to an existing segment (``SharedMemory`` without
-    ``create=True``) must touch ``resource_tracker`` in the same scope.
+    shm-like handles is confined to that module too; and inside it, every
+    ``SharedMemory(...)`` call (create or attach) and every ``.unlink()`` on
+    an shm-like handle must run inside the module's tracker-suppressing
+    helper, i.e. lexically within a ``with _untracked():`` block.
 
-    Segment *disposal* through the sanctioned API (``store.dispose()``) is
-    almost as sensitive: it unlinks the segment for every attached process.
-    Exactly one module may trigger it — the model registry, the one serving
-    backend (eviction, hot swap, close) — always via the shared_mem API,
-    never a raw ``unlink``.  A ``.dispose()`` on a store-like receiver
-    anywhere else is flagged.
+    Segment *disposal* through the sanctioned API (``store.dispose()``)
+    closes the creator's map of a segment.  Exactly one module may trigger
+    it — the model registry, the one serving backend (eviction, hot swap,
+    close) — always via the shared_mem API, never a raw ``unlink``.  A
+    ``.dispose()`` on a store-like receiver anywhere else is flagged.
     """
 
     code = "RL003"
@@ -227,6 +230,8 @@ class SharedMemoryLifecycle(Rule):
     #: Modules allowed to call ``.dispose()`` on a SharedColumnStore: the
     #: registry (eviction, swap, close), nothing else.
     _DISPOSERS = ("/serving/registry.py",)
+    #: The owner module's context manager that suppresses the resource tracker.
+    _HELPER = "_untracked"
 
     def applies_to(self, relpath: str, project: ProjectContext) -> bool:
         return relpath.endswith(".py")
@@ -304,32 +309,37 @@ class SharedMemoryLifecycle(Rule):
         return any(lowered.startswith(prefix) or prefix in lowered for prefix in self._SHMLIKE)
 
     def _check_owner(self, ctx: FileContext) -> List[Violation]:
+        guarded: Set[int] = set()
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                isinstance(item.context_expr, ast.Call)
+                and _call_target(item.context_expr) == self._HELPER
+                for item in node.items
+            ):
+                guarded.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
         found: List[Violation] = []
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(node, ast.Call) or id(node) in guarded:
                 continue
-            attaches = [
-                call
-                for call in ast.walk(node)
-                if isinstance(call, ast.Call)
-                and (_call_target(call) or "").endswith("SharedMemory")
-                and not _is_const(_keyword(call, "create"), True)
-            ]
-            if not attaches:
-                continue
-            mentions_tracker = any(
-                isinstance(sub, (ast.Name, ast.Attribute))
-                and "resource_tracker" in ast.dump(sub)
-                for sub in ast.walk(node)
-            )
-            if not mentions_tracker:
-                for call in attaches:
-                    found.append(
-                        self.violation(
-                            ctx, call, "SharedMemory attach without resource_tracker handling in the "
-                            "same function; an attach registered as owned unlinks the segment on exit"
-                        )
+            if (_call_target(node) or "").endswith("SharedMemory"):
+                found.append(
+                    self.violation(
+                        ctx, node, f"`SharedMemory(...)` outside `with {self._HELPER}():`; a "
+                        "tracked create or attach starts the resource tracker process"
                     )
+                )
+            elif (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unlink"
+                and self._looks_shmlike(node.func.value)
+            ):
+                found.append(
+                    self.violation(
+                        ctx, node, "`.unlink()` on a shared-memory handle outside "
+                        f"`with {self._HELPER}():`; a tracked unlink starts the resource "
+                        "tracker process"
+                    )
+                )
         return found
 
 
