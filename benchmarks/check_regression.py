@@ -13,9 +13,7 @@ For each metric in the baseline, the candidate value must not be worse than
 ``"tolerance"`` field overriding the default for that metric (used for the
 wall-clock metric, whose calibration-normalised value still jitters ~20% on
 shared runners — the override is set wide enough to pass on noise yet still
-catch the order-of-magnitude regressions the gate exists for).  A baseline
-metric may also carry ``"min_cores"``: hosts with fewer cores skip it (e.g.
-multi-worker serving speedups cannot exist on a single-core machine).  A
+catch the order-of-magnitude regressions the gate exists for).  A
 metric missing from the candidate is a failure (a silently dropped benchmark
 must not pass the gate); metrics only present in the candidate are reported
 but do not fail.
@@ -35,23 +33,11 @@ def check(baseline: dict, candidate: dict, tolerance: float, min_tolerance: floa
     failures = 0
     base_metrics = baseline["metrics"]
     cand_metrics = candidate.get("metrics", {})
-    cand_cores = int(candidate.get("cpu_count") or 1)
     width = max(len(name) for name in base_metrics)
     print(f"{'metric':{width}s} {'baseline':>12s} {'candidate':>12s} {'limit':>12s}  status")
     for name, base in base_metrics.items():
         direction = base.get("direction", "higher")
         base_value = float(base["value"])
-        min_cores = int(base.get("min_cores", 1))
-        if cand_cores < min_cores:
-            # Scaling metrics (e.g. the 4-worker serving speedup) are
-            # physically meaningless below their core floor; skipping keeps
-            # the gate honest on small machines while CI (>= min_cores)
-            # still enforces them.
-            print(
-                f"{name:{width}s} {base_value:12.4f} {'SKIP':>12s} {'':>12s}  "
-                f"skipped (needs >= {min_cores} cores, host has {cand_cores})"
-            )
-            continue
         cand = cand_metrics.get(name)
         if cand is None:
             print(f"{name:{width}s} {base_value:12.4f} {'MISSING':>12s} {'':>12s}  FAIL")

@@ -48,7 +48,6 @@ from serving_load import (  # noqa: E402
     run_frontend_open_loop,
     run_frontend_trace_identity,
     run_serving_load,
-    run_warm_start_comparison,
 )
 from tenant_churn import run_registry_trace_identity, run_tenant_churn_soak  # noqa: E402
 from tenant_fairness import run_two_tenant_starvation  # noqa: E402
@@ -125,33 +124,25 @@ def _stream_metrics() -> dict:
 
 
 def _serving_metrics() -> dict:
-    """Sharded serving throughput: 1-worker baseline and 4-worker scaling.
+    """Engine serving throughput on tiled 512-query full-refinement blocks.
 
-    The load is identical for every configuration (tiled 512-query blocks),
-    so the 4-vs-1 worker ratio is a pure same-machine scaling number.  On
-    hosts with fewer than 4 cores the ratio is physically meaningless; it is
-    still reported, but the regression gate skips it there (``min_cores``).
+    The engine serves every round in one process; the ``_1w`` keys keep
+    the gate's historical name (it was measured on one shard worker).
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
         queries = build_serving_snapshot(
             snapshot, train_size=2400, query_size=512, random_state=0
         )
-        one = run_serving_load(snapshot, workers=1, queries=queries, batches=8, warmup=2)
-        four = run_serving_load(snapshot, workers=4, queries=queries, batches=8, warmup=2)
-    return {
-        "qps_1w": one["qps"],
-        "qps_4w": four["qps"],
-        "speedup_4w": four["qps"] / one["qps"],
-        "p99_ms_1w": one["p99_ms"],
-    }
+        one = run_serving_load(snapshot, queries=queries, batches=8, warmup=2)
+    return {"qps_1w": one["qps"], "p99_ms_1w": one["p99_ms"]}
 
 
 def _frontend_metrics() -> dict:
     """Async front-end: trace identity, closed-loop throughput, adaptive depth.
 
-    Runs on the ``workers=0`` in-process engine so every number is meaningful
-    on single-core runners.  The adaptive ratio divides the mean node budget
+    Runs on the one-process engine, so every number is meaningful on
+    single-core runners.  The adaptive ratio divides the mean node budget
     granted under light open-loop load (40 req/s) by the mean under burst
     load (4000 req/s) on the *same machine* — the paper's anytime tradeoff as
     a serving policy; a broken estimator or policy collapses it towards 1.
@@ -181,15 +172,10 @@ def _frontend_metrics() -> dict:
 
 
 def _flat_metrics() -> dict:
-    """Flat-forest encoding: descent speedup, trace identity, warm-start/RSS.
+    """Flat-forest encoding: descent speedup and trace identity.
 
-    The descent comparison runs entirely in-process (``workers=0``-style), so
-    its numbers are meaningful on any core count.  The warm-start run spins
-    up a 4-worker engine and reports per-worker attach latency and the
-    shared/private RSS split; raw warm-start milliseconds are
-    host-dependent, so the regression gate applies the ``min_cores`` rule to
-    them while the in-process speedup and the deterministic trace identity
-    gate everywhere.
+    The descent comparison runs entirely in-process, so its numbers are
+    meaningful on any core count.
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
@@ -199,8 +185,7 @@ def _flat_metrics() -> dict:
         descent = run_flat_descent_comparison(
             snapshot, queries[:128], max_nodes=20, repeats=3
         )
-        warm_start = run_warm_start_comparison(snapshot, queries, workers=4)
-    return {"descent": descent, "warm_start": warm_start}
+    return {"descent": descent}
 
 
 def _tenant_metrics() -> dict:
@@ -322,12 +307,7 @@ def collect() -> dict:
         "serving_throughput_1w_norm": {
             "value": serving["qps_1w"] * calibration,
             "direction": "higher",
-            "note": "1-worker sharded serving queries/s x calibration seconds (machine-normalised)",
-        },
-        "serving_speedup_4w_vs_1w": {
-            "value": serving["speedup_4w"],
-            "direction": "higher",
-            "note": "4-worker vs 1-worker serving throughput (same machine; needs >=4 cores)",
+            "note": "one-process engine serving queries/s x calibration seconds (machine-normalised)",
         },
         "frontend_trace_identical": {
             "value": 1.0 if frontend["trace_identical"] else 0.0,
@@ -423,11 +403,6 @@ def collect() -> dict:
             "direction": "higher",
             "note": "forest prequential accuracy under adversarial burst budgets (deterministic)",
         },
-        "worker_warm_start_ms": {
-            "value": flat["warm_start"]["zero_copy"]["warm_start_ms_mean"],
-            "direction": "lower",
-            "note": "mean zero-copy worker warm-start (shm attach + wrapper build), ms; host-dependent so gated to >=4 cores",
-        },
     }
     return {
         "schema": SCHEMA,
@@ -441,9 +416,7 @@ def collect() -> dict:
         # arrival rates (deeper refinement when the stream is light).
         "frontend": frontend,
         # Full flat-forest detail for the PR 6 acceptance record: the
-        # trace-identity hash and descent timings, plus the 4-worker
-        # zero-copy warm start (per-worker attach latency and
-        # shared/private RSS split from /proc).
+        # trace-identity hash and descent timings.
         "flat": flat,
         # Multi-tenant registry detail for the PR 9 acceptance record: the
         # full churn-soak report (bounded-memory and no-leak verdicts, cold

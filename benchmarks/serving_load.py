@@ -1,13 +1,13 @@
 """Serving load generator shared by the throughput benches and collect_bench.
 
 Builds a snapshotted forest once, then replays load against
-:class:`repro.serving.ServingEngine` — directly (worker-count scaling) or
-through the :mod:`repro.serving.frontend` asyncio layer (closed-loop waves,
-open-loop arrival replay with adaptive budgets) — measuring queries/second
-and latency percentiles.  Timing follows the repo's benchmark conventions
+:class:`repro.serving.ServingEngine` — directly or through the
+:mod:`repro.serving.frontend` asyncio layer (closed-loop waves, open-loop
+arrival replay with adaptive budgets) — measuring queries/second and
+latency percentiles.  Timing follows the repo's benchmark conventions
 (DESIGN.md, running the benchmarks): the interesting numbers are *ratios
-measured on the same machine* (worker scaling, slow-vs-burst budget depth)
-or calibration-normalised throughputs, never raw wall-clock.
+measured on the same machine* (slow-vs-burst budget depth) or
+calibration-normalised throughputs, never raw wall-clock.
 """
 
 from __future__ import annotations
@@ -78,20 +78,19 @@ def build_labelled_tail(
 
 def run_serving_load(
     snapshot_path: "str | Path",
-    workers: int,
     queries: np.ndarray,
     batches: int = 8,
     warmup: int = 2,
     node_budget: Optional[int] = None,
 ) -> Dict[str, float]:
-    """Measure one engine configuration under a fixed replayed load.
+    """Measure the engine under a fixed replayed load.
 
     Returns queries/second over the measured batches plus per-batch latency
-    percentiles (milliseconds).  Warm-up rounds run first so worker start-up
-    and snapshot restore never pollute the measurement — the engine warm-loads
-    snapshots at spin-up, warm-up only stabilises caches.
+    percentiles (milliseconds).  Warm-up rounds run first so snapshot
+    loading never pollutes the measurement — the engine loads its snapshot
+    at construction, warm-up only stabilises caches.
     """
-    with ServingEngine(snapshot_path, workers=workers) as engine:
+    with ServingEngine(snapshot_path) as engine:
         for _ in range(warmup):
             engine.predict_batch(queries, node_budget=node_budget)
         samples: List[float] = []
@@ -103,7 +102,6 @@ def run_serving_load(
         total = time.perf_counter() - start
         percentiles = latency_percentiles(samples, percentiles=(50.0, 99.0))
         return {
-            "workers": float(engine.n_shards if engine.is_multiprocess else 0),
             "qps": batches * queries.shape[0] / total,
             "p50_ms": percentiles["p50"],
             "p99_ms": percentiles["p99"],
@@ -117,7 +115,6 @@ def run_frontend_closed_loop(
     batches: int = 6,
     warmup: int = 2,
     node_budget: Optional[int] = None,
-    workers: int = 0,
 ) -> Dict[str, float]:
     """Closed-loop async front-end load: waves of ``classify_batch`` calls.
 
@@ -130,7 +127,7 @@ def run_frontend_closed_loop(
     """
 
     async def main() -> Dict[str, float]:
-        with ServingEngine(snapshot_path, workers=workers) as engine:
+        with ServingEngine(snapshot_path) as engine:
             async with AsyncServingClient(
                 engine, max_pending=4 * queries.shape[0], linger_s=0.001
             ) as client:
@@ -159,7 +156,6 @@ def run_frontend_open_loop(
     tail_dataset: "Dataset",
     speed: float,
     limit: int = 160,
-    workers: int = 0,
     policy: Optional[AdaptiveBudgetPolicy] = None,
     deadline_ms: Optional[float] = None,
     random_state: int = 5,
@@ -175,7 +171,7 @@ def run_frontend_open_loop(
     """
 
     async def main() -> Dict[str, object]:
-        with ServingEngine(snapshot_path, workers=workers) as engine:
+        with ServingEngine(snapshot_path) as engine:
             client = AsyncServingClient(
                 engine,
                 linger_s=0.001,
@@ -217,7 +213,7 @@ def run_frontend_trace_identity(
     """
 
     async def frontend_predictions() -> "Tuple[List[object], List[object]]":
-        with ServingEngine(snapshot_path, workers=0) as engine:
+        with ServingEngine(snapshot_path) as engine:
             async with AsyncServingClient(engine, linger_s=0.001) as client:
                 via_frontend = await client.classify_batch(queries, node_budget=node_budget)
                 direct = engine.predict_batch(queries, node_budget=node_budget)
@@ -280,34 +276,4 @@ def run_flat_descent_comparison(
         "speedup": object_s / flat_s,
         "max_nodes": int(max_nodes),
         "queries": int(queries.shape[0]),
-    }
-
-
-def run_warm_start_comparison(
-    snapshot_path: "str | Path", queries: np.ndarray, workers: int = 4
-) -> Dict[str, object]:
-    """Zero-copy shard workers: attach latency and per-worker memory split.
-
-    Spins the snapshot up with ``workers`` shard processes, serves a probe
-    batch, and reports each worker's warm start (the attach of the shared
-    segment plus the zero-copy wrapper build) and its shared/private RSS
-    from ``/proc``, next to the size of the one shared segment.
-    """
-    with ServingEngine(snapshot_path, workers=workers) as engine:
-        engine.predict_batch(queries[:32])
-        profiles = engine.registry.worker_profiles()
-        shm_bytes = engine.registry.tenant_stats(engine.tenant)["shm_bytes"]
-    warm = [p["warm_start_ms"] for p in profiles if p["warm_start_ms"]]
-    private = [p["private_kb"] for p in profiles if p["private_kb"]]
-    shared = [p["shared_kb"] for p in profiles if p["shared_kb"]]
-    return {
-        "workers": int(workers),
-        "zero_copy": {
-            "n_workers": len(profiles),
-            "warm_start_ms_mean": float(np.mean(warm)) if warm else 0.0,
-            "warm_start_ms_max": float(np.max(warm)) if warm else 0.0,
-            "private_kb_mean": float(np.mean(private)) if private else 0.0,
-            "shared_kb_mean": float(np.mean(shared)) if shared else 0.0,
-            "shm_bytes": shm_bytes,
-        },
     }

@@ -14,9 +14,8 @@ Three claims are pinned (ISSUE 5 acceptance):
   same open-loop Poisson replay at a low arrival rate earns a strictly
   deeper mean refinement (granted node budget) than under burst load.
 
-Everything runs on the ``workers=0`` in-process engine so the numbers are
-about the front-end, not about multiprocess scaling (that is
-``test_serving_throughput.py``), and stay meaningful on single-core hosts.
+Everything runs on the one-process engine, so the numbers are about the
+front-end and stay meaningful on single-core hosts.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def test_frontend_closed_loop_throughput(snapshot, benchmark):
     path, queries = snapshot
 
     def measure():
-        direct = run_serving_load(path, workers=0, queries=queries, batches=6, warmup=1)
+        direct = run_serving_load(path, queries=queries, batches=6, warmup=1)
         frontend = run_frontend_closed_loop(path, queries, batches=6, warmup=1)
         return direct, frontend
 

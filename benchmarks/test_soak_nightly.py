@@ -85,8 +85,7 @@ def test_sustained_serving_with_periodic_hot_swaps(tmp_path):
     rounds = int(os.environ.get("SOAK_SERVING_ROUNDS", "600"))
     swap_every = 100
     trained_until = 1500
-    workers = min(4, os.cpu_count() or 1)
-    with ServingEngine(snapshot, workers=workers) as engine:
+    with ServingEngine(snapshot) as engine:
         for round_index in range(rounds):
             engine.predict_batch(blocks[round_index % len(blocks)])
             if (round_index + 1) % swap_every == 0:

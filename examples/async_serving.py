@@ -67,7 +67,7 @@ async def main() -> None:
     tail = dataset.tail(train_until)
     print(f"snapshot: {classifier.n_classes} classes, serving the {len(tail.labels)}-object tail")
 
-    with ServingEngine(snapshot, workers=0) as engine:
+    with ServingEngine(snapshot) as engine:
         async with AsyncServingClient(engine, max_pending=512, linger_s=0.001) as client:
             # 2. The HTTP shim — external load generators would hit this.
             async with HttpFrontend(client) as http:

@@ -1,4 +1,4 @@
-"""Multi-tenant serving: one ModelRegistry, many tenants, one worker pool.
+"""Multi-tenant serving: one ModelRegistry, many tenants, one process.
 
 Demonstrates the v1 multi-tenant serving stack end to end:
 

@@ -1,12 +1,12 @@
-"""Snapshots + sharded serving: persist a forest, serve it, hot-swap it.
+"""Snapshots + serving: persist a forest, serve it, hot-swap it.
 
 Demonstrates the production serving loop built in ISSUE 4:
 
 1. train an adaptive (decaying) Bayes forest on a stream prefix,
 2. ``save_forest`` it into a portable, pickle-free snapshot,
-3. serve queries from a :class:`repro.serving.ServingEngine` — the per-class
-   trees are sharded across worker processes, predictions are bit-identical
-   to the in-process classifier,
+3. serve queries from a :class:`repro.serving.ServingEngine` — one process
+   serves every round over a zero-copy view of the snapshot's flat columns,
+   and predictions are bit-identical to the in-process classifier,
 4. keep training in the background, snapshot again and hot-swap the engine
    without dropping a request.
 
@@ -47,16 +47,15 @@ def main() -> None:
     assert restored.predict_batch(queries) == classifier.predict_batch(queries)
     print("restored forest agrees with the live one on every prediction")
 
-    # 3. Serve the snapshot from sharded worker processes.
-    with ServingEngine(snapshot, workers=2) as engine:
+    # 3. Serve the snapshot.
+    with ServingEngine(snapshot) as engine:
         start = time.perf_counter()
         served = engine.predict_batch(queries)
         seconds = time.perf_counter() - start
         assert served == restored.predict_batch(queries)
-        mode = "sharded workers" if engine.is_multiprocess else "synchronous fallback"
-        print(f"served {len(served)} queries in {seconds * 1e3:.1f} ms via {mode}")
+        print(f"served {len(served)} queries in {seconds * 1e3:.1f} ms")
 
-        # Budgeted anytime requests ride the same engine (query-sharded).
+        # Budgeted anytime requests ride the same engine (the lockstep driver).
         anytime = engine.predict_batch(queries[:32], node_budget=10)
         print(f"anytime (10-node budget) predictions for 32 queries: {anytime[:8]} ...")
 

@@ -6,8 +6,7 @@ logical decay clock, running bandwidth statistics, priors' inputs and the
 configuration — into a compact ``.npz``/JSON container; ``load_forest``
 restores a forest whose predictions, refinement traces and future training
 behaviour are bit-identical to the saved one.  No pickle is involved at any
-point, so snapshots can be exchanged between untrusting processes (the
-sharded serving engine in :mod:`repro.serving` is built on exactly that).
+point, so snapshots can be exchanged between untrusting processes.
 
 Snapshots additionally carry the compiled flat-forest columns
 (:class:`repro.core.flat.FlatForest`) as uncompressed, memory-mappable

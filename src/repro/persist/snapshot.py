@@ -19,7 +19,7 @@ Layout: one ``.npz`` archive (zip of ``.npy`` members) holding
 Since format version 2 the archive members are **stored uncompressed**
 (``numpy.savez``): every ``.npy`` member sits verbatim inside the zip, so
 :func:`read_flat_columns` can hand out ``numpy.memmap`` views straight into
-the file — a serving worker "loads" a multi-gigabyte forest by mapping pages,
+the file — a server "loads" a multi-gigabyte forest by mapping pages,
 not by copying them.  ``numpy.load`` reads compressed members too, so
 externally recompressed snapshots still load (the mmap fast path simply falls
 back to a plain read).
@@ -355,8 +355,8 @@ def read_manifest(path: "str | Path") -> dict:
 
     Returns a dict with ``dimension``, ``descent``, ``qbk_k``, the raw
     ``config`` dict, ``classes`` (decoded labels, forest order) and
-    ``class_counts`` (stored observations per class).  The serving front-end
-    uses this to plan shard assignments without paying for a full restore.
+    ``class_counts`` (stored observations per class), without paying for a
+    full restore.
     """
     with _open_snapshot(path) as (_, _, manifest):
         return _summary(manifest)

@@ -4,13 +4,11 @@
 backend.  It keeps an LRU cache of per-tenant flat-snapshot segments
 (bounded count and bytes, drain-before-release eviction and hot swap) in
 POSIX shared memory (:mod:`repro.serving.shared_mem`) whose names are
-unlinked as soon as every process has mapped them, applies per-tenant
+unlinked as soon as the columns are written, applies per-tenant
 :class:`TenantPolicy` budget clamps and falls back to a shared global prior
-for unknown tenants.  With ``workers > 0`` it serves from one single-worker
-process per shard: every worker attaches a segment once, full-refinement
-rounds are class-sharded by an LPT packing of per-class kernel counts
-(:func:`plan_shard_assignment`) and budgeted rounds are query-sharded.
-Predictions are bit-identical to the in-process classifier.
+for unknown tenants.  It serves every round in one process, over a
+zero-copy forest that wraps the tenant's segment, through the same drivers
+as the in-process classifier, so predictions are bit-identical to it.
 :class:`ServingEngine` serves a single snapshot as a registry's one pinned
 tenant.
 
@@ -20,8 +18,8 @@ calls into backend rounds with bounded-queue backpressure, per-request
 deadlines and load-adaptive node budgets (:data:`ADAPTIVE`), and
 :class:`HttpFrontend` exposes the whole stack over a minimal stdlib HTTP
 endpoint with the versioned ``/v1/tenants/{tenant}/...`` routes — including
-``/stats``, which reports the workers' warm-start latency, shared/private
-RSS split and forest structure health.  Admission across tenants is *fair*
+``/stats``, which reports the registry's counters, each tenant's segment
+and cold-load time, and forest structure health.  Admission across tenants is *fair*
 (:mod:`repro.serving.admission`): a deficit-round-robin scheduler over
 per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus
 per-tenant ``max_queue_depth`` bounds and ``requests_per_sec`` token-bucket
@@ -55,14 +53,12 @@ from .frontend import (
     HttpFrontend,
     drive_open_loop,
 )
-from .registry import ModelRegistry, RegistryStats, TenantPolicy, plan_shard_assignment
-from .shared_mem import SharedColumnStore, attach_columns, memory_profile, segment_exists
+from .registry import ModelRegistry, RegistryStats, TenantPolicy
+from .shared_mem import SharedColumnStore, memory_profile, segment_exists
 
 __all__ = [
     "ServingEngine",
-    "plan_shard_assignment",
     "SharedColumnStore",
-    "attach_columns",
     "memory_profile",
     "segment_exists",
     "ModelRegistry",

@@ -1,6 +1,6 @@
 """Fair multi-tenant admission: deficit-round-robin queues and token-bucket quotas.
 
-PR 9 made the worker pool a *shared* resource across tenants, which turned
+PR 9 made the serving backend a *shared* resource across tenants, which turned
 admission into a fairness problem: with one bounded FIFO queue in front of
 the micro-batcher, a single hot tenant fills the queue and every other
 tenant's requests are rejected or starved behind its backlog.  The anytime

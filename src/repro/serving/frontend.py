@@ -2,10 +2,10 @@
 
 The anytime premise of the paper is that a classifier should convert whatever
 time exists *between* request arrivals into refinement quality.  The
-:class:`~repro.serving.ModelRegistry` shard pool realises the compute side
-of that (a :class:`~repro.serving.ServingEngine` is a registry serving one
-snapshot); this module adds the traffic side — an asyncio-native request
-layer so real (network) arrivals feed the same serving rounds:
+:class:`~repro.serving.ModelRegistry` realises the compute side of that (a
+:class:`~repro.serving.ServingEngine` is a registry serving one snapshot);
+this module adds the traffic side — an asyncio-native request layer so real
+(network) arrivals feed the same serving rounds:
 
 * :class:`AsyncServingClient` — ``await classify(x, deadline_ms=...)`` backed
   by an event-loop-side micro-batcher: bounded per-tenant queues coalesce
@@ -33,8 +33,8 @@ layer so real (network) arrivals feed the same serving rounds:
   ``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``, ``/healthz``
   and ``/stats``, so external load generators can drive the backend over a
   socket.  ``/stats`` merges the front-end counters with the registry's
-  ``stats_snapshot()`` (per-worker warm-start and shared/private RSS) and
-  the resident forests' structure-health summaries.
+  ``stats_snapshot()`` (counters, per-tenant segment and cold-load time)
+  and the resident forests' structure-health summaries.
 * :func:`drive_open_loop` — an open-loop load driver that replays a
   :class:`~repro.stream.DataStream` against a client at its arrival
   timestamps and returns per-request records for
@@ -807,7 +807,7 @@ class AsyncServingClient:
             return
         # Rounds are homogeneous in (tenant, budgeted-ness): different tenants
         # hit different models, and full-refinement vs budgeted requests take
-        # different sharding paths.  Grouping preserves arrival order within
+        # different drivers.  Grouping preserves arrival order within
         # each group, which is what keeps per-tenant traces deterministic.
         groups: "Dict[Tuple[str, bool], List[_PendingRequest]]" = {}
         for request in live:
@@ -1044,7 +1044,7 @@ class HttpFrontend:
         Registry-wide view: bounds, counters and the per-tenant nesting;
         404 for an engine client.  Example response::
 
-            {"schema_version": 3, "capacity": 4, "resident": 2,
+            {"schema_version": 4, "capacity": 4, "resident": 2,
              "resident_bytes": 2097152, "counters": {"loads": 7,
              "evictions": 3, ...}, "tenants": {"acme": {...}, ...}}
 
@@ -1056,29 +1056,27 @@ class HttpFrontend:
 
     ``GET /healthz``
         Liveness plus deployment facts: the default tenant's snapshot
-        (``null`` when it is not registered), the shard worker count
-        (``0``: in-process) and the registered tenants.  Example response::
+        (``null`` when it is not registered) and the registered tenants.
+        Example response::
 
-            {"status": "ok", "snapshot_path": "/tmp/forest.npz",
-             "workers": 2, "tenants": 1}
+            {"status": "ok", "snapshot_path": "/tmp/forest.npz", "tenants": 1}
 
     ``GET /stats``
         One merged document: ``schema_version``, the front-end counters,
-        the registry's tenant-nested ``stats_snapshot()`` (with per-worker
-        warm start and shared/private RSS) and each resident tenant's
-        forest structure-health summary, computed on request.  Example
-        response (abridged)::
+        the registry's tenant-nested ``stats_snapshot()`` and each resident
+        tenant's forest structure-health summary, computed on request.
+        Example response (abridged)::
 
-            {"schema_version": 4,
+            {"schema_version": 5,
              "frontend": {"submitted": 512, "served": 510,
                           "rejected_queue_full": 2, "rejected_quota": 7,
                           "queue_depth": 0,
                           "arrival": {"rate_per_s": 350.0, ...},
                           "admission": {"rounds": 40, "tenants": {...}}, ...},
-             "registry": {"schema_version": 3, "workers": 2,
-                          "worker_profiles": [{"pid": 4242, "warm_start_ms": 1.1,
-                                               "private_kb": 5120.0, ...}, ...],
-                          "tenants": {...}, ...},
+             "registry": {"schema_version": 4, "resident": 1,
+                          "counters": {"loads": 1, ...},
+                          "tenants": {"default": {"shm_bytes": 2097152,
+                                                  "cold_load_ms": 21.4, ...}}, ...},
              "structure": {"default": {"n_classes": 10, "total_kernels": 1600, ...}}}
 
     Every error, on every endpoint, uses one structured envelope
@@ -1363,12 +1361,11 @@ class HttpFrontend:
             return 200, {
                 "status": "ok",
                 "snapshot_path": default_path,
-                "workers": backend.workers,
                 "tenants": len(tenants),
             }
         if path == "/stats" and method == "GET":
             return 200, {
-                "schema_version": 4,
+                "schema_version": 5,
                 "frontend": client.stats_snapshot(),
                 "registry": backend.stats_snapshot(),
                 "structure": {

@@ -23,13 +23,13 @@ tenant.
   tenant stays *registered* and transparently reloads on its next request
   (the measured cold-load path).  Eviction and hot swap share one
   discipline: take the tenant's old entry out of service, wait for its
-  in-flight rounds to drain, then release every map of the segment via the
+  in-flight rounds to drain, then release the segment's map via the
   store — this module is the only one allowed to trigger segment disposal
   (machine-checked by reprolint RL003).  A hot swap builds the new segment
   while the old one keeps serving.
-* **Names live only for their build.**  A build creates the segment,
-  writes the columns, has every shard worker map it by name, and then
-  unlinks the name; the parent serves from the map it created.  No
+* **Names live only while a store is written.**  A build creates the
+  segment, writes the columns, and unlinks the name before the store's
+  constructor returns; the registry serves from the map it created.  No
   ``repro-forest-*`` name exists between builds, so no resource tracker
   process is needed to clean one up after a crash, and none is started.
 * **Per-tenant decay clocks and budget policies.**  Every tenant's snapshot
@@ -41,23 +41,11 @@ tenant.
   seen is served by a shared global *prior* forest (when configured) instead
   of failing — the personalisation story's "new user" path — and counted
   per tenant so promotion to a real model is observable.
-* **One shard pool.**  ``workers > 0`` runs one single-worker process per
-  shard.  Every worker attaches a segment once, when the segment is built,
-  and releases it when the segment is disposed, so a round's tasks carry
-  only the segment name (by then just a key into the worker's maps) and
-  the queries.  Full-refinement rounds are class-sharded: the servable
-  classes are packed onto shards by an LPT greedy over their kernel counts
-  (:func:`plan_shard_assignment`), each shard scores its classes with one
-  vectorised density pass per tree, and the parent gathers the score
-  blocks and takes the repr-sorted argmax.
-  Budgeted rounds cannot be class-sharded (the qbk rotation interleaves
-  classes through one posterior), so they are query-sharded: each shard
-  drives the lockstep anytime refinement of the full forest over its slice
-  of the batch.  ``workers=0`` (default) serves in-process from a
-  zero-copy forest over the parent's own map of the segment.  A shard
-  worker that dies breaks the pool for good: the first round or build
-  that sees it shuts every shard down, warns once, and from then on the
-  registry serves in-process (``workers`` reads 0), that round included.
+* **One process.**  Every round runs in the calling thread over the
+  entry's zero-copy forest: full refinement through ``drive_predict_full``,
+  budgeted rounds through the lockstep anytime driver, which already
+  batches the whole round, so nothing in the method needs a second
+  process.
 
 Durability comes from :mod:`repro.persist.tenants`: a versioned JSON tenant
 manifest maps names to snapshot paths and policies, and
@@ -69,33 +57,24 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..core.classifier import AnytimeClassification
-from ..core.flat import FlatForest, FlatTree
+from ..core.flat import FlatForest
 from ..persist import load_forest, read_snapshot, read_tenant_manifest
 from .errors import RegistryClosedError, TenantNotFoundError
-from .shared_mem import SharedColumnStore, attach_columns, memory_profile, release_attachment
+from .shared_mem import SharedColumnStore
 
-__all__ = ["ModelRegistry", "RegistryStats", "TenantPolicy", "plan_shard_assignment"]
+__all__ = ["ModelRegistry", "RegistryStats", "TenantPolicy"]
 
 #: Per-query node budgets accepted by the serving surface: one scalar budget
 #: for the whole batch, or one budget per query.
 BudgetSpec = Union[int, Sequence[int], np.ndarray]
-
-#: Per-process state of a shard worker (one process per shard, so module
-#: globals are per-shard state): every attached segment by name, as
-#: ``(handle, full forest, this shard's trees in global column order)``.
-_SEGMENTS: Dict[str, Tuple[object, FlatForest, Dict[Hashable, FlatTree]]] = {}
-#: The shard worker's most recent attach latency, for ``worker_profiles``.
-_PROFILE: Dict[str, float] = {}
 
 #: A snapshot file's identity: ``(st_dev, st_ino, st_size, st_mtime_ns)``.
 _FileIdentity = Tuple[int, int, int, int]
@@ -110,93 +89,6 @@ def _file_identity(path: str) -> Optional[_FileIdentity]:
     return (status.st_dev, status.st_ino, status.st_size, status.st_mtime_ns)
 
 
-def plan_shard_assignment(counts: Sequence[float], n_shards: int) -> List[List[int]]:
-    """Pack class indices onto shards, balancing total per-shard count (LPT).
-
-    Longest-processing-time greedy: visit classes by descending ``counts``
-    (ties by index, for determinism) and give each to the currently
-    least-loaded shard.  Full-refinement scoring costs one vectorised pass
-    over every kernel of a shard, so balancing kernel counts balances the
-    critical path of a class-sharded round — LPT is within 4/3 of the
-    optimal makespan, versus unbounded skew for round-robin when class sizes
-    differ.  Returns ``n_shards`` lists of class indices, each sorted
-    ascending (so gathered score blocks stay in global column order).
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be at least 1")
-    order = sorted(range(len(counts)), key=lambda index: (-counts[index], index))
-    loads = [0.0] * n_shards
-    bins: List[List[int]] = [[] for _ in range(n_shards)]
-    for index in order:
-        shard = min(range(n_shards), key=lambda s: (loads[s], s))
-        bins[shard].append(index)
-        loads[shard] += counts[index]
-    for contents in bins:
-        contents.sort()
-    return bins
-
-
-# -- shard worker tasks ---------------------------------------------------------------------
-def _shard_attach(spec: dict, assigned: List[Hashable]) -> None:
-    """Attach a newly built segment in this shard worker (once per segment).
-
-    Wraps zero-copy views twice over the same pages: the full forest (for
-    budgeted rounds) and this shard's LPT share of the servable classes
-    (for full-refinement rounds).
-    """
-    start = time.perf_counter()
-    shm, columns = attach_columns(spec["shm_name"], spec["layout"])
-    forest = FlatForest.from_columns(
-        columns,
-        labels=spec["labels"],
-        descent=spec["descent"],
-        qbk_k=spec["qbk_k"],
-        dimension=spec["dimension"],
-    )
-    _SEGMENTS[spec["shm_name"]] = (shm, forest, {label: forest.trees[label] for label in assigned})
-    _PROFILE["warm_start_ms"] = (time.perf_counter() - start) * 1e3
-
-
-def _shard_detach(name: str) -> None:
-    """Release this worker's attachment of a disposed segment."""
-    attached = _SEGMENTS.pop(name, None)
-    if attached is not None:
-        shm = attached[0]
-        del attached  # drop the forest's views before closing the mapping
-        release_attachment(shm)  # type: ignore[arg-type]
-
-
-def _shard_score(name: str, queries: np.ndarray) -> np.ndarray:
-    """Posterior scores ``log P(c) + log pdq_c(x)`` for this shard's classes.
-
-    Returns an ``(m, k)`` block whose columns follow the shard's slice of
-    the global repr-sorted label order.
-    """
-    _, forest, trees = _SEGMENTS[name]
-    scores = np.empty((queries.shape[0], len(trees)))
-    for column, (label, tree) in enumerate(trees.items()):
-        scores[:, column] = forest.log_priors[label] + tree.log_density_batch(queries)
-    return scores
-
-
-def _shard_predict(name: str, queries: np.ndarray, budgets: np.ndarray) -> List[Hashable]:
-    """Anytime predictions for a query slice, refined over the full forest."""
-    results = _SEGMENTS[name][1].classify_anytime_batch(
-        queries, max_nodes=budgets, record_history=False
-    )
-    return [result.final_prediction for result in results]
-
-
-def _shard_profile() -> dict:
-    """This worker's pid, attached segments, last attach latency and RSS split."""
-    return {
-        "pid": os.getpid(),
-        "segments": len(_SEGMENTS),
-        "warm_start_ms": _PROFILE.get("warm_start_ms"),
-        **memory_profile(),
-    }
-
-
 @dataclass(frozen=True)
 class TenantPolicy:
     """Per-tenant serving policy applied by the registry at request time.
@@ -208,7 +100,7 @@ class TenantPolicy:
         (``None`` = unclamped).  Full-refinement requests (``node_budget is
         None``) are never clamped — they are exact by definition; the clamp
         bounds how much *anytime* refinement a tenant may buy per query, the
-        budget-fairness knob between tenants sharing one worker pool.
+        budget-fairness knob between tenants sharing one process.
     pinned:
         A pinned tenant is exempt from LRU eviction (it still counts against
         the capacity bounds and is disposed on :meth:`ModelRegistry.close`).
@@ -314,7 +206,7 @@ class RegistryStats:
 
 @dataclass
 class _TenantEntry:
-    """One resident tenant: its segment, serving layout and counters."""
+    """One resident tenant: its segment, the forest over it, and counters."""
 
     tenant: str
     snapshot_path: str
@@ -323,25 +215,16 @@ class _TenantEntry:
     file_identity: Optional[_FileIdentity]
     policy: TenantPolicy
     store: SharedColumnStore
-    #: ``FlatForest.from_columns`` keywords: all labels, descent, qbk_k, dimension.
-    meta: dict
-    #: Servable (non-empty) classes in repr-sorted order: the score columns
-    #: of a full-refinement round.
+    #: The zero-copy forest over the store's map; every round reads it.
+    forest: FlatForest
+    #: Servable (non-empty) classes in repr-sorted order.
     labels: List[Hashable]
+    dimension: int
     decay_rate: float
-    #: Per-shard score column indices from the LPT packing (empty in-process).
-    assignment: List[np.ndarray] = field(default_factory=list)
-    #: The in-process forest over the creator's map of the segment; built
-    #: with the segment in-process, on first use for a pool-served tenant.
-    forest: Optional[FlatForest] = None
-    cold_load_ms: float = 0.0
+    cold_load_ms: float
     active: int = 0
     requests: int = 0
     batches: int = 0
-
-    @property
-    def dimension(self) -> int:
-        return int(self.meta["dimension"])
 
 
 @dataclass
@@ -354,7 +237,7 @@ class _TenantSpec:
 
 
 class ModelRegistry:
-    """Serve many independent forest snapshots from one shard pool.
+    """Serve many independent forest snapshots in one process.
 
     Parameters
     ----------
@@ -369,11 +252,6 @@ class ModelRegistry:
         Optional shared global-prior snapshot.  Requests for *unregistered*
         tenants are served by this forest (cold-start fallback) instead of
         raising :class:`~repro.serving.TenantNotFoundError`.
-    workers:
-        Shard worker processes.  ``0`` (default) serves in-process; ``N > 0``
-        runs one single-worker process per shard, shared by all tenants
-        (class-sharded full refinement, query-sharded budgets), started
-        with the first segment the registry builds.
 
     Thread safety: all public methods may be called concurrently; eviction
     and per-tenant snapshot swaps wait for that tenant's in-flight rounds to
@@ -385,14 +263,11 @@ class ModelRegistry:
         capacity: int = 4,
         capacity_bytes: Optional[int] = None,
         prior_snapshot: "str | Path | None" = None,
-        workers: int = 0,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         if capacity_bytes is not None and capacity_bytes < 1:
             raise ValueError("capacity_bytes must be positive (or None)")
-        if workers < 0:
-            raise ValueError("workers must be non-negative")
         self.capacity = int(capacity)
         self.capacity_bytes = None if capacity_bytes is None else int(capacity_bytes)
         self.stats = RegistryStats()
@@ -403,11 +278,6 @@ class ModelRegistry:
         self._busy: Set[str] = set()
         self._closed = False
         self._node_cost_ewma: Optional[float] = None
-        self._shards: List[ProcessPoolExecutor] = []
-        # The pool starts with the first segment build: workers forked after
-        # the parent's load-time allocations share those pages copy-on-write
-        # (about 2 MB PSS less on a 2-worker engine than forking first).
-        self._workers_to_start = int(workers)
         self._prior: Optional[_TenantEntry] = None
         if prior_snapshot is not None:
             try:
@@ -440,12 +310,11 @@ class ModelRegistry:
 
     # -- lifecycle ---------------------------------------------------------------------------
     def close(self) -> None:
-        """Evict every tenant (and the prior), release every segment map, stop the pool."""
+        """Evict every tenant (and the prior) and release every segment."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            self._workers_to_start = 0  # a build racing close() starts no pool
             self._cond.notify_all()
         for tenant in list(self.resident_tenants()):
             self.evict(tenant, _count=False)
@@ -455,20 +324,12 @@ class ModelRegistry:
                     self._cond.wait()
             self._destroy_entry(self._prior)
             self._prior = None
-        for pool in self._shards:
-            pool.shutdown(wait=True)
-        self._shards = []
 
     def __enter__(self) -> "ModelRegistry":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    @property
-    def workers(self) -> int:
-        """Shard worker processes serving rounds (``0``: in-process, or none started yet)."""
-        return len(self._shards)
 
     # -- registration and residency ----------------------------------------------------------
     def register(
@@ -512,11 +373,11 @@ class ModelRegistry:
         snapshot file (the call only refreshes its LRU position and policy).
         A resident tenant loaded with another snapshot — another path, or a
         file re-saved at the same path since it loaded — is hot-swapped: the
-        new segment is built (and attached by every shard worker) while the
-        old snapshot keeps serving, then in-flight rounds drain, and only
-        then are the old segment's maps released — no round ever tears
-        across two snapshots.  The registration changes only once the new snapshot has
-        loaded, so a rejected snapshot leaves the tenant exactly as it was.
+        new segment is built while the old snapshot keeps serving, then
+        in-flight rounds drain, and only then is the old segment's map
+        released — no round ever tears across two snapshots.  The
+        registration changes only once the new snapshot has loaded, so a
+        rejected snapshot leaves the tenant exactly as it was.
         Returns the tenant's stats dict (including ``cold_load_ms`` for
         fresh loads).
 
@@ -600,7 +461,7 @@ class ModelRegistry:
         return result
 
     def evict(self, tenant: str, _count: bool = True) -> bool:
-        """Evict a tenant's model, releasing its segment's maps after rounds drain.
+        """Evict a tenant's model, releasing its segment's map after rounds drain.
 
         The tenant stays registered: its next request transparently reloads
         the snapshot (cold start).  Returns ``False`` when the tenant was
@@ -714,7 +575,7 @@ class ModelRegistry:
                 return []
             predictions = self._round(entry, queries, budgets)
             # Only completed rounds feed the timing stats: a round that raised
-            # (bad budgets, crashed worker) would pollute the node-cost EWMA.
+            # (bad budgets, say) would pollute the node-cost EWMA.
             self._observe_round(entry, queries.shape[0], time.perf_counter() - start, budgets)
             return predictions
         finally:
@@ -746,7 +607,7 @@ class ModelRegistry:
                 raise ValueError(f"queries must be an (m, {entry.dimension}) array")
             budgets = self._resolve_budgets(queries.shape[0], max_nodes, entry.policy)
             assert budgets is not None
-            return self._forest(entry).classify_anytime_batch(
+            return entry.forest.classify_anytime_batch(
                 queries, max_nodes=budgets, record_history=record_history
             )
         finally:
@@ -754,26 +615,22 @@ class ModelRegistry:
 
     # -- observability -----------------------------------------------------------------------
     def stats_snapshot(self) -> dict:
-        """One consistent JSON-able view: registry bounds, counters, tenants, workers.
+        """One consistent JSON-able view: registry bounds, counters and tenants.
 
         The ``tenants`` mapping nests one stats dict per *registered* tenant
         (resident or not) — the per-tenant nesting the v1 ``/stats`` schema
-        exposes.  ``worker_profiles`` holds :meth:`worker_profiles` (empty
-        in-process).  ``schema_version`` stamps the document shape.
+        exposes.  ``schema_version`` stamps the document shape.
         """
-        profiles = self.worker_profiles()
         with self._cond:
             tenants = {name: self._tenant_stats_locked(name) for name in sorted(self._known)}
             resident_bytes = sum(entry.store.size for entry in self._entries.values())
             snapshot = {
-                "schema_version": 3,
+                "schema_version": 4,
                 "capacity": self.capacity,
                 "capacity_bytes": self.capacity_bytes,
                 "resident": len(self._entries),
                 "registered": len(self._known),
                 "resident_bytes": resident_bytes,
-                "workers": len(self._shards),
-                "worker_profiles": profiles,
                 "node_cost_s": self._node_cost_ewma,
                 "counters": {
                     "requests": self.stats.requests,
@@ -802,21 +659,6 @@ class ModelRegistry:
                 raise TenantNotFoundError(f"tenant {tenant!r} is not registered")
             return self._tenant_stats_locked(tenant)
 
-    def worker_profiles(self) -> List[dict]:
-        """Live per-worker pid, attached segments, warm start and RSS split.
-
-        One round trip per shard worker; empty in-process or once the pool
-        is broken.  ``warm_start_ms`` is the worker's most recent segment
-        attach; ``shared_kb`` counts pages mapped by several processes (the
-        one physical copy of each segment), ``private_kb`` the worker's own
-        footprint, which stays flat as workers are added.
-        """
-        try:
-            futures = [pool.submit(_shard_profile) for pool in self._shards]
-            return [future.result() for future in futures]
-        except BrokenExecutor:
-            return []
-
     def _resident_entry(self, tenant: str) -> _TenantEntry:
         """The tenant's resident entry (the serving one while a swap builds)."""
         with self._cond:
@@ -840,7 +682,7 @@ class ModelRegistry:
                 return None
             entry.active += 1
         try:
-            return self._forest(entry).structure_stats()
+            return entry.forest.structure_stats()
         finally:
             self._release(entry)
 
@@ -859,43 +701,18 @@ class ModelRegistry:
         while tenant in self._busy:
             self._cond.wait()
 
-    def _spin_up(self, workers: int) -> None:
-        """Start one single-worker process pool per shard (in-process on failure).
-
-        Called with the condition held, so concurrent first builds start one
-        pool; the forked workers never touch the registry or its lock.
-        """
-        shards: List[ProcessPoolExecutor] = []
-        try:
-            for _ in range(workers):
-                shards.append(ProcessPoolExecutor(max_workers=1))
-            # Start every worker now, concurrently, so a pool failure falls
-            # back to in-process serving before anything is attached.
-            for future in [pool.submit(os.getpid) for pool in shards]:
-                future.result()
-        except Exception as error:  # pragma: no cover - environment dependent
-            for pool in shards:
-                pool.shutdown(wait=False, cancel_futures=True)
-            warnings.warn(
-                f"registry worker pool unavailable ({error!r}); "
-                "falling back to in-process serving",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        self._shards = shards
-
+    @staticmethod
     def _build_entry(
-        self, tenant: str, path: str, policy: TenantPolicy, dimension: Optional[int] = None
+        tenant: str, path: str, policy: TenantPolicy, dimension: Optional[int] = None
     ) -> _TenantEntry:
-        """Materialise a tenant: snapshot columns -> shared segment -> maps -> unlink.
+        """Materialise a tenant: snapshot columns -> shared segment -> zero-copy forest.
 
         A snapshot without flat members (``include_flat=False`` or format v1)
         is restored once and compiled here.  ``dimension`` (the resident
         entry's, on a swap) rejects a snapshot of another feature dimension
-        before any segment is built.  Every shard worker maps the new
-        segment (in-process, the forest over the creator's map is built
-        instead), and then its name is unlinked, all before this returns.
+        before any segment is built.  The store unlinks the segment's name
+        as soon as it has written the columns, so the name is gone before
+        this returns.
         """
         start = time.perf_counter()
         # Stat before reading: a file replaced in between is stamped with the
@@ -915,121 +732,41 @@ class ModelRegistry:
             columns = FlatForest.from_classifier(load_forest(path)).to_columns()
         store = SharedColumnStore(columns)
         del columns  # drop the mmap references; the segment owns the bytes now
-        meta = {
-            "labels": manifest["classes"],
-            "descent": manifest["descent"],
-            "qbk_k": manifest["qbk_k"],
-            "dimension": int(manifest["dimension"]),
-        }
+        try:
+            forest = FlatForest.from_columns(
+                store.views(),
+                labels=manifest["classes"],
+                descent=manifest["descent"],
+                qbk_k=manifest["qbk_k"],
+                dimension=int(manifest["dimension"]),
+            )
+        except BaseException:
+            store.dispose()
+            raise
         config = manifest.get("config") or {}
-        entry = _TenantEntry(
+        return _TenantEntry(
             tenant=tenant,
             snapshot_path=path,
             file_identity=identity,
             policy=policy,
             store=store,
-            meta=meta,
+            forest=forest,
             labels=labels,
+            dimension=int(manifest["dimension"]),
             decay_rate=float(config.get("decay_rate", 0.0)),
+            cold_load_ms=(time.perf_counter() - start) * 1e3,
         )
-        with self._cond:
-            if self._workers_to_start:
-                workers, self._workers_to_start = self._workers_to_start, 0
-                self._spin_up(workers)
-            shards = self._shards
-        try:
-            if not (shards and self._attach_shards(entry, shards, counts)):
-                self._forest(entry)
-        except BaseException:
-            self._destroy_entry(entry)
-            raise
-        # Every process that serves the segment has mapped it: drop the name,
-        # so no crash from here on can leak it.
-        store.unlink_name()
-        entry.cold_load_ms = (time.perf_counter() - start) * 1e3
-        return entry
 
-    def _attach_shards(
-        self,
-        entry: _TenantEntry,
-        shards: List[ProcessPoolExecutor],
-        counts: Mapping[Hashable, float],
-    ) -> bool:
-        """Have every shard worker map the entry's segment; ``False`` once the pool is gone."""
-        bins = plan_shard_assignment([counts[label] for label in entry.labels], len(shards))
-        entry.assignment = [np.asarray(contents, dtype=np.intp) for contents in bins]
-        spec = {"shm_name": entry.store.name, "layout": entry.store.layout, **entry.meta}
-        try:
-            futures = [
-                pool.submit(_shard_attach, spec, [entry.labels[index] for index in contents])
-                for pool, contents in zip(shards, bins)
-            ]
-            for future in futures:
-                future.result()
-        except RuntimeError as error:
-            if not self._pool_failed(shards, error):
-                raise
-            entry.assignment = []
-            return False
-        return True
+    @staticmethod
+    def _destroy_entry(entry: _TenantEntry) -> None:
+        """Release the tenant's segment (reprolint RL003 allows disposal only here).
 
-    def _pool_failed(self, shards: List[ProcessPoolExecutor], error: RuntimeError) -> bool:
-        """Whether ``error`` means the shard pool is gone; if so, serve in-process for good.
-
-        A ``BrokenExecutor`` from a round or an attach means a shard worker
-        died.  The first caller to see it, under the condition, shuts every
-        shard pool down, warns once and clears each resident entry's shard
-        packing; later rounds wrap the parent's own map of each segment,
-        which needs no name.  A submit to a pool that another caller has
-        just shut down fails too, and is answered the same way.
+        The forest's views go first, so the store's dispose can close the
+        map; nothing can attach the segment again, because its name went
+        when the store was written.
         """
-        with self._cond:
-            if shards is not self._shards:
-                return True  # another round or build already fell back
-            if not isinstance(error, BrokenExecutor):
-                return False
-            self._shards = []
-            for entry in list(self._entries.values()) + [self._prior]:
-                if entry is not None:
-                    entry.assignment = []
-            for pool in shards:
-                pool.shutdown(wait=False)
-            warnings.warn(
-                f"registry shard worker died ({error!r}); serving in-process from now on",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return True
-
-    def _forest(self, entry: _TenantEntry) -> FlatForest:
-        """The entry's in-process zero-copy forest over the creator's map, built on first use."""
-        with self._cond:
-            if entry.forest is None:
-                entry.forest = FlatForest.from_columns(entry.store.views(), **entry.meta)
-            return entry.forest
-
-    def _destroy_entry(self, entry: _TenantEntry) -> None:
-        """Release every map of the tenant's segment.
-
-        The name went when the build finished (a build that failed before
-        that is unlinked here), so nothing can attach the segment any more;
-        the shard workers release their maps behind any task already queued
-        to them, and the store's dispose closes the parent's map (reprolint
-        RL003 allows it only here).
-        """
-        releases = []
-        for pool in self._shards:
-            try:
-                releases.append(pool.submit(_shard_detach, entry.store.name))
-            except RuntimeError:  # broken, or shut down by a racing close(): its worker exits
-                pass
-        entry.forest = None
+        del entry.forest
         entry.store.dispose()
-        for release in releases:
-            try:
-                release.result()
-            except BrokenExecutor:  # the worker died, and its attachment with it
-                pass
 
     def _evict_overflow_locked(self, keep: str) -> List[_TenantEntry]:
         """Pop LRU entries past the capacity bounds (caller disposes them).
@@ -1158,53 +895,17 @@ class ModelRegistry:
             budgets = np.minimum(budgets, policy.max_node_budget)
         return budgets.astype(np.int64, copy=False)
 
-    def _round(
-        self, entry: _TenantEntry, queries: np.ndarray, budgets: Optional[np.ndarray]
-    ) -> List[Hashable]:
-        """One serving round: on the shard pool while it is whole, else in-process."""
-        with self._cond:  # a pool fallback swaps both together
-            shards, assignment = self._shards, entry.assignment
-        if shards:
-            try:
-                return self._pool_round(entry, shards, assignment, queries, budgets)
-            except RuntimeError as error:
-                if not self._pool_failed(shards, error):
-                    raise
-        forest = self._forest(entry)
-        if budgets is None:
-            return forest.predict_batch(queries)
-        results = forest.classify_anytime_batch(queries, max_nodes=budgets, record_history=False)
-        return [result.final_prediction for result in results]
-
     @staticmethod
-    def _pool_round(
-        entry: _TenantEntry,
-        shards: List[ProcessPoolExecutor],
-        assignment: List[np.ndarray],
-        queries: np.ndarray,
-        budgets: Optional[np.ndarray],
+    def _round(
+        entry: _TenantEntry, queries: np.ndarray, budgets: Optional[np.ndarray]
     ) -> List[Hashable]:
-        """One round on the shard pool: class-sharded full refinement, query-sharded budgets."""
-        name = entry.store.name
+        """One serving round over the entry's forest, in the calling thread."""
         if budgets is None:
-            packed = [(pool, columns) for pool, columns in zip(shards, assignment) if columns.size]
-            futures = [pool.submit(_shard_score, name, queries) for pool, _ in packed]
-            scores = np.empty((queries.shape[0], len(entry.labels)))
-            for (_, columns), future in zip(packed, futures):
-                # LPT bins are not strides: gather each shard's block through
-                # its explicit column indices into the repr-sorted matrix.
-                scores[:, columns] = future.result()
-            # np.argmax takes the first maximum, so ties break exactly like
-            # the in-process drive_predict_full over the same column order.
-            return [entry.labels[index] for index in np.argmax(scores, axis=1)]
-        count = min(len(shards), queries.shape[0])
-        futures = [
-            pool.submit(_shard_predict, name, rows, row_budgets)
-            for pool, rows, row_budgets in zip(
-                shards, np.array_split(queries, count), np.array_split(budgets, count)
-            )
-        ]
-        return [prediction for future in futures for prediction in future.result()]
+            return entry.forest.predict_batch(queries)
+        results = entry.forest.classify_anytime_batch(
+            queries, max_nodes=budgets, record_history=False
+        )
+        return [result.final_prediction for result in results]
 
     def _observe_round(
         self,
@@ -1252,11 +953,7 @@ class ModelRegistry:
                     "shm_name": entry.store.name,
                     "shm_bytes": entry.store.size,
                     "dimension": entry.dimension,
-                    "n_classes": len(entry.meta["labels"]),
-                    "shard_classes": [
-                        [str(entry.labels[index]) for index in columns]
-                        for columns in entry.assignment
-                    ],
+                    "n_classes": entry.forest.n_classes,
                     "decay_rate": entry.decay_rate,
                     "cold_load_ms": entry.cold_load_ms,
                     "requests": entry.requests,

@@ -1,9 +1,12 @@
-"""Serving engine: sharded results must equal the in-process classifier's.
+"""Serving engine: served results must equal the in-process classifier's.
 
-Small forests, 2-worker pools — these tests pin correctness (bit-identical
-predictions, hot swap, in-process serving) of the one-tenant registry view
-and leave throughput to ``benchmarks/test_serving_throughput.py``.
+Small forests — these tests pin correctness (bit-identical predictions, hot
+swap, input validation, one snapshot open per start) of the one-tenant
+registry view and leave throughput to
+``benchmarks/test_serving_throughput.py``.
 """
+
+import zipfile
 
 import numpy as np
 import pytest
@@ -38,8 +41,7 @@ def expected(snapshot):
 
 def test_fallback_serves_identical_predictions(snapshot, expected):
     path, queries = snapshot
-    with ServingEngine(path, workers=0) as engine:
-        assert not engine.is_multiprocess
+    with ServingEngine(path) as engine:
         assert engine.predict_batch(queries) == expected["full"]
         assert engine.predict_batch(queries, node_budget=8) == expected["budget_8"]
         assert engine.stats.batches == 2
@@ -47,9 +49,11 @@ def test_fallback_serves_identical_predictions(snapshot, expected):
 
 
 def test_sharded_workers_serve_identical_predictions(snapshot, expected):
+    """Kept under the name it had when rounds were split across shard
+    workers: every round now runs in one process, and full, budget-8 and
+    per-query-budget rounds must still match the in-process forest."""
     path, queries = snapshot
-    with ServingEngine(path, workers=2) as engine:
-        assert engine.n_shards == 2
+    with ServingEngine(path) as engine:
         assert engine.predict_batch(queries) == expected["full"]
         assert engine.predict_batch(queries, node_budget=8) == expected["budget_8"]
         # Per-query budgets ride one lockstep batch.
@@ -60,11 +64,21 @@ def test_sharded_workers_serve_identical_predictions(snapshot, expected):
         )
 
 
-def test_more_workers_than_classes_is_clamped(snapshot, expected):
+def test_engine_start_opens_the_snapshot_once(snapshot, monkeypatch):
+    """Construction reads the snapshot in one pass: the dimension comes from
+    the loaded entry, not from a second manifest read."""
     path, queries = snapshot
-    with ServingEngine(path, workers=64) as engine:
-        assert engine.n_shards <= len(engine.labels)
-        assert engine.predict_batch(queries[:16]) == expected["full"][:16]
+    opens = []
+    real_init = zipfile.ZipFile.__init__
+
+    def counting_init(self, *args, **kwargs):
+        opens.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "__init__", counting_init)
+    with ServingEngine(path) as engine:
+        assert len(opens) == 1
+        assert engine.dimension == queries.shape[1]
 
 
 def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
@@ -76,7 +90,7 @@ def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
         classifier.partial_fit(rng.normal(size=queries.shape[1]) * 0.1, "intruder", timestamp=90.0)
     swapped_path = tmp_path / "swapped.npz"
     save_forest(classifier, swapped_path)
-    with ServingEngine(path, workers=2) as engine:
+    with ServingEngine(path) as engine:
         before = engine.predict_batch(queries)
         engine.swap_snapshot(swapped_path)
         after = engine.predict_batch(queries)
@@ -89,11 +103,10 @@ def test_hot_swap_switches_models_gracefully(snapshot, tmp_path):
 def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
     """Rounds racing hot swaps must come wholly from one snapshot or the other.
 
-    A round pins one registry entry (segment and label layout) and a swap
-    drains the pinned rounds before switching; without that a round could
-    score half its shards on the old forest and half on the new one (or
-    gather against a stale label layout and crash).  Swapping between two
-    forests with *different class sets* makes any tear loud.
+    A round pins one registry entry (segment and forest) and a swap drains
+    the pinned rounds before releasing the old segment; without that a
+    round could read a map the swap has already closed.  Swapping between
+    two forests with *different class sets* makes any tear loud.
     """
     import sys
     import threading
@@ -109,7 +122,7 @@ def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
         "old": load_forest(path).predict_batch(queries),
         "new": load_forest(other_path).predict_batch(queries),
     }
-    with ServingEngine(path, workers=2) as engine:
+    with ServingEngine(path) as engine:
         results, errors = [], []
 
         def serve(budget):
@@ -119,8 +132,8 @@ def test_concurrent_swaps_never_tear_a_serving_round(snapshot, tmp_path):
             except Exception as error:  # noqa: BLE001 - surfaced via the errors list
                 errors.append(error)
 
-        # More serving threads than cores, switching often: full (class-sharded)
-        # and budgeted (query-sharded) rounds race every swap.
+        # More serving threads than cores, switching often: full and
+        # budgeted rounds race every swap.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -153,7 +166,7 @@ def test_swap_validates_the_new_snapshot(snapshot, tmp_path):
         other.partial_fit(rng.normal(size=3), "a")  # wrong dimensionality
     wrong_dim = tmp_path / "wrong.npz"
     save_forest(other, wrong_dim)
-    with ServingEngine(path, workers=0) as engine:
+    with ServingEngine(path) as engine:
         with pytest.raises(ValueError, match="dimension"):
             engine.swap_snapshot(wrong_dim)
         garbage = tmp_path / "garbage.npz"
@@ -169,10 +182,10 @@ def test_swap_validates_the_new_snapshot(snapshot, tmp_path):
 
 def test_engine_validates_inputs(snapshot):
     path, queries = snapshot
-    with ServingEngine(path, workers=0) as engine:
+    with ServingEngine(path) as engine:
         with pytest.raises(ValueError, match="queries"):
             engine.predict_batch(queries[0])
         with pytest.raises(ValueError, match="budget per query"):
             engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
-    with pytest.raises(ValueError, match="workers"):
-        ServingEngine(path, workers=-1)
+    with pytest.raises(TypeError):
+        ServingEngine(path, workers=2)  # type: ignore[call-arg]

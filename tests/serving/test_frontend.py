@@ -1,9 +1,9 @@
 """Async front-end: batching semantics, adaptive budgets and failure modes.
 
-Everything runs on the ``workers=0`` in-process engine so the tests pin the
+Everything runs on the one-process engine, so the tests pin the
 front-end's own behaviour (coalescing, backpressure, deadlines, shutdown,
-swap) without multiprocess noise; engine parity across worker counts is
-pinned by ``tests/serving/test_engine.py``.
+swap); engine parity with the classifier is pinned by
+``tests/serving/test_engine.py``.
 """
 
 import asyncio
@@ -41,7 +41,7 @@ def snapshot(tmp_path_factory):
 @pytest.fixture()
 def engine(snapshot):
     path, _ = snapshot
-    with ServingEngine(path, workers=0) as engine:
+    with ServingEngine(path) as engine:
         yield engine
 
 
@@ -266,7 +266,7 @@ def test_adaptive_accepts_plain_string_budget(snapshot, engine):
 def test_failed_rounds_do_not_pollute_node_cost(snapshot):
     path, dataset = snapshot
     queries = dataset.features[240:248]
-    with ServingEngine(path, workers=0) as engine:
+    with ServingEngine(path) as engine:
         with pytest.raises(ValueError):
             engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
         assert engine.node_cost_estimate() is None  # the failed round left no sample
@@ -357,7 +357,7 @@ def test_engine_calibrates_node_cost_and_clamps_on_deadline(snapshot, monkeypatc
     adaptive budget to what the request's deadline affords at that cost."""
     path, dataset = snapshot
     queries = dataset.features[240:256]
-    with ServingEngine(path, workers=0) as engine:
+    with ServingEngine(path) as engine:
         assert engine.node_cost_estimate() is None
         engine.predict_batch(queries, node_budget=8)
         cost = engine.node_cost_estimate()

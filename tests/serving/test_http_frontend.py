@@ -58,7 +58,7 @@ def _serve(snapshot_path, coroutine_factory, **client_kwargs):
     """Run a coroutine against a started engine + client + HTTP front-end."""
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0) as engine:
+        with ServingEngine(snapshot_path) as engine:
             async with AsyncServingClient(engine, **{"linger_s": 0.001, **client_kwargs}) as client:
                 async with HttpFrontend(client) as http:
                     host, port = http.address
@@ -81,9 +81,10 @@ def test_healthz_and_stats(snapshot):
     )
     assert health_status == 200 and health["status"] == "ok"
     assert health["snapshot_path"] == str(path)
-    assert health["workers"] == 0 and health["tenants"] == 1
+    assert health["tenants"] == 1 and "workers" not in health
     # An engine client's /stats and tenant stats come from the engine's registry.
-    assert stats_status == 200 and stats["schema_version"] == 4
+    assert stats_status == 200 and stats["schema_version"] == 5
+    assert "workers" not in stats["registry"] and "worker_profiles" not in stats["registry"]
     assert stats["registry"]["tenants"]["default"]["snapshot_path"] == str(path)
     assert stats["structure"]["default"]["total_kernels"] > 0
     assert stats["frontend"]["queue_depth"] == 0

@@ -69,7 +69,7 @@ def _serve_engine(snapshot_path, coroutine_factory, **client_kwargs):
     """Engine client: the engine's one-tenant registry serves the default tenant."""
 
     async def main():
-        with ServingEngine(snapshot_path, workers=0) as engine:
+        with ServingEngine(snapshot_path) as engine:
             async with AsyncServingClient(engine, **{"linger_s": 0.001, **client_kwargs}) as client:
                 async with HttpFrontend(client) as http:
                     return await coroutine_factory(engine, client, *http.address)
@@ -187,7 +187,7 @@ def test_v1_registry_load_evict_and_stats(snapshot):
     )
     assert loaded[0] == 200 and loaded[1]["resident"] is True
     assert loaded[1]["cold_load_ms"] > 0
-    assert listing[0] == 200 and listing[1]["schema_version"] == 3
+    assert listing[0] == 200 and listing[1]["schema_version"] == 4
     assert set(listing[1]["tenants"]) == {"acme", "default"}
     assert served[0] == 200 and served[1]["count"] == len(queries)
     assert tenant_stats[0] == 200 and tenant_stats[1]["requests"] == len(queries)
@@ -352,7 +352,7 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
         "max_queue_depth": None,
         "requests_per_sec": None,
     }
-    assert merged[0] == 200 and merged[1]["schema_version"] == 4
+    assert merged[0] == 200 and merged[1]["schema_version"] == 5
     assert stats[1]["structure"]["total_kernels"] > 0
     frontend = merged[1]["frontend"]
     assert frontend["rejected_quota"] == 0

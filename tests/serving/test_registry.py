@@ -277,19 +277,20 @@ def _close_during_cold_build(registry, start_build, monkeypatch):
     return outcome, built
 
 
-@pytest.mark.parametrize("workers", [0, 1])
-def test_close_racing_a_load_disposes_the_built_segment(snapshot, monkeypatch, workers):
+@pytest.mark.parametrize("resident", [0, 1])
+def test_close_racing_a_load_disposes_the_built_segment(snapshot, monkeypatch, resident):
     """Regression: a load whose build outlived close() installed the tenant
-    after close()'s eviction pass, leaving its segment behind (and, as the
-    registry's first build, started a shard pool nothing would stop)."""
+    after close()'s eviction pass, leaving its segment behind.  With another
+    tenant resident, close() evicts it while the build is held."""
     path, _ = snapshot
-    registry = ModelRegistry(capacity=2, workers=workers)
+    registry = ModelRegistry(capacity=2)
+    for index in range(resident):
+        registry.load(f"resident-{index}", path)
     registry.register("t", path)
     outcome, built = _close_during_cold_build(registry, lambda: registry.load("t"), monkeypatch)
     assert len(outcome) == 1 and isinstance(outcome[0], RegistryClosedError)
-    assert registry.resident_tenants() == []
+    assert registry.resident_tenants() == [] and registry.memory_bytes() == 0
     assert len(built) == 1 and not segment_exists(built[0])
-    assert registry.workers == 0
 
 
 def test_close_racing_a_cold_reload_disposes_the_built_segment(snapshot, monkeypatch):
@@ -360,7 +361,8 @@ def test_stats_snapshot_schema(snapshot):
         registry.load("a", path, policy=TenantPolicy(max_node_budget=16))
         registry.predict_batch("a", queries[:4], node_budget=4)
         stats = registry.stats_snapshot()
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
+        assert "workers" not in stats and "worker_profiles" not in stats
         assert stats["capacity"] == 2
         assert stats["resident"] == 1 and stats["registered"] == 1
         assert stats["resident_bytes"] > 0
@@ -378,21 +380,11 @@ def test_stats_snapshot_schema(snapshot):
         assert stats["prior"]["snapshot_path"] == str(path)
 
 
-def test_shared_worker_pool_matches_in_process(snapshot):
-    path, queries = snapshot
-    with ModelRegistry(capacity=2) as in_process:
-        in_process.load("a", path)
-        expected_full = in_process.predict_batch("a", queries)
-        expected_budgeted = in_process.predict_batch("a", queries, node_budget=8)
-    with ModelRegistry(capacity=2, workers=2) as pooled:
-        pooled.load("a", path)
-        assert pooled.predict_batch("a", queries) == expected_full
-        assert pooled.predict_batch("a", queries, node_budget=8) == expected_budgeted
-
-
-def test_shard_pool_serves_tenants_with_different_class_sets(snapshot, subset_snapshot):
-    """Class-sharded full and query-sharded budgeted rounds on one pool, for
-    two tenants whose class sets (hence LPT packings) differ, across swaps."""
+def test_tenants_with_different_class_sets_serve_their_own_forests(
+    snapshot, subset_snapshot
+):
+    """Full and budgeted rounds for two tenants whose class sets differ, in
+    one process, across swaps onto each other's snapshot and an eviction."""
     path, queries = snapshot
 
     def check(registry, tenant, source):
@@ -402,23 +394,21 @@ def test_shard_pool_serves_tenants_with_different_class_sets(snapshot, subset_sn
             queries, node_budget=8
         )
 
-    with ModelRegistry(capacity=2, workers=2) as pooled:
-        pooled.load("a", path)
-        pooled.load("b", subset_snapshot)
-        packings = {t: pooled.tenant_stats(t)["shard_classes"] for t in ("a", "b")}
-        assert packings["a"] != packings["b"] and all(len(p) == 2 for p in packings.values())
-        check(pooled, "a", path)
-        check(pooled, "b", subset_snapshot)
+    with ModelRegistry(capacity=2) as registry:
+        registry.load("a", path)
+        registry.load("b", subset_snapshot)
+        sizes = {t: registry.tenant_stats(t)["shm_bytes"] for t in ("a", "b")}
+        check(registry, "a", path)
+        check(registry, "b", subset_snapshot)
         # Swap both tenants onto each other's snapshot between rounds.
-        pooled.load("a", subset_snapshot)
-        pooled.load("b", path)
-        check(pooled, "a", subset_snapshot)
-        check(pooled, "b", path)
-        # Attachments follow the resident set: two segments per worker, one
-        # after an eviction.
-        assert [p["segments"] for p in pooled.worker_profiles()] == [2, 2]
-        pooled.evict("a")
-        assert [p["segments"] for p in pooled.worker_profiles()] == [1, 1]
+        registry.load("a", subset_snapshot)
+        registry.load("b", path)
+        check(registry, "a", subset_snapshot)
+        check(registry, "b", path)
+        # Resident bytes follow the resident set.
+        assert registry.memory_bytes() == sizes["a"] + sizes["b"]
+        registry.evict("a")
+        assert registry.memory_bytes() == sizes["a"]
 
 
 def test_rejected_load_keeps_the_registration(snapshot, tmp_path):

@@ -1,13 +1,13 @@
-"""Zero-copy serving: shared-memory workers, LPT packing, segment lifecycle.
+"""Zero-copy serving: the one-process backend's shared-memory segments.
 
-Pins the serving backend's shard pool through the one-tenant engine view:
-the LPT shard planner balances per-class kernel counts, every worker
-attaches the one shared-memory segment and reports its warm start and
-memory split, snapshots without flat members are compiled on the fly
-(construction and hot swap), a segment's name is unlinked as soon as every
-process has mapped it — so no name outlives a build and no resource tracker
-process ever starts — and a dead shard worker degrades serving to
-in-process rounds instead of breaking it.
+Pins the serving backend's segment lifecycle through the one-tenant engine
+view: the engine serves every round in its own process over the zero-copy
+forest that wraps the segment it built, a segment's name is unlinked as
+soon as its columns are written — so no name outlives a build, not even
+when the serving process is killed, and neither a resource tracker nor any
+other child process ever starts — rounds racing hot swaps always answer
+from a snapshot that was serving during the call, and snapshots without
+flat members are compiled on the fly (construction and hot swap).
 """
 
 import json
@@ -17,16 +17,14 @@ import subprocess
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
 from repro.persist import load_flat_forest, load_forest, save_forest
-from repro.serving import ServingEngine, plan_shard_assignment, segment_exists
+from repro.serving import ServingEngine, segment_exists
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -63,86 +61,29 @@ def _shm_name(engine):
     return engine.registry.tenant_stats(engine.tenant)["shm_name"]
 
 
-def _kill_worker(engine, index=0):
-    """SIGKILL one shard worker and wait until it is gone."""
-    victim = engine.registry.worker_profiles()[index]["pid"]
-    os.kill(victim, signal.SIGKILL)
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        try:
-            os.kill(victim, 0)
-        except ProcessLookupError:
-            break
-        time.sleep(0.05)
-
-
-# -- shard planning -------------------------------------------------------------------------
-def test_lpt_assignment_balances_loads():
-    counts = [100, 1, 1, 1, 97, 1, 1, 96]
-    bins = plan_shard_assignment(counts, 3)
-    assert sorted(index for contents in bins for index in contents) == list(
-        range(len(counts))
-    )
-    loads = [sum(counts[i] for i in contents) for contents in bins]
-    # Round-robin strides would put 100+1+1 / 1+97+1 / 1+1+96 — fine here, but
-    # with the heavy classes adjacent it skews badly; LPT keeps the spread
-    # within the lightest class regardless of input order.
-    assert max(loads) - min(loads) <= max(1, min(c for c in counts))
-    heavy_shards = {
-        next(s for s, contents in enumerate(bins) if i in contents)
-        for i, count in enumerate(counts)
-        if count > 90
-    }
-    assert len(heavy_shards) == 3  # one heavy class per shard
-    for contents in bins:
-        assert contents == sorted(contents)
-
-
-def test_lpt_assignment_is_deterministic_and_total():
-    counts = [5, 5, 5, 5]
-    assert plan_shard_assignment(counts, 2) == plan_shard_assignment(counts, 2)
-    # More shards than classes leaves trailing shards empty but loses nothing.
-    bins = plan_shard_assignment([3, 2], 4)
-    assert sorted(index for contents in bins for index in contents) == [0, 1]
-    with pytest.raises(ValueError):
-        plan_shard_assignment([1], 0)
-
-
-def test_engine_assignment_covers_all_labels(snapshot):
-    path, _, _ = snapshot
-    with ServingEngine(path, workers=2) as engine:
-        packed = engine.stats_snapshot()["tenants"][engine.tenant]["shard_classes"]
-        assert len(packed) == engine.n_shards
-        flattened = [label for shard in packed for label in shard]
-        assert sorted(flattened) == sorted(str(label) for label in engine.labels)
-
-
 # -- zero-copy serving ----------------------------------------------------------------------
 def test_zero_copy_fallback_serves_identically(snapshot):
     path, _, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(path, workers=0) as engine:
-        assert not engine.is_multiprocess
+    with ServingEngine(path) as engine:
         assert engine.predict_batch(queries) == local.predict_batch(queries)
         stats = engine.stats_snapshot()
-        assert stats["workers"] == 0 and stats["worker_profiles"] == []
+        assert "workers" not in stats and "worker_profiles" not in stats
         assert stats["structure"]["total_kernels"] > 0
 
 
 def test_stats_report_segment_warm_start_and_memory(snapshot):
+    """The one process reports its segment, the load that built it (the
+    tenant's warm start) and the bytes it holds."""
     path, _, queries = snapshot
-    with ServingEngine(path, workers=2) as engine:
+    with ServingEngine(path) as engine:
         engine.predict_batch(queries[:8])
         stats = engine.stats_snapshot()
         tenant = stats["tenants"][engine.tenant]
         assert tenant["shm_name"] and tenant["shm_bytes"] > 0
-        assert len(stats["worker_profiles"]) == 2
-        for profile in stats["worker_profiles"]:
-            assert profile["segments"] == 1  # attached once, at load
-            assert profile["warm_start_ms"] > 0
-            assert profile["rss_kb"] > 0
-            assert profile["shared_kb"] > 0
-        assert len(tenant["shard_classes"]) == 2
+        assert tenant["cold_load_ms"] > 0
+        assert stats["resident_bytes"] == tenant["shm_bytes"] == engine.registry.memory_bytes()
+        assert "shard_classes" not in tenant
         structure = stats["structure"]
         assert structure["n_classes"] == len(engine.labels)
         assert structure["total_kernels"] > 0
@@ -152,10 +93,10 @@ def test_stats_report_segment_warm_start_and_memory(snapshot):
 
 # -- segment lifecycle ----------------------------------------------------------------------
 def test_segment_is_unlinked_on_close(snapshot):
-    """The name goes as soon as the build returns; the maps keep serving."""
+    """The name goes as soon as the build returns; the map keeps serving."""
     path, _, queries = snapshot
     local = load_forest(path)
-    engine = ServingEngine(path, workers=2)
+    engine = ServingEngine(path)
     try:
         name = _shm_name(engine)
         assert name is not None
@@ -170,7 +111,7 @@ def test_segment_is_unlinked_on_close(snapshot):
 def test_swap_replaces_segment_and_unlinks_old(snapshot, retrained):
     path, _, queries = snapshot
     new_path, classifier = retrained
-    with ServingEngine(path, workers=2) as engine:
+    with ServingEngine(path) as engine:
         old_name = _shm_name(engine)
         engine.swap_snapshot(new_path)
         new_name = _shm_name(engine)
@@ -178,109 +119,132 @@ def test_swap_replaces_segment_and_unlinks_old(snapshot, retrained):
         assert new_name != old_name
         assert not segment_exists(old_name) and not segment_exists(new_name)
         assert engine.predict_batch(queries) == classifier.predict_batch(queries)
-        # Workers release the old attachment: each holds the new segment only.
-        assert [p["segments"] for p in engine.registry.worker_profiles()] == [1, 1]
+        # The old segment was released: only the new one is resident.
+        assert engine.registry.memory_bytes() == engine.registry.tenant_stats(engine.tenant)[
+            "shm_bytes"
+        ]
     assert not segment_exists(new_name)
 
 
+#: Serves one round from a fresh engine, prints the segment name and waits
+#: on stdin until it is killed.
+_SERVE_AND_WAIT = """
+import json, sys
+import numpy as np
+from repro.serving import ServingEngine
+
+engine = ServingEngine(sys.argv[1])
+queries = np.asarray(json.loads(sys.stdin.readline()), dtype=float)
+engine.predict_batch(queries, node_budget=8)
+print(engine.registry.tenant_stats(engine.tenant)["shm_name"], flush=True)
+sys.stdin.readline()
+"""
+
+
 def test_worker_crash_does_not_leak_the_segment(snapshot):
+    """A serving process SIGKILLed after its build runs no cleanup, and its
+    segment's name is gone anyway: it went when the store was written."""
     path, _, queries = snapshot
-    engine = ServingEngine(path, workers=2)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(SRC), env.get("PYTHONPATH")) if part
+    )
+    server = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_AND_WAIT, str(path)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
     try:
-        name = _shm_name(engine)
-        _kill_worker(engine)
+        server.stdin.write(json.dumps(queries[:4].tolist()) + "\n")
+        server.stdin.flush()
+        name = server.stdout.readline().strip()
+        assert name.startswith("repro-forest-")
+        assert server.poll() is None  # still serving, map held
+        server.send_signal(signal.SIGKILL)
+        assert server.wait(timeout=30) == -signal.SIGKILL
     finally:
-        engine.close()
-    # The dead worker never ran cleanup, and the name was gone before it died.
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+        server.stdin.close()
+        server.stdout.close()
     assert not segment_exists(name)
 
 
-def test_dead_worker_degrades_serving_to_in_process(snapshot, retrained):
-    """Regression: one SIGKILLed shard worker made every later round raise
-    ``BrokenProcessPool``; now the round that meets the broken pool, and
-    every round after it, is served in-process from the parent's own map."""
+def test_rounds_racing_swaps_answer_from_a_serving_snapshot(snapshot, retrained):
+    """Four threads serve full and budget-8 rounds on one engine while it
+    swaps back and forth: every answer is the whole answer of a snapshot
+    that was serving at some moment during that call."""
     path, _, queries = snapshot
-    new_path, classifier = retrained
-    local = load_flat_forest(path)
-    engine = ServingEngine(path, workers=2)
-    try:
-        names = [_shm_name(engine)]
-        _kill_worker(engine)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
-                    queries, node_budget=8
-                )
-                assert engine.predict_batch(queries) == local.predict_batch(queries)
-        assert [w.category for w in caught].count(RuntimeWarning) == 1
-        assert engine.n_shards == 0 and not engine.is_multiprocess
-        assert engine.stats_snapshot()["tenants"][engine.tenant]["shard_classes"] == []
-        engine.swap_snapshot(new_path)
-        names.append(_shm_name(engine))
-        assert engine.predict_batch(queries) == classifier.predict_batch(queries)
-        assert engine.predict_batch(queries, node_budget=8) == classifier.predict_batch(
-            queries, node_budget=8
-        )
-    finally:
-        engine.close()
-    assert not any(segment_exists(name) for name in names)
-
-
-def test_rounds_racing_the_pool_fallback_all_answer(snapshot):
-    """Threads keep serving while a worker dies under them: every round, the
-    ones that meet the broken pool and the ones that lose the race to shut
-    it down included, answers with the in-process labels, and the pool is
-    abandoned exactly once."""
-    path, _, queries = snapshot
-    local = load_flat_forest(path)
-    expected = {None: local.predict_batch(queries), 8: local.predict_batch(queries, node_budget=8)}
-    engine = ServingEngine(path, workers=2)
-    started = threading.Barrier(5)
-    outcomes, errors = [], []
+    new_path, _ = retrained
+    expected = {}
+    for source in (path, new_path):
+        flat = load_flat_forest(source)
+        expected[source] = {None: flat.predict_batch(queries), 8: flat.predict_batch(queries, 8)}
+    assert expected[path][None] != expected[new_path][None]
+    assert expected[path][8] != expected[new_path][8]
+    # Serving snapshot k runs from the start of swap k-1 to the end of swap k.
+    sequence = [path, new_path, path, new_path]
+    swap_windows = []
+    calls, errors = [], []
+    engine = ServingEngine(path)
+    started, swapped = threading.Barrier(5), threading.Event()
 
     def serve(index):
         started.wait(timeout=30)
-        after_fallback, deadline = 0, time.monotonic() + 60.0
+        budget = 8 if index % 2 else None
+        after_swaps = 0
         try:
-            while after_fallback < 3 and time.monotonic() < deadline:
-                budget = 8 if (index + len(outcomes)) % 2 else None
+            while after_swaps < 3:
+                if swapped.is_set():
+                    after_swaps += 1
+                begin = time.monotonic()
                 answer = engine.predict_batch(queries, node_budget=budget)
-                outcomes.append(answer == expected[budget])
-                if engine.n_shards == 0:
-                    after_fallback += 1
-        except Exception as error:  # reported below, with the thread's outcomes
+                calls.append((begin, time.monotonic(), budget, answer))
+        except Exception as error:  # reported below, with the thread's calls
             errors.append(error)
 
     threads = [threading.Thread(target=serve, args=(index,), daemon=True) for index in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for thread in threads:
-                thread.start()
-            started.wait(timeout=30)
-            _kill_worker(engine)
-            for thread in threads:
-                thread.join(timeout=120)
+        for thread in threads:
+            thread.start()
+        started.wait(timeout=30)
+        for target in sequence[1:]:
+            begin = time.monotonic()
+            engine.swap_snapshot(target)
+            swap_windows.append((begin, time.monotonic()))
+        swapped.set()
+        for thread in threads:
+            thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
-        assert not errors, errors
-        assert outcomes and all(outcomes)
-        assert engine.n_shards == 0
-        assert [w.category for w in caught].count(RuntimeWarning) == 1
     finally:
         sys.setswitchinterval(interval)
         engine.close()
+    assert not errors, errors
+    assert len(calls) >= 12
+    starts = [float("-inf")] + [begin for begin, _ in swap_windows]
+    ends = [end for _, end in swap_windows] + [float("inf")]
+    for begin, end, budget, answer in calls:
+        serving = {
+            source
+            for source, since, until in zip(sequence, starts, ends)
+            if begin <= until and end >= since
+        }
+        assert any(answer == expected[source][budget] for source in serving)
 
 
-#: Drives the serving stack in a fresh interpreter (so no tracker the test
+#: Drives the serving stack in a fresh interpreter (so no child the test
 #: process may already run can mask one) and reports, after every step, the
 #: interpreter's child command lines and which of its segment names resolve.
 _LIFECYCLE_SCRIPT = """
 import json, os, sys
 import numpy as np
-from repro.serving import ModelRegistry, ServingEngine, registry as registry_module
+from repro.serving import ModelRegistry, ServingEngine, segment_exists
+from repro.serving import registry as registry_module
 
 path, other = sys.argv[1], sys.argv[2]
 created = []
@@ -306,10 +270,10 @@ def check(step):
                     children.append(handle.read().replace(b"\\0", b" ").decode())
         except (OSError, ValueError, IndexError):
             continue
-    linked = [name for name in created if os.path.exists("/dev/shm/" + name)]
+    linked = [name for name in created if segment_exists(name)]
     steps.append({"step": step, "children": children, "linked": linked})
 
-engine = ServingEngine(path, workers=2)
+engine = ServingEngine(path)
 check("engine constructed")
 engine.predict_batch(queries)
 engine.predict_batch(queries, node_budget=8)
@@ -354,19 +318,18 @@ def test_serving_starts_no_resource_tracker_and_no_name_outlives_its_build(
     report = json.loads(completed.stdout.strip().splitlines()[-1])
     # engine build + swap, then registry load, overflow load and cold reload
     assert report["created"] == 5
+    assert len(report["steps"]) == 8
     for step in report["steps"]:
-        trackers = [cmd for cmd in step["children"] if "resource_tracker" in cmd]
-        assert not trackers, f"{step['step']}: a resource tracker runs: {trackers}"
+        # No resource tracker, no shard worker: the serving stack is one process.
+        assert not step["children"], f"{step['step']}: child processes: {step['children']}"
         assert not step["linked"], f"{step['step']}: names still linked: {step['linked']}"
-    served = next(step for step in report["steps"] if step["step"] == "engine served")
-    assert len(served["children"]) == 2  # the two shard workers, nothing else
 
 
 # -- compile-on-demand for legacy snapshots -------------------------------------------------
 def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(legacy, workers=2) as engine:
+    with ServingEngine(legacy) as engine:
         assert _shm_name(engine) is not None
         assert engine.predict_batch(queries) == local.predict_batch(queries)
         assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
@@ -377,7 +340,7 @@ def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
 def test_swap_to_legacy_snapshot_compiles_on_swap(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
-    with ServingEngine(path, workers=2) as engine:
+    with ServingEngine(path) as engine:
         engine.swap_snapshot(legacy)
         assert engine.snapshot_path == str(legacy)
         assert _shm_name(engine) is not None

@@ -201,8 +201,8 @@ class SharedMemoryLifecycle(Rule):
     """RL003: shared-memory segments have exactly one owner module.
 
     Zero-copy serving hinges on a strict lifecycle: a segment's name lives
-    only from its create to the unlink that follows once every process has
-    mapped it, so no resource tracker process is needed, and none may start.
+    only from its create to the unlink that follows once its columns are
+    written, so no resource tracker process is needed, and none may start.
     The stdlib ``SharedMemory`` registers every create and attach with
     ``multiprocessing.resource_tracker`` and unregisters on unlink, and each
     of those calls starts the tracker if it is not running; a tracked attach
@@ -499,7 +499,7 @@ class BatchHotPathLoops(Rule):
     columns; one innocent ``for query in queries: ... .density(query)``
     regression would silently give that back.  In ``core/`` and ``serving/``,
     functions on the batch hot path (``*_batch``, the ``drive_*`` drivers,
-    the registry's shard rounds) must not loop over a batch parameter while
+    the registry's serving ``_round``) must not loop over a batch parameter while
     calling a scalar-path evaluator in the loop body — use the batch/SoA helpers
     (``leaf_arrays`` / ``log_density_batch`` / ``_entry_batch_params``).
     Per-item *bookkeeping* loops (building result objects) stay legal.
@@ -511,9 +511,7 @@ class BatchHotPathLoops(Rule):
     _HOT_EXACT = {
         "drive_predict_full",
         "_drive_batch_chunk",
-        "_pool_round",
-        "_shard_score",
-        "_shard_predict",
+        "_round",
     }
     _BATCH_PARAM_NAMES = {
         "queries",
