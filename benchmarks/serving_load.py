@@ -16,7 +16,7 @@ import asyncio
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -235,45 +235,26 @@ def run_frontend_trace_identity(
 
 
 def run_flat_descent_comparison(
-    snapshot_path: "str | Path", queries: np.ndarray, max_nodes: int = 20, repeats: int = 3
+    snapshot_path: "str | Path", queries: np.ndarray, max_nodes: int = 20
 ) -> Dict[str, object]:
-    """Flat-column descent vs object-graph descent on the same snapshot.
+    """The snapshot's flat columns against twins compiled from its object graph.
 
-    Loads the forest both ways — ``load_forest`` (object graph) and
-    ``load_flat_forest`` (pre/post-order columns) — pins that the anytime
-    lockstep traces are hash-identical, then times ``classify_anytime_batch``
-    on each (best of ``repeats``, history recording off).  The speedup is a
-    same-machine ratio: the flat path skips per-refinement parameter packing
-    because every node's component parameters are contiguous column slices.
+    Loads the forest both ways — ``load_forest`` (the object graph; its
+    anytime reads run over flat twins compiled from the restored trees) and
+    ``load_flat_forest`` (the pre/post-order columns stored in the snapshot)
+    — and pins that their anytime lockstep traces are hash-identical, which
+    fails when save, restore or the flat loader diverge.  Both sides read
+    through the same flat driver, so there is no speed to compare.
     """
-    object_forest = load_forest(snapshot_path)
-    flat_forest = load_flat_forest(snapshot_path)
-    # Trace identity first (this also warms both forests' caches).
     object_hash = classification_trace_hash(
-        object_forest.classify_anytime_batch(queries, max_nodes=max_nodes)
+        load_forest(snapshot_path).classify_anytime_batch(queries, max_nodes=max_nodes)
     )
     flat_hash = classification_trace_hash(
-        flat_forest.classify_anytime_batch(queries, max_nodes=max_nodes)
+        load_flat_forest(snapshot_path).classify_anytime_batch(queries, max_nodes=max_nodes)
     )
-
-    def best_of(forest: Any) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            forest.classify_anytime_batch(
-                queries, max_nodes=max_nodes, record_history=False
-            )
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    object_s = best_of(object_forest)
-    flat_s = best_of(flat_forest)
     return {
         "identical": bool(object_hash == flat_hash),
         "trace_hash": flat_hash,
-        "object_s": object_s,
-        "flat_s": flat_s,
-        "speedup": object_s / flat_s,
         "max_nodes": int(max_nodes),
         "queries": int(queries.shape[0]),
     }

@@ -13,7 +13,9 @@ The class below wraps the index substrate with:
 * kernel bandwidth management (Silverman's rule over the class's training
   data, maintained from running sufficient statistics so a streamed insert
   updates the bandwidth in O(d) instead of re-scanning the training set),
-* frontier creation for anytime probability density queries.
+* the flat twin every anytime density query reads (:meth:`flat_twin`): the
+  tree compiled into :class:`~repro.core.flat.FlatTree` columns, cached
+  until the model changes.
 
 Incremental maintenance (see DESIGN.md, incremental maintenance): the tree
 keeps per-dimension ``(n, LS, SS)`` running sums, an epoch-tagged shared
@@ -25,13 +27,13 @@ amortised-append buffer of the leaf kernel centers that backs the packed
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..index.cluster_feature import ClusterFeature
 from ..index.decay import LOG_HALF, DecayClock, DecayedClusterFeature, decay_factor
-from ..index.entry import DirectoryEntry, LeafEntry
+from ..index.entry import LeafEntry
 from ..index.node import AnyEntry
 from ..index.node import Node
 from ..index.rstar import RStarTree
@@ -41,13 +43,14 @@ from .config import BayesTreeConfig
 from .frontier import (
     EPANECHNIKOV_KIND,
     GAUSSIAN_KIND,
-    Frontier,
     _BatchParams,
-    _Expansion,
     _entry_batch_params,
     component_log_densities,
     pdq,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .flat import FlatTree
 
 __all__ = ["BayesTree"]
 
@@ -107,7 +110,10 @@ class _LeafMeansBuffer:
         self.size = count
 
     def clear(self) -> None:
-        self.size = 0
+        # Onto fresh storage, like rebuild(): a compiled twin may still serve
+        # the old rows through its ``leaf_means`` view, and appends into the
+        # old buffer would overwrite them under it.
+        self.rebuild(np.empty((0, self.dimension)))
 
 
 class BayesTree:
@@ -136,7 +142,7 @@ class BayesTree:
         self._stats = DecayedClusterFeature(dimension, decay_rate=self.config.decay_rate)
         self._leaf_means = _LeafMeansBuffer(dimension)
         self._leaf_arrays_cache: Optional[Tuple[Tuple, _BatchParams]] = None
-        self._root_params_cache: Optional[Tuple[Tuple, _BatchParams]] = None
+        self._twin: Optional[Tuple[Tuple, "FlatTree"]] = None
         self._decay_sync_key: Optional[Tuple[int, float]] = None
         self._last_expiry_sweep = 0.0
 
@@ -552,66 +558,35 @@ class BayesTree:
         return self._stats.weight(self.clock.now)
 
     # -- queries ---------------------------------------------------------------------------------
-    def root_batch_params(self) -> _BatchParams:
-        """Packed ``(means, scales, kinds, n_objects)`` of the root entries.
+    def flat_twin(self) -> "FlatTree":
+        """This tree compiled into flat columns, cached until the model changes.
 
-        Cached per (index structure, bandwidth epoch): all frontiers opened
-        between two model updates share one packing of the root model, which
-        the batch classification driver combines with a single vectorised
-        evaluation for a whole chunk of queries.
+        Every anytime read of the tree goes through this one
+        :class:`~repro.core.flat.FlatTree`.  It is replaced whenever a fresh
+        ``FlatTree.compile(tree)`` would differ: after a structural change,
+        a new bandwidth epoch or a moved clock.  Compile writes
+        ``clock.now`` into the twin even without decay, so unlike
+        :meth:`_cache_key` the key always holds the clock; an undecayed
+        tree whose clock alone moved is restamped, not recompiled.  As with
+        :meth:`leaf_arrays`, an entry stamped behind the tree's back after
+        the twin was cached stays invisible until the next model change.
         """
-        self._sync_decay()
-        key = self._cache_key()
-        cached = self._root_params_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        params = _entry_batch_params(
-            self.root.entries, self._variance_inflation(), self._bandwidth
-        )
-        self._root_params_cache = (key, params)
-        return params
+        from .flat import FlatTree
 
-    def expand(self, entry: Optional[DirectoryEntry]) -> _Expansion:
-        """The entries below ``entry`` (the root block for ``None``), packed.
+        cached = self._twin
+        key = self._twin_key()
+        if cached is None or cached[0] != key:
+            if cached is not None and not self.clock.enabled and cached[0][:2] == key[:2]:
+                twin = cached[1].restamped(self.clock.now)
+            else:
+                twin = FlatTree.compile(self)
+            # Compile re-adopts an index mutated behind the tree's back
+            # (a new bandwidth epoch), so the key is read after it.
+            cached = self._twin = (self._twin_key(), twin)
+        return cached[1]
 
-        Returns ``(entries, levels, (means, scales, kinds, n_objects))``: the
-        child node's entries as the frontier's handles, the level each one
-        points to (a node's entries are all of one kind, so every entry gets
-        ``node.level - 1``: -1 for kernels), and their mixture parameters
-        under the tree's current bandwidth and variance inflation.
-        """
-        if entry is None:
-            node, params = self.root, self.root_batch_params()
-        else:
-            node = entry.child
-            params = _entry_batch_params(
-                node.entries, self._variance_inflation(), self._bandwidth
-            )
-        return node.entries, [node.level - 1] * len(node.entries), params
-
-    @staticmethod
-    def min_distance(entry: DirectoryEntry, query: np.ndarray) -> float:
-        """MINDIST from ``query`` to ``entry``'s MBR (geometric descent measure)."""
-        return entry.mbr.min_distance(query)
-
-    def frontier(
-        self,
-        query: Sequence[float] | np.ndarray,
-        root_log_densities: Optional[np.ndarray] = None,
-    ) -> Frontier:
-        """Anytime probability density query state, initialised at the root model.
-
-        ``root_log_densities`` optionally carries this query's precomputed
-        unweighted log densities for the packed root entries (one row of the
-        batch driver's shared evaluation).
-        """
-        if self.n_objects == 0:
-            raise ValueError("cannot query an empty Bayes tree")
-        self._sync_decay()
-        query = np.asarray(query, dtype=float)
-        if query.shape != (self.dimension,):
-            raise ValueError(f"query must have shape ({self.dimension},)")
-        return Frontier(self, query, root_log_densities)
+    def _twin_key(self) -> Tuple:
+        return (self.index.version, self._bandwidth_epoch, self.clock.now)
 
     def leaf_arrays(self) -> _BatchParams:
         """Packed ``(means, scales, kinds, log_weights)`` over all leaf entries.
@@ -712,10 +687,12 @@ class BayesTree:
 
         ``nodes=None`` descends the complete tree and therefore returns the
         full kernel density estimate; ``nodes=0`` evaluates the root model.
+        A negative or non-integer ``nodes`` raises ``ValueError``.  The
+        descent runs over :meth:`flat_twin`.
         """
         from .descent import GlobalBestDescent
 
-        frontier = self.frontier(query)
+        frontier = self.flat_twin().frontier(query)
         frontier.refine_fully(GlobalBestDescent(), max_nodes=nodes)
         return frontier.density
 

@@ -22,14 +22,15 @@ underflows to exact zero for every class, which used to degrade the argmax to
 a tie-break by label repr.  ``classify_anytime_batch`` advances many queries'
 frontiers in lockstep so that queries reading the same tree node share one
 vectorised evaluation of its children, and ``classify_anytime`` is that same
-driver on one row (see DESIGN.md, batch API).
+driver on one row (see DESIGN.md, batch API).  Every anytime read runs over
+the class trees' cached flat twins (:meth:`BayesTree.flat_twin`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -42,13 +43,15 @@ from .frontier import Frontier, FrontierItem, component_log_densities
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-    from .flat import FlatForest
+    from .flat import FlatForest, FlatTree
 
 __all__ = ["AnytimeClassification", "AnytimeBayesClassifier"]
 
 #: Queries processed per lockstep round in the budgeted predict_batch path;
 #: bounds the number of simultaneously live frontiers and per-step records.
 BATCH_CHUNK_QUERIES = 256
+
+_Tree = TypeVar("_Tree", "BayesTree", "FlatTree")
 
 
 def _exp_values(log_posterior: Dict[Hashable, float]) -> Dict[Hashable, float]:
@@ -100,6 +103,8 @@ class AnytimeClassification:
 
     def prediction_after(self, nodes: int) -> Hashable:
         """Prediction available after ``nodes`` node reads (clamped to the end)."""
+        if nodes < 0:
+            raise ValueError("nodes must be non-negative")
         if nodes < self.nodes_read and len(self.predictions) < self.nodes_read + 1:
             raise ValueError(
                 "per-step history was not recorded (record_history=False); "
@@ -161,15 +166,16 @@ class _BatchQueryState:
 
 # -- shared classification drivers -------------------------------------------------------------
 #
-# The anytime machinery below is deliberately model-agnostic: it only needs a
-# mapping of alive per-class trees exposing ``expand(handle)``,
-# ``min_distance(handle, query)``, ``frontier(query, root_log_densities=...)``
-# and ``log_density_batch()``, plus the forest-wide log priors.  Both the
-# live object-graph forest (:class:`AnytimeBayesClassifier`) and the compiled
-# flat forest (:class:`repro.core.flat.FlatForest`) drive every
-# classification through these functions — ``classify_anytime`` is the
-# lockstep driver on one row — which is what pins the two representations to
-# hash-equal refinement traces: there is only one driver to diverge from.
+# The anytime driver below reads flat trees only: a mapping of alive
+# per-class :class:`~repro.core.flat.FlatTree` columns answering
+# ``expand(slot)``, ``min_distance(slot, query)`` and
+# ``frontier(query, root_log_densities=...)``, plus the forest-wide log
+# priors.  The live forest (:class:`AnytimeBayesClassifier`, over each class
+# tree's cached twin) and the compiled flat forest
+# (:class:`repro.core.flat.FlatForest`) both reach it through the one set of
+# checks in :func:`classify_forest` and :func:`predict_forest` —
+# ``classify_anytime`` is the lockstep driver on one row — so there is one
+# read path and nothing for the two forests to diverge on.
 
 
 def _posterior_argmax(posterior: Dict[Hashable, float]) -> Hashable:
@@ -221,7 +227,7 @@ def _refine_group(members: List[Tuple[Frontier, FrontierItem]]) -> None:
     """
     first_frontier, first_item = members[0]
     children = first_frontier.tree.expand(first_item.entry)
-    if len(members) == 1 or not children[0]:
+    if len(members) == 1:
         for frontier, item in members:
             frontier.refine_item(item, children=children)
         return
@@ -233,7 +239,7 @@ def _refine_group(members: List[Tuple[Frontier, FrontierItem]]) -> None:
 
 
 def drive_classify_anytime_batch(
-    trees: Dict[Hashable, "BayesTree"],
+    trees: Dict[Hashable, "FlatTree"],
     log_priors: Dict[Hashable, float],
     descent: DescentStrategy,
     k: int,
@@ -259,7 +265,7 @@ def drive_classify_anytime_batch(
 
 
 def _drive_batch_chunk(
-    trees: Dict[Hashable, "BayesTree"],
+    trees: Dict[Hashable, "FlatTree"],
     log_priors: Dict[Hashable, float],
     descent: DescentStrategy,
     k: int,
@@ -271,7 +277,7 @@ def _drive_batch_chunk(
     # One packing of each class's root model and one vectorised evaluation
     # of it for the whole chunk; each frontier is seeded with its query's
     # row instead of re-evaluating the root entries per query.
-    root_rows: List[Tuple[Hashable, "BayesTree", np.ndarray]] = []
+    root_rows: List[Tuple[Hashable, "FlatTree", np.ndarray]] = []
     for label, tree in trees.items():
         means, scales, kinds, _ = tree.expand(None)[2]
         root_rows.append(
@@ -301,11 +307,10 @@ def _drive_batch_chunk(
     while True:
         # Each active query chooses its next node read (qbk rotation +
         # descent strategy), and the planned reads are grouped by tree node
-        # — ``(label, handle)``; entries hash by identity, slots by value —
-        # so all queries reading the same node share one vectorised
-        # evaluation of its children.
+        # — ``(label, slot)`` — so all queries reading the same node share
+        # one vectorised evaluation of its children.
         planned: List[_BatchQueryState] = []
-        groups: Dict[Tuple[Hashable, object], List[Tuple[Frontier, FrontierItem]]] = {}
+        groups: Dict[Tuple[Hashable, int], List[Tuple[Frontier, FrontierItem]]] = {}
         for state in states:
             if not state.active:
                 continue
@@ -337,7 +342,7 @@ def _drive_batch_chunk(
 
 
 def drive_predict_full(
-    trees: Dict[Hashable, "BayesTree"],
+    trees: Mapping[Hashable, "BayesTree | FlatTree"],
     log_priors: Dict[Hashable, float],
     queries: np.ndarray,
 ) -> List[Hashable]:
@@ -368,6 +373,76 @@ def validate_batch_budgets(
     if np.any(budgets < 0):
         raise ValueError("max_nodes must be non-negative")
     return budgets
+
+
+def alive_trees(trees: Mapping[Hashable, _Tree]) -> Dict[Hashable, _Tree]:
+    """Class trees that still hold observations.
+
+    A class can empty out when expiry drops its last stale kernel (class
+    disappearance on an evolving stream); its tree is kept — the class
+    may recur — but it cannot be queried until new data arrives.
+    """
+    alive = {label: tree for label, tree in trees.items() if tree.n_objects > 0}
+    if not alive:
+        raise ValueError("classifier holds no training observations (all expired)")
+    return alive
+
+
+def fitted_queries(
+    forest: "AnytimeBayesClassifier | FlatForest", queries: np.ndarray
+) -> np.ndarray:
+    """``queries`` as an ``(m, d)`` float array for a fitted ``forest``."""
+    if not forest.is_fitted:
+        raise ValueError("classifier has not been fitted")
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim != 2:
+        raise ValueError("queries must be an (m, d) array")
+    return queries
+
+
+def classify_forest(
+    forest: "AnytimeBayesClassifier | FlatForest",
+    flat_trees: Mapping[Hashable, "FlatTree"],
+    queries: np.ndarray,
+    max_nodes: int | Sequence[int] | np.ndarray,
+    record_history: bool,
+) -> List[AnytimeClassification]:
+    """``classify_anytime(_batch)`` of either forest: the lockstep driver.
+
+    ``flat_trees`` holds one flat tree per known class, empty ones
+    included; qbk's k is clamped to the number of known classes.
+    """
+    queries = fitted_queries(forest, queries)
+    budgets = validate_batch_budgets(queries, max_nodes)
+    n_classes = forest.n_classes
+    if forest.qbk_k is not None:
+        k = max(1, min(forest.qbk_k, n_classes))
+    else:
+        k = min(default_qbk_k(n_classes), n_classes)
+    return drive_classify_anytime_batch(
+        alive_trees(flat_trees), forest.log_priors, forest.descent, k, queries, budgets,
+        record_history,
+    )
+
+
+def predict_forest(
+    forest: "AnytimeBayesClassifier | FlatForest",
+    queries: np.ndarray,
+    node_budget: Optional[int],
+) -> List[Hashable]:
+    """``predict_batch`` of either forest.
+
+    ``node_budget=None`` (full refinement) evaluates every alive class's
+    packed leaf arrays for all queries at once, skipping the descent; a
+    finite budget goes through the forest's ``classify_anytime_batch``.
+    """
+    queries = fitted_queries(forest, queries)
+    if node_budget is None:
+        return drive_predict_full(alive_trees(forest.trees), forest.log_priors, queries)
+    results = forest.classify_anytime_batch(
+        queries, max_nodes=node_budget, record_history=False
+    )
+    return [result.final_prediction for result in results]
 
 
 class AnytimeBayesClassifier:
@@ -560,22 +635,9 @@ class AnytimeBayesClassifier:
         return self._log_priors_cache
 
     # -- anytime classification -------------------------------------------------------------------
-    def _alive_trees(self) -> Dict[Hashable, BayesTree]:
-        """Class trees that still hold observations.
-
-        A class can empty out when expiry drops its last stale kernel (class
-        disappearance on an evolving stream); its tree is kept — the class
-        may recur — but it cannot be queried until new data arrives.
-        """
-        alive = {label: tree for label, tree in self.trees.items() if tree.n_objects > 0}
-        if not alive:
-            raise ValueError("classifier holds no training observations (all expired)")
-        return alive
-
-    def _effective_k(self) -> int:
-        if self.qbk_k is not None:
-            return max(1, min(self.qbk_k, self.n_classes))
-        return min(default_qbk_k(self.n_classes), self.n_classes)
+    def _twins(self) -> Dict[Hashable, "FlatTree"]:
+        """Every class tree's cached flat twin: what the anytime reads run over."""
+        return {label: tree.flat_twin() for label, tree in self.trees.items()}
 
     def classify_anytime(
         self,
@@ -589,18 +651,8 @@ class AnytimeBayesClassifier:
         k most probable classes refine in turns (qbk, §2.2).  This is the
         lockstep driver of :meth:`classify_anytime_batch` on one row.
         """
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
         queries = np.asarray(query, dtype=float)[None, :]
-        return drive_classify_anytime_batch(
-            self._alive_trees(),
-            self.log_priors,
-            self.descent,
-            self._effective_k(),
-            queries,
-            validate_batch_budgets(queries, max_nodes),
-            True,
-        )[0]
+        return classify_forest(self, self._twins(), queries, max_nodes, True)[0]
 
     # -- batch anytime classification --------------------------------------------------------------
     def classify_anytime_batch(
@@ -633,21 +685,7 @@ class AnytimeBayesClassifier:
         per-node-read trace — the budgeted :meth:`predict_batch` path uses it
         to skip the per-step record allocations entirely.
         """
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2:
-            raise ValueError("queries must be an (m, d) array")
-        budgets = validate_batch_budgets(queries, max_nodes)
-        return drive_classify_anytime_batch(
-            self._alive_trees(),
-            self.log_priors,
-            self.descent,
-            self._effective_k(),
-            queries,
-            budgets,
-            record_history,
-        )
+        return classify_forest(self, self._twins(), queries, max_nodes, record_history)
 
     # -- convenience prediction APIs -----------------------------------------------------------------
     def predict(self, query: Sequence[float] | np.ndarray, node_budget: Optional[int] = None) -> Hashable:
@@ -667,31 +705,18 @@ class AnytimeBayesClassifier:
         descent entirely.  A finite budget goes through
         :meth:`classify_anytime_batch`.
         """
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2:
-            raise ValueError("queries must be an (m, d) array")
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
-        if node_budget is None:
-            return self._predict_batch_full(queries)
-        results = self.classify_anytime_batch(
-            queries, max_nodes=node_budget, record_history=False
-        )
-        return [result.final_prediction for result in results]
-
-    def _predict_batch_full(self, queries: np.ndarray) -> List[Hashable]:
-        """Fully-refined batch prediction straight from the leaf arrays."""
-        return drive_predict_full(self._alive_trees(), self.log_priors, queries)
+        return predict_forest(self, queries, node_budget)
 
     # -- flat compilation ---------------------------------------------------------------------------
     def compile_flat(self) -> "FlatForest":
         """Compile the live forest into its flat columnar twin.
 
-        Returns a :class:`repro.core.flat.FlatForest` — the same forest as
-        contiguous pre-order SoA columns, read-only and trace-hash-identical
-        on every prediction API (see :mod:`repro.core.flat`).  The compiled
-        forest captures the decayed state at the current logical time and
-        does not follow subsequent training.
+        Returns a :class:`repro.core.flat.FlatForest` over the class trees'
+        cached twins — the very columns the live forest's anytime reads use,
+        so it is trace-hash-identical on every prediction API (see
+        :mod:`repro.core.flat`).  The compiled forest captures the decayed
+        state at the current logical time and does not follow subsequent
+        training.
         """
         from .flat import FlatForest
 

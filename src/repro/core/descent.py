@@ -9,15 +9,15 @@ for the query object w.r.t. the Gaussian component of each entry."
 
 A strategy looks at the *refinable* frontier items (those whose entry is a
 directory entry, i.e. has a child node that could be read next) and picks the
-one to expand in the next time step.  The items' entries are the tree's
-handles, so the geometric measure asks the tree for
-``tree.min_distance(item.entry, query)``.
+one to expand in the next time step.  The items' entries are slots of the
+frontier's flat tree, so the geometric measure asks the tree for
+``tree.min_distance(item.entry, query)``, the MINDIST to that slot's MBR.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Sequence, TYPE_CHECKING
+from typing import Sequence, TYPE_CHECKING
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .flat import FlatTree
     from .frontier import FrontierItem
 
 
@@ -41,7 +42,7 @@ class DescentStrategy(ABC):
 
     @abstractmethod
     def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
     ) -> "FrontierItem":
         """Return the frontier item to refine next.
 
@@ -64,7 +65,7 @@ class BreadthFirstDescent(DescentStrategy):
     name = "bft"
 
     def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
     ) -> "FrontierItem":
         return min(candidates, key=lambda item: (-item.level, item.order))
 
@@ -79,7 +80,7 @@ class DepthFirstDescent(DescentStrategy):
     name = "dft"
 
     def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
     ) -> "FrontierItem":
         return max(candidates, key=lambda item: item.order)
 
@@ -100,7 +101,7 @@ class GlobalBestDescent(DescentStrategy):
         self.name = "glo" if measure == "probabilistic" else "glo-geometric"
 
     def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: Any
+        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
     ) -> "FrontierItem":
         if self.measure == "probabilistic":
             # Highest weighted density first: the entry currently contributing

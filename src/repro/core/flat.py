@@ -1,11 +1,12 @@
-"""Flat pre/post-order forest encoding (read-optimised columnar twin).
+"""Flat pre/post-order forest encoding: the read path of every forest.
 
-The live forest is a Python object graph: nodes hold entry lists, directory
-entries hold child pointers, and every refinement step chases those pointers
-and re-packs the children's mixture parameters into arrays.  This module
-compiles each :class:`~repro.core.bayes_tree.BayesTree` into a **FlatTree** —
-a handful of contiguous structure-of-arrays numpy columns keyed by *pre-order
-entry slot* — and the forest into a :class:`FlatForest` of such trees.
+The live forest is a Python object graph — nodes hold entry lists, directory
+entries hold child pointers — and stays the write side (R* insertion, decay,
+expiry).  This module compiles each :class:`~repro.core.bayes_tree.BayesTree`
+into a **FlatTree** — a handful of contiguous structure-of-arrays numpy
+columns keyed by *pre-order entry slot* — and the forest into a
+:class:`FlatForest` of such trees.  Every anytime read runs over these
+columns; a live tree caches its compiled twin (:meth:`BayesTree.flat_twin`).
 
 The encoding borrows the XPath-accelerator idea: every entry records, besides
 its mixture component (mean / scale / kind / decayed weight), the half-open
@@ -22,26 +23,18 @@ become array slices:
   ``[child_start, post)`` — the cheap structure-health metrics reported by
   the serving stats.
 
-A frontier over a flat tree therefore holds slot ints where a frontier over
-a live tree holds index entries; both refine through the one
-:class:`~repro.core.frontier.Frontier` and the tree's ``expand`` /
-``min_distance``.
-
-Equivalence is the design contract, not an aspiration: the flat columns are
-written by the *same* packing routine the object-graph query path uses
-(:func:`repro.core.frontier._entry_batch_params`, after the same decay sync),
-and classification drives through the *same* module-level driver in
-:mod:`repro.core.classifier`.  The per-entry parameters, the reduction
-orders, and hence every float on the query path are identical bit for bit —
-``classification_trace_hash`` over the two paths must agree, and the test
-suite pins that (including under exponential decay).
+A frontier therefore holds slot ints and refines through the one
+:class:`~repro.core.frontier.Frontier`; the driver in
+:mod:`repro.core.classifier` serves the live and the flat forest alike.  The
+test suite pins the traces over these columns to the object-graph read path
+it keeps as a reference (``tests/core/object_graph_reference.py``).
 
 A FlatTree is a read-only snapshot of the decayed state at compile time: it
 does not follow subsequent training and its mixture weights are frozen at the
 compile-time logical "now".  That is exactly the serving contract — snapshot,
 compile, share — and what makes the columns safe to place in shared memory
 (:mod:`repro.serving.shared_mem`) or to memory-map from disk
-(:mod:`repro.persist.snapshot`): every worker reads, nobody writes.
+(:mod:`repro.persist.snapshot`): every reader reads, nobody writes.
 """
 
 from __future__ import annotations
@@ -54,11 +47,9 @@ from ..index.mbr import MBR
 from ..stats.gaussian import logsumexp
 from .classifier import (
     AnytimeClassification,
-    drive_classify_anytime_batch,
-    drive_predict_full,
-    validate_batch_budgets,
+    classify_forest,
+    predict_forest,
 )
-from .config import default_qbk_k
 from .descent import DescentStrategy, make_descent_strategy
 from .frontier import (
     EPANECHNIKOV_KIND,
@@ -188,12 +179,12 @@ class FlatTree:
     def compile(cls, tree: "BayesTree") -> "FlatTree":  # noqa: F821
         """Compile a live :class:`BayesTree` into its flat columnar form.
 
-        The tree's summaries are first aged to its current logical time
-        (exactly what every query does before packing parameters), then the
-        per-node parameters are packed with the very routine the frontier
-        uses lazily — the columns hold the same float64 values a query-time
-        packing would produce, which is what makes the flat descent
-        bit-identical.
+        The tree's summaries are first aged to its current logical time,
+        then each node's entries are packed with
+        :func:`~repro.core.frontier._entry_batch_params` in entry-list order —
+        the float64 values and summation orders the object graph defines.
+        :meth:`BayesTree.flat_twin` caches the result; call this directly
+        only for a copy that no later read shares.
         """
         dimension = tree.dimension
         n_leaf = int(tree.n_objects)
@@ -362,6 +353,15 @@ class FlatTree:
         }
         return cls(columns, meta, meta_floats)
 
+    def restamped(self, clock_now: float) -> "FlatTree":
+        """This tree stamped with another compile-time clock, sharing every column.
+
+        What compiling an undecayed tree again gives after its clock moved:
+        without decay, ``clock_now`` is the only value the clock reaches.
+        """
+        meta_floats = {**self.meta_floats, "clock_now": float(clock_now)}
+        return FlatTree(self.to_columns(), self.meta, meta_floats)
+
     # -- serialization ----------------------------------------------------------------------
     def to_columns(self) -> Dict[str, np.ndarray]:
         """The tree as a name → array mapping (``TREE_COLUMNS`` order)."""
@@ -502,7 +502,7 @@ class FlatTree:
                 f"expected {expected_scales}"
             )
 
-    # -- query surface (mirrors BayesTree) ---------------------------------------------------
+    # -- query surface ------------------------------------------------------------------------
     @property
     def n_objects(self) -> int:
         """Number of stored observations (kernels) in the compiled tree."""
@@ -519,8 +519,7 @@ class FlatTree:
 
         Returns ``(slots, levels, (means, scales, kinds, n_objects))``: the
         child block's slot range as the frontier's handles, the level each
-        slot points to, and zero-copy slices of the parameter columns — the
-        same values :meth:`BayesTree.expand` packs, sliced instead of packed.
+        slot points to, and zero-copy slices of the parameter columns.
         """
         if slot is None:
             start, end = 0, self.meta["root_count"]
@@ -547,11 +546,12 @@ class FlatTree:
         query: Sequence[float] | np.ndarray,
         root_log_densities: Optional[np.ndarray] = None,
     ) -> Frontier:
-        """Anytime density-query state over the flat columns.
+        """Anytime density-query state over the flat columns, seeded at the root.
 
-        Same surface, validation and seeding as :meth:`BayesTree.frontier`;
-        the frontier's refinement steps read the columns through
-        :meth:`expand` instead of re-packing entries.
+        ``root_log_densities`` optionally carries this query's precomputed
+        unweighted log densities for the root block (one row of the batch
+        driver's shared evaluation).  The frontier's refinement steps read
+        the columns through :meth:`expand`.
         """
         if self.n_objects == 0:
             raise ValueError("cannot query an empty Bayes tree")
@@ -664,12 +664,12 @@ class FlatForest:
     """Read-only columnar twin of an :class:`AnytimeBayesClassifier` forest.
 
     Exposes the classifier's prediction surface — :meth:`classify_anytime`,
-    :meth:`classify_anytime_batch`, :meth:`predict_batch` — driving through
-    the same module-level drivers, so predictions, per-step posteriors and
-    node-read counts are bit-identical to the live forest it was compiled
-    from.  Training APIs are deliberately absent: a flat forest is a
-    snapshot; to learn, mutate the live forest and recompile (the serving
-    engine does exactly that on hot swaps).
+    :meth:`classify_anytime_batch`, :meth:`predict_batch` — through the same
+    module-level functions of :mod:`repro.core.classifier`, so predictions,
+    per-step posteriors and node-read counts are bit-identical to the live
+    forest it was compiled from.  Training APIs are deliberately absent: a
+    flat forest is a snapshot; to learn, mutate the live forest and
+    recompile (the serving engine does exactly that on hot swaps).
     """
 
     def __init__(
@@ -689,16 +689,16 @@ class FlatForest:
     # -- construction -----------------------------------------------------------------------
     @classmethod
     def from_classifier(cls, classifier: "AnytimeBayesClassifier") -> "FlatForest":  # noqa: F821
-        """Compile every class tree of a fitted live forest."""
+        """The flat forest over every class tree's cached twin.
+
+        No tree whose model is unchanged since its last read is compiled
+        again (:meth:`BayesTree.flat_twin`).
+        """
         if not classifier.is_fitted:
             raise ValueError("classifier has not been fitted")
-        trees = {
-            label: FlatTree.compile(tree) for label, tree in classifier.trees.items()
-        }
-        log_priors = dict(classifier.log_priors)
         return cls(
-            trees=trees,
-            log_priors=log_priors,
+            trees=classifier._twins(),
+            log_priors=dict(classifier.log_priors),
             descent=classifier.descent,
             qbk_k=classifier.qbk_k,
             dimension=int(classifier.dimension),
@@ -776,17 +776,6 @@ class FlatForest:
         """Number of known classes, including currently empty ones."""
         return len(self.trees)
 
-    def _alive_trees(self) -> Dict[Hashable, FlatTree]:
-        alive = {label: tree for label, tree in self.trees.items() if tree.n_objects > 0}
-        if not alive:
-            raise ValueError("classifier holds no training observations (all expired)")
-        return alive
-
-    def _effective_k(self) -> int:
-        if self.qbk_k is not None:
-            return max(1, min(self.qbk_k, self.n_classes))
-        return min(default_qbk_k(self.n_classes), self.n_classes)
-
     def classify_anytime(
         self, query: Sequence[float] | np.ndarray, max_nodes: int
     ) -> AnytimeClassification:
@@ -795,18 +784,8 @@ class FlatForest:
         The lockstep driver on one row, like
         :meth:`AnytimeBayesClassifier.classify_anytime`.
         """
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
         queries = np.asarray(query, dtype=float)[None, :]
-        return drive_classify_anytime_batch(
-            self._alive_trees(),
-            self.log_priors,
-            self.descent,
-            self._effective_k(),
-            queries,
-            validate_batch_budgets(queries, max_nodes),
-            True,
-        )[0]
+        return classify_forest(self, self.trees, queries, max_nodes, True)[0]
 
     def classify_anytime_batch(
         self,
@@ -815,37 +794,13 @@ class FlatForest:
         record_history: bool = True,
     ) -> List[AnytimeClassification]:
         """Lockstep batch classification over the flat columns."""
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2:
-            raise ValueError("queries must be an (m, d) array")
-        budgets = validate_batch_budgets(queries, max_nodes)
-        return drive_classify_anytime_batch(
-            self._alive_trees(),
-            self.log_priors,
-            self.descent,
-            self._effective_k(),
-            queries,
-            budgets,
-            record_history,
-        )
+        return classify_forest(self, self.trees, queries, max_nodes, record_history)
 
     def predict_batch(
         self, queries: np.ndarray, node_budget: Optional[int] = None
     ) -> List[Hashable]:
         """Batch label prediction (full kernel model when ``node_budget`` is None)."""
-        queries = np.asarray(queries, dtype=float)
-        if queries.ndim != 2:
-            raise ValueError("queries must be an (m, d) array")
-        if not self.is_fitted:
-            raise ValueError("classifier has not been fitted")
-        if node_budget is None:
-            return drive_predict_full(self._alive_trees(), self.log_priors, queries)
-        results = self.classify_anytime_batch(
-            queries, max_nodes=node_budget, record_history=False
-        )
-        return [result.final_prediction for result in results]
+        return predict_forest(self, queries, node_budget)
 
     # -- structure health --------------------------------------------------------------------
     def structure_stats(self) -> Dict[str, object]:

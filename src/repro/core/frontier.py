@@ -14,13 +14,14 @@ node (one additional node read); the density is updated incrementally by
 subtracting the refined entry's contribution and adding its children's — the
 constant-time update the paper highlights at the end of §2.2.
 
-A frontier never walks node objects itself.  Its tree answers one query-side
-operation, ``expand(handle)``: the handles, levels and packed component
-parameters ``(means, scales, kinds, n_objects)`` of the entries below
-``handle`` (``None`` is the root block).  A live :class:`BayesTree` hands out
-its index entries and packs their parameters; a compiled
-:class:`~repro.core.flat.FlatTree` hands out slot ints and zero-copy column
-slices.  Geometric descent asks the tree for ``min_distance(handle, query)``.
+A frontier never walks node objects.  It refines over a compiled
+:class:`~repro.core.flat.FlatTree` (a live :class:`BayesTree` answers reads
+through its cached twin, :meth:`BayesTree.flat_twin`), and its items hold the
+tree's pre-order slot ints.  The tree answers one query-side operation,
+``expand(slot)``: the slot range, levels and zero-copy column slices of the
+packed component parameters ``(means, scales, kinds, n_objects)`` of the
+entries below ``slot`` (``None`` is the root block).  Geometric descent asks
+the tree for ``min_distance(slot, query)``.
 
 The implementation keeps the entire query side in **log space** and evaluates
 whole entry batches at once: every frontier owns a :class:`FrontierArrays`
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from ..index.node import AnyEntry
 from ..stats.gaussian import log_gaussian_pdf_batch, logsumexp, safe_exp
 from ..stats.kernel import log_epanechnikov_pdf_batch
 from .descent import DescentStrategy
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .flat import FlatTree
 
 __all__ = [
     "FrontierItem",
@@ -67,9 +71,9 @@ EPANECHNIKOV_KIND = 1
 #: Packed ``(means, scales, kinds, n_objects)`` of one block of entries.
 _BatchParams = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: What ``tree.expand(handle)`` returns: the handles, levels and packed
-#: parameters of the entries below ``handle``.
-_Expansion = Tuple[Sequence[Any], List[int], _BatchParams]
+#: What ``FlatTree.expand(slot)`` returns: the slots, levels and packed
+#: parameters of the entries below ``slot``.
+_Expansion = Tuple[range, List[int], _BatchParams]
 
 
 def entry_component_params(
@@ -262,8 +266,8 @@ class FrontierItem:
     Attributes
     ----------
     entry:
-        The tree's handle for the entry, as :meth:`expand` returned it: the
-        index entry of a live tree, or the slot int of a flat tree.
+        The entry's pre-order slot in the frontier's flat tree, as
+        :meth:`FlatTree.expand` returned it.
     level:
         Level of the node the entry points to (leaf entries have level -1,
         directory entries the level of their child node).
@@ -279,7 +283,7 @@ class FrontierItem:
         Row index of the entry inside the frontier's :class:`FrontierArrays`.
     """
 
-    entry: Any
+    entry: int
     level: int
     order: int
     log_contribution: float
@@ -425,14 +429,14 @@ class Frontier:
 
     def __init__(
         self,
-        tree: Any,
+        tree: "FlatTree",
         query: np.ndarray,
         root_log_densities: Optional[np.ndarray] = None,
     ) -> None:
-        """``tree`` is the live or flat tree whose ``expand`` supplies the
-        entries; ``root_log_densities`` optionally carries this query's
-        precomputed unweighted log densities for the root block (one row of
-        the batch driver's shared evaluation)."""
+        """``tree`` is the flat tree whose ``expand`` supplies the entries;
+        ``root_log_densities`` optionally carries this query's precomputed
+        unweighted log densities for the root block (one row of the batch
+        driver's shared evaluation)."""
         self.tree = tree
         self.query = np.asarray(query, dtype=float)
         handles, levels, params = tree.expand(None)
@@ -453,7 +457,7 @@ class Frontier:
     # -- construction helpers ---------------------------------------------------------
     def _append_entries(
         self,
-        handles: Sequence[Any],
+        handles: range,
         levels: Sequence[int],
         params: _BatchParams,
         log_densities: Optional[np.ndarray] = None,
@@ -528,26 +532,6 @@ class Frontier:
         """True once every kernel estimator is represented individually."""
         return not any(item.is_refinable for item in self._items)
 
-    def density_from_scratch(self) -> float:
-        """Recompute the density non-incrementally (used for verification).
-
-        Deliberately goes through the scalar linear-space reference path so it
-        is an independent check of the incremental log-space engine.  Needs
-        index entries as handles, i.e. a frontier over a live tree.
-        """
-        bandwidth = self.tree.bandwidth
-        return pdq_scalar(
-            self.query,
-            [item.entry for item in self._items],
-            total_objects=self.total_objects,
-            variance_inflation=None if bandwidth is None else bandwidth ** 2,
-            leaf_bandwidth=bandwidth,
-        )
-
-    def represented_objects(self) -> float:
-        """Total number of observations represented by the frontier (invariant)."""
-        return float(sum(item.entry.n_objects for item in self._items))
-
     # -- refinement --------------------------------------------------------------------
     def refine(self, strategy: DescentStrategy) -> Optional[FrontierItem]:
         """Read one more node, chosen by ``strategy``; returns the refined item.
@@ -593,7 +577,17 @@ class Frontier:
         return item
 
     def refine_fully(self, strategy: DescentStrategy, max_nodes: Optional[int] = None) -> int:
-        """Refine until no directory entries remain (or ``max_nodes`` reads)."""
+        """Refine until no directory entries remain (or ``max_nodes`` reads).
+
+        ``max_nodes`` must be None or a non-negative integer: a negative
+        count would read nothing and a float one would read its ceiling, so
+        both are refused (``ValueError``), as the classifiers refuse them.
+        """
+        if max_nodes is not None:
+            if isinstance(max_nodes, bool) or not isinstance(max_nodes, (int, np.integer)):
+                raise ValueError("max_nodes must be an integer or None")
+            if max_nodes < 0:
+                raise ValueError("max_nodes must be non-negative")
         reads = 0
         while not self.is_fully_refined:
             if max_nodes is not None and reads >= max_nodes:

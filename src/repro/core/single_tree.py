@@ -55,6 +55,15 @@ class _ClassAwareItem:
         return math.log(total) if total > 0 else float("-inf")
 
 
+class _EntryGeometry:
+    """The ``tree`` a descent strategy sees here: this classifier's frontier
+    items hold index entries, so geometric descent measures their MBRs."""
+
+    @staticmethod
+    def min_distance(entry: DirectoryEntry, query: np.ndarray) -> float:
+        return entry.mbr.min_distance(query)
+
+
 class SingleTreeAnytimeClassifier:
     """Anytime Bayes classifier storing all classes in one Bayes tree."""
 
@@ -214,7 +223,7 @@ class SingleTreeAnytimeClassifier:
             refinable = [item for item in items if item.is_refinable]
             if not refinable:
                 break
-            chosen = self.descent.choose(refinable, query, self.tree)  # type: ignore[arg-type]
+            chosen = self.descent.choose(refinable, query, _EntryGeometry)  # type: ignore[arg-type]
             items.remove(chosen)
             child = chosen.entry.child  # type: ignore[union-attr]
             for entry in child.entries:

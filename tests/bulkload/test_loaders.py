@@ -81,7 +81,7 @@ def test_loader_full_refinement_equals_kernel_density(name):
     loader = make_bulk_loader(name, config=CONFIG)
     tree = loader.build_tree(points)
     query = points[7] + 0.05
-    frontier = tree.frontier(query)
+    frontier = tree.flat_twin().frontier(query)
     frontier.refine_fully(make_descent_strategy("glo"))
     expected = pdq(
         query, list(tree.index.iter_leaf_entries()), leaf_bandwidth=tree.bandwidth

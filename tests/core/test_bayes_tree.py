@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BayesTree, BayesTreeConfig
+from repro.core import BayesTree, BayesTreeConfig, make_descent_strategy
 from repro.index import TreeParameters
 from repro.stats import silverman_bandwidth
 
@@ -45,8 +45,8 @@ def test_fit_rejects_wrong_dimension():
 def test_empty_tree_has_no_bandwidth_and_rejects_queries():
     tree = BayesTree(dimension=2)
     assert tree.bandwidth is None
-    with pytest.raises(ValueError):
-        tree.frontier(np.zeros(2))
+    with pytest.raises(ValueError, match="empty"):
+        tree.density(np.zeros(2))
 
 
 def test_single_point_gets_unit_bandwidth():
@@ -81,8 +81,17 @@ def test_density_with_zero_nodes_uses_root_model():
     points = rng.normal(size=(80, 2))
     tree = BayesTree(dimension=2, config=small_config()).fit(points)
     query = points[0]
-    frontier = tree.frontier(query)
+    frontier = tree.flat_twin().frontier(query)
     assert tree.density(query, nodes=0) == pytest.approx(frontier.density)
+    # Counts the descent cannot read are refused, not clamped or rounded:
+    # nodes=-5 used to return the root model and nodes=2.5 read 3 nodes.
+    for nodes in (-5, -1, 2.5, 1.0, True):
+        with pytest.raises(ValueError, match="max_nodes"):
+            tree.density(query, nodes=nodes)
+        with pytest.raises(ValueError, match="max_nodes"):
+            frontier.refine_fully(make_descent_strategy("glo"), max_nodes=nodes)
+    assert frontier.nodes_read == 0
+    assert tree.density(query, nodes=np.int64(2)) == pytest.approx(tree.density(query, nodes=2))
 
 
 def test_density_integrates_to_one_full_model_1d():
@@ -132,5 +141,5 @@ def test_adopt_index_requires_matching_dimension():
 def test_query_dimension_checked():
     rng = np.random.default_rng(8)
     tree = BayesTree(dimension=2, config=small_config()).fit(rng.normal(size=(30, 2)))
-    with pytest.raises(ValueError):
-        tree.frontier(np.zeros(3))
+    with pytest.raises(ValueError, match="shape"):
+        tree.density(np.zeros(3))

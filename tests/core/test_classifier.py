@@ -102,6 +102,10 @@ class TestAnytimeClassification:
         result = classifier.classify_anytime(points[0], max_nodes=5)
         assert result.prediction_after(0) == result.predictions[0]
         assert result.prediction_after(10_000) == result.final_prediction
+        # A negative count used to index from the end (-1: the final answer).
+        for nodes in (-1, -6):
+            with pytest.raises(ValueError, match="non-negative"):
+                result.prediction_after(nodes)
 
     def test_rejects_negative_budget(self):
         classifier, points, _ = fitted_classifier()
@@ -181,7 +185,9 @@ class TestAnytimeClassification:
         frontier_reads = {label: 0 for label in classifier.classes}
 
         # Monkey-patch style check: run the anytime loop manually.
-        frontiers = {label: tree.frontier(query) for label, tree in classifier.trees.items()}
+        frontiers = {
+            label: tree.flat_twin().frontier(query) for label, tree in classifier.trees.items()
+        }
         log_posterior = _posterior_of(frontiers, classifier.log_priors)
         rotation = _QbkRotation()
         for _ in range(10):
@@ -282,7 +288,9 @@ class TestQbkRotation:
         labels = [0] * 60 + [1] * 60 + [2] * 5
         classifier = AnytimeBayesClassifier(config=small_config(), qbk_k=3).fit(points, labels)
         query = np.array([0.25, 0.25])  # ambiguous: every class stays in the top-k
-        frontiers = {label: tree.frontier(query) for label, tree in classifier.trees.items()}
+        frontiers = {
+            label: tree.flat_twin().frontier(query) for label, tree in classifier.trees.items()
+        }
         rotation = _QbkRotation()
         log_posterior = _posterior_of(frontiers, classifier.log_priors)
         served = []

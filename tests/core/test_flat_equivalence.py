@@ -1,12 +1,15 @@
 """Flat forest encoding: descent over columns must be bit-identical.
 
-The acceptance bar of ISSUE 6's tentpole: compiling a live forest into the
-pre/post-order column encoding (:mod:`repro.core.flat`) and classifying over
-the flat representation yields hash-equal classification traces — same
-predictions, same nodes-read counts, same per-step log posteriors to the
-last float64 bit — including under active exponential decay and across every
-descent strategy.  Column serialisation round-trips exactly and malformed
-columns are rejected with :class:`ValueError` before anything serves them.
+Every anytime read runs over the pre/post-order column encoding
+(:mod:`repro.core.flat`): the live classifier over its trees' cached twins,
+``compile_flat()`` over the same twins.  Both are checked against the
+object-graph read path kept in ``object_graph_reference`` — the lockstep
+driver over index entries, which never reads a compiled column — for
+hash-equal classification traces (same predictions, same nodes-read counts,
+same per-step log posteriors to the last float64 bit), with and without
+exponential decay and across every descent strategy.  Column serialisation
+round-trips exactly and malformed columns are rejected with
+:class:`ValueError` before anything serves them.
 """
 
 import numpy as np
@@ -16,6 +19,8 @@ from repro.core import AnytimeBayesClassifier, BayesTreeConfig, FlatForest, Flat
 from repro.core.descent import DESCENT_STRATEGIES
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
+
+from object_graph_reference import reference_classify
 
 
 def _streamed_forest(size=260, decay_rate=0.02, descent="glo", seed=3):
@@ -39,28 +44,43 @@ def _trace(forest, queries, max_nodes=25):
     )
 
 
+def _reference_trace(queries, max_nodes=25, **forest_kwargs):
+    """The object-graph trace, on a separately built (identical) forest.
+
+    The reference ages the live trees' summaries itself, so it must not
+    share trees with the forest under test: a compile that skipped its own
+    decay sync would otherwise read the summaries the reference just synced.
+    """
+    reference, _ = _streamed_forest(**forest_kwargs)
+    return classification_trace_hash(reference_classify(reference, queries, max_nodes))
+
+
 @pytest.mark.parametrize("descent", sorted(DESCENT_STRATEGIES))
 def test_flat_descent_trace_is_bit_identical(descent):
-    classifier, queries = _streamed_forest(descent=descent)
-    flat = classifier.compile_flat()
-    assert isinstance(flat, FlatForest)
-    assert _trace(flat, queries) == _trace(classifier, queries)
+    for decay_rate in (0.0, 0.02):
+        classifier, queries = _streamed_forest(descent=descent, decay_rate=decay_rate)
+        expected = _reference_trace(queries, descent=descent, decay_rate=decay_rate)
+        assert _trace(classifier, queries) == expected
+        flat = classifier.compile_flat()
+        assert isinstance(flat, FlatForest)
+        assert _trace(flat, queries) == expected
 
 
 @pytest.mark.parametrize("decay_rate", [0.0, 0.05])
 def test_flat_batch_paths_are_bit_identical(decay_rate):
     classifier, queries = _streamed_forest(decay_rate=decay_rate)
+    reference, _ = _streamed_forest(decay_rate=decay_rate)
+    per_query = np.asarray([4, 9, 17] * (len(queries) // 3 + 1))[: len(queries)]
+    for max_nodes in (12, per_query):
+        expected = classification_trace_hash(reference_classify(reference, queries, max_nodes))
+        for forest in (classifier, classifier.compile_flat()):
+            results = forest.classify_anytime_batch(queries, max_nodes=max_nodes)
+            assert classification_trace_hash(results) == expected
+    budgeted = [result.final_prediction for result in reference_classify(reference, queries, 12)]
     flat = classifier.compile_flat()
+    assert flat.predict_batch(queries, node_budget=12) == budgeted
+    assert classifier.predict_batch(queries, node_budget=12) == budgeted
     assert flat.predict_batch(queries) == classifier.predict_batch(queries)
-    assert flat.predict_batch(queries, node_budget=12) == classifier.predict_batch(
-        queries, node_budget=12
-    )
-    budgets = np.asarray([4, 9, 17] * (len(queries) // 3 + 1))[: len(queries)]
-    assert classification_trace_hash(
-        flat.classify_anytime_batch(queries, max_nodes=budgets)
-    ) == classification_trace_hash(
-        classifier.classify_anytime_batch(queries, max_nodes=budgets)
-    )
 
 
 def test_column_roundtrip_preserves_traces():
@@ -75,7 +95,7 @@ def test_column_roundtrip_preserves_traces():
     )
     assert rebuilt.labels == flat.labels
     assert rebuilt.log_priors == flat.log_priors
-    assert _trace(rebuilt, queries) == _trace(classifier, queries)
+    assert _trace(rebuilt, queries) == _reference_trace(queries)
 
 
 def test_structure_stats_reflect_the_object_graph():

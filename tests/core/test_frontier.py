@@ -1,4 +1,9 @@
-"""Tests for frontiers and probability density queries (paper Def. 3)."""
+"""Tests for frontiers and probability density queries (paper Def. 3).
+
+Frontiers refine over a tree's flat twin (``BayesTree.flat_twin``); the
+checks that need index entries — the scalar recomputation and the
+represented-object invariant — run over the object-graph reference.
+"""
 
 import numpy as np
 import pytest
@@ -8,6 +13,8 @@ from hypothesis import strategies as st
 from repro.core import BayesTree, BayesTreeConfig, make_descent_strategy
 from repro.core.frontier import pdq
 from repro.index import TreeParameters
+
+from object_graph_reference import density_from_scratch, reference_frontier, represented_objects
 
 
 def small_config():
@@ -29,22 +36,22 @@ def fitted_tree(seed=0, count=120, dim=2):
 
 def test_frontier_starts_with_root_entries():
     tree, _ = fitted_tree()
-    frontier = tree.frontier(np.zeros(2))
+    frontier = tree.flat_twin().frontier(np.zeros(2))
     assert len(frontier) == len(tree.root.entries)
     assert frontier.nodes_read == 0
 
 
 def test_frontier_density_positive_near_data_and_tiny_far_away():
     tree, points = fitted_tree()
-    near = tree.frontier(points[0]).density
-    far = tree.frontier(np.full(2, 100.0)).density
+    near = tree.flat_twin().frontier(points[0]).density
+    far = tree.flat_twin().frontier(np.full(2, 100.0)).density
     assert near > far
     assert far >= 0.0
 
 
 def test_refine_replaces_entry_with_children():
     tree, _ = fitted_tree()
-    frontier = tree.frontier(np.zeros(2))
+    frontier = tree.flat_twin().frontier(np.zeros(2))
     before = len(frontier)
     strategy = make_descent_strategy("bft")
     refined = frontier.refine(strategy)
@@ -57,17 +64,17 @@ def test_refine_replaces_entry_with_children():
 def test_incremental_density_matches_recomputation():
     tree, points = fitted_tree(seed=1)
     strategy = make_descent_strategy("glo")
-    frontier = tree.frontier(points[3])
+    frontier = reference_frontier(tree, points[3])
     for _ in range(30):
         if frontier.refine(strategy) is None:
             break
-        assert frontier.density == pytest.approx(frontier.density_from_scratch(), rel=1e-9)
+        assert frontier.density == pytest.approx(density_from_scratch(frontier), rel=1e-9)
 
 
 def test_full_refinement_matches_kernel_density_estimate():
     tree, points = fitted_tree(seed=2, count=60)
     query = points[10] + 0.1
-    frontier = tree.frontier(query)
+    frontier = tree.flat_twin().frontier(query)
     frontier.refine_fully(make_descent_strategy("bft"))
     assert frontier.is_fully_refined
     # Full refinement = kernel density estimate over all training points
@@ -92,19 +99,19 @@ def test_each_tree_level_is_a_complete_model():
 
 def test_represented_objects_invariant_under_refinement():
     tree, points = fitted_tree(seed=4)
-    frontier = tree.frontier(points[0])
-    total = frontier.represented_objects()
+    frontier = reference_frontier(tree, points[0])
+    total = represented_objects(frontier)
     strategy = make_descent_strategy("dft")
     for _ in range(20):
         if frontier.refine(strategy) is None:
             break
-        assert frontier.represented_objects() == pytest.approx(total)
+        assert represented_objects(frontier) == pytest.approx(total)
 
 
 def test_refine_returns_none_when_fully_refined():
     rng = np.random.default_rng(5)
     tree = BayesTree(dimension=2, config=small_config()).fit(rng.normal(size=(3, 2)))
-    frontier = tree.frontier(np.zeros(2))
+    frontier = tree.flat_twin().frontier(np.zeros(2))
     strategy = make_descent_strategy("bft")
     frontier.refine_fully(strategy)
     assert frontier.refine(strategy) is None
@@ -112,7 +119,7 @@ def test_refine_returns_none_when_fully_refined():
 
 def test_refine_item_rejects_leaf_entries():
     tree, points = fitted_tree(seed=6, count=20)
-    frontier = tree.frontier(points[0])
+    frontier = tree.flat_twin().frontier(points[0])
     frontier.refine_fully(make_descent_strategy("bft"))
     leaf_item = frontier.items[0]
     with pytest.raises(ValueError):
@@ -121,8 +128,8 @@ def test_refine_item_rejects_leaf_entries():
 
 def test_refine_item_rejects_foreign_items():
     tree, points = fitted_tree(seed=7, count=60)
-    frontier_a = tree.frontier(points[0])
-    frontier_b = tree.frontier(points[1])
+    frontier_a = tree.flat_twin().frontier(points[0])
+    frontier_b = tree.flat_twin().frontier(points[1])
     foreign = frontier_b.refinable_items()[0]
     frontier_b.refine_item(foreign)
     with pytest.raises(ValueError):
@@ -146,7 +153,7 @@ def test_pdq_weights_entries_by_object_count():
 
 def test_max_nodes_limits_refinement():
     tree, points = fitted_tree(seed=9)
-    frontier = tree.frontier(points[0])
+    frontier = tree.flat_twin().frontier(points[0])
     reads = frontier.refine_fully(make_descent_strategy("glo"), max_nodes=5)
     assert reads <= 5
     assert frontier.nodes_read == reads
@@ -159,7 +166,7 @@ def test_density_invariants_for_all_strategies(seed, strategy_name):
     points = rng.normal(size=(50, 2))
     tree = BayesTree(dimension=2, config=small_config()).fit(points)
     query = rng.normal(size=2)
-    frontier = tree.frontier(query)
+    frontier = tree.flat_twin().frontier(query)
     strategy = make_descent_strategy(strategy_name)
     densities = [frontier.density]
     while frontier.refine(strategy) is not None:

@@ -74,6 +74,16 @@ def test_single_descent_refines_all_classes_in_parallel():
     assert changed >= 1
 
 
+@pytest.mark.parametrize("descent", ["bft", "dft", "glo", "glo-geometric"])
+def test_every_descent_strategy_drives_the_single_tree(descent):
+    points, labels = gaussian_blobs(seed=8, per_class=40)
+    classifier = SingleTreeAnytimeClassifier(config=small_config(), descent=descent)
+    classifier.fit(points, labels)
+    result = classifier.classify_anytime(points[0], max_nodes=6)
+    assert result.nodes_read == 6
+    assert classifier.predict(points[0]) == labels[0]
+
+
 def test_partial_fit_adds_objects_online():
     points, labels = gaussian_blobs(seed=5, per_class=30)
     classifier = SingleTreeAnytimeClassifier(config=small_config()).fit(points, labels)

@@ -53,7 +53,7 @@ def test_inflated_coarse_model_never_underflows_between_clusters():
     points = np.vstack(clusters)
     tree = BayesTree(dimension=2, config=small_config()).fit(points)
     query = np.array([2.0, 2.0])  # in the gap between the clusters
-    frontier = tree.frontier(query)
+    frontier = tree.flat_twin().frontier(query)
     densities = [frontier.density]
     from repro.core import make_descent_strategy
 

@@ -28,6 +28,8 @@ from repro.evaluation import classification_trace_hash
 from repro.index import TreeParameters
 from repro.stats.gaussian import log_gaussian_pdf, log_gaussian_pdf_batch, logsumexp
 
+from object_graph_reference import reference_frontier
+
 
 def small_config(**kwargs):
     return BayesTreeConfig(
@@ -120,7 +122,7 @@ def test_vectorized_pdq_matches_scalar_on_random_frontiers(seed, strategy_name, 
     rng = np.random.default_rng(seed)
     tree, points = random_tree(rng, count=40, dim=3)
     query = rng.normal(loc=2.0, scale=3.0, size=3)
-    frontier = tree.frontier(query)
+    frontier = reference_frontier(tree, query)
     strategy = make_descent_strategy(strategy_name)
     for _ in range(steps):
         if frontier.refine(strategy) is None:
@@ -148,7 +150,7 @@ def test_epanechnikov_vectorized_pdq_matches_scalar(seed):
     rng = np.random.default_rng(seed)
     tree, points = random_tree(rng, count=30, dim=2, kernel="epanechnikov")
     query = points[int(rng.integers(0, len(points)))] + rng.normal(scale=0.2, size=2)
-    frontier = tree.frontier(query)
+    frontier = reference_frontier(tree, query)
     frontier.refine_fully(make_descent_strategy("glo"))
     entries = [item.entry for item in frontier.items]
     vectorized = pdq(query, entries, leaf_bandwidth=tree.bandwidth)
