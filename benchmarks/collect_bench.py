@@ -192,9 +192,9 @@ def _tenant_metrics() -> dict:
 
     The churn soak rotates 32 tenants through a 4-entry LRU registry — every
     round to a non-resident tenant is a cold reload plus an eviction — and
-    reports whether resident shared-memory bytes stayed within the capacity
-    bound and whether any segment name, resident or evicted, still resolved
-    after the round that loaded it (both deterministic verdicts).  The
+    reports whether the process's shmem pages stayed within the capacity
+    bound above their pre-run value after every round and returned to it
+    once the registry closed (both deterministic verdicts).  The
     identity run then serves the trace-pinned fixed-budget batch through a
     registry-only deployment over *both* HTTP route families (legacy alias
     and ``/v1``), requiring byte-identical payloads and the unchanged
@@ -329,20 +329,12 @@ def collect() -> dict:
             "note": "the snapshot's flat columns and the twins compiled from the restored object graph give hash-equal traces (deterministic)",
         },
         "tenant_churn_bounded": {
-            "value": (
-                1.0
-                if (
-                    tenant["churn"]["bounded"]
-                    and tenant["churn"]["leaked_segments"] == 0
-                    and tenant["churn"]["leaked_after_close"] == 0
-                )
-                else 0.0
-            ),
+            "value": 1.0 if tenant["churn"]["bounded"] and tenant["churn"]["released"] else 0.0,
             "direction": "higher",
             "note": (
-                "32-tenant churn over a 4-entry registry: resident shm bytes within "
-                "capacity bound AND no segment name linked after the round that loaded "
-                "it (deterministic; 1.0 or broken)"
+                "32-tenant churn over a 4-entry registry: the process's shmem stays within "
+                "capacity x the largest store (page-rounded) above its pre-run value, and "
+                "returns to that value after close (deterministic; 1.0 or broken)"
             ),
         },
         "tenant_trace_identical": {
@@ -413,7 +405,7 @@ def collect() -> dict:
         # trace-identity verdict and hash.
         "flat": flat,
         # Multi-tenant registry detail for the PR 9 acceptance record: the
-        # full churn-soak report (bounded-memory and no-leak verdicts, cold
+        # full churn-soak report (bounded-memory and release verdicts, cold
         # reload latencies) and the both-route-families trace-identity run
         # whose hash must match the PR 6 single-tenant front-end hash.
         "tenant": tenant,

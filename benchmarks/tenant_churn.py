@@ -3,13 +3,13 @@
 Drives a load/evict storm — many more tenants than the registry's LRU cache
 holds — and measures what the registry must keep true under churn:
 
-* **bounded memory**: resident shared-memory bytes never exceed the cache
-  capacity times the largest segment, no matter how many tenants rotate
-  through (asserted from ``stats_snapshot()`` every round, cross-checked
-  against ``memory_profile()``'s /proc shared-RSS reading);
-* **no segment leaks**: no shm segment name outlives the round that loaded
-  it (``segment_exists``), whether its tenant is still resident or not, and
-  none is linked after the registry closes;
+* **bounded memory**: the process's shmem pages (``memory_profile()``, where
+  every column store's mapping lands) never rise above their pre-run value
+  by more than the cache capacity times the largest store, rounded up to
+  whole pages, no matter how many tenants rotate through; the registry's own
+  ``resident_bytes`` accounting must stay within the same bound;
+* **release on close**: once the registry closes, the shmem pages are back
+  at their pre-run value — no evicted, swapped or resident store outlives it;
 * **tail latency and cold-load cost**: request latency percentiles over the
   churn run, with the cold-reload rounds reported separately so the
   eviction policy's cost stays visible.
@@ -23,7 +23,9 @@ fixed-budget classification trace hash.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import mmap
 import os
 import sys
 import time
@@ -44,7 +46,6 @@ from repro.serving import (  # noqa: E402
     ModelRegistry,
     TenantPolicy,
     memory_profile,
-    segment_exists,
 )
 
 
@@ -63,31 +64,30 @@ def run_tenant_churn_soak(
     Tenants are registered lazily over the given snapshots (cycled), then a
     seeded random schedule fires ``rounds`` batches at them — every request
     to a non-resident tenant forces a cold reload and an LRU eviction.  The
-    returned report carries the bounded-memory and no-leak verdicts plus
+    returned report carries the bounded-memory and release verdicts plus
     latency/cold-load statistics; callers (CI gate, soak test) assert on the
-    verdicts rather than re-deriving them.  ``leaked_segments`` counts every
-    segment name that still resolves after the round that loaded it, resident
-    or not: the registry unlinks a name once every process has mapped it, and
-    a random name never comes back, so one probe per name right after that
-    round is as strict as probing it after every later round.
+    verdicts rather than re-deriving them.  The shmem reading is taken after
+    every round, once the round's evictions have released their stores; a
+    registry that keeps a released store alive shows up in it, whatever its
+    own accounting says.  Without ``/proc`` every shmem reading is 0 and
+    only the accounting bound is checked.
     """
     if n_tenants <= capacity:
         raise ValueError("churn needs more tenants than cache capacity")
     rng = np.random.default_rng(random_state)
     tenants = [f"tenant-{index:02d}" for index in range(n_tenants)]
-    seen_segments: Dict[str, str] = {}
-    leaked: List[str] = []
     round_ms: List[float] = []
     cold_round_ms: List[float] = []
     peak_resident = 0
-    max_segment = 0
-    shared_kb_samples: List[float] = []
+    max_store = 0
+    shmem_kb_samples: List[float] = []
 
-    before_profile = memory_profile()
+    gc.collect()  # stores of earlier, unreachable registries must not leave mid-run
+    shmem_kb_before = memory_profile()["shmem_kb"]
     with ModelRegistry(capacity=capacity) as registry:
         for index, tenant in enumerate(tenants):
             registry.register(tenant, snapshot_paths[index % len(snapshot_paths)])
-        for round_index in range(rounds):
+        for _ in range(rounds):
             tenant = tenants[int(rng.integers(n_tenants))]
             offset = int(rng.integers(max(1, queries.shape[0] - batch)))
             block = queries[offset : offset + batch]
@@ -99,28 +99,25 @@ def run_tenant_churn_soak(
             round_ms.append(elapsed_ms)
             if not was_resident:
                 cold_round_ms.append(elapsed_ms)
+            shmem_kb_samples.append(memory_profile()["shmem_kb"])
             stats = registry.stats_snapshot()
-            resident_bytes = int(stats["resident_bytes"])
-            peak_resident = max(peak_resident, resident_bytes)
-            for name, tenant_stats in stats["tenants"].items():
+            peak_resident = max(peak_resident, int(stats["resident_bytes"]))
+            for tenant_stats in stats["tenants"].values():
                 if tenant_stats.get("resident"):
-                    segment = str(tenant_stats["shm_name"])
-                    if segment not in seen_segments and segment_exists(segment):
-                        leaked.append(segment)
-                    seen_segments[segment] = name
-                    max_segment = max(max_segment, int(tenant_stats["shm_bytes"]))
-            if round_index % 8 == 0:
-                shared_kb_samples.append(float(memory_profile()["shared_kb"]))
-        bound_bytes = capacity * max_segment
-        bounded = peak_resident <= bound_bytes
+                    max_store = max(max_store, int(tenant_stats["shm_bytes"]))
         final_stats = registry.stats_snapshot()
         cold_loads = [
             float(entry["cold_load_ms"])
             for entry in final_stats["tenants"].values()
             if entry.get("cold_load_ms")
         ]
-    leaked_after_close = [name for name in seen_segments if segment_exists(name)]
-    after_profile = memory_profile()
+    shmem_kb_after = memory_profile()["shmem_kb"]
+    bound_bytes = capacity * max_store
+    pages = -(-max_store // mmap.PAGESIZE)
+    shmem_bound_kb = capacity * pages * mmap.PAGESIZE / 1024.0
+    shmem_kb_peak = max(shmem_kb_samples) if shmem_kb_samples else shmem_kb_before
+    bounded = peak_resident <= bound_bytes and shmem_kb_peak - shmem_kb_before <= shmem_bound_kb
+    released = shmem_kb_after <= shmem_kb_before
 
     percentiles = latency_percentiles(
         [ms / 1000.0 for ms in round_ms], percentiles=(50.0, 99.0)
@@ -135,13 +132,15 @@ def run_tenant_churn_soak(
         "capacity": capacity,
         "rounds": rounds,
         "batch": batch,
-        "segments_created": len(seen_segments),
-        "max_segment_bytes": max_segment,
+        "max_store_bytes": max_store,
         "peak_resident_bytes": peak_resident,
         "bound_bytes": bound_bytes,
+        "shmem_kb_before": shmem_kb_before,
+        "shmem_kb_peak": shmem_kb_peak,
+        "shmem_kb_after": shmem_kb_after,
+        "shmem_bound_kb": shmem_bound_kb,
         "bounded": bool(bounded),
-        "leaked_segments": len(leaked),
-        "leaked_after_close": len(leaked_after_close),
+        "released": bool(released),
         "evictions": final_stats["counters"]["evictions"],
         "reloads": final_stats["counters"]["reloads"],
         "loads": final_stats["counters"]["loads"],
@@ -152,9 +151,6 @@ def run_tenant_churn_soak(
         "cold_p99_ms": cold_percentiles["p99"],
         "cold_load_ms_mean": float(np.mean(cold_loads)) if cold_loads else 0.0,
         "cold_load_ms_max": float(np.max(cold_loads)) if cold_loads else 0.0,
-        "shared_kb_before": float(before_profile["shared_kb"]),
-        "shared_kb_peak": max(shared_kb_samples) if shared_kb_samples else 0.0,
-        "shared_kb_after": float(after_profile["shared_kb"]),
     }
 
 

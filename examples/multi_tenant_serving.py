@@ -5,7 +5,7 @@ Demonstrates the v1 multi-tenant serving stack end to end:
 1. train three tenants' forests and write per-tenant snapshots plus a
    tenant manifest (``repro.persist.save_tenant_manifest``),
 2. stand a :class:`repro.serving.ModelRegistry` up from the manifest — an
-   LRU cache of flat shared-memory snapshots (capacity 2 here, so three
+   LRU cache of flat snapshots in column stores (capacity 2 here, so three
    tenants *must* churn) with a shared global prior forest for tenants
    nobody has onboarded yet,
 3. serve interleaved per-tenant traffic through the asyncio front-end and

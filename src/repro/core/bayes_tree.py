@@ -45,7 +45,6 @@ from .frontier import (
     GAUSSIAN_KIND,
     _BatchParams,
     _entry_batch_params,
-    component_log_densities,
     pdq,
 )
 
@@ -591,13 +590,15 @@ class BayesTree:
     def leaf_arrays(self) -> _BatchParams:
         """Packed ``(means, scales, kinds, log_weights)`` over all leaf entries.
 
-        The arrays back the fully-refined (full kernel density estimate) batch
-        evaluation path.  They are maintained incrementally: the means are a
-        view of the amortised-append leaf buffer (rows in insertion order),
-        and — because every stored kernel shares the tree's epoch-tagged
-        bandwidth — the scales are an O(1) broadcast of the current bandwidth
-        instead of ``n`` stamped copies.  A streamed insert therefore patches
-        this packing in O(d) rather than invalidating it wholesale.
+        The flat twin's leaf columns are compiled from them, so they back the
+        fully-refined (full kernel density estimate) batch evaluation path
+        (:meth:`FlatTree.log_density_batch`).  They are maintained
+        incrementally: the means are a view of the amortised-append leaf
+        buffer (rows in insertion order), and — because every stored kernel
+        shares the tree's epoch-tagged bandwidth — the scales are an O(1)
+        broadcast of the current bandwidth instead of ``n`` stamped copies.
+        A streamed insert therefore patches this packing in O(d) rather than
+        invalidating it wholesale.
 
         Entries carrying explicit per-entry parameters are detected by an
         O(n) verification scan when the packing is (re)built (an already-O(n)
@@ -656,31 +657,6 @@ class BayesTree:
             arrays = (means, scales, kinds, log_weights)
         self._leaf_arrays_cache = (key, arrays)
         return arrays
-
-    def log_density_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Full-model log densities for a batch of queries, fully vectorised.
-
-        Equivalent to refining a frontier per query until no directory entries
-        remain, but evaluates the complete kernel model with one batched call
-        over the packed leaf arrays — the fast path of
-        :meth:`AnytimeBayesClassifier.predict_batch` with an unlimited budget.
-        """
-        queries = np.asarray(queries, dtype=float)
-        single = queries.ndim == 1
-        queries = np.atleast_2d(queries)
-        if queries.shape[1] != self.dimension:
-            raise ValueError(f"queries must have shape (m, {self.dimension})")
-        means, scales, kinds, log_weights = self.leaf_arrays()
-        logs = component_log_densities(queries, means, scales, kinds)
-        result = logsumexp(logs + log_weights[None, :], axis=1)
-        return result[0] if single else result
-
-    def density_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Linear-space counterpart of :meth:`log_density_batch`."""
-        # Deliberate linear-space public API boundary: the full log-space
-        # density is computed first and only exponentiated on return
-        # (callers who need underflow safety use the log form directly).
-        return np.exp(self.log_density_batch(queries))  # reprolint: disable=RL001 -- linear-space API boundary
 
     def density(self, query: Sequence[float] | np.ndarray, nodes: Optional[int] = None) -> float:
         """Density estimate after reading ``nodes`` additional nodes (all if None).

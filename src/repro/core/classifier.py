@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,8 +50,6 @@ __all__ = ["AnytimeClassification", "AnytimeBayesClassifier"]
 #: Queries processed per lockstep round in the budgeted predict_batch path;
 #: bounds the number of simultaneously live frontiers and per-step records.
 BATCH_CHUNK_QUERIES = 256
-
-_Tree = TypeVar("_Tree", "BayesTree", "FlatTree")
 
 
 def _exp_values(log_posterior: Dict[Hashable, float]) -> Dict[Hashable, float]:
@@ -342,7 +340,7 @@ def _drive_batch_chunk(
 
 
 def drive_predict_full(
-    trees: Mapping[Hashable, "BayesTree | FlatTree"],
+    trees: Mapping[Hashable, "FlatTree"],
     log_priors: Dict[Hashable, float],
     queries: np.ndarray,
 ) -> List[Hashable]:
@@ -358,24 +356,24 @@ def drive_predict_full(
 
 
 def validate_batch_budgets(
-    queries: np.ndarray, max_nodes: int | Sequence[int] | np.ndarray
+    count: int, max_nodes: int | Sequence[int] | np.ndarray
 ) -> np.ndarray:
-    """Normalise ``max_nodes`` into one non-negative int budget per query."""
+    """Normalise ``max_nodes`` into one non-negative int budget for each of ``count`` queries."""
     budgets = np.asarray(max_nodes)
     if budgets.dtype.kind not in "iu":
         # Float budgets are refused, not truncated: truncation would
         # silently under-budget queries.
         raise ValueError("max_nodes must be an integer or a sequence of integers")
     if budgets.ndim == 0:
-        budgets = np.full(queries.shape[0], int(budgets))
-    elif budgets.shape != (queries.shape[0],):
+        budgets = np.full(count, int(budgets))
+    elif budgets.shape != (count,):
         raise ValueError("per-query max_nodes must have one budget per query")
     if np.any(budgets < 0):
         raise ValueError("max_nodes must be non-negative")
     return budgets
 
 
-def alive_trees(trees: Mapping[Hashable, _Tree]) -> Dict[Hashable, _Tree]:
+def alive_trees(trees: Mapping[Hashable, "FlatTree"]) -> Dict[Hashable, "FlatTree"]:
     """Class trees that still hold observations.
 
     A class can empty out when expiry drops its last stale kernel (class
@@ -413,7 +411,7 @@ def classify_forest(
     included; qbk's k is clamped to the number of known classes.
     """
     queries = fitted_queries(forest, queries)
-    budgets = validate_batch_budgets(queries, max_nodes)
+    budgets = validate_batch_budgets(queries.shape[0], max_nodes)
     n_classes = forest.n_classes
     if forest.qbk_k is not None:
         k = max(1, min(forest.qbk_k, n_classes))
@@ -427,18 +425,20 @@ def classify_forest(
 
 def predict_forest(
     forest: "AnytimeBayesClassifier | FlatForest",
+    flat_trees: Mapping[Hashable, "FlatTree"],
     queries: np.ndarray,
     node_budget: Optional[int],
 ) -> List[Hashable]:
     """``predict_batch`` of either forest.
 
     ``node_budget=None`` (full refinement) evaluates every alive class's
-    packed leaf arrays for all queries at once, skipping the descent; a
-    finite budget goes through the forest's ``classify_anytime_batch``.
+    packed leaf arrays in ``flat_trees`` for all queries at once, skipping
+    the descent; a finite budget goes through the forest's
+    ``classify_anytime_batch``.
     """
     queries = fitted_queries(forest, queries)
     if node_budget is None:
-        return drive_predict_full(alive_trees(forest.trees), forest.log_priors, queries)
+        return drive_predict_full(alive_trees(flat_trees), forest.log_priors, queries)
     results = forest.classify_anytime_batch(
         queries, max_nodes=node_budget, record_history=False
     )
@@ -701,11 +701,12 @@ class AnytimeBayesClassifier:
 
         ``node_budget=None`` (full refinement) takes the flat vectorised path:
         every class's complete kernel model is evaluated for all queries with
-        one batched call over the tree's packed leaf arrays, skipping the tree
-        descent entirely.  A finite budget goes through
+        one batched call over its twin's packed leaf arrays, skipping the
+        tree descent entirely (a class tree changed since its last read is
+        compiled first).  A finite budget goes through
         :meth:`classify_anytime_batch`.
         """
-        return predict_forest(self, queries, node_budget)
+        return predict_forest(self, self._twins(), queries, node_budget)
 
     # -- flat compilation ---------------------------------------------------------------------------
     def compile_flat(self) -> "FlatForest":

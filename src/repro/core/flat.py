@@ -32,9 +32,11 @@ it keeps as a reference (``tests/core/object_graph_reference.py``).
 A FlatTree is a read-only snapshot of the decayed state at compile time: it
 does not follow subsequent training and its mixture weights are frozen at the
 compile-time logical "now".  That is exactly the serving contract — snapshot,
-compile, share — and what makes the columns safe to place in shared memory
-(:mod:`repro.serving.shared_mem`) or to memory-map from disk
-(:mod:`repro.persist.snapshot`): every reader reads, nobody writes.
+compile, share — and what makes the columns safe to place in a serving
+column store's mapping (:mod:`repro.serving.shared_mem`) or to memory-map
+from disk (:mod:`repro.persist.snapshot`): every reader reads, nobody
+writes.  Both forests' full-refinement ``predict_batch`` reads these
+columns too (:meth:`FlatTree.log_density_batch`).
 """
 
 from __future__ import annotations
@@ -579,7 +581,13 @@ class FlatTree:
         return self.leaf_means, scales, self.leaf_kinds, self.leaf_log_weights
 
     def log_density_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Full-model log densities, identical to :meth:`BayesTree.log_density_batch`."""
+        """Full-model log densities for a batch of queries, fully vectorised.
+
+        Equivalent to refining a frontier per query until no directory entry
+        remains, but evaluates the complete kernel model with one batched call
+        over the packed leaf arrays — the full-refinement path of both
+        forests' ``predict_batch``.
+        """
         from .frontier import component_log_densities
 
         queries = np.asarray(queries, dtype=float)
@@ -800,7 +808,7 @@ class FlatForest:
         self, queries: np.ndarray, node_budget: Optional[int] = None
     ) -> List[Hashable]:
         """Batch label prediction (full kernel model when ``node_budget`` is None)."""
-        return predict_forest(self, queries, node_budget)
+        return predict_forest(self, self.trees, queries, node_budget)
 
     # -- structure health --------------------------------------------------------------------
     def structure_stats(self) -> Dict[str, object]:

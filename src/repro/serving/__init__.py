@@ -1,14 +1,14 @@
 """Serving snapshotted Bayes forests: one backend, an async front-end, HTTP.
 
 :class:`ModelRegistry` (:mod:`repro.serving.registry`) is the one serving
-backend.  It keeps an LRU cache of per-tenant flat-snapshot segments
-(bounded count and bytes, drain-before-release eviction and hot swap) in
-POSIX shared memory (:mod:`repro.serving.shared_mem`) whose names are
-unlinked as soon as the columns are written, applies per-tenant
-:class:`TenantPolicy` budget clamps and falls back to a shared global prior
-for unknown tenants.  It serves every round in one process, over a
-zero-copy forest that wraps the tenant's segment, through the same drivers
-as the in-process classifier, so predictions are bit-identical to it.
+backend.  It keeps an LRU cache of per-tenant flat-snapshot column stores
+(bounded count and bytes, drain-before-release eviction and hot swap), each
+an anonymous shared mapping (:mod:`repro.serving.shared_mem`), applies
+per-tenant :class:`TenantPolicy` budget clamps and falls back to a shared
+global prior for unknown tenants.  It serves every round in one process,
+over a zero-copy forest that wraps the tenant's store, through the same
+drivers as the in-process classifier, so predictions are bit-identical to
+it.
 :class:`ServingEngine` serves a single snapshot as a registry's one pinned
 tenant.
 
@@ -18,7 +18,7 @@ calls into backend rounds with bounded-queue backpressure, per-request
 deadlines and load-adaptive node budgets (:data:`ADAPTIVE`), and
 :class:`HttpFrontend` exposes the whole stack over a minimal stdlib HTTP
 endpoint with the versioned ``/v1/tenants/{tenant}/...`` routes — including
-``/stats``, which reports the registry's counters, each tenant's segment
+``/stats``, which reports the registry's counters, each tenant's store size
 and cold-load time, and forest structure health.  Admission across tenants is *fair*
 (:mod:`repro.serving.admission`): a deficit-round-robin scheduler over
 per-tenant queues, weighted by :class:`TenantPolicy.weight`, plus
@@ -54,13 +54,12 @@ from .frontend import (
     drive_open_loop,
 )
 from .registry import ModelRegistry, RegistryStats, TenantPolicy
-from .shared_mem import SharedColumnStore, memory_profile, segment_exists
+from .shared_mem import SharedColumnStore, memory_profile
 
 __all__ = [
     "ServingEngine",
     "SharedColumnStore",
     "memory_profile",
-    "segment_exists",
     "ModelRegistry",
     "RegistryStats",
     "TenantPolicy",

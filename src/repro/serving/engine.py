@@ -2,9 +2,8 @@
 
 :class:`ServingEngine` serves one forest snapshot as the pinned ``default``
 tenant of a private :class:`~repro.serving.ModelRegistry`, so it shares the
-registry's in-process rounds, shared-memory segment lifecycle,
-drain-before-release hot swap, node-cost estimate and stats — see
-:mod:`repro.serving.registry`.
+registry's in-process rounds, column-store lifecycle, drain-before-release
+hot swap, node-cost estimate and stats — see :mod:`repro.serving.registry`.
 The view keeps the single-model call surface: ``predict_batch`` on a query
 block, ``swap_snapshot`` to a new snapshot, and ``close``.
 """
@@ -50,7 +49,7 @@ class ServingEngine:
         self.dimension = int(loaded["dimension"])
 
     def close(self) -> None:
-        """Drain rounds and release the snapshot's segment."""
+        """Drain rounds and release the snapshot's column store."""
         self.registry.close()
 
     def __enter__(self) -> "ServingEngine":
@@ -98,9 +97,9 @@ class ServingEngine:
     def swap_snapshot(self, snapshot_path: "str | Path") -> None:
         """Atomically switch serving to a new snapshot (graceful hot swap).
 
-        The registry builds the new segment while rounds keep flowing on the
+        The registry builds the new store while rounds keep flowing on the
         old forest, then drains in-flight rounds, switches, and releases the
-        old segment.  A snapshot re-saved at the current path is swapped in
+        old store.  A snapshot re-saved at the current path is swapped in
         too; the same unchanged file is a no-op.  A snapshot that is
         unreadable, has no servable class or has another feature dimension
         is rejected and the engine keeps serving the old one.

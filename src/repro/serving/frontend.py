@@ -33,7 +33,7 @@ this module adds the traffic side — an asyncio-native request layer so real
   ``/v1/tenants/{tenant}/...`` surface plus ``/v1/registry``, ``/healthz``
   and ``/stats``, so external load generators can drive the backend over a
   socket.  ``/stats`` merges the front-end counters with the registry's
-  ``stats_snapshot()`` (counters, per-tenant segment and cold-load time)
+  ``stats_snapshot()`` (counters, per-tenant store size and cold-load time)
   and the resident forests' structure-health summaries.
 * :func:`drive_open_loop` — an open-loop load driver that replays a
   :class:`~repro.stream.DataStream` against a client at its arrival
@@ -519,9 +519,9 @@ class AsyncServingClient:
         features:
             One ``(dimension,)`` feature vector.
         node_budget:
-            ``None`` for full refinement, an ``int`` for a fixed anytime
-            budget, or :data:`ADAPTIVE` to let the arrival-rate policy
-            choose.  Defaults to the client's ``default_budget``.
+            ``None`` for full refinement, a positive ``int`` for a fixed
+            anytime budget, or :data:`ADAPTIVE` to let the arrival-rate
+            policy choose.  Defaults to the client's ``default_budget``.
         deadline_ms:
             Optional end-to-end deadline in milliseconds.  A request that
             cannot produce its result in time fails with
@@ -554,13 +554,16 @@ class AsyncServingClient:
             If the tenant resolves to no model (an unregistered tenant
             without a prior snapshot).
         ValueError
-            If ``features`` does not match the tenant's model dimension.
+            If ``features`` does not match the tenant's model dimension, or
+            ``node_budget`` is not a positive integer, ``None`` or
+            :data:`ADAPTIVE` (checked before admission).
         """
         features = np.asarray(features, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
         expected = self._backend.expected_dimension(resolved_tenant)
         if features.ndim != 1 or (expected is not None and features.shape != (expected,)):
             raise ValueError(f"features must have shape ({expected or 'dimension'},)")
+        budget = self._normalize_budget(node_budget)
         if self._closed:
             raise FrontendClosedError("async serving client is closed")
         loop = asyncio.get_running_loop()
@@ -569,7 +572,6 @@ class AsyncServingClient:
         # signal, so the estimator observes before the admission checks.
         self.estimator.observe(now)
         policy = self._admit(resolved_tenant, 1, now)
-        budget = self._normalize_budget(node_budget)
         request = self._enqueue(
             features, budget, deadline_ms, now, loop, resolved_tenant, policy.weight
         )
@@ -581,17 +583,22 @@ class AsyncServingClient:
         return result[0]
 
     def _normalize_budget(self, node_budget: object) -> object:
-        """Resolve a request budget to ``None``, an ``int`` or the ADAPTIVE sentinel."""
+        """Resolve a request budget to ``None``, a positive ``int`` or the ADAPTIVE sentinel.
+
+        Anything else (zero, negatives, floats, bools) raises ``ValueError``
+        before admission: a bad budget charges no quota and never joins a
+        round, where it would fail every request coalesced with it.
+        """
         budget = self.default_budget if node_budget is _UNSET else node_budget
         if budget is None:
             return None
-        if isinstance(budget, str):
-            # Equality, not identity: "adaptive" arriving from JSON/YAML is
-            # not interned, yet must mean the same thing as the constant.
-            if budget != ADAPTIVE:
-                raise ValueError(f'string node_budget must be "{ADAPTIVE}"')
+        # Equality, not identity: "adaptive" arriving from JSON/YAML is not
+        # interned, yet must mean the same thing as the constant.
+        if isinstance(budget, str) and budget == ADAPTIVE:
             return ADAPTIVE
-        return int(budget)
+        if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1:
+            return int(budget)
+        raise ValueError(f'node_budget must be a positive integer, None (null) or "{ADAPTIVE}"')
 
     def _enqueue(
         self,
@@ -658,6 +665,7 @@ class AsyncServingClient:
         expected = self._backend.expected_dimension(resolved_tenant)
         if queries.ndim != 2 or (expected is not None and queries.shape[1] != expected):
             raise ValueError(f"queries must be an (m, {expected or 'dimension'}) array")
+        budget = self._normalize_budget(node_budget)
         if self._closed:
             raise FrontendClosedError("async serving client is closed")
         loop = asyncio.get_running_loop()
@@ -665,7 +673,6 @@ class AsyncServingClient:
         for _ in range(queries.shape[0]):
             self.estimator.observe(now)
         policy = self._admit(resolved_tenant, queries.shape[0], now)
-        budget = self._normalize_budget(node_budget)
         requests = [
             self._enqueue(row, budget, deadline_ms, now, loop, resolved_tenant, policy.weight)
             for row in queries
@@ -1020,7 +1027,7 @@ class HttpFrontend:
 
     ``POST /v1/tenants/{tenant}/swap`` (alias ``POST /swap``)
         Body ``{"snapshot_path": "..."}``; hot-swaps that tenant's model
-        (a registry load: drain, replace, release the old segment).  Example
+        (a registry load: drain, replace, release the old store).  Example
         response::
 
             {"swapped": true, "tenant": "default", "snapshot_path": "/tmp/f.npz"}
@@ -1044,7 +1051,7 @@ class HttpFrontend:
         Registry-wide view: bounds, counters and the per-tenant nesting;
         404 for an engine client.  Example response::
 
-            {"schema_version": 4, "capacity": 4, "resident": 2,
+            {"schema_version": 5, "capacity": 4, "resident": 2,
              "resident_bytes": 2097152, "counters": {"loads": 7,
              "evictions": 3, ...}, "tenants": {"acme": {...}, ...}}
 
@@ -1067,13 +1074,13 @@ class HttpFrontend:
         tenant's forest structure-health summary, computed on request.
         Example response (abridged)::
 
-            {"schema_version": 5,
+            {"schema_version": 6,
              "frontend": {"submitted": 512, "served": 510,
                           "rejected_queue_full": 2, "rejected_quota": 7,
                           "queue_depth": 0,
                           "arrival": {"rate_per_s": 350.0, ...},
                           "admission": {"rounds": 40, "tenants": {...}}, ...},
-             "registry": {"schema_version": 4, "resident": 1,
+             "registry": {"schema_version": 5, "resident": 1,
                           "counters": {"loads": 1, ...},
                           "tenants": {"default": {"shm_bytes": 2097152,
                                                   "cold_load_ms": 21.4, ...}}, ...},
@@ -1241,19 +1248,6 @@ class HttpFrontend:
         return payload
 
     @staticmethod
-    def _budget_from(payload: dict) -> object:
-        if "node_budget" not in payload:
-            return _UNSET
-        budget = payload["node_budget"]
-        if budget is None:
-            return None
-        if budget == ADAPTIVE:
-            return ADAPTIVE
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise _HttpError(400, 'node_budget must be a positive integer, null or "adaptive"')
-        return budget
-
-    @staticmethod
     def _tenant_route(path: str) -> "Optional[Tuple[str, str]]":
         """Split ``/v1/tenants/{tenant}/{action}`` into ``(tenant, action)``."""
         if not path.startswith("/v1/tenants/"):
@@ -1274,7 +1268,7 @@ class HttpFrontend:
         payload = self._parse_body(body)
         result = await self._client.classify(
             np.asarray(payload["features"], dtype=float),
-            node_budget=self._budget_from(payload),
+            node_budget=payload.get("node_budget", _UNSET),
             deadline_ms=payload.get("deadline_ms"),
             detail=True,
             tenant=tenant,
@@ -1290,7 +1284,7 @@ class HttpFrontend:
         queries = np.asarray(payload["features"], dtype=float)
         predictions = await self._client.classify_batch(
             queries,
-            node_budget=self._budget_from(payload),
+            node_budget=payload.get("node_budget", _UNSET),
             deadline_ms=payload.get("deadline_ms"),
             tenant=tenant,
         )
@@ -1365,7 +1359,7 @@ class HttpFrontend:
             }
         if path == "/stats" and method == "GET":
             return 200, {
-                "schema_version": 5,
+                "schema_version": 6,
                 "frontend": client.stats_snapshot(),
                 "registry": backend.stats_snapshot(),
                 "structure": {

@@ -4,34 +4,28 @@ The paper's anytime Bayes forest is *one* classifier; production traffic from
 millions of users means *many* — per-tenant models with independent
 drift/decay clocks, loaded and retired on demand.  The flat snapshot
 encoding makes a load cheap: one pass over the archive maps the columns,
-one copy places them in a shared segment, and zero-copy views wrap it —
-about 20-35 ms in-process for an 800- or 1600-object pendigits snapshot on
-a 2-core host.  This module is the control plane and the data plane on top
-of it.  Single-snapshot serving
+one copy places them in the tenant's column store, and zero-copy views wrap
+it — about 20-35 ms in-process for an 800- or 1600-object pendigits snapshot
+on a 2-core host.  This module is the control plane and the data plane on
+top of it.  Single-snapshot serving
 (:class:`~repro.serving.ServingEngine`) is a registry holding one pinned
 tenant.
 
 * **Per-tenant flat-snapshot entries.**  Each resident tenant owns one
-  :class:`~repro.serving.shared_mem.SharedColumnStore` segment holding its
-  flat forest columns.  Classification goes through exactly the same
-  drivers as the in-process classifier, so a tenant's predictions and
-  anytime refinement traces (``classification_trace_hash``) are
-  bit-identical to serving that tenant's snapshot alone.
-* **LRU load/evict cache with bounded shared memory.**  At most ``capacity``
-  tenants are resident, and their segments total at most ``capacity_bytes``.
+  :class:`~repro.serving.shared_mem.SharedColumnStore`, an anonymous shared
+  mapping holding its flat forest columns.  Classification goes through
+  exactly the same drivers as the in-process classifier, so a tenant's
+  predictions and anytime refinement traces (``classification_trace_hash``)
+  are bit-identical to serving that tenant's snapshot alone.
+* **LRU load/evict cache with bounded memory.**  At most ``capacity``
+  tenants are resident, and their stores total at most ``capacity_bytes``.
   Loading past a bound evicts the least-recently-used tenants; an evicted
   tenant stays *registered* and transparently reloads on its next request
   (the measured cold-load path).  Eviction and hot swap share one
   discipline: take the tenant's old entry out of service, wait for its
-  in-flight rounds to drain, then release the segment's map via the
-  store — this module is the only one allowed to trigger segment disposal
-  (machine-checked by reprolint RL003).  A hot swap builds the new segment
-  while the old one keeps serving.
-* **Names live only while a store is written.**  A build creates the
-  segment, writes the columns, and unlinks the name before the store's
-  constructor returns; the registry serves from the map it created.  No
-  ``repro-forest-*`` name exists between builds, so no resource tracker
-  process is needed to clean one up after a crash, and none is started.
+  in-flight rounds to drain, then drop its forest and dispose of its store,
+  which unmaps the columns.  A hot swap builds the new store while the old
+  one keeps serving.
 * **Per-tenant decay clocks and budget policies.**  Every tenant's snapshot
   carries its own logical :class:`~repro.index.decay.DecayClock`, so tenants
   age and drift independently by construction; the registry surfaces each
@@ -64,7 +58,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.classifier import AnytimeClassification
+from ..core.classifier import AnytimeClassification, validate_batch_budgets
 from ..core.flat import FlatForest
 from ..persist import load_forest, read_snapshot, read_tenant_manifest
 from .errors import RegistryClosedError, TenantNotFoundError
@@ -182,7 +176,7 @@ class RegistryStats:
     requests / batches:
         Queries accepted and scatter rounds executed, summed over tenants.
     loads:
-        Completed segment builds — initial loads plus cold reloads.
+        Completed store builds — initial loads plus cold reloads.
     reloads:
         The subset of ``loads`` that re-materialised an evicted tenant on
         demand (the measured cold-start-latency path).
@@ -206,7 +200,7 @@ class RegistryStats:
 
 @dataclass
 class _TenantEntry:
-    """One resident tenant: its segment, the forest over it, and counters."""
+    """One resident tenant: its column store, the forest over it, and counters."""
 
     tenant: str
     snapshot_path: str
@@ -244,8 +238,8 @@ class ModelRegistry:
     capacity:
         Maximum number of resident tenants (the LRU bound); at least 1.
     capacity_bytes:
-        Optional bound on the summed size of resident tenants' shared-memory
-        segments.  Loading past it evicts LRU tenants first; the most
+        Optional bound on the summed size of resident tenants' column
+        stores.  Loading past it evicts LRU tenants first; the most
         recently loaded tenant is always kept (a single model larger than
         the bound still serves).
     prior_snapshot:
@@ -310,7 +304,7 @@ class ModelRegistry:
 
     # -- lifecycle ---------------------------------------------------------------------------
     def close(self) -> None:
-        """Evict every tenant (and the prior) and release every segment."""
+        """Evict every tenant (and the prior) and release every store."""
         with self._cond:
             if self._closed:
                 return
@@ -373,9 +367,9 @@ class ModelRegistry:
         snapshot file (the call only refreshes its LRU position and policy).
         A resident tenant loaded with another snapshot — another path, or a
         file re-saved at the same path since it loaded — is hot-swapped: the
-        new segment is built while the old snapshot keeps serving, then
-        in-flight rounds drain, and only then is the old segment's map
-        released — no round ever tears across two snapshots.  The
+        new store is built while the old snapshot keeps serving, then
+        in-flight rounds drain, and only then is the old store released —
+        no round ever tears across two snapshots.  The
         registration changes only once the new snapshot has loaded, so a
         rejected snapshot leaves the tenant exactly as it was.
         Returns the tenant's stats dict (including ``cold_load_ms`` for
@@ -392,7 +386,7 @@ class ModelRegistry:
             When the container is unreadable.
         RegistryClosedError
             When the registry is closed, also by a ``close()`` that ran while
-            the snapshot was loading (the built segment is then released).
+            the snapshot was loading (the built store is then released).
         """
         name = self._valid_tenant(tenant)
         with self._cond:
@@ -461,12 +455,12 @@ class ModelRegistry:
         return result
 
     def evict(self, tenant: str, _count: bool = True) -> bool:
-        """Evict a tenant's model, releasing its segment's map after rounds drain.
+        """Evict a tenant's model, releasing its store after rounds drain.
 
         The tenant stays registered: its next request transparently reloads
         the snapshot (cold start).  Returns ``False`` when the tenant was
         not resident.  Blocks until the tenant's in-flight serving rounds
-        complete — the caller observes the segment released, not merely
+        complete — the caller observes the store released, not merely
         doomed.
         """
         name = self._valid_tenant(tenant)
@@ -498,7 +492,7 @@ class ModelRegistry:
             return sorted(self._known)
 
     def memory_bytes(self) -> int:
-        """Total bytes of resident shared-memory segments (including the prior)."""
+        """Total bytes of resident column stores (including the prior)."""
         with self._cond:
             total = sum(entry.store.size for entry in self._entries.values())
             if self._prior is not None:
@@ -625,7 +619,7 @@ class ModelRegistry:
             tenants = {name: self._tenant_stats_locked(name) for name in sorted(self._known)}
             resident_bytes = sum(entry.store.size for entry in self._entries.values())
             snapshot = {
-                "schema_version": 4,
+                "schema_version": 5,
                 "capacity": self.capacity,
                 "capacity_bytes": self.capacity_bytes,
                 "resident": len(self._entries),
@@ -705,14 +699,14 @@ class ModelRegistry:
     def _build_entry(
         tenant: str, path: str, policy: TenantPolicy, dimension: Optional[int] = None
     ) -> _TenantEntry:
-        """Materialise a tenant: snapshot columns -> shared segment -> zero-copy forest.
+        """Materialise a tenant: snapshot columns -> column store -> zero-copy forest.
 
         A snapshot without flat members (``include_flat=False`` or format v1)
         is restored once and compiled here.  ``dimension`` (the resident
         entry's, on a swap) rejects a snapshot of another feature dimension
-        before any segment is built.  The store unlinks the segment's name
-        as soon as it has written the columns, so the name is gone before
-        this returns.
+        before any store is built.  The columns are copied out of the
+        snapshot's file map, so a file truncated in place cannot fault a
+        round.
         """
         start = time.perf_counter()
         # Stat before reading: a file replaced in between is stamped with the
@@ -731,7 +725,7 @@ class ModelRegistry:
         if columns is None:
             columns = FlatForest.from_classifier(load_forest(path)).to_columns()
         store = SharedColumnStore(columns)
-        del columns  # drop the mmap references; the segment owns the bytes now
+        del columns  # drop the file map's references; the store owns the bytes now
         try:
             forest = FlatForest.from_columns(
                 store.views(),
@@ -759,12 +753,7 @@ class ModelRegistry:
 
     @staticmethod
     def _destroy_entry(entry: _TenantEntry) -> None:
-        """Release the tenant's segment (reprolint RL003 allows disposal only here).
-
-        The forest's views go first, so the store's dispose can close the
-        map; nothing can attach the segment again, because its name went
-        when the store was written.
-        """
+        """Release the tenant's store: its forest's views go first, so the map closes."""
         del entry.forest
         entry.store.dispose()
 
@@ -881,14 +870,14 @@ class ModelRegistry:
     def _resolve_budgets(
         count: int, node_budget: "Optional[BudgetSpec]", policy: TenantPolicy
     ) -> Optional[np.ndarray]:
-        """Per-query budget array for a round, clamped by the tenant policy."""
+        """Per-query budget array for a round, clamped by the tenant policy.
+
+        Float and bool budgets are refused like the classifier refuses them
+        (:func:`~repro.core.classifier.validate_batch_budgets`), not rounded.
+        """
         if node_budget is None:
             return None
-        budgets = np.asarray(node_budget)
-        if budgets.ndim == 0:
-            budgets = np.full(count, int(node_budget))  # type: ignore[arg-type]
-        elif budgets.shape != (count,):
-            raise ValueError("per-query node_budget must have one budget per query")
+        budgets = validate_batch_budgets(count, node_budget)
         if np.any(budgets < 1):
             raise ValueError("node budgets must be at least 1")
         if policy.max_node_budget is not None:
@@ -950,7 +939,6 @@ class ModelRegistry:
         if entry is not None:
             stats.update(
                 {
-                    "shm_name": entry.store.name,
                     "shm_bytes": entry.store.size,
                     "dimension": entry.dimension,
                     "n_classes": entry.forest.n_classes,

@@ -32,7 +32,8 @@ def test_zero_rate_tree_leaf_arrays_identical_despite_clock():
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
     queries = dataset.features[:32]
     np.testing.assert_array_equal(
-        plain.log_density_batch(queries), clocked.log_density_batch(queries)
+        plain.flat_twin().log_density_batch(queries),
+        clocked.flat_twin().log_density_batch(queries),
     )
 
 

@@ -147,7 +147,7 @@ def test_adopted_index_is_normalised_to_the_tree_kernel():
     )
     query = points[3] + 0.05
     assert tree.full_model_density(query) == pytest.approx(
-        float(tree.density_batch(query)), rel=1e-9
+        float(np.exp(tree.flat_twin().log_density_batch(query))), rel=1e-9
     )
 
 
@@ -161,7 +161,7 @@ def test_explicitly_stamped_entries_keep_both_full_model_paths_equivalent():
         entry.bandwidth = wide
     query = rng.normal(size=2)
     assert tree.full_model_density(query) == pytest.approx(
-        float(tree.density_batch(query)), rel=1e-9
+        float(np.exp(tree.flat_twin().log_density_batch(query))), rel=1e-9
     )
 
 
@@ -185,5 +185,7 @@ def test_adopted_bulk_loaded_tree_matches_fitted_statistics():
     np.testing.assert_allclose(loaded.bandwidth, fitted.bandwidth, rtol=1e-9)
     queries = rng.normal(size=(10, 2))
     np.testing.assert_allclose(
-        loaded.log_density_batch(queries), fitted.log_density_batch(queries), rtol=1e-9
+        loaded.flat_twin().log_density_batch(queries),
+        fitted.flat_twin().log_density_batch(queries),
+        rtol=1e-9,
     )

@@ -277,7 +277,8 @@ def test_single_tree_state_roundtrip_preserves_buffer_order():
         np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
     queries = rng.normal(size=(15, 2))
     np.testing.assert_array_equal(
-        tree.log_density_batch(queries), restored.log_density_batch(queries)
+        tree.flat_twin().log_density_batch(queries),
+        restored.flat_twin().log_density_batch(queries),
     )
     # Future inserts take identical paths through identical topology.
     for i in range(20):
@@ -285,5 +286,6 @@ def test_single_tree_state_roundtrip_preserves_buffer_order():
         tree.insert(point, timestamp=90.0 + i)
         restored.insert(point, timestamp=90.0 + i)
     np.testing.assert_array_equal(
-        tree.log_density_batch(queries), restored.log_density_batch(queries)
+        tree.flat_twin().log_density_batch(queries),
+        restored.flat_twin().log_density_batch(queries),
     )

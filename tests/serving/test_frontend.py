@@ -304,6 +304,16 @@ def test_validation_errors(snapshot, engine):
                 await client.classify(dataset.features[:4])
             with pytest.raises(ValueError, match="queries"):
                 await client.classify_batch(dataset.features[240])
+            # Budgets are refused before admission, not truncated or
+            # coerced: nothing is enqueued for them.
+            for budget in (0, -3, 2.7, True, np.float64(3.0), [4]):
+                with pytest.raises(ValueError, match="node_budget"):
+                    await client.classify(dataset.features[240], node_budget=budget)
+                with pytest.raises(ValueError, match="node_budget"):
+                    await client.classify_batch(dataset.features[240:242], node_budget=budget)
+            assert client.stats.submitted == 0
+            served = await client.classify(dataset.features[240], node_budget=np.int64(4))
+            assert served == engine.predict_batch(dataset.features[240:241], node_budget=4)[0]
 
     asyncio.run(run())
     with pytest.raises(ValueError, match="max_pending"):
@@ -317,6 +327,26 @@ def test_validation_errors(snapshot, engine):
         AsyncServingClient()
     with pytest.raises(ValueError, match="tenant"):
         AsyncServingClient(engine, default_tenant="acme")
+
+
+def test_a_refused_budget_does_not_fail_the_round_it_would_join(snapshot, engine):
+    """Regression: a zero budget coalesced with a good request used to fail
+    the whole round, the good request included."""
+    _, dataset = snapshot
+
+    async def run():
+        async with AsyncServingClient(engine, linger_s=0.02) as client:
+            outcomes = await asyncio.gather(
+                client.classify(dataset.features[240], node_budget=8),
+                client.classify(dataset.features[241], node_budget=0),
+                return_exceptions=True,
+            )
+            return outcomes, client.stats.submitted
+
+    (good, refused), submitted = asyncio.run(run())
+    assert isinstance(refused, ValueError) and "node_budget" in str(refused)
+    assert good == engine.predict_batch(dataset.features[240:241], node_budget=8)[0]
+    assert submitted == 1
 
 
 def test_arrival_rate_estimator_ewma():

@@ -83,7 +83,7 @@ def test_healthz_and_stats(snapshot):
     assert health["snapshot_path"] == str(path)
     assert health["tenants"] == 1 and "workers" not in health
     # An engine client's /stats and tenant stats come from the engine's registry.
-    assert stats_status == 200 and stats["schema_version"] == 5
+    assert stats_status == 200 and stats["schema_version"] == 6
     assert "workers" not in stats["registry"] and "worker_profiles" not in stats["registry"]
     assert stats["registry"]["tenants"]["default"]["snapshot_path"] == str(path)
     assert stats["structure"]["default"]["total_kernels"] > 0
@@ -131,10 +131,13 @@ def test_error_codes(snapshot):
     async def scenario(engine, client, host, port):
         not_found = await _request(host, port, "GET", "/nope")
         bad_json = await _request(host, port, "POST", "/classify")
-        bad_budget = await _request(
-            host, port, "POST", "/classify",
-            {"features": dataset.features[220].tolist(), "node_budget": -3},
-        )
+        bad_budgets = [
+            await _request(
+                host, port, "POST", "/classify",
+                {"features": dataset.features[220].tolist(), "node_budget": budget},
+            )
+            for budget in (-3, 2.7, True)
+        ]
         bad_shape = await _request(
             host, port, "POST", "/classify", {"features": [1.0, 2.0]},
         )
@@ -142,16 +145,18 @@ def test_error_codes(snapshot):
             host, port, "POST", "/classify",
             {"features": dataset.features[220].tolist(), "deadline_ms": 1},
         )
-        return not_found, bad_json, bad_budget, bad_shape, timeout
+        return not_found, bad_json, bad_budgets, bad_shape, timeout
 
-    not_found, bad_json, bad_budget, bad_shape, timeout = _serve(
+    not_found, bad_json, bad_budgets, bad_shape, timeout = _serve(
         path, scenario, linger_s=0.1
     )
     assert not_found[0] == 404
     assert not_found[1]["error"]["code"] == "not_found"
     assert bad_json[0] == 400 and "JSON" in bad_json[1]["error"]["message"]
     assert bad_json[1]["error"]["code"] == "bad_request"
-    assert bad_budget[0] == 400
+    for status, body in bad_budgets:  # refused by the client, before admission
+        assert status == 400 and body["error"]["code"] == "bad_request"
+        assert "node_budget" in body["error"]["message"]
     assert bad_shape[0] == 400
     assert timeout[0] == 504
     assert timeout[1]["error"]["code"] == "deadline_exceeded"

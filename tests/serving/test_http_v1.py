@@ -187,7 +187,7 @@ def test_v1_registry_load_evict_and_stats(snapshot):
     )
     assert loaded[0] == 200 and loaded[1]["resident"] is True
     assert loaded[1]["cold_load_ms"] > 0
-    assert listing[0] == 200 and listing[1]["schema_version"] == 4
+    assert listing[0] == 200 and listing[1]["schema_version"] == 5
     assert set(listing[1]["tenants"]) == {"acme", "default"}
     assert served[0] == 200 and served[1]["count"] == len(queries)
     assert tenant_stats[0] == 200 and tenant_stats[1]["requests"] == len(queries)
@@ -352,7 +352,7 @@ def test_tenant_stats_nest_the_admission_view(snapshot):
         "max_queue_depth": None,
         "requests_per_sec": None,
     }
-    assert merged[0] == 200 and merged[1]["schema_version"] == 5
+    assert merged[0] == 200 and merged[1]["schema_version"] == 6
     assert stats[1]["structure"]["total_kernels"] > 0
     frontend = merged[1]["frontend"]
     assert frontend["rejected_quota"] == 0

@@ -22,7 +22,6 @@ from repro.serving import (
     RegistryClosedError,
     TenantNotFoundError,
     TenantPolicy,
-    segment_exists,
 )
 from repro.serving import registry as registry_module
 
@@ -59,19 +58,20 @@ def subset_snapshot(tmp_path_factory):
     return path
 
 
-def _shm_name(registry, tenant):
-    return registry.tenant_stats(tenant)["shm_name"]
+def _assert_released(store):
+    """A disposed store hands out no views: its map is closed (or closing)."""
+    with pytest.raises(ValueError, match="disposed"):
+        store.views()
 
 
-def test_lru_eviction_order_and_segment_unlink(snapshot):
+def test_lru_eviction_order_and_segment_unlink(snapshot, built_stores):
     path, queries = snapshot
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", path)
         registry.load("b", path)
-        name_a = _shm_name(registry, "a")
         registry.load("c", path)  # capacity 2: LRU tenant "a" must go
         assert registry.resident_tenants() == ["b", "c"]
-        assert not segment_exists(name_a)
+        _assert_released(built_stores[0])
         assert registry.stats.evictions == 1
         # Serving "b" touches it; the next overflow must evict "c" instead.
         registry.predict_batch("b", queries[:4])
@@ -79,6 +79,9 @@ def test_lru_eviction_order_and_segment_unlink(snapshot):
         assert registry.resident_tenants() == ["b", "d"]
         # Evicted tenants stay registered for transparent reload.
         assert registry.known_tenants() == ["a", "b", "c", "d"]
+        assert built_stores[1].views()  # "b" still serves from its store
+    for store in built_stores:  # close() released every store
+        _assert_released(store)
 
 
 def test_capacity_bytes_bound_evicts_down(snapshot):
@@ -101,19 +104,20 @@ def test_evict_waits_for_in_flight_rounds(snapshot):
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", path)
         entry = registry._acquire("a")  # pin an in-flight round by hand
-        name = entry.store.name
-        assert not segment_exists(name)  # the name went with the build
+        store = entry.store
         evictor = threading.Thread(target=registry.evict, args=("a",), daemon=True)
-        evictor.start()
-        time.sleep(0.15)
-        # The eviction must be parked on the drain, and the pinned round's
-        # forest still answers over the map the name no longer reaches.
-        assert evictor.is_alive()
-        assert entry.forest.predict_batch(queries[:4]) == expected
-        registry._release(entry)
+        try:
+            evictor.start()
+            time.sleep(0.15)
+            # The eviction must be parked on the drain, and the pinned
+            # round's forest still answers over the store's map.
+            assert evictor.is_alive()
+            assert entry.forest.predict_batch(queries[:4]) == expected
+        finally:
+            registry._release(entry)
         evictor.join(timeout=10)
         assert not evictor.is_alive()
-        assert not segment_exists(name)
+        _assert_released(store)
         assert registry.resident_tenants() == []
 
 
@@ -130,18 +134,20 @@ def test_cold_start_prior_fallback(snapshot):
             registry.predict_batch("never-seen", queries[:2])
 
 
-def test_double_load_is_idempotent(snapshot):
+def test_double_load_is_idempotent(snapshot, built_stores):
     path, _ = snapshot
     with ModelRegistry(capacity=2) as registry:
         first = registry.load("a", path)
-        name = first["shm_name"]
         second = registry.load("a", path)
-        assert second["shm_name"] == name  # same segment, no rebuild
+        assert second == first
+        assert len(built_stores) == 1  # same store, no rebuild
         assert registry.stats.loads == 1
-        assert not segment_exists(name)  # unlinked by the first build, not relinked
+        assert built_stores[0].views()  # and it still serves
 
 
-def test_resaved_snapshot_at_the_same_path_swaps(snapshot, other_snapshot, tmp_path):
+def test_resaved_snapshot_at_the_same_path_swaps(
+    snapshot, other_snapshot, tmp_path, built_stores
+):
     """Idempotence covers an unchanged file only: a forest re-saved at the
     resident path is loaded, not ignored as a double load."""
     path, queries = snapshot
@@ -149,12 +155,11 @@ def test_resaved_snapshot_at_the_same_path_swaps(snapshot, other_snapshot, tmp_p
     shutil.copyfile(path, live)
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", live)
-        old_name = _shm_name(registry, "a")
         assert registry.predict_batch("a", queries) == load_flat_forest(path).predict_batch(queries)
         save_forest(load_forest(other_snapshot), live)
         registry.load("a", live)
         assert registry.stats.swaps == 1
-        assert not segment_exists(old_name)
+        _assert_released(built_stores[0])
         expected = load_flat_forest(other_snapshot).predict_batch(queries)
         assert registry.predict_batch("a", queries) == expected
         registry.load("a", live)  # the same, unchanged file: idempotent again
@@ -209,7 +214,7 @@ def test_eviction_pops_before_draining(snapshot):
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", path)
         entry = registry._acquire("a")  # pin an in-flight round by hand
-        name = entry.store.name
+        store = entry.store
         evictor = threading.Thread(target=registry.evict, args=("a",), daemon=True)
         served = []
         server = threading.Thread(
@@ -229,7 +234,7 @@ def test_eviction_pops_before_draining(snapshot):
             registry._release(entry)
         evictor.join(timeout=30)
         server.join(timeout=30)
-        assert not segment_exists(name)
+        _assert_released(store)
         assert served == [load_flat_forest(path).predict_batch(queries[:4])]
         assert registry.stats.evictions == 1 and registry.stats.reloads == 1
 
@@ -238,7 +243,7 @@ def _close_during_cold_build(registry, start_build, monkeypatch):
     """Close the registry while ``start_build()`` cold-loads a tenant.
 
     The snapshot read blocks until ``close()`` has returned.  Returns what
-    the loading thread raised (or returned) and the segments it built.
+    the loading thread raised (or returned) and the stores it built.
     """
     reading, release = threading.Event(), threading.Event()
     real_read, real_store = registry_module.read_snapshot, registry_module.SharedColumnStore
@@ -251,7 +256,7 @@ def _close_during_cold_build(registry, start_build, monkeypatch):
 
     def recorded_store(columns):
         store = real_store(columns)
-        built.append(store.name)
+        built.append(store)
         return store
 
     monkeypatch.setattr(registry_module, "read_snapshot", held_read)
@@ -290,7 +295,8 @@ def test_close_racing_a_load_disposes_the_built_segment(snapshot, monkeypatch, r
     outcome, built = _close_during_cold_build(registry, lambda: registry.load("t"), monkeypatch)
     assert len(outcome) == 1 and isinstance(outcome[0], RegistryClosedError)
     assert registry.resident_tenants() == [] and registry.memory_bytes() == 0
-    assert len(built) == 1 and not segment_exists(built[0])
+    assert len(built) == 1
+    _assert_released(built[0])
 
 
 def test_close_racing_a_cold_reload_disposes_the_built_segment(snapshot, monkeypatch):
@@ -303,7 +309,8 @@ def test_close_racing_a_cold_reload_disposes_the_built_segment(snapshot, monkeyp
     )
     assert len(outcome) == 1 and isinstance(outcome[0], RegistryClosedError)
     assert registry.resident_tenants() == []
-    assert len(built) == 1 and not segment_exists(built[0])
+    assert len(built) == 1
+    _assert_released(built[0])
 
 
 def test_evicted_tenant_reloads_on_demand(snapshot):
@@ -318,15 +325,14 @@ def test_evicted_tenant_reloads_on_demand(snapshot):
         assert registry.resident_tenants() == ["a"]
 
 
-def test_swap_replaces_resident_snapshot(snapshot, other_snapshot):
+def test_swap_replaces_resident_snapshot(snapshot, other_snapshot, built_stores):
     path, queries = snapshot
     with ModelRegistry(capacity=2) as registry:
         registry.load("a", path)
-        old_name = _shm_name(registry, "a")
         before = registry.predict_batch("a", queries)
         registry.load("a", other_snapshot)
         assert registry.stats.swaps == 1
-        assert not segment_exists(old_name)
+        _assert_released(built_stores[0])
         after = registry.predict_batch("a", queries)
         assert after == load_flat_forest(other_snapshot).predict_batch(queries)
         assert before == load_flat_forest(path).predict_batch(queries)
@@ -361,13 +367,14 @@ def test_stats_snapshot_schema(snapshot):
         registry.load("a", path, policy=TenantPolicy(max_node_budget=16))
         registry.predict_batch("a", queries[:4], node_budget=4)
         stats = registry.stats_snapshot()
-        assert stats["schema_version"] == 4
+        assert stats["schema_version"] == 5
         assert "workers" not in stats and "worker_profiles" not in stats
         assert stats["capacity"] == 2
         assert stats["resident"] == 1 and stats["registered"] == 1
         assert stats["resident_bytes"] > 0
         tenant = stats["tenants"]["a"]
         assert tenant["resident"] is True
+        assert "shm_name" not in tenant and tenant["shm_bytes"] > 0
         assert tenant["requests"] == 4
         assert tenant["policy"] == {
             "max_node_budget": 16,
@@ -486,6 +493,10 @@ def test_registry_validates_inputs(snapshot):
         registry.predict_batch("a", queries[0])
     with pytest.raises(ValueError, match="budget"):
         registry.predict_batch("a", queries[:2], node_budget=0)
+    # Float and bool budgets are refused like the classifier refuses them, not rounded.
+    for budget in (2.5, True, np.array([1.5, 2.0])):
+        with pytest.raises(ValueError, match="max_nodes"):
+            registry.predict_batch("a", queries[:2], node_budget=budget)
     registry.close()
     with pytest.raises(RegistryClosedError):
         registry.predict_batch("a", queries[:2])

@@ -1,30 +1,32 @@
-"""Zero-copy serving: the one-process backend's shared-memory segments.
+"""Zero-copy serving: the one-process backend's column stores.
 
-Pins the serving backend's segment lifecycle through the one-tenant engine
+Pins the serving backend's store lifecycle through the one-tenant engine
 view: the engine serves every round in its own process over the zero-copy
-forest that wraps the segment it built, a segment's name is unlinked as
-soon as its columns are written — so no name outlives a build, not even
-when the serving process is killed, and neither a resource tracker nor any
-other child process ever starts — rounds racing hot swaps always answer
-from a snapshot that was serving during the call, and snapshots without
-flat members are compiled on the fly (construction and hot swap).
+forest that wraps the store it built, swap and close release that store,
+a dispose under a live forest cannot unmap its columns, serving imports no
+``multiprocessing`` and starts no child process, rounds racing hot swaps
+always answer from a snapshot that was serving during the call, and
+snapshots without flat members are compiled on the fly (construction and
+hot swap).
 """
 
+import gc
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
-from repro.persist import load_flat_forest, load_forest, save_forest
-from repro.serving import ServingEngine, segment_exists
+from repro.core import FlatForest
+from repro.persist import load_flat_forest, load_forest, read_snapshot, save_forest
+from repro.serving import ServingEngine, SharedColumnStore
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -57,8 +59,14 @@ def retrained(tmp_path_factory):
     return path, classifier
 
 
-def _shm_name(engine):
-    return engine.registry.tenant_stats(engine.tenant)["shm_name"]
+def _assert_released(store):
+    """A disposed store hands out no views: its map is closed (or closing)."""
+    with pytest.raises(ValueError, match="disposed"):
+        store.views()
+
+
+def _store_bytes(engine):
+    return engine.registry.tenant_stats(engine.tenant)["shm_bytes"]
 
 
 # -- zero-copy serving ----------------------------------------------------------------------
@@ -80,7 +88,7 @@ def test_stats_report_segment_warm_start_and_memory(snapshot):
         engine.predict_batch(queries[:8])
         stats = engine.stats_snapshot()
         tenant = stats["tenants"][engine.tenant]
-        assert tenant["shm_name"] and tenant["shm_bytes"] > 0
+        assert "shm_name" not in tenant and tenant["shm_bytes"] > 0
         assert tenant["cold_load_ms"] > 0
         assert stats["resident_bytes"] == tenant["shm_bytes"] == engine.registry.memory_bytes()
         assert "shard_classes" not in tenant
@@ -91,86 +99,62 @@ def test_stats_report_segment_warm_start_and_memory(snapshot):
             assert sum(per_class["depth_profile"]) == per_class["n_kernels"]
 
 
-# -- segment lifecycle ----------------------------------------------------------------------
-def test_segment_is_unlinked_on_close(snapshot):
-    """The name goes as soon as the build returns; the map keeps serving."""
+# -- store lifecycle ------------------------------------------------------------------------
+def test_segment_is_unlinked_on_close(snapshot, built_stores):
+    """The engine serves from the store it built; close releases it."""
     path, _, queries = snapshot
     local = load_forest(path)
     engine = ServingEngine(path)
     try:
-        name = _shm_name(engine)
-        assert name is not None
-        assert not segment_exists(name)
+        assert len(built_stores) == 1
         assert engine.predict_batch(queries) == local.predict_batch(queries)
     finally:
         engine.close()
-    assert not segment_exists(name)
+    _assert_released(built_stores[0])
     engine.close()  # idempotent
 
 
-def test_swap_replaces_segment_and_unlinks_old(snapshot, retrained):
+def test_swap_replaces_segment_and_unlinks_old(snapshot, retrained, built_stores):
     path, _, queries = snapshot
     new_path, classifier = retrained
     with ServingEngine(path) as engine:
-        old_name = _shm_name(engine)
         engine.swap_snapshot(new_path)
-        new_name = _shm_name(engine)
         assert engine.stats.swaps == 1
-        assert new_name != old_name
-        assert not segment_exists(old_name) and not segment_exists(new_name)
+        old, new = built_stores
+        _assert_released(old)
         assert engine.predict_batch(queries) == classifier.predict_batch(queries)
-        # The old segment was released: only the new one is resident.
-        assert engine.registry.memory_bytes() == engine.registry.tenant_stats(engine.tenant)[
-            "shm_bytes"
-        ]
-    assert not segment_exists(new_name)
+        # The old store was released: only the new one is resident.
+        assert engine.registry.memory_bytes() == _store_bytes(engine) == new.size
+    _assert_released(new)
 
 
-#: Serves one round from a fresh engine, prints the segment name and waits
-#: on stdin until it is killed.
-_SERVE_AND_WAIT = """
-import json, sys
-import numpy as np
-from repro.serving import ServingEngine
-
-engine = ServingEngine(sys.argv[1])
-queries = np.asarray(json.loads(sys.stdin.readline()), dtype=float)
-engine.predict_batch(queries, node_budget=8)
-print(engine.registry.tenant_stats(engine.tenant)["shm_name"], flush=True)
-sys.stdin.readline()
-"""
-
-
-def test_worker_crash_does_not_leak_the_segment(snapshot):
-    """A serving process SIGKILLed after its build runs no cleanup, and its
-    segment's name is gone anyway: it went when the store was written."""
+def test_dispose_under_a_live_forest_keeps_its_columns_mapped(snapshot):
+    """A store disposed while its forest is alive cannot unmap the columns
+    under it: every view stays readable, and the mapping closes only once
+    the last view goes."""
     path, _, queries = snapshot
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        part for part in (str(SRC), env.get("PYTHONPATH")) if part
+    manifest, columns = read_snapshot(path)
+    store = SharedColumnStore(columns)
+    del columns
+    forest = FlatForest.from_columns(
+        store.views(),
+        labels=manifest["classes"],
+        descent=manifest["descent"],
+        qbk_k=manifest["qbk_k"],
+        dimension=int(manifest["dimension"]),
     )
-    server = subprocess.Popen(
-        [sys.executable, "-c", _SERVE_AND_WAIT, str(path)],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    try:
-        server.stdin.write(json.dumps(queries[:4].tolist()) + "\n")
-        server.stdin.flush()
-        name = server.stdout.readline().strip()
-        assert name.startswith("repro-forest-")
-        assert server.poll() is None  # still serving, map held
-        server.send_signal(signal.SIGKILL)
-        assert server.wait(timeout=30) == -signal.SIGKILL
-    finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=30)
-        server.stdin.close()
-        server.stdout.close()
-    assert not segment_exists(name)
+    expected = {None: forest.predict_batch(queries), 8: forest.predict_batch(queries, 8)}
+    mapping = weakref.ref(store._map)
+    store.dispose()
+    _assert_released(store)
+    # Checked before reading: a view over an unmapped page would crash the suite.
+    assert mapping() is not None and not mapping().closed
+    assert forest.predict_batch(queries) == expected[None]
+    assert forest.predict_batch(queries, 8) == expected[8]
+    del forest
+    gc.collect()
+    assert mapping() is None  # the last view went, and the mapping with it
+    store.dispose()  # idempotent
 
 
 def test_rounds_racing_swaps_answer_from_a_serving_snapshot(snapshot, retrained):
@@ -239,11 +223,12 @@ def test_rounds_racing_swaps_answer_from_a_serving_snapshot(snapshot, retrained)
 
 #: Drives the serving stack in a fresh interpreter (so no child the test
 #: process may already run can mask one) and reports, after every step, the
-#: interpreter's child command lines and which of its segment names resolve.
+#: interpreter's child command lines, plus the ``multiprocessing`` modules
+#: it imported by the end.
 _LIFECYCLE_SCRIPT = """
 import json, os, sys
 import numpy as np
-from repro.serving import ModelRegistry, ServingEngine, segment_exists
+from repro.serving import ModelRegistry, ServingEngine
 from repro.serving import registry as registry_module
 
 path, other = sys.argv[1], sys.argv[2]
@@ -252,7 +237,7 @@ real_store = registry_module.SharedColumnStore
 
 def recorded_store(columns):
     store = real_store(columns)
-    created.append(store.name)
+    created.append(store)
     return store
 
 registry_module.SharedColumnStore = recorded_store
@@ -270,8 +255,7 @@ def check(step):
                     children.append(handle.read().replace(b"\\0", b" ").decode())
         except (OSError, ValueError, IndexError):
             continue
-    linked = [name for name in created if segment_exists(name)]
-    steps.append({"step": step, "children": children, "linked": linked})
+    steps.append({"step": step, "children": children})
 
 engine = ServingEngine(path)
 check("engine constructed")
@@ -292,7 +276,8 @@ registry.predict_batch("a", queries, node_budget=8)
 check("registry cold reload")
 registry.close()
 check("registry closed")
-print(json.dumps({"created": len(created), "steps": steps}))
+imported = sorted(name for name in sys.modules if name.split(".")[0] == "multiprocessing")
+print(json.dumps({"created": len(created), "steps": steps, "imported": imported}))
 """
 
 
@@ -314,7 +299,6 @@ def test_serving_starts_no_resource_tracker_and_no_name_outlives_its_build(
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    assert "leaked shared_memory" not in completed.stderr
     report = json.loads(completed.stdout.strip().splitlines()[-1])
     # engine build + swap, then registry load, overflow load and cold reload
     assert report["created"] == 5
@@ -322,7 +306,7 @@ def test_serving_starts_no_resource_tracker_and_no_name_outlives_its_build(
     for step in report["steps"]:
         # No resource tracker, no shard worker: the serving stack is one process.
         assert not step["children"], f"{step['step']}: child processes: {step['children']}"
-        assert not step["linked"], f"{step['step']}: names still linked: {step['linked']}"
+    assert report["imported"] == [], "serving imported multiprocessing"
 
 
 # -- compile-on-demand for legacy snapshots -------------------------------------------------
@@ -330,7 +314,7 @@ def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
     with ServingEngine(legacy) as engine:
-        assert _shm_name(engine) is not None
+        assert _store_bytes(engine) > 0
         assert engine.predict_batch(queries) == local.predict_batch(queries)
         assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
             queries, node_budget=8
@@ -343,5 +327,5 @@ def test_swap_to_legacy_snapshot_compiles_on_swap(snapshot):
     with ServingEngine(path) as engine:
         engine.swap_snapshot(legacy)
         assert engine.snapshot_path == str(legacy)
-        assert _shm_name(engine) is not None
+        assert _store_bytes(engine) > 0
         assert engine.predict_batch(queries) == local.predict_batch(queries)

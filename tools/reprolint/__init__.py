@@ -3,10 +3,9 @@
 Six PRs of optimisation left this codebase with correctness contracts that
 generic linters cannot see: probability math must stay in log space, decayed
 statistics are only read against an explicit logical clock, snapshots are
-pickle-free, shared-memory segments are created, attached and unlinked in
-one module and only with the resource tracker suppressed (a tracked call
-starts a tracker process), trace-pinned code must be deterministic, and
-batch hot paths must stay vectorised.
+pickle-free, no module imports named shared memory or its resource tracker
+(tenant columns live in anonymous mappings), trace-pinned code must be
+deterministic, and batch hot paths must stay vectorised.
 reprolint machine-checks those contracts (rules RL001–RL006, each documented
 in its class docstring and in DESIGN.md "Enforced invariants") so the
 compactor / multi-tenant / multi-node refactors on the ROADMAP can rewrite

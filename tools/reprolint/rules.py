@@ -197,147 +197,40 @@ class PickleFreePersistence(Rule):
         return found
 
 
-class SharedMemoryLifecycle(Rule):
-    """RL003: shared-memory segments have exactly one owner module.
+class NoNamedSharedMemory(Rule):
+    """RL003: no module under ``src/repro`` imports named shared memory or its tracker.
 
-    Zero-copy serving hinges on a strict lifecycle: a segment's name lives
-    only from its create to the unlink that follows once its columns are
-    written, so no resource tracker process is needed, and none may start.
-    The stdlib ``SharedMemory`` registers every create and attach with
-    ``multiprocessing.resource_tracker`` and unregisters on unlink, and each
-    of those calls starts the tracker if it is not running; a tracked attach
-    also makes the attaching process an owner whose exit unlinks the segment
-    under everyone else.  Enforced shape: ``multiprocessing.shared_memory``
-    may only be imported in ``serving/shared_mem.py``; ``.unlink()`` on
-    shm-like handles is confined to that module too; and inside it, every
-    ``SharedMemory(...)`` call (create or attach) and every ``.unlink()`` on
-    an shm-like handle must run inside the module's tracker-suppressing
-    helper, i.e. lexically within a ``with _untracked():`` block.
-
-    Segment *disposal* through the sanctioned API (``store.dispose()``)
-    closes the creator's map of a segment.  Exactly one module may trigger
-    it — the model registry, the one serving backend (eviction, hot swap,
-    close) — always via the shared_mem API, never a raw ``unlink``.  A
-    ``.dispose()`` on a store-like receiver anywhere else is flagged.
+    Each tenant's columns live in an anonymous mapping that dies with the
+    process (``serving/shared_mem.py``).  A named POSIX segment
+    (``multiprocessing.shared_memory``) can outlive a crash, and the stdlib
+    registers every create and attach with ``multiprocessing.resource_tracker``,
+    which starts a separate tracker process to unlink leaked names (or needs
+    a process-wide patch to avoid starting one).  Neither module may be
+    imported anywhere in the package.
     """
 
     code = "RL003"
-    name = "shm-lifecycle"
+    name = "no-named-shm"
 
-    _OWNER = "src/repro/serving/shared_mem.py"
-    _SHMLIKE = ("shm", "segment", "shared_mem", "seg")
-    _STORELIKE = ("store",) + _SHMLIKE
-    #: Modules allowed to call ``.dispose()`` on a SharedColumnStore: the
-    #: registry (eviction, swap, close), nothing else.
-    _DISPOSERS = ("/serving/registry.py",)
-    #: The owner module's context manager that suppresses the resource tracker.
-    _HELPER = "_untracked"
+    _FORBIDDEN = ("multiprocessing.shared_memory", "multiprocessing.resource_tracker")
 
     def applies_to(self, relpath: str, project: ProjectContext) -> bool:
-        return relpath.endswith(".py")
+        return relpath.startswith("src/repro/")
 
     def check(self, ctx: FileContext, project: ProjectContext) -> List[Violation]:
-        if ctx.relpath == self._OWNER or ctx.relpath.endswith("/shared_mem.py"):
-            return self._check_owner(ctx)
-        return self._check_outsider(ctx)
-
-    def _check_outsider(self, ctx: FileContext) -> List[Violation]:
         found: List[Violation] = []
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.startswith("multiprocessing.shared_memory"):
-                        found.append(self._import_violation(ctx, node))
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "multiprocessing" and any(
-                    alias.name == "shared_memory" for alias in node.names
-                ):
-                    found.append(self._import_violation(ctx, node))
-                elif node.module and node.module.startswith("multiprocessing.shared_memory"):
-                    found.append(self._import_violation(ctx, node))
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "unlink" and self._looks_shmlike(node.func.value):
-                    found.append(
-                        self.violation(
-                            ctx, node, "`.unlink()` on a shared-memory handle outside "
-                            "serving/shared_mem.py; the serving-side store is the single unlinker"
-                        )
-                    )
-                elif (
-                    node.func.attr == "dispose"
-                    and self._looks_storelike(node.func.value)
-                    and not self._may_dispose(ctx.relpath)
-                ):
-                    found.append(
-                        self.violation(
-                            ctx, node, "segment disposal (`.dispose()` on a column store) is "
-                            "confined to serving/registry.py (eviction, swap, close)"
-                        )
-                    )
-        return found
-
-    def _may_dispose(self, relpath: str) -> bool:
-        normalized = "/" + relpath.replace("\\", "/").lstrip("/")
-        return any(normalized.endswith(suffix) for suffix in self._DISPOSERS)
-
-    def _looks_storelike(self, node: ast.expr) -> bool:
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is None:
-            return False
-        lowered = name.lower().lstrip("_")
-        return any(prefix in lowered for prefix in self._STORELIKE)
-
-    def _import_violation(self, ctx: FileContext, node: ast.AST) -> Violation:
-        return self.violation(
-            ctx, node, "multiprocessing.shared_memory may only be used via "
-            "repro.serving.shared_mem (single creator/unlinker, tracker-suppressed attach)"
-        )
-
-    def _looks_shmlike(self, node: ast.expr) -> bool:
-        name = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is None:
-            return False
-        lowered = name.lower().lstrip("_")
-        return any(lowered.startswith(prefix) or prefix in lowered for prefix in self._SHMLIKE)
-
-    def _check_owner(self, ctx: FileContext) -> List[Violation]:
-        guarded: Set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)) and any(
-                isinstance(item.context_expr, ast.Call)
-                and _call_target(item.context_expr) == self._HELPER
-                for item in node.items
-            ):
-                guarded.update(id(inner) for stmt in node.body for inner in ast.walk(stmt))
-        found: List[Violation] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) or id(node) in guarded:
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [f"{node.module}.{alias.name}" for alias in node.names] + [node.module]
+            else:
                 continue
-            if (_call_target(node) or "").endswith("SharedMemory"):
+            if any(name == bad or name.startswith(bad + ".") for name in names for bad in self._FORBIDDEN):
                 found.append(
                     self.violation(
-                        ctx, node, f"`SharedMemory(...)` outside `with {self._HELPER}():`; a "
-                        "tracked create or attach starts the resource tracker process"
-                    )
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unlink"
-                and self._looks_shmlike(node.func.value)
-            ):
-                found.append(
-                    self.violation(
-                        ctx, node, "`.unlink()` on a shared-memory handle outside "
-                        f"`with {self._HELPER}():`; a tracked unlink starts the resource "
-                        "tracker process"
+                        ctx, node, "imports a named shared-memory module; tenant columns live in "
+                        "an anonymous mapping (repro.serving.shared_mem), which needs no resource tracker"
                     )
                 )
         return found
@@ -608,7 +501,7 @@ class BatchHotPathLoops(Rule):
 ALL_RULES: Sequence[Rule] = (
     ProbabilitySpaceMath(),
     PickleFreePersistence(),
-    SharedMemoryLifecycle(),
+    NoNamedSharedMemory(),
     DecayClockDiscipline(),
     TraceDeterminism(),
     BatchHotPathLoops(),
