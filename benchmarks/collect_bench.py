@@ -222,13 +222,14 @@ def _tenant_metrics() -> dict:
 def _fairness_metrics() -> dict:
     """Two-tenant starvation: DRR fairness under a 50x hot-tenant storm.
 
-    The background tenant replays the same stream twice through identically
-    configured deployments — once alone, once while the hot tenant offers
-    50x its load — so both gate numbers are same-machine ratios: the served
-    fraction of background requests under contention (1.0 unless the
-    scheduler starves it into deadline misses) and the background p99 over
-    its solo baseline (a broken scheduler parks background requests behind
-    the hot backlog and blows this up by orders of magnitude, not percent).
+    The background tenant replays the same stream through identically
+    configured deployments — alone, then while the hot tenant offers 50x its
+    load, in five interleaved pairs — so both gate numbers are same-machine
+    ratios: the served fraction of background requests under contention
+    (1.0 unless the scheduler starves it into deadline misses) and the
+    median over pairs of the background p99 over its solo p99 (a broken
+    scheduler parks background requests behind the hot backlog and blows
+    this up by an order of magnitude, not percent).
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
@@ -367,8 +368,9 @@ def collect() -> dict:
             "value": fairness["p99_ratio"],
             "direction": "lower",
             "note": (
-                "background p99 under the 50x storm over its solo-baseline p99 "
-                "(same machine, same client config; starvation blows this up)"
+                "background p99 under the 50x storm over its solo-baseline p99, median "
+                "of five interleaved pairs (same machine, same client config; starvation "
+                "blows this up)"
             ),
         },
         "scenario_forest_win_rate": {

@@ -47,6 +47,8 @@ from repro.stream import DataStream, PoissonArrival  # noqa: E402
 
 BACKGROUND = "background"
 HOT = "hot"
+#: Interleaved solo/contended pairs per run; the p99 ratio is their median.
+PAIRS = 5
 
 
 def _tiled(dataset: "Dataset", n_items: int) -> "Dataset":
@@ -89,21 +91,25 @@ def run_two_tenant_starvation(
     min_deadline_ms: float = 500.0,
     random_state: int = 7,
 ) -> Dict[str, object]:
-    """Solo baseline, then the contended run, then the fairness verdicts.
+    """Interleaved solo and contended runs, then the fairness verdicts.
 
-    The background tenant replays ``tail_dataset`` at ``background_speed``
-    arrivals/s twice through identically configured deployments: once alone
-    (the baseline) and once while the hot tenant offers ``hot_multiplier``
-    times that rate for the whole background run.  The contended background
-    stream carries a deadline derived from the solo p99 (``deadline_factor``
-    times it, floored at ``min_deadline_ms``) so starvation — requests parked
-    behind the hot backlog — degrades the *completion rate* instead of
-    hiding in an unbounded latency tail.
+    Each of :data:`PAIRS` pairs replays ``tail_dataset`` as the background
+    tenant at ``background_speed`` arrivals/s through two identically
+    configured deployments: once alone (the baseline), then while the hot
+    tenant offers ``hot_multiplier`` times that rate for the whole
+    background run.  The contended background stream carries a deadline
+    derived from the same pair's solo p99 (``deadline_factor`` times it,
+    floored at ``min_deadline_ms``) so starvation — requests parked behind
+    the hot backlog — degrades the *completion rate* instead of hiding in an
+    unbounded latency tail.
 
-    Returns the two background trace summaries plus the gate numbers:
-    ``background_completion`` (served fraction under contention) and
-    ``p99_ratio`` (contended p99 over solo p99), alongside the hot tenant's
-    rejection mix and the client's admission snapshot.
+    The gate ratio ``p99_ratio`` is the median over pairs of contended p99
+    over solo p99.  One run's p99 rests on its few slowest requests, so a
+    single ratio swings with the host's scheduling; interleaving cancels a
+    slow spell that hits both halves of a pair, and the median outvotes one
+    that hits a single run.  Completion, rejection mixes and the ``solo``,
+    ``contended`` and ``hot`` summaries pool every pair's records;
+    ``admission`` is the client's snapshot after the last contended run.
     """
     if hot_multiplier <= 1.0:
         raise ValueError("hot_multiplier must exceed 1 for a starvation run")
@@ -171,37 +177,51 @@ def run_two_tenant_starvation(
         finally:
             registry.close()
 
-    # Two solo replays, pooled: the baseline p99 is the ratio's denominator,
-    # and a single replay's p99 is one-sample-deep — one lucky run would
-    # read as contended-side unfairness.
-    solo_trace = RequestTrace.from_records(asyncio.run(solo()) + asyncio.run(solo()))
-    solo_summary = solo_trace.summary()
-    solo_p99_ms = float(solo_summary["latency_ms"]["p99"])
-    deadline_ms = max(min_deadline_ms, deadline_factor * solo_p99_ms)
+    solo_records: List[dict] = []
+    background_records: List[dict] = []
+    hot_records: List[dict] = []
+    solo_p99s: List[float] = []
+    contended_p99s: List[float] = []
+    deadlines: List[float] = []
+    admission: Dict[str, object] = {}
+    for _ in range(PAIRS):
+        records = asyncio.run(solo())
+        solo_records += records
+        solo_p99_ms = float(RequestTrace.from_records(records).summary()["latency_ms"]["p99"])
+        deadline_ms = max(min_deadline_ms, deadline_factor * solo_p99_ms)
+        records, hot, admission = asyncio.run(contended(deadline_ms))
+        background_records += records
+        hot_records += hot
+        # A fully starved background tenant serves nothing: report an
+        # infinite tail instead of KeyError-ing so the gate fails on the number.
+        latency = RequestTrace.from_records(records).summary().get("latency_ms", {"p99": float("inf")})
+        solo_p99s.append(solo_p99_ms)
+        contended_p99s.append(float(latency["p99"]))
+        deadlines.append(deadline_ms)
 
-    background_records, hot_records, admission = asyncio.run(contended(deadline_ms))
+    ratios = [
+        contended_ms / solo_ms if solo_ms > 0 else float("inf")
+        for solo_ms, contended_ms in zip(solo_p99s, contended_p99s)
+    ]
     background_trace = RequestTrace.from_records(background_records)
     hot_trace = RequestTrace.from_records(hot_records)
-    background_summary = background_trace.summary()
-    # A fully starved background tenant serves nothing: report an infinite
-    # tail instead of KeyError-ing so the gate fails on the number.
-    contended_latency = background_summary.get("latency_ms", {"p99": float("inf")})
-    contended_p99_ms = float(contended_latency["p99"])
     completion = background_trace.completion_rate()
 
     return {
         "background_speed": background_speed,
         "hot_multiplier": hot_multiplier,
         "background_limit": background_limit,
-        "deadline_ms": deadline_ms,
-        "solo": solo_summary,
-        "contended": background_summary,
+        "pairs": PAIRS,
+        "deadline_ms": deadlines,
+        "solo": RequestTrace.from_records(solo_records).summary(),
+        "contended": background_trace.summary(),
         "hot": hot_trace.summary(),
         "background_completion": float(completion if completion is not None else 0.0),
         "background_rejection_mix": background_trace.rejection_mix(),
         "hot_rejection_mix": hot_trace.rejection_mix(),
-        "solo_p99_ms": solo_p99_ms,
-        "contended_p99_ms": contended_p99_ms,
-        "p99_ratio": contended_p99_ms / solo_p99_ms if solo_p99_ms > 0 else float("inf"),
+        "solo_p99_ms": float(np.median(solo_p99s)),
+        "contended_p99_ms": float(np.median(contended_p99s)),
+        "p99_ratios": ratios,
+        "p99_ratio": float(np.median(ratios)),
         "admission": admission,
     }

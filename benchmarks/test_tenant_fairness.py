@@ -4,8 +4,10 @@ The PR-CI sized run drives the hot tenant at 50x the background tenant's
 offered load through the shared DRR admission layer and asserts the
 acceptance criteria directly: the background tenant keeps completing
 (>= 0.9 of its requests served) and its p99 stays within 3x its solo
-baseline, while the hot tenant's overload surfaces as bounded backlog plus
-``queue_full`` rejections.  A byte-identity run pins that the scheduler and
+baseline (the median ratio over five interleaved solo/contended pairs, so
+one slow spell on the host cannot decide the verdict), while the hot
+tenant's overload surfaces as bounded backlog plus ``queue_full``
+rejections.  A byte-identity run pins that the scheduler and
 per-tenant policies leave the fixed-budget single-tenant trace contract
 untouched through both HTTP route families.  The nightly soak
 (``RUN_SOAK=1``) scales the same driver to a multi-second starvation storm.
@@ -41,8 +43,8 @@ def _assert_fairness_invariants(report):
         f"(rejection mix {report['background_rejection_mix']})"
     )
     assert report["p99_ratio"] <= 3.0, (
-        f"background p99 {report['contended_p99_ms']:.1f} ms is "
-        f"{report['p99_ratio']:.2f}x its solo baseline {report['solo_p99_ms']:.1f} ms (> 3x)"
+        f"background p99 is a median {report['p99_ratio']:.2f}x its solo baseline (> 3x) "
+        f"over {report['pairs']} pairs: ratios {[round(r, 2) for r in report['p99_ratios']]}"
     )
     # The hot tenant really was overloaded: its capped queue forced
     # rejections instead of letting it monopolise the shared pending budget.
@@ -71,6 +73,7 @@ def test_background_tenant_survives_hot_tenant_storm(benchmark, workload):
         "solo_p99_ms",
         "contended_p99_ms",
         "p99_ratio",
+        "p99_ratios",
         "deadline_ms",
         "background_rejection_mix",
         "hot_rejection_mix",
@@ -118,5 +121,6 @@ def test_starvation_storm_nightly(benchmark, workload):
         if key not in ("solo", "contended", "hot", "admission"):
             print(f"  {key:26s} {value}")
     _assert_fairness_invariants(report)
-    # A storm this long must keep the hot tenant saturated throughout.
-    assert report["hot"]["requests"] >= background_limit * 40
+    # A storm this long must keep the hot tenant saturated throughout
+    # (``hot`` pools every pair's contended run).
+    assert report["hot"]["requests"] >= report["pairs"] * background_limit * 40

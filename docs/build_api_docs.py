@@ -24,6 +24,18 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from check_docstrings import AUDITED_MODULES  # noqa: E402
 
+#: pdoc, run after every lazy facade's ``__all__`` has been resolved: the
+#: facades import a re-exported name on first use (``repro._lazy``), and pdoc
+#: reads a module's members from its ``__dict__``, not through ``getattr``.
+_RUN_PDOC = """
+import importlib, runpy
+for name in ("repro", "repro.core", "repro.stats", "repro.stream", "repro.evaluation"):
+    module = importlib.import_module(name)
+    for export in module.__all__:
+        getattr(module, export)
+runpy.run_module("pdoc", run_name="__main__", alter_sys=True)
+"""
+
 
 def build(output: str) -> int:
     """Run pdoc over the audited modules; returns a process exit code."""
@@ -32,15 +44,15 @@ def build(output: str) -> int:
     environment["PYTHONPATH"] = src + os.pathsep + environment.get("PYTHONPATH", "")
     command = [
         sys.executable,
-        "-m",
-        "pdoc",
+        "-c",
+        _RUN_PDOC,
         "--docformat",
         "restructuredtext",
         "--output-directory",
         output,
         *AUDITED_MODULES,
     ]
-    print("$", " ".join(command))
+    print("$", "pdoc", " ".join(command[3:]))
     completed = subprocess.run(command, env=environment, capture_output=True, text=True)
     if completed.stdout:
         print(completed.stdout, end="")

@@ -8,6 +8,11 @@ Goldberger mixture-reduction bulk load and the EM top-down bulk load), the
 stream/evaluation harness that regenerates the paper's figures, and the
 anytime-clustering extension sketched in its future-work section.
 
+Importing ``repro`` loads only this facade: each name in ``__all__`` is
+imported from the submodule that defines it on first use.  A process that
+only learns therefore never loads the serving stack (asyncio, the HTTP
+front-end, the registry), persistence or the experiment harness.
+
 Quickstart
 ----------
 >>> import numpy as np
@@ -20,24 +25,9 @@ Quickstart
 True
 """
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from .core import (
-    AnytimeBayesClassifier,
-    AnytimeClassification,
-    BayesTree,
-    BayesTreeConfig,
-    Frontier,
-    SingleTreeAnytimeClassifier,
-    default_qbk_k,
-    make_descent_strategy,
-)
-from .index import RStarTree, TreeParameters
-from .persist import SnapshotError, SnapshotVersionError, load_forest, save_forest
-from .serving import ServingEngine
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .data import Dataset
+from ._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
@@ -61,9 +51,36 @@ __all__ = [
     "__version__",
 ]
 
+#: Each lazily exported name -> the submodule that defines it.
+_EXPORTS = {
+    "AnytimeBayesClassifier": ".core.classifier",
+    "AnytimeClassification": ".core.classifier",
+    "BayesTree": ".core.bayes_tree",
+    "BayesTreeConfig": ".core.config",
+    "Frontier": ".core.frontier",
+    "SingleTreeAnytimeClassifier": ".core.single_tree",
+    "default_qbk_k": ".core.config",
+    "make_descent_strategy": ".core.descent",
+    "RStarTree": ".index.rstar",
+    "TreeParameters": ".index.rstar",
+    "SnapshotError": ".persist.snapshot",
+    "SnapshotVersionError": ".persist.snapshot",
+    "load_forest": ".persist.snapshot",
+    "save_forest": ".persist.snapshot",
+    "ServingEngine": ".serving.engine",
+    "make_dataset": ".data.synthetic",
+}
 
-def make_dataset(*args: Any, **kwargs: Any) -> "Dataset":
-    """Convenience re-export of :func:`repro.data.make_dataset` (lazy import)."""
-    from .data import make_dataset as _make_dataset
-
-    return _make_dataset(*args, **kwargs)
+if TYPE_CHECKING:  # pragma: no cover - the eager view, for type checkers and linters
+    from .core.bayes_tree import BayesTree
+    from .core.classifier import AnytimeBayesClassifier, AnytimeClassification
+    from .core.config import BayesTreeConfig, default_qbk_k
+    from .core.descent import make_descent_strategy
+    from .core.frontier import Frontier
+    from .core.single_tree import SingleTreeAnytimeClassifier
+    from .data.synthetic import make_dataset
+    from .index.rstar import RStarTree, TreeParameters
+    from .persist.snapshot import SnapshotError, SnapshotVersionError, load_forest, save_forest
+    from .serving.engine import ServingEngine
+else:
+    __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

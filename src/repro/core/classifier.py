@@ -356,20 +356,23 @@ def drive_predict_full(
 
 
 def validate_batch_budgets(
-    count: int, max_nodes: int | Sequence[int] | np.ndarray
+    count: int, max_nodes: int | Sequence[int] | np.ndarray, *, name: str = "max_nodes"
 ) -> np.ndarray:
-    """Normalise ``max_nodes`` into one non-negative int budget for each of ``count`` queries."""
+    """Normalise ``max_nodes`` into one non-negative int budget for each of ``count`` queries.
+
+    Refusals name ``name``, the caller's parameter that carried the budgets.
+    """
     budgets = np.asarray(max_nodes)
     if budgets.dtype.kind not in "iu":
         # Float budgets are refused, not truncated: truncation would
         # silently under-budget queries.
-        raise ValueError("max_nodes must be an integer or a sequence of integers")
+        raise ValueError(f"{name} must be an integer or a sequence of integers")
     if budgets.ndim == 0:
         budgets = np.full(count, int(budgets))
     elif budgets.shape != (count,):
-        raise ValueError("per-query max_nodes must have one budget per query")
+        raise ValueError(f"per-query {name} must have one budget per query")
     if np.any(budgets < 0):
-        raise ValueError("max_nodes must be non-negative")
+        raise ValueError(f"{name} must be non-negative")
     return budgets
 
 

@@ -9,15 +9,17 @@ orderings listed in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.config import BayesTreeConfig
 from ..data.synthetic import DATASET_SPECS, Dataset, make_dataset, make_drift_stream
 from ..index.rstar import TreeParameters
-from .anytime_eval import CrossValidatedCurve, cross_validated_anytime_curve
 from .metrics import anytime_curve_summary
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .anytime_eval import CrossValidatedCurve
 
 __all__ = [
     "ExperimentConfig",
@@ -79,6 +81,11 @@ class BulkloadExperimentResult:
 
 def run_bulkload_experiment(config: ExperimentConfig) -> BulkloadExperimentResult:
     """Run the bulk-loading comparison of Figures 2-4 for one data set."""
+    # Imported here, not at module level: it loads every bulk loader, the
+    # space-filling curves and EM, which a stream job reading
+    # DEFAULT_EXPERIMENT_CONFIG never uses.
+    from .anytime_eval import cross_validated_anytime_curve
+
     dataset = make_dataset(config.dataset, size=config.size, random_state=config.random_state)
     result = BulkloadExperimentResult(config=config)
     for strategy in config.strategies:

@@ -26,6 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["LeafEntry", "DirectoryEntry"]
 
 
+def _owned(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(eq=False)
 class LeafEntry:
     """A stored observation: a d-dimensional kernel estimator at leaf level.
@@ -33,13 +40,14 @@ class LeafEntry:
     Attributes
     ----------
     point:
-        The observation vector (also the kernel center).
+        The observation vector (also the kernel center), held as the entry's
+        own read-only copy.
     label:
         Optional class label; kept so a single tree can hold several classes
         (the structural modification discussed in paper §4.1).
     bandwidth:
-        Kernel bandwidth vector ``h``.  May be ``None`` while the tree is
-        being built and filled in once the training set bandwidth is known.
+        Kernel bandwidth vector ``h`` (a read-only copy, like ``point``), or
+        ``None`` for a kernel that uses its tree's shared bandwidth.
     kernel:
         Name of the kernel family (``"gaussian"`` or ``"epanechnikov"``).
     timestamp:
@@ -60,11 +68,14 @@ class LeafEntry:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        self.point = np.asarray(self.point, dtype=float)
+        # The entry owns read-only copies of its point and bandwidth: a caller
+        # may reuse one buffer across inserts, and the index keeps these
+        # arrays for the entry's lifetime (the point also as both MBR bounds).
+        self.point = _owned(self.point)
         if self.point.ndim != 1:
             raise ValueError("point must be a 1-d vector")
         if self.bandwidth is not None:
-            self.bandwidth = np.asarray(self.bandwidth, dtype=float)
+            self.bandwidth = _owned(self.bandwidth)
             if self.bandwidth.shape != self.point.shape:
                 raise ValueError("bandwidth must have the same shape as point")
         self._mbr: Optional[MBR] = None
@@ -90,11 +101,11 @@ class LeafEntry:
 
     @property
     def mbr(self) -> MBR:
-        """Degenerate MBR covering just the stored point (cached; the point is
-        immutable once the entry is part of a tree)."""
+        """Degenerate MBR covering just the stored point (cached; both bounds
+        are the entry's read-only point)."""
         mbr = self._mbr
         if mbr is None:
-            mbr = MBR.from_point(self.point)
+            mbr = MBR._trusted(self.point, self.point)
             self._mbr = mbr
         return mbr
 

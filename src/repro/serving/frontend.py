@@ -114,6 +114,23 @@ ADAPTIVE = "adaptive"
 _UNSET = object()
 
 
+def _checked_budget(budget: object, name: str) -> object:
+    """``budget`` as ``None``, a positive ``int`` or the ADAPTIVE sentinel.
+
+    Anything else (zero, negatives, floats, bools) raises ``ValueError``
+    naming the parameter ``name`` that carried it.
+    """
+    if budget is None:
+        return None
+    # Equality, not identity: "adaptive" arriving from JSON/YAML is not
+    # interned, yet must mean the same thing as the constant.
+    if isinstance(budget, str) and budget == ADAPTIVE:
+        return ADAPTIVE
+    if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1:
+        return int(budget)
+    raise ValueError(f'{name} must be a positive integer, None (null) or "{ADAPTIVE}"')
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
     """Detailed outcome of one async classification request.
@@ -348,7 +365,8 @@ class AsyncServingClient:
         every tenant's admission queue.
     default_budget:
         Budget used by :meth:`classify` calls that do not pass one:
-        ``None`` (full refinement), an ``int``, or :data:`ADAPTIVE`.
+        ``None`` (full refinement), a positive ``int``, or :data:`ADAPTIVE`.
+        Anything else raises ``ValueError`` here, not on every request.
     budget_policy / estimator:
         The load-adaptive budget policy and arrival-rate estimator; default
         instances are created when omitted.
@@ -399,7 +417,7 @@ class AsyncServingClient:
         self.max_batch = int(max_batch)
         self.linger_s = float(linger_s)
         self.max_pending = int(max_pending)
-        self.default_budget = default_budget
+        self.default_budget = _checked_budget(default_budget, "default_budget")
         self.budget_policy = budget_policy or AdaptiveBudgetPolicy()
         self.estimator = estimator or ArrivalRateEstimator()
         self.stats = FrontendStats()
@@ -590,15 +608,7 @@ class AsyncServingClient:
         round, where it would fail every request coalesced with it.
         """
         budget = self.default_budget if node_budget is _UNSET else node_budget
-        if budget is None:
-            return None
-        # Equality, not identity: "adaptive" arriving from JSON/YAML is not
-        # interned, yet must mean the same thing as the constant.
-        if isinstance(budget, str) and budget == ADAPTIVE:
-            return ADAPTIVE
-        if isinstance(budget, (int, np.integer)) and not isinstance(budget, bool) and budget >= 1:
-            return int(budget)
-        raise ValueError(f'node_budget must be a positive integer, None (null) or "{ADAPTIVE}"')
+        return _checked_budget(budget, "node_budget")
 
     def _enqueue(
         self,

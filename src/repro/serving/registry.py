@@ -564,7 +564,7 @@ class ModelRegistry:
         try:
             if queries.shape[1] != entry.dimension:
                 raise ValueError(f"queries must be an (m, {entry.dimension}) array")
-            budgets = self._resolve_budgets(queries.shape[0], node_budget, entry.policy)
+            budgets = self._resolve_budgets(queries.shape[0], node_budget, entry.policy, "node_budget")
             if queries.shape[0] == 0:
                 return []
             predictions = self._round(entry, queries, budgets)
@@ -599,7 +599,7 @@ class ModelRegistry:
         try:
             if queries.shape[1] != entry.dimension:
                 raise ValueError(f"queries must be an (m, {entry.dimension}) array")
-            budgets = self._resolve_budgets(queries.shape[0], max_nodes, entry.policy)
+            budgets = self._resolve_budgets(queries.shape[0], max_nodes, entry.policy, "max_nodes")
             assert budgets is not None
             return entry.forest.classify_anytime_batch(
                 queries, max_nodes=budgets, record_history=record_history
@@ -868,18 +868,19 @@ class ModelRegistry:
 
     @staticmethod
     def _resolve_budgets(
-        count: int, node_budget: "Optional[BudgetSpec]", policy: TenantPolicy
+        count: int, node_budget: "Optional[BudgetSpec]", policy: TenantPolicy, name: str
     ) -> Optional[np.ndarray]:
         """Per-query budget array for a round, clamped by the tenant policy.
 
         Float and bool budgets are refused like the classifier refuses them
-        (:func:`~repro.core.classifier.validate_batch_budgets`), not rounded.
+        (:func:`~repro.core.classifier.validate_batch_budgets`), not rounded;
+        each refusal names ``name``, the parameter the caller passed.
         """
         if node_budget is None:
             return None
-        budgets = validate_batch_budgets(count, node_budget)
+        budgets = validate_batch_budgets(count, node_budget, name=name)
         if np.any(budgets < 1):
-            raise ValueError("node budgets must be at least 1")
+            raise ValueError(f"{name} must be at least 1")
         if policy.max_node_budget is not None:
             budgets = np.minimum(budgets, policy.max_node_budget)
         return budgets.astype(np.int64, copy=False)

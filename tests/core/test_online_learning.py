@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTree, BayesTreeConfig
-from repro.data import make_blobs
+from repro.data import make_blobs, make_dataset
+from repro.evaluation import classification_trace_hash
 from repro.index import TreeParameters
+from repro.persist import load_forest, save_forest
 from repro.stats import silverman_bandwidth
 
 
@@ -189,3 +191,35 @@ def test_adopted_bulk_loaded_tree_matches_fitted_statistics():
         fitted.flat_twin().log_density_batch(queries),
         rtol=1e-9,
     )
+
+
+def test_partial_fit_from_one_reused_buffer_matches_fresh_copies(tmp_path):
+    """A caller may refill one buffer for every ``partial_fit``: each leaf entry
+    keeps its own copy, so the model equals one fed fresh arrays."""
+    dataset = make_dataset("pendigits", size=700, random_state=0)
+    features, labels = dataset.features, dataset.labels
+    held_out = features[600:]
+
+    def learned(reuse_buffer):
+        classifier = AnytimeBayesClassifier().fit(features[:100], labels[:100])
+        buffer = np.empty(features.shape[1])
+        for row in range(100, 600):
+            if reuse_buffer:
+                buffer[:] = features[row]
+                classifier.partial_fit(buffer, labels[row])
+            else:
+                classifier.partial_fit(features[row].copy(), labels[row])
+        return classifier
+
+    reused, fresh = learned(True), learned(False)
+    expected = classification_trace_hash(fresh.classify_anytime_batch(held_out, max_nodes=10))
+    assert classification_trace_hash(reused.classify_anytime_batch(held_out, max_nodes=10)) == expected
+    for label, tree in reused.trees.items():
+        np.testing.assert_array_equal(
+            [entry.point for entry in tree.index.iter_leaf_entries()],
+            [entry.point for entry in fresh.trees[label].index.iter_leaf_entries()],
+        )
+    path = tmp_path / "reused.npz"
+    save_forest(reused, path)
+    restored = load_forest(path)
+    assert classification_trace_hash(restored.classify_anytime_batch(held_out, max_nodes=10)) == expected

@@ -20,6 +20,17 @@ class TestLeafEntry:
         assert entry.mbr == MBR.from_point([1.0, 2.0])
         np.testing.assert_allclose(entry.cluster_feature.mean(), [1.0, 2.0])
 
+    def test_owns_read_only_copies_of_its_point_and_bandwidth(self):
+        buffer, scales = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        entry = LeafEntry(point=buffer, bandwidth=scales)
+        buffer[:] = [5.0, 6.0]  # a caller reusing its buffers
+        scales[:] = 9.0
+        np.testing.assert_array_equal(entry.point, [1.0, 2.0])
+        np.testing.assert_array_equal(entry.bandwidth, [0.5, 0.5])
+        assert not entry.point.flags.writeable and not entry.bandwidth.flags.writeable
+        # The degenerate MBR shares the entry's point instead of copying it.
+        assert entry.mbr.lower is entry.point and entry.mbr.upper is entry.point
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             LeafEntry(point=np.zeros((2, 2)))

@@ -329,6 +329,17 @@ def test_validation_errors(snapshot, engine):
         AsyncServingClient(engine, default_tenant="acme")
 
 
+def test_a_bad_default_budget_is_refused_at_construction(engine):
+    """The client's default budget obeys the per-request rule, checked once: a
+    misconfigured client fails to construct instead of failing every request
+    that omits a budget."""
+    for budget in (0, -3, 2.7, True, np.float64(3.0), [4], "deep"):
+        with pytest.raises(ValueError, match="default_budget"):
+            AsyncServingClient(engine, default_budget=budget)
+    assert AsyncServingClient(engine, default_budget=np.int64(4)).default_budget == 4
+    assert AsyncServingClient(engine, default_budget="".join(["adap", "tive"])).default_budget is ADAPTIVE
+
+
 def test_a_refused_budget_does_not_fail_the_round_it_would_join(snapshot, engine):
     """Regression: a zero budget coalesced with a good request used to fail
     the whole round, the good request included."""

@@ -493,10 +493,13 @@ def test_registry_validates_inputs(snapshot):
         registry.predict_batch("a", queries[0])
     with pytest.raises(ValueError, match="budget"):
         registry.predict_batch("a", queries[:2], node_budget=0)
-    # Float and bool budgets are refused like the classifier refuses them, not rounded.
+    # Float and bool budgets are refused like the classifier refuses them, not
+    # rounded, and each refusal names the parameter the caller passed.
     for budget in (2.5, True, np.array([1.5, 2.0])):
-        with pytest.raises(ValueError, match="max_nodes"):
+        with pytest.raises(ValueError, match="node_budget"):
             registry.predict_batch("a", queries[:2], node_budget=budget)
+        with pytest.raises(ValueError, match="max_nodes"):
+            registry.classify_anytime_batch("a", queries[:2], max_nodes=budget)
     registry.close()
     with pytest.raises(RegistryClosedError):
         registry.predict_batch("a", queries[:2])
