@@ -32,6 +32,7 @@ from typing import Iterator, List, Tuple
 #: and the CI docs job.
 AUDITED_MODULES = [
     "repro.core.classifier",
+    "repro.core.driver",
     "repro.persist",
     "repro.serving",
     "repro.stream",

@@ -54,12 +54,12 @@ __all__ = [
 #: Each lazily exported name -> the submodule that defines it.
 _EXPORTS = {
     "AnytimeBayesClassifier": ".core.classifier",
-    "AnytimeClassification": ".core.classifier",
+    "AnytimeClassification": ".core.driver",
     "BayesTree": ".core.bayes_tree",
     "BayesTreeConfig": ".core.config",
     "Frontier": ".core.frontier",
     "SingleTreeAnytimeClassifier": ".core.single_tree",
-    "default_qbk_k": ".core.config",
+    "default_qbk_k": ".core.driver",
     "make_descent_strategy": ".core.descent",
     "RStarTree": ".index.rstar",
     "TreeParameters": ".index.rstar",
@@ -73,9 +73,10 @@ _EXPORTS = {
 
 if TYPE_CHECKING:  # pragma: no cover - the eager view, for type checkers and linters
     from .core.bayes_tree import BayesTree
-    from .core.classifier import AnytimeBayesClassifier, AnytimeClassification
-    from .core.config import BayesTreeConfig, default_qbk_k
+    from .core.classifier import AnytimeBayesClassifier
+    from .core.config import BayesTreeConfig
     from .core.descent import make_descent_strategy
+    from .core.driver import AnytimeClassification, default_qbk_k
     from .core.frontier import Frontier
     from .core.single_tree import SingleTreeAnytimeClassifier
     from .data.synthetic import make_dataset

@@ -38,9 +38,9 @@ _EXPORTS = {
     "FlatForest": ".flat",
     "FlatTree": ".flat",
     "AnytimeBayesClassifier": ".classifier",
-    "AnytimeClassification": ".classifier",
+    "AnytimeClassification": ".driver",
     "BayesTreeConfig": ".config",
-    "default_qbk_k": ".config",
+    "default_qbk_k": ".driver",
     "DESCENT_STRATEGIES": ".descent",
     "BreadthFirstDescent": ".descent",
     "DepthFirstDescent": ".descent",
@@ -50,16 +50,16 @@ _EXPORTS = {
     "Frontier": ".frontier",
     "FrontierArrays": ".frontier",
     "FrontierItem": ".frontier",
-    "pdq": ".frontier",
-    "pdq_scalar": ".frontier",
-    "log_pdq": ".frontier",
+    "pdq": ".bayes_tree",
+    "pdq_scalar": ".bayes_tree",
+    "log_pdq": ".bayes_tree",
     "SingleTreeAnytimeClassifier": ".single_tree",
 }
 
 if TYPE_CHECKING:  # pragma: no cover - the eager view, for type checkers and linters
-    from .bayes_tree import BayesTree
-    from .classifier import AnytimeBayesClassifier, AnytimeClassification
-    from .config import BayesTreeConfig, default_qbk_k
+    from .bayes_tree import BayesTree, log_pdq, pdq, pdq_scalar
+    from .classifier import AnytimeBayesClassifier
+    from .config import BayesTreeConfig
     from .descent import (
         DESCENT_STRATEGIES,
         BreadthFirstDescent,
@@ -68,8 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - the eager view, for type checkers and li
         GlobalBestDescent,
         make_descent_strategy,
     )
+    from .driver import AnytimeClassification, default_qbk_k
     from .flat import FlatForest, FlatTree
-    from .frontier import Frontier, FrontierArrays, FrontierItem, log_pdq, pdq, pdq_scalar
+    from .frontier import Frontier, FrontierArrays, FrontierItem
     from .single_tree import SingleTreeAnytimeClassifier
 else:
     __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -14,8 +14,15 @@ The class below wraps the index substrate with:
   data, maintained from running sufficient statistics so a streamed insert
   updates the bandwidth in O(d) instead of re-scanning the training set),
 * the flat twin every anytime density query reads (:meth:`flat_twin`): the
-  tree compiled into :class:`~repro.core.flat.FlatTree` columns, cached
-  until the model changes.
+  tree compiled (:func:`compile_flat_tree`) into
+  :class:`~repro.core.flat.FlatTree` columns, cached until the model changes,
+* density queries over arbitrary sets of its index entries (:func:`pdq`,
+  with :func:`pdq_scalar` as the linear-space reference), which level models,
+  bulk-loader checks and the test suite's object-graph reference read.
+
+This module, with the R* index below it, is the write side: a process that
+only serves compiled snapshots never imports it (see DESIGN.md, import
+layering).
 
 Incremental maintenance (see DESIGN.md, incremental maintenance): the tree
 keeps per-dimension ``(n, LS, SS)`` running sums, an epoch-tagged shared
@@ -27,36 +34,183 @@ amortised-append buffer of the leaf kernel centers that backs the packed
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..index.cluster_feature import ClusterFeature
 from ..index.decay import LOG_HALF, DecayClock, DecayedClusterFeature, decay_factor
-from ..index.entry import LeafEntry
-from ..index.node import AnyEntry
-from ..index.node import Node
+from ..index.entry import DirectoryEntry, LeafEntry
+from ..index.node import AnyEntry, Node
 from ..index.rstar import RStarTree
-from ..stats.gaussian import logsumexp
+from ..stats.gaussian import logsumexp, safe_exp
 from ..stats.kernel import silverman_bandwidth_from_stats
 from .config import BayesTreeConfig
-from .frontier import (
-    EPANECHNIKOV_KIND,
-    GAUSSIAN_KIND,
-    _BatchParams,
-    _entry_batch_params,
-    pdq,
-)
+from .descent import GlobalBestDescent
+from .flat import FlatTree
+from .frontier import EPANECHNIKOV_KIND, GAUSSIAN_KIND, _BatchParams, component_log_densities
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .flat import FlatTree
-
-__all__ = ["BayesTree"]
+__all__ = [
+    "BayesTree",
+    "compile_flat_tree",
+    "entry_component_params",
+    "log_pdq",
+    "pdq",
+    "pdq_scalar",
+]
 
 #: Ratio of the canonical Epanechnikov to Gaussian kernel bandwidths:
 #: Silverman's rule targets the Gaussian kernel, the Epanechnikov kernel
 #: needs a ~2.2x wider window for the same amount of smoothing.
 _EPANECHNIKOV_RESCALE = 2.214
+
+
+# -- density queries over a live tree's index entries ------------------------------------------
+
+def entry_component_params(
+    entry: AnyEntry,
+    variance_inflation: Optional[np.ndarray] = None,
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(mean, scale, kind)`` of the entry's mixture component.
+
+    Directory entries are the moment match of the kernel mixture they
+    summarise (cluster-feature variance plus the squared kernel bandwidth,
+    see :meth:`DirectoryEntry.to_gaussian`); Gaussian leaf entries are exact
+    Gaussians with variance ``h**2``; Epanechnikov leaves keep their bandwidth
+    and are flagged with :data:`EPANECHNIKOV_KIND`.
+
+    ``leaf_bandwidth`` is the tree-shared, epoch-tagged kernel bandwidth.
+    Tree-managed leaf entries no longer carry per-entry bandwidth copies
+    (updating a copy per entry made every streamed insert O(n)); the shared
+    vector is resolved here, at evaluation time.  An explicit per-entry
+    ``entry.bandwidth`` still wins when set.
+    """
+    if isinstance(entry, DirectoryEntry):
+        feature = entry.cluster_feature
+        variance = feature.variance()
+        if variance_inflation is not None:
+            variance = variance + variance_inflation
+        return feature.mean(), variance, GAUSSIAN_KIND
+    bandwidth = entry.resolve_bandwidth(leaf_bandwidth)
+    if entry.kernel == "epanechnikov":
+        return entry.point, bandwidth, EPANECHNIKOV_KIND
+    return entry.point, bandwidth ** 2, GAUSSIAN_KIND
+
+
+def _entry_density(
+    entry: AnyEntry,
+    x: np.ndarray,
+    variance_inflation: Optional[np.ndarray] = None,
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> float:
+    """Unweighted density of an entry's model component at ``x`` (scalar path).
+
+    Directory entries are evaluated as the moment match of the kernel mixture
+    they summarise (cluster-feature variance plus the squared kernel
+    bandwidth, see :meth:`DirectoryEntry.to_gaussian`); leaf entries evaluate
+    their kernel directly.  Retained as the reference implementation the
+    vectorised engine is tested against.
+    """
+    if isinstance(entry, DirectoryEntry):
+        return entry.density(x, variance_inflation=variance_inflation)
+    return entry.density(x, bandwidth=leaf_bandwidth)
+
+
+def pdq_scalar(
+    x: np.ndarray,
+    entries: Sequence[AnyEntry],
+    total_objects: Optional[float] = None,
+    variance_inflation: Optional[np.ndarray] = None,
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> float:
+    """Linear-space scalar probability density query (reference implementation).
+
+    One ``math.exp`` per entry; kept verbatim from the pre-vectorisation
+    engine so property tests can pin the vectorised :func:`pdq` against it.
+    """
+    entries = list(entries)
+    if not entries:
+        return 0.0
+    x = np.asarray(x, dtype=float)
+    if total_objects is None:
+        total_objects = float(sum(entry.n_objects for entry in entries))
+    if total_objects <= 0:
+        return 0.0
+    return float(
+        sum(
+            entry.n_objects
+            / total_objects
+            * _entry_density(entry, x, variance_inflation, leaf_bandwidth)
+            for entry in entries
+        )
+    )
+
+
+def _entry_batch_params(
+    entries: Sequence[AnyEntry],
+    variance_inflation: Optional[np.ndarray],
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> _BatchParams:
+    """Pack ``(means, scales, kinds, n_objects)`` arrays for a batch of entries."""
+    first_mean, _, _ = entry_component_params(entries[0], variance_inflation, leaf_bandwidth)
+    dimension = first_mean.shape[0]
+    count = len(entries)
+    means = np.empty((count, dimension))
+    scales = np.empty((count, dimension))
+    kinds = np.empty(count, dtype=np.int8)
+    n_objects = np.empty(count)
+    for i, entry in enumerate(entries):
+        mean, scale, kind = entry_component_params(entry, variance_inflation, leaf_bandwidth)
+        means[i] = mean
+        scales[i] = scale
+        kinds[i] = kind
+        n_objects[i] = entry.n_objects
+    return means, scales, kinds, n_objects
+
+
+def log_pdq(
+    x: np.ndarray,
+    entries: Sequence[AnyEntry],
+    total_objects: Optional[float] = None,
+    variance_inflation: Optional[np.ndarray] = None,
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> float:
+    """Log-space probability density query over an arbitrary entry set.
+
+    Evaluates all entries with one batched log density call and mixes them via
+    log-sum-exp; returns ``-inf`` for an empty entry set (density zero).
+    """
+    entries = list(entries)
+    if not entries:
+        return -math.inf
+    x = np.asarray(x, dtype=float)
+    means, scales, kinds, n_objects = _entry_batch_params(
+        entries, variance_inflation, leaf_bandwidth
+    )
+    if total_objects is None:
+        total_objects = float(n_objects.sum())
+    if total_objects <= 0:
+        return -math.inf
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(n_objects) - math.log(total_objects)
+    return float(logsumexp(log_weights + component_log_densities(x, means, scales, kinds)))
+
+
+def pdq(
+    x: np.ndarray,
+    entries: Sequence[AnyEntry],
+    total_objects: Optional[float] = None,
+    variance_inflation: Optional[np.ndarray] = None,
+    leaf_bandwidth: Optional[np.ndarray] = None,
+) -> float:
+    """Probability density query over an arbitrary entry set (paper Def. 3).
+
+    Vectorised log-space implementation; agrees with :func:`pdq_scalar` to
+    floating-point round-off and is the hot path of level-model and baseline
+    density evaluations.
+    """
+    return safe_exp(log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth))
 
 
 class _LeafMeansBuffer:
@@ -141,7 +295,7 @@ class BayesTree:
         self._stats = DecayedClusterFeature(dimension, decay_rate=self.config.decay_rate)
         self._leaf_means = _LeafMeansBuffer(dimension)
         self._leaf_arrays_cache: Optional[Tuple[Tuple, _BatchParams]] = None
-        self._twin: Optional[Tuple[Tuple, "FlatTree"]] = None
+        self._twin: Optional[Tuple[Tuple, FlatTree]] = None
         self._decay_sync_key: Optional[Tuple[int, float]] = None
         self._last_expiry_sweep = 0.0
 
@@ -557,12 +711,12 @@ class BayesTree:
         return self._stats.weight(self.clock.now)
 
     # -- queries ---------------------------------------------------------------------------------
-    def flat_twin(self) -> "FlatTree":
+    def flat_twin(self) -> FlatTree:
         """This tree compiled into flat columns, cached until the model changes.
 
         Every anytime read of the tree goes through this one
         :class:`~repro.core.flat.FlatTree`.  It is replaced whenever a fresh
-        ``FlatTree.compile(tree)`` would differ: after a structural change,
+        ``compile_flat_tree(tree)`` would differ: after a structural change,
         a new bandwidth epoch or a moved clock.  Compile writes
         ``clock.now`` into the twin even without decay, so unlike
         :meth:`_cache_key` the key always holds the clock; an undecayed
@@ -570,15 +724,13 @@ class BayesTree:
         :meth:`leaf_arrays`, an entry stamped behind the tree's back after
         the twin was cached stays invisible until the next model change.
         """
-        from .flat import FlatTree
-
         cached = self._twin
         key = self._twin_key()
         if cached is None or cached[0] != key:
             if cached is not None and not self.clock.enabled and cached[0][:2] == key[:2]:
                 twin = cached[1].restamped(self.clock.now)
             else:
-                twin = FlatTree.compile(self)
+                twin = compile_flat_tree(self)
             # Compile re-adopts an index mutated behind the tree's back
             # (a new bandwidth epoch), so the key is read after it.
             cached = self._twin = (self._twin_key(), twin)
@@ -666,8 +818,6 @@ class BayesTree:
         A negative or non-integer ``nodes`` raises ``ValueError``.  The
         descent runs over :meth:`flat_twin`.
         """
-        from .descent import GlobalBestDescent
-
         frontier = self.flat_twin().frontier(query)
         frontier.refine_fully(GlobalBestDescent(), max_nodes=nodes)
         return frontier.density
@@ -698,3 +848,183 @@ class BayesTree:
             variance_inflation=self._variance_inflation(),
             leaf_bandwidth=self._bandwidth,
         )
+
+
+# -- flat compilation: the write side's one hand-over to the read side --------------------------
+
+def compile_flat_tree(tree: BayesTree) -> FlatTree:
+    """Compile a live :class:`BayesTree` into its flat columnar form.
+
+    The tree's summaries are first aged to its current logical time, then
+    each node's entries are packed with :func:`_entry_batch_params` in
+    entry-list order — the float64 values and summation orders the object
+    graph defines.
+    :meth:`BayesTree.flat_twin` caches the result; call this directly
+    only for a copy that no later read shares.
+    """
+    dimension = tree.dimension
+    n_leaf = int(tree.n_objects)
+    if n_leaf == 0:
+        return _empty_flat_tree(tree)
+    tree._sync_decay()
+    variance_inflation = tree._variance_inflation()
+    bandwidth = tree._bandwidth
+
+    nodes = list(tree.index.iter_nodes())
+    total_entries = sum(len(node.entries) for node in nodes)
+    n_dir = total_entries - n_leaf
+
+    entry_means = np.empty((total_entries, dimension))
+    entry_scales = np.empty((total_entries, dimension))
+    entry_kinds = np.empty(total_entries, dtype=np.int8)
+    entry_n = np.empty(total_entries)
+    entry_levels = np.full(total_entries, -1, dtype=np.int64)
+    entry_depth = np.empty(total_entries, dtype=np.int64)
+    child_start = np.full(total_entries, -1, dtype=np.int64)
+    child_end = np.full(total_entries, -1, dtype=np.int64)
+    post = np.full(total_entries, -1, dtype=np.int64)
+    dir_index = np.full(total_entries, -1, dtype=np.int64)
+    dir_mbr_lower = np.empty((n_dir, dimension))
+    dir_mbr_upper = np.empty((n_dir, dimension))
+
+    cursor = 0
+    dir_cursor = 0
+    n_leaf_nodes = 0
+
+    # Pre-order slot assignment: a node's entries occupy one contiguous
+    # block, and recursing into each directory entry immediately after
+    # placing the block makes every descendant set contiguous as well —
+    # the invariant behind the [child_start, post) interval columns.
+    def place(node: "Node", depth: int) -> None:
+        nonlocal cursor, dir_cursor, n_leaf_nodes
+        entries = node.entries
+        start = cursor
+        cursor += len(entries)
+        params = _entry_batch_params(entries, variance_inflation, bandwidth)
+        means, scales, kinds, n_objects = params
+        entry_means[start : start + len(entries)] = means
+        entry_scales[start : start + len(entries)] = scales
+        entry_kinds[start : start + len(entries)] = kinds
+        entry_n[start : start + len(entries)] = n_objects
+        entry_depth[start : start + len(entries)] = depth
+        if node.is_leaf:
+            n_leaf_nodes += 1
+            return
+        for offset, entry in enumerate(entries):
+            slot = start + offset
+            child = entry.child
+            entry_levels[slot] = child.level
+            row = dir_cursor
+            dir_cursor += 1
+            dir_index[slot] = row
+            dir_mbr_lower[row] = entry.mbr.lower
+            dir_mbr_upper[row] = entry.mbr.upper
+            block_start = cursor
+            place(child, depth + 1)
+            child_start[slot] = block_start
+            child_end[slot] = block_start + len(child.entries)
+            post[slot] = cursor
+
+    root = tree.root
+    place(root, 0)
+    if cursor != total_entries or dir_cursor != n_dir:
+        raise AssertionError("flat compilation lost entries during the pre-order walk")
+
+    leaf_means, leaf_scales, leaf_kinds, leaf_log_weights = tree.leaf_arrays()
+    shared_scales = leaf_scales.ndim == 2 and leaf_scales.strides[0] == 0
+    if shared_scales:
+        # The broadcast scale row is stored once; loading broadcasts it
+        # back to (n, d), so the shared-memory/on-disk footprint of the
+        # full kernel model stays O(n·d) for means but O(d) for scales.
+        leaf_scales_stored = np.ascontiguousarray(leaf_scales[:1])
+    else:
+        leaf_scales_stored = np.ascontiguousarray(leaf_scales)
+    feature = tree._stats.feature
+
+    columns = {
+        "entry_means": entry_means,
+        "entry_scales": entry_scales,
+        "entry_kinds": entry_kinds,
+        "entry_n": entry_n,
+        "entry_levels": entry_levels,
+        "entry_depth": entry_depth,
+        "child_start": child_start,
+        "child_end": child_end,
+        "post": post,
+        "dir_index": dir_index,
+        "dir_mbr_lower": dir_mbr_lower,
+        "dir_mbr_upper": dir_mbr_upper,
+        "leaf_means": np.ascontiguousarray(leaf_means),
+        "leaf_scales": leaf_scales_stored,
+        "leaf_kinds": np.ascontiguousarray(leaf_kinds),
+        "leaf_log_weights": np.ascontiguousarray(leaf_log_weights),
+        "leaf_times": tree._leaf_means.times_view.copy(),
+        "bandwidth": (
+            np.zeros(0) if bandwidth is None else np.asarray(bandwidth, dtype=float)
+        ),
+        "stats_ls": np.asarray(feature.linear_sum, dtype=float).copy(),
+        "stats_ss": np.asarray(feature.squared_sum, dtype=float).copy(),
+    }
+    meta = {
+        "n_entries": total_entries,
+        "n_leaf": n_leaf,
+        "root_count": len(root.entries),
+        "root_level": int(root.level),
+        "n_nodes": len(nodes),
+        "n_leaf_nodes": n_leaf_nodes,
+        "height": int(tree.height()),
+        "leaf_capacity": int(tree.config.tree.leaf_capacity),
+        "shared_scales": int(shared_scales),
+        "has_bandwidth": int(bandwidth is not None),
+    }
+    meta_floats = {
+        "clock_now": float(tree.clock.now),
+        "prior_weight": float(tree.prior_weight),
+        "stats_n": float(feature.n),
+    }
+    return FlatTree(columns, meta, meta_floats)
+
+
+def _empty_flat_tree(tree: BayesTree) -> FlatTree:
+    """Flat form of an empty (fully expired) class tree: all-zero columns."""
+    dimension = tree.dimension
+    columns = {
+        "entry_means": np.zeros((0, dimension)),
+        "entry_scales": np.zeros((0, dimension)),
+        "entry_kinds": np.zeros(0, dtype=np.int8),
+        "entry_n": np.zeros(0),
+        "entry_levels": np.zeros(0, dtype=np.int64),
+        "entry_depth": np.zeros(0, dtype=np.int64),
+        "child_start": np.zeros(0, dtype=np.int64),
+        "child_end": np.zeros(0, dtype=np.int64),
+        "post": np.zeros(0, dtype=np.int64),
+        "dir_index": np.zeros(0, dtype=np.int64),
+        "dir_mbr_lower": np.zeros((0, dimension)),
+        "dir_mbr_upper": np.zeros((0, dimension)),
+        "leaf_means": np.zeros((0, dimension)),
+        "leaf_scales": np.zeros((0, dimension)),
+        "leaf_kinds": np.zeros(0, dtype=np.int8),
+        "leaf_log_weights": np.zeros(0),
+        "leaf_times": np.zeros(0),
+        "bandwidth": np.zeros(0),
+        "stats_ls": np.zeros(dimension),
+        "stats_ss": np.zeros(dimension),
+    }
+    meta = {
+        "n_entries": 0,
+        "n_leaf": 0,
+        "root_count": 0,
+        "root_level": 0,
+        "n_nodes": 0,
+        "n_leaf_nodes": 0,
+        "height": 0,
+        "leaf_capacity": int(tree.config.tree.leaf_capacity),
+        "shared_scales": 0,
+        "has_bandwidth": 0,
+    }
+    meta_floats = {
+        "clock_now": float(tree.clock.now),
+        "prior_weight": 0.0,
+        "stats_n": 0.0,
+    }
+    return FlatTree(columns, meta, meta_floats)

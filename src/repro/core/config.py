@@ -1,4 +1,4 @@
-"""Configuration objects for the Bayes tree and the anytime classifier."""
+"""Configuration of the Bayes tree and the live anytime classifier."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 from ..index.rstar import TreeParameters
 
-__all__ = ["BayesTreeConfig", "default_qbk_k"]
+__all__ = ["BayesTreeConfig"]
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,3 @@ class BayesTreeConfig:
             expiry_threshold=data["expiry_threshold"],
         )
 
-
-def default_qbk_k(n_classes: int) -> int:
-    """The paper's default for the qbk improvement strategy.
-
-    "k = min{2, blog(m)c}, where m is the number of classes, showed the best
-    performance on all tested data sets" (paper §2.2), and §3.2 states that
-    k = 2 was used for all four evaluation data sets — including the binary
-    gender set.  We therefore use k = 2 whenever at least two classes exist
-    (k = 1 for the degenerate single-class case).
-    """
-    if n_classes < 1:
-        raise ValueError("n_classes must be positive")
-    return min(2, n_classes)

@@ -2,11 +2,14 @@
 
 The live forest is a Python object graph — nodes hold entry lists, directory
 entries hold child pointers — and stays the write side (R* insertion, decay,
-expiry).  This module compiles each :class:`~repro.core.bayes_tree.BayesTree`
-into a **FlatTree** — a handful of contiguous structure-of-arrays numpy
-columns keyed by *pre-order entry slot* — and the forest into a
-:class:`FlatForest` of such trees.  Every anytime read runs over these
-columns; a live tree caches its compiled twin (:meth:`BayesTree.flat_twin`).
+expiry).  Each :class:`~repro.core.bayes_tree.BayesTree` compiles itself
+(:func:`~repro.core.bayes_tree.compile_flat_tree`) into a **FlatTree** — a
+handful of contiguous structure-of-arrays numpy columns keyed by *pre-order
+entry slot* — and the forest into a :class:`FlatForest` of such trees.
+Every anytime read runs over these columns; a live tree caches its compiled
+twin (:meth:`BayesTree.flat_twin`).  This module is the read side: it
+imports neither the live tree nor the R* index, so a process that serves
+snapshots loads none of the write side.
 
 The encoding borrows the XPath-accelerator idea: every entry records, besides
 its mixture component (mean / scale / kind / decayed weight), the half-open
@@ -25,7 +28,7 @@ become array slices:
 
 A frontier therefore holds slot ints and refines through the one
 :class:`~repro.core.frontier.Frontier`; the driver in
-:mod:`repro.core.classifier` serves the live and the flat forest alike.  The
+:mod:`repro.core.driver` serves the live and the flat forest alike.  The
 test suite pins the traces over these columns to the object-graph read path
 it keeps as a reference (``tests/core/object_graph_reference.py``).
 
@@ -45,25 +48,20 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from ..index.mbr import MBR
 from ..stats.gaussian import logsumexp
-from .classifier import (
-    AnytimeClassification,
-    classify_forest,
-    predict_forest,
-)
 from .descent import DescentStrategy, make_descent_strategy
+from .driver import classify_forest, predict_forest
 from .frontier import (
     EPANECHNIKOV_KIND,
     GAUSSIAN_KIND,
     Frontier,
     _BatchParams,
     _Expansion,
-    _entry_batch_params,
+    component_log_densities,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..index.node import Node
+    from .driver import AnytimeClassification
 
 __all__ = ["FlatTree", "FlatForest"]
 
@@ -175,185 +173,6 @@ class FlatTree:
         self.meta_floats: Dict[str, float] = dict(meta_floats)
         self.dimension = int(self.entry_means.shape[1])
         self._leaf_scales_full: Optional[np.ndarray] = None
-
-    # -- compilation ------------------------------------------------------------------------
-    @classmethod
-    def compile(cls, tree: "BayesTree") -> "FlatTree":  # noqa: F821
-        """Compile a live :class:`BayesTree` into its flat columnar form.
-
-        The tree's summaries are first aged to its current logical time,
-        then each node's entries are packed with
-        :func:`~repro.core.frontier._entry_batch_params` in entry-list order —
-        the float64 values and summation orders the object graph defines.
-        :meth:`BayesTree.flat_twin` caches the result; call this directly
-        only for a copy that no later read shares.
-        """
-        dimension = tree.dimension
-        n_leaf = int(tree.n_objects)
-        if n_leaf == 0:
-            return cls._empty(tree)
-        tree._sync_decay()
-        variance_inflation = tree._variance_inflation()
-        bandwidth = tree._bandwidth
-
-        nodes = list(tree.index.iter_nodes())
-        total_entries = sum(len(node.entries) for node in nodes)
-        n_dir = total_entries - n_leaf
-
-        entry_means = np.empty((total_entries, dimension))
-        entry_scales = np.empty((total_entries, dimension))
-        entry_kinds = np.empty(total_entries, dtype=np.int8)
-        entry_n = np.empty(total_entries)
-        entry_levels = np.full(total_entries, -1, dtype=np.int64)
-        entry_depth = np.empty(total_entries, dtype=np.int64)
-        child_start = np.full(total_entries, -1, dtype=np.int64)
-        child_end = np.full(total_entries, -1, dtype=np.int64)
-        post = np.full(total_entries, -1, dtype=np.int64)
-        dir_index = np.full(total_entries, -1, dtype=np.int64)
-        dir_mbr_lower = np.empty((n_dir, dimension))
-        dir_mbr_upper = np.empty((n_dir, dimension))
-
-        cursor = 0
-        dir_cursor = 0
-        n_leaf_nodes = 0
-
-        # Pre-order slot assignment: a node's entries occupy one contiguous
-        # block, and recursing into each directory entry immediately after
-        # placing the block makes every descendant set contiguous as well —
-        # the invariant behind the [child_start, post) interval columns.
-        def place(node: "Node", depth: int) -> None:
-            nonlocal cursor, dir_cursor, n_leaf_nodes
-            entries = node.entries
-            start = cursor
-            cursor += len(entries)
-            params = _entry_batch_params(entries, variance_inflation, bandwidth)
-            means, scales, kinds, n_objects = params
-            entry_means[start : start + len(entries)] = means
-            entry_scales[start : start + len(entries)] = scales
-            entry_kinds[start : start + len(entries)] = kinds
-            entry_n[start : start + len(entries)] = n_objects
-            entry_depth[start : start + len(entries)] = depth
-            if node.is_leaf:
-                n_leaf_nodes += 1
-                return
-            for offset, entry in enumerate(entries):
-                slot = start + offset
-                child = entry.child
-                entry_levels[slot] = child.level
-                row = dir_cursor
-                dir_cursor += 1
-                dir_index[slot] = row
-                dir_mbr_lower[row] = entry.mbr.lower
-                dir_mbr_upper[row] = entry.mbr.upper
-                block_start = cursor
-                place(child, depth + 1)
-                child_start[slot] = block_start
-                child_end[slot] = block_start + len(child.entries)
-                post[slot] = cursor
-
-        root = tree.root
-        place(root, 0)
-        if cursor != total_entries or dir_cursor != n_dir:
-            raise AssertionError("flat compilation lost entries during the pre-order walk")
-
-        leaf_means, leaf_scales, leaf_kinds, leaf_log_weights = tree.leaf_arrays()
-        shared_scales = leaf_scales.ndim == 2 and leaf_scales.strides[0] == 0
-        if shared_scales:
-            # The broadcast scale row is stored once; loading broadcasts it
-            # back to (n, d), so the shared-memory/on-disk footprint of the
-            # full kernel model stays O(n·d) for means but O(d) for scales.
-            leaf_scales_stored = np.ascontiguousarray(leaf_scales[:1])
-        else:
-            leaf_scales_stored = np.ascontiguousarray(leaf_scales)
-        feature = tree._stats.feature
-
-        columns = {
-            "entry_means": entry_means,
-            "entry_scales": entry_scales,
-            "entry_kinds": entry_kinds,
-            "entry_n": entry_n,
-            "entry_levels": entry_levels,
-            "entry_depth": entry_depth,
-            "child_start": child_start,
-            "child_end": child_end,
-            "post": post,
-            "dir_index": dir_index,
-            "dir_mbr_lower": dir_mbr_lower,
-            "dir_mbr_upper": dir_mbr_upper,
-            "leaf_means": np.ascontiguousarray(leaf_means),
-            "leaf_scales": leaf_scales_stored,
-            "leaf_kinds": np.ascontiguousarray(leaf_kinds),
-            "leaf_log_weights": np.ascontiguousarray(leaf_log_weights),
-            "leaf_times": tree._leaf_means.times_view.copy(),
-            "bandwidth": (
-                np.zeros(0) if bandwidth is None else np.asarray(bandwidth, dtype=float)
-            ),
-            "stats_ls": np.asarray(feature.linear_sum, dtype=float).copy(),
-            "stats_ss": np.asarray(feature.squared_sum, dtype=float).copy(),
-        }
-        meta = {
-            "n_entries": total_entries,
-            "n_leaf": n_leaf,
-            "root_count": len(root.entries),
-            "root_level": int(root.level),
-            "n_nodes": len(nodes),
-            "n_leaf_nodes": n_leaf_nodes,
-            "height": int(tree.height()),
-            "leaf_capacity": int(tree.config.tree.leaf_capacity),
-            "shared_scales": int(shared_scales),
-            "has_bandwidth": int(bandwidth is not None),
-        }
-        meta_floats = {
-            "clock_now": float(tree.clock.now),
-            "prior_weight": float(tree.prior_weight),
-            "stats_n": float(feature.n),
-        }
-        return cls(columns, meta, meta_floats)
-
-    @classmethod
-    def _empty(cls, tree: "BayesTree") -> "FlatTree":  # noqa: F821
-        """Flat form of an empty (fully expired) class tree: all-zero columns."""
-        dimension = tree.dimension
-        columns = {
-            "entry_means": np.zeros((0, dimension)),
-            "entry_scales": np.zeros((0, dimension)),
-            "entry_kinds": np.zeros(0, dtype=np.int8),
-            "entry_n": np.zeros(0),
-            "entry_levels": np.zeros(0, dtype=np.int64),
-            "entry_depth": np.zeros(0, dtype=np.int64),
-            "child_start": np.zeros(0, dtype=np.int64),
-            "child_end": np.zeros(0, dtype=np.int64),
-            "post": np.zeros(0, dtype=np.int64),
-            "dir_index": np.zeros(0, dtype=np.int64),
-            "dir_mbr_lower": np.zeros((0, dimension)),
-            "dir_mbr_upper": np.zeros((0, dimension)),
-            "leaf_means": np.zeros((0, dimension)),
-            "leaf_scales": np.zeros((0, dimension)),
-            "leaf_kinds": np.zeros(0, dtype=np.int8),
-            "leaf_log_weights": np.zeros(0),
-            "leaf_times": np.zeros(0),
-            "bandwidth": np.zeros(0),
-            "stats_ls": np.zeros(dimension),
-            "stats_ss": np.zeros(dimension),
-        }
-        meta = {
-            "n_entries": 0,
-            "n_leaf": 0,
-            "root_count": 0,
-            "root_level": 0,
-            "n_nodes": 0,
-            "n_leaf_nodes": 0,
-            "height": 0,
-            "leaf_capacity": int(tree.config.tree.leaf_capacity),
-            "shared_scales": 0,
-            "has_bandwidth": 0,
-        }
-        meta_floats = {
-            "clock_now": float(tree.clock.now),
-            "prior_weight": 0.0,
-            "stats_n": 0.0,
-        }
-        return cls(columns, meta, meta_floats)
 
     def restamped(self, clock_now: float) -> "FlatTree":
         """This tree stamped with another compile-time clock, sharing every column.
@@ -541,7 +360,13 @@ class FlatTree:
     def min_distance(self, slot: int, query: np.ndarray) -> float:
         """MINDIST from ``query`` to the MBR of directory slot ``slot``."""
         row = int(self.dir_index[slot])
-        return MBR._trusted(self.dir_mbr_lower[row], self.dir_mbr_upper[row]).min_distance(query)
+        point = np.asarray(query, dtype=float)
+        # The float ops of ``MBR.min_distance``, so geometric descent ranks
+        # exactly as it would over the live tree's entries.
+        below = np.maximum(self.dir_mbr_lower[row] - point, 0.0)
+        above = np.maximum(point - self.dir_mbr_upper[row], 0.0)
+        gaps = np.maximum(below, above)
+        return float(np.sqrt((gaps * gaps).sum()))
 
     def frontier(
         self,
@@ -588,8 +413,6 @@ class FlatTree:
         over the packed leaf arrays — the full-refinement path of both
         forests' ``predict_batch``.
         """
-        from .frontier import component_log_densities
-
         queries = np.asarray(queries, dtype=float)
         single = queries.ndim == 1
         queries = np.atleast_2d(queries)
@@ -673,7 +496,7 @@ class FlatForest:
 
     Exposes the classifier's prediction surface — :meth:`classify_anytime`,
     :meth:`classify_anytime_batch`, :meth:`predict_batch` — through the same
-    module-level functions of :mod:`repro.core.classifier`, so predictions,
+    module-level functions of :mod:`repro.core.driver`, so predictions,
     per-step posteriors and node-read counts are bit-identical to the live
     forest it was compiled from.  Training APIs are deliberately absent: a
     flat forest is a snapshot; to learn, mutate the live forest and
@@ -693,24 +516,6 @@ class FlatForest:
         self.descent = descent
         self.qbk_k = qbk_k
         self.dimension = dimension
-
-    # -- construction -----------------------------------------------------------------------
-    @classmethod
-    def from_classifier(cls, classifier: "AnytimeBayesClassifier") -> "FlatForest":  # noqa: F821
-        """The flat forest over every class tree's cached twin.
-
-        No tree whose model is unchanged since its last read is compiled
-        again (:meth:`BayesTree.flat_twin`).
-        """
-        if not classifier.is_fitted:
-            raise ValueError("classifier has not been fitted")
-        return cls(
-            trees=classifier._twins(),
-            log_priors=dict(classifier.log_priors),
-            descent=classifier.descent,
-            qbk_k=classifier.qbk_k,
-            dimension=int(classifier.dimension),
-        )
 
     # -- serialization ----------------------------------------------------------------------
     @property

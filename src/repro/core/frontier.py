@@ -7,7 +7,8 @@ defines a Gaussian mixture model, and the probability density query
 
 ``pdq(x, E) = sum_{e in E} (n_e / n) * g(x, mu_e, sigma_e)``
 
-evaluates that model at the query object.
+evaluates that model at the query object (over an arbitrary set of a live
+tree's entries: :func:`repro.core.bayes_tree.pdq`).
 
 Refining the frontier replaces one directory entry by the entries of its child
 node (one additional node read); the density is updated incrementally by
@@ -41,9 +42,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..index.entry import DirectoryEntry
-from ..index.node import AnyEntry
-from ..stats.gaussian import log_gaussian_pdf_batch, logsumexp, safe_exp
+from ..stats.gaussian import log_gaussian_pdf_batch, safe_exp
 from ..stats.kernel import log_epanechnikov_pdf_batch
 from .descent import DescentStrategy
 
@@ -55,10 +54,6 @@ __all__ = [
     "Frontier",
     "FrontierArrays",
     "component_log_densities",
-    "entry_component_params",
-    "pdq",
-    "pdq_scalar",
-    "log_pdq",
 ]
 
 #: Component kinds stored in :class:`FrontierArrays`.  Gaussian rows keep the
@@ -74,37 +69,6 @@ _BatchParams = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: What ``FlatTree.expand(slot)`` returns: the slots, levels and packed
 #: parameters of the entries below ``slot``.
 _Expansion = Tuple[range, List[int], _BatchParams]
-
-
-def entry_component_params(
-    entry: AnyEntry,
-    variance_inflation: Optional[np.ndarray] = None,
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """``(mean, scale, kind)`` of the entry's mixture component.
-
-    Directory entries are the moment match of the kernel mixture they
-    summarise (cluster-feature variance plus the squared kernel bandwidth,
-    see :meth:`DirectoryEntry.to_gaussian`); Gaussian leaf entries are exact
-    Gaussians with variance ``h**2``; Epanechnikov leaves keep their bandwidth
-    and are flagged with :data:`EPANECHNIKOV_KIND`.
-
-    ``leaf_bandwidth`` is the tree-shared, epoch-tagged kernel bandwidth.
-    Tree-managed leaf entries no longer carry per-entry bandwidth copies
-    (updating a copy per entry made every streamed insert O(n)); the shared
-    vector is resolved here, at evaluation time.  An explicit per-entry
-    ``entry.bandwidth`` still wins when set.
-    """
-    if isinstance(entry, DirectoryEntry):
-        feature = entry.cluster_feature
-        variance = feature.variance()
-        if variance_inflation is not None:
-            variance = variance + variance_inflation
-        return feature.mean(), variance, GAUSSIAN_KIND
-    bandwidth = entry.resolve_bandwidth(leaf_bandwidth)
-    if entry.kernel == "epanechnikov":
-        return entry.point, bandwidth, EPANECHNIKOV_KIND
-    return entry.point, bandwidth ** 2, GAUSSIAN_KIND
 
 
 def component_log_densities(
@@ -298,121 +262,6 @@ class FrontierItem:
     def is_refinable(self) -> bool:
         """Directory entries can be replaced by their children; kernels cannot."""
         return self.level >= 0
-
-
-def _entry_density(
-    entry: AnyEntry,
-    x: np.ndarray,
-    variance_inflation: Optional[np.ndarray] = None,
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> float:
-    """Unweighted density of an entry's model component at ``x`` (scalar path).
-
-    Directory entries are evaluated as the moment match of the kernel mixture
-    they summarise (cluster-feature variance plus the squared kernel
-    bandwidth, see :meth:`DirectoryEntry.to_gaussian`); leaf entries evaluate
-    their kernel directly.  Retained as the reference implementation the
-    vectorised engine is tested against.
-    """
-    if isinstance(entry, DirectoryEntry):
-        return entry.density(x, variance_inflation=variance_inflation)
-    return entry.density(x, bandwidth=leaf_bandwidth)
-
-
-def pdq_scalar(
-    x: np.ndarray,
-    entries: Sequence[AnyEntry],
-    total_objects: Optional[float] = None,
-    variance_inflation: Optional[np.ndarray] = None,
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> float:
-    """Linear-space scalar probability density query (reference implementation).
-
-    One ``math.exp`` per entry; kept verbatim from the pre-vectorisation
-    engine so property tests can pin the vectorised :func:`pdq` against it.
-    """
-    entries = list(entries)
-    if not entries:
-        return 0.0
-    x = np.asarray(x, dtype=float)
-    if total_objects is None:
-        total_objects = float(sum(entry.n_objects for entry in entries))
-    if total_objects <= 0:
-        return 0.0
-    return float(
-        sum(
-            entry.n_objects
-            / total_objects
-            * _entry_density(entry, x, variance_inflation, leaf_bandwidth)
-            for entry in entries
-        )
-    )
-
-
-def _entry_batch_params(
-    entries: Sequence[AnyEntry],
-    variance_inflation: Optional[np.ndarray],
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> _BatchParams:
-    """Pack ``(means, scales, kinds, n_objects)`` arrays for a batch of entries."""
-    first_mean, _, _ = entry_component_params(entries[0], variance_inflation, leaf_bandwidth)
-    dimension = first_mean.shape[0]
-    count = len(entries)
-    means = np.empty((count, dimension))
-    scales = np.empty((count, dimension))
-    kinds = np.empty(count, dtype=np.int8)
-    n_objects = np.empty(count)
-    for i, entry in enumerate(entries):
-        mean, scale, kind = entry_component_params(entry, variance_inflation, leaf_bandwidth)
-        means[i] = mean
-        scales[i] = scale
-        kinds[i] = kind
-        n_objects[i] = entry.n_objects
-    return means, scales, kinds, n_objects
-
-
-def log_pdq(
-    x: np.ndarray,
-    entries: Sequence[AnyEntry],
-    total_objects: Optional[float] = None,
-    variance_inflation: Optional[np.ndarray] = None,
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> float:
-    """Log-space probability density query over an arbitrary entry set.
-
-    Evaluates all entries with one batched log density call and mixes them via
-    log-sum-exp; returns ``-inf`` for an empty entry set (density zero).
-    """
-    entries = list(entries)
-    if not entries:
-        return -math.inf
-    x = np.asarray(x, dtype=float)
-    means, scales, kinds, n_objects = _entry_batch_params(
-        entries, variance_inflation, leaf_bandwidth
-    )
-    if total_objects is None:
-        total_objects = float(n_objects.sum())
-    if total_objects <= 0:
-        return -math.inf
-    with np.errstate(divide="ignore"):
-        log_weights = np.log(n_objects) - math.log(total_objects)
-    return float(logsumexp(log_weights + component_log_densities(x, means, scales, kinds)))
-
-
-def pdq(
-    x: np.ndarray,
-    entries: Sequence[AnyEntry],
-    total_objects: Optional[float] = None,
-    variance_inflation: Optional[np.ndarray] = None,
-    leaf_bandwidth: Optional[np.ndarray] = None,
-) -> float:
-    """Probability density query over an arbitrary entry set (paper Def. 3).
-
-    Vectorised log-space implementation; agrees with :func:`pdq_scalar` to
-    floating-point round-off and is the hot path of level-model and baseline
-    density evaluations.
-    """
-    return safe_exp(log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth))
 
 
 class Frontier:

@@ -26,6 +26,7 @@ from ..index.node import AnyEntry, Node
 from .bayes_tree import BayesTree
 from .config import BayesTreeConfig
 from .descent import DescentStrategy, make_descent_strategy
+from .driver import AnytimeClassification
 
 __all__ = ["SingleTreeAnytimeClassifier"]
 
@@ -170,14 +171,12 @@ class SingleTreeAnytimeClassifier:
     # -- anytime classification --------------------------------------------------------------------------
     def classify_anytime(
         self, query: Sequence[float] | np.ndarray, max_nodes: int
-    ) -> "AnytimeClassification":
+    ) -> AnytimeClassification:
         """Anytime classification; one descent refines every class in parallel.
 
         Returns the same :class:`AnytimeClassification` record as the
         multi-tree classifier so evaluation code can treat both uniformly.
         """
-        from .classifier import AnytimeClassification
-
         if not self.is_fitted:
             raise ValueError("classifier has not been fitted")
         assert self.tree is not None

@@ -13,8 +13,9 @@ from typing import Dict, Hashable, List, Optional, Sequence
 import numpy as np
 
 from ..bulkload.registry import make_bulk_loader
-from ..core.classifier import BATCH_CHUNK_QUERIES, AnytimeBayesClassifier
+from ..core.classifier import AnytimeBayesClassifier
 from ..core.config import BayesTreeConfig
+from ..core.driver import BATCH_CHUNK_QUERIES
 from ..data.splits import stratified_k_fold
 from ..data.synthetic import Dataset
 from ..stream.anytime import AnytimeClassifierLike

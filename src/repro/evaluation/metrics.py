@@ -140,7 +140,7 @@ def latency_percentiles(
 def classification_trace_hash(results: Iterable) -> str:
     """Order-sensitive SHA-256 over a sequence of anytime classifications.
 
-    Hashes, for every :class:`~repro.core.classifier.AnytimeClassification`,
+    Hashes, for every :class:`~repro.core.driver.AnytimeClassification`,
     the per-step predictions, the exact float bits of every recorded log
     posterior (labels in repr-sorted order) and the node-read count.  Two
     classifiers produce the same hash iff their refinement traces agree bit

@@ -50,15 +50,15 @@ import secrets
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.bayes_tree import BayesTree
-from ..core.classifier import AnytimeBayesClassifier
-from ..core.config import BayesTreeConfig
 from ..core.descent import DESCENT_STRATEGIES
 from ..core.flat import FlatForest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.classifier import AnytimeBayesClassifier
 
 __all__ = [
     "FORMAT_VERSION",
@@ -161,7 +161,7 @@ def _decode_label(spec: list) -> Hashable:
 # -- saving -----------------------------------------------------------------------------------
 
 def save_forest(
-    classifier: AnytimeBayesClassifier, path: "str | Path", include_flat: bool = True
+    classifier: "AnytimeBayesClassifier", path: "str | Path", include_flat: bool = True
 ) -> Path:
     """Serialize a fitted forest into the snapshot container at ``path``.
 
@@ -247,10 +247,10 @@ def save_forest(
 
     if include_flat:
         # Compile the read-optimised columnar twin and store it alongside the
-        # object-graph state.  ``FlatForest.from_classifier`` iterates
-        # ``classifier.trees`` in the same order as the loop above, so the
-        # ``flat__t{i}__`` indices align with the manifest's class table.
-        flat = FlatForest.from_classifier(classifier)
+        # object-graph state.  ``compile_flat`` iterates ``classifier.trees``
+        # in the same order as the loop above, so the ``flat__t{i}__``
+        # indices align with the manifest's class table.
+        flat = classifier.compile_flat()
         for name, array in flat.to_columns().items():
             arrays[_FLAT_PREFIX + name] = np.ascontiguousarray(array)
 
@@ -417,7 +417,13 @@ def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
     }
 
 
-def _restore(data: Any, manifest: dict) -> AnytimeBayesClassifier:
+def _restore(data: Any, manifest: dict) -> "AnytimeBayesClassifier":
+    # The live classes, and the R* index under them, load here only: a
+    # process that serves flat columns never restores an object graph.
+    from ..core.bayes_tree import BayesTree
+    from ..core.classifier import AnytimeBayesClassifier
+    from ..core.config import BayesTreeConfig
+
     config = BayesTreeConfig.from_dict(manifest["config"])
     classifier = AnytimeBayesClassifier(
         config=config, descent=manifest["descent"], qbk_k=manifest["qbk_k"]
@@ -555,7 +561,7 @@ def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:
         )
 
 
-def load_forest(path: "str | Path") -> AnytimeBayesClassifier:
+def load_forest(path: "str | Path") -> "AnytimeBayesClassifier":
     """Restore a forest from a snapshot written by :func:`save_forest`.
 
     The restored classifier produces bit-identical predictions, refinement

@@ -131,6 +131,16 @@ def _checked_budget(budget: object, name: str) -> object:
     raise ValueError(f'{name} must be a positive integer, None (null) or "{ADAPTIVE}"')
 
 
+def _check_finite(features: np.ndarray, name: str) -> None:
+    """Refuse NaN and ±inf before admission: JSON bodies may carry them.
+
+    A non-finite feature makes every class's density NaN or zero, so the
+    "prediction" would only be a tie-break; nothing is enqueued or charged.
+    """
+    if not np.all(np.isfinite(features)):
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
     """Detailed outcome of one async classification request.
@@ -572,15 +582,17 @@ class AsyncServingClient:
             If the tenant resolves to no model (an unregistered tenant
             without a prior snapshot).
         ValueError
-            If ``features`` does not match the tenant's model dimension, or
-            ``node_budget`` is not a positive integer, ``None`` or
-            :data:`ADAPTIVE` (checked before admission).
+            If ``features`` does not match the tenant's model dimension or
+            holds a non-finite value (NaN, ±inf), or ``node_budget`` is not a
+            positive integer, ``None`` or :data:`ADAPTIVE` (checked before
+            admission).
         """
         features = np.asarray(features, dtype=float)
         resolved_tenant = self._resolve_tenant(tenant)
         expected = self._backend.expected_dimension(resolved_tenant)
         if features.ndim != 1 or (expected is not None and features.shape != (expected,)):
             raise ValueError(f"features must have shape ({expected or 'dimension'},)")
+        _check_finite(features, "features")
         budget = self._normalize_budget(node_budget)
         if self._closed:
             raise FrontendClosedError("async serving client is closed")
@@ -675,6 +687,7 @@ class AsyncServingClient:
         expected = self._backend.expected_dimension(resolved_tenant)
         if queries.ndim != 2 or (expected is not None and queries.shape[1] != expected):
             raise ValueError(f"queries must be an (m, {expected or 'dimension'}) array")
+        _check_finite(queries, "queries")
         budget = self._normalize_budget(node_budget)
         if self._closed:
             raise FrontendClosedError("async serving client is closed")
@@ -822,15 +835,19 @@ class AsyncServingClient:
                 live.append(request)
         if not live:
             return
-        # Rounds are homogeneous in (tenant, budgeted-ness): different tenants
-        # hit different models, and full-refinement vs budgeted requests take
-        # different drivers.  Grouping preserves arrival order within
-        # each group, which is what keeps per-tenant traces deterministic.
-        groups: "Dict[Tuple[str, bool], List[_PendingRequest]]" = {}
+        # Rounds are homogeneous in (tenant, budgeted-ness, row shape):
+        # different tenants hit different models, full-refinement vs
+        # budgeted requests take different drivers, and a row of another
+        # length (admitted while its tenant was not resident, so no dimension
+        # was known) fails only its own round, with the registry's error.
+        # Grouping preserves arrival order within each group, which is what
+        # keeps per-tenant traces deterministic.
+        groups: "Dict[Tuple[str, bool, Tuple[int, ...]], List[_PendingRequest]]" = {}
         for request in live:
-            groups.setdefault((request.tenant, request.node_budget is None), []).append(request)
+            key = (request.tenant, request.node_budget is None, request.features.shape)
+            groups.setdefault(key, []).append(request)
         rounds: List[Awaitable[None]] = []
-        for (tenant, unbudgeted), group in groups.items():
+        for (tenant, unbudgeted, _), group in groups.items():
             budgets = None if unbudgeted else self._resolve_budgets(group)
             rounds.append(self._execute_group(group, budgets=budgets, tenant=tenant))
         # The backend serves concurrent rounds (a swap drains them all), so
@@ -876,8 +893,6 @@ class AsyncServingClient:
         loop = asyncio.get_running_loop()
         self.stats.batches += 1
         try:
-            # Rows of another dimension (validation deferred while the
-            # tenant was not resident) fail the round here, not the batcher.
             features = np.stack([request.features for request in group])
             if self._engine is not None and tenant == self.default_tenant:
                 # Engine rounds go through ServingEngine.predict_batch itself,

@@ -58,9 +58,9 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.classifier import AnytimeClassification, validate_batch_budgets
+from ..core.driver import AnytimeClassification, validate_batch_budgets
 from ..core.flat import FlatForest
-from ..persist import load_forest, read_snapshot, read_tenant_manifest
+from ..persist import read_snapshot, read_tenant_manifest
 from .errors import RegistryClosedError, TenantNotFoundError
 from .shared_mem import SharedColumnStore
 
@@ -585,7 +585,7 @@ class ModelRegistry:
         """Full anytime results (with refinement history) for one tenant.
 
         The in-process analogue of :meth:`predict_batch`'s budgeted path,
-        returning the :class:`~repro.core.classifier.AnytimeClassification`
+        returning the :class:`~repro.core.driver.AnytimeClassification`
         objects whose histories feed ``classification_trace_hash`` — the
         hook the trace-identity tests and benches pin multi-tenant serving
         with.  Budgets are clamped by the tenant policy exactly as in
@@ -723,7 +723,12 @@ class ModelRegistry:
         if not labels:
             raise ValueError("snapshot holds no servable (non-empty) classes")
         if columns is None:
-            columns = FlatForest.from_classifier(load_forest(path)).to_columns()
+            # The one path that restores a live forest: it loads the write
+            # side (the R* index and the live trees), which flat snapshots
+            # never need.
+            from ..persist import load_forest
+
+            columns = load_forest(path).compile_flat().to_columns()
         store = SharedColumnStore(columns)
         del columns  # drop the file map's references; the store owns the bytes now
         try:
@@ -873,7 +878,7 @@ class ModelRegistry:
         """Per-query budget array for a round, clamped by the tenant policy.
 
         Float and bool budgets are refused like the classifier refuses them
-        (:func:`~repro.core.classifier.validate_batch_budgets`), not rounded;
+        (:func:`~repro.core.driver.validate_batch_budgets`), not rounded;
         each refusal names ``name``, the parameter the caller passed.
         """
         if node_budget is None:

@@ -34,7 +34,7 @@ import numpy as np
 from .stream import DataStream, StreamItem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.classifier import AnytimeClassification
+    from ..core.driver import AnytimeClassification
 
 __all__ = [
     "AnytimeClassifierLike",
@@ -197,7 +197,7 @@ def run_anytime_stream(
     ----------
     classifier:
         Any object with ``classify_anytime(x, max_nodes)`` returning an
-        :class:`~repro.core.classifier.AnytimeClassification` and (when
+        :class:`~repro.core.driver.AnytimeClassification` and (when
         ``online_learning`` is requested) ``partial_fit(x, label)``.
     stream:
         The data stream to process.

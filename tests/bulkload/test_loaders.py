@@ -5,7 +5,7 @@ import pytest
 
 from repro.bulkload import BULK_LOADERS, make_bulk_loader
 from repro.core import BayesTreeConfig, make_descent_strategy
-from repro.core.frontier import pdq
+from repro.core.bayes_tree import pdq
 from repro.index import TreeParameters
 from repro.stats import silverman_bandwidth
 

@@ -9,7 +9,7 @@ handles, expanded an entry by packing ``entry.child.entries`` with
 geometric descent on the entries' own MBRs.  :class:`ObjectGraphTree`
 answers the driver's ``expand`` / ``min_distance`` / ``frontier`` calls that
 way, so :func:`reference_classify` computes every anytime trace without
-reading anything ``FlatTree.compile`` wrote: a compile that drops a decay
+reading anything ``compile_flat_tree`` wrote: a compile that drops a decay
 sync or misplaces a child block disagrees with it.
 
 Frontiers built here hold index entries, which also makes them the place for
@@ -24,8 +24,8 @@ from typing import Dict, Hashable, List, Optional
 import numpy as np
 
 from repro.core import AnytimeBayesClassifier, BayesTree, Frontier
-from repro.core.classifier import AnytimeClassification, classify_forest
-from repro.core.frontier import _entry_batch_params, pdq_scalar
+from repro.core.bayes_tree import _entry_batch_params, pdq_scalar
+from repro.core.driver import AnytimeClassification, classify_forest
 
 
 class ObjectGraphTree:

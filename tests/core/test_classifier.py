@@ -178,7 +178,7 @@ class TestAnytimeClassification:
         assert len(predictions) == 10
 
     def test_qbk_refines_only_top_k_classes(self):
-        from repro.core.classifier import _QbkRotation, _choose_refinement, _posterior_of
+        from repro.core.driver import _QbkRotation, _choose_refinement, _posterior_of
 
         classifier, points, labels = fitted_classifier(seed=9, qbk_k=1)
         query = points[0]  # clearly class 0
@@ -212,7 +212,7 @@ class TestQbkRotation:
     """Regression tests for the explicit qbk "in turns" rotation (§2.2)."""
 
     def _rotation(self):
-        from repro.core.classifier import _QbkRotation
+        from repro.core.driver import _QbkRotation
 
         return _QbkRotation()
 
@@ -275,7 +275,7 @@ class TestQbkRotation:
         After the tiny tree is fully refined, the qbk rotation must keep
         serving the two remaining classes strictly in turns.
         """
-        from repro.core.classifier import _QbkRotation, _choose_refinement, _posterior_of
+        from repro.core.driver import _QbkRotation, _choose_refinement, _posterior_of
 
         rng = np.random.default_rng(42)
         points = np.vstack(

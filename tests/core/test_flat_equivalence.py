@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig, FlatForest, FlatTree
+from repro.core.bayes_tree import compile_flat_tree
 from repro.core.descent import DESCENT_STRATEGIES
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
@@ -123,7 +124,7 @@ def test_malformed_columns_are_rejected():
     classifier, _ = _streamed_forest(size=160)
     label = next(iter(classifier.trees))
     tree = classifier.trees[label]
-    columns = FlatTree.compile(tree).to_columns()
+    columns = compile_flat_tree(tree).to_columns()
 
     missing = dict(columns)
     missing.pop("entry_means")

@@ -1,7 +1,7 @@
 """The live tree's cached flat twin (``BayesTree.flat_twin``).
 
 Every anytime read of the live forest runs over the twin, so after any model
-change it must equal what a fresh ``FlatTree.compile(tree)`` gives, a forest
+change it must equal what a fresh ``compile_flat_tree(tree)`` gives, a forest
 must compile each class tree once per model change rather than once per
 read, and a twin handed out earlier must not follow later training.
 """
@@ -9,8 +9,10 @@ read, and a twin handed out earlier must not follow later training.
 import numpy as np
 
 from repro import save_forest
+import repro.core.bayes_tree as bayes_tree_module
 from repro.bulkload import make_bulk_loader
-from repro.core import AnytimeBayesClassifier, BayesTree, BayesTreeConfig, FlatTree
+from repro.core import AnytimeBayesClassifier, BayesTree, BayesTreeConfig
+from repro.core.bayes_tree import compile_flat_tree
 from repro.data import make_dataset
 from repro.index import TreeParameters
 
@@ -19,7 +21,7 @@ TREE = TreeParameters(max_fanout=4, min_fanout=2, leaf_capacity=4, leaf_min=2)
 
 def _assert_twin_is_fresh(tree, step):
     twin = tree.flat_twin().to_columns()
-    fresh = FlatTree.compile(tree).to_columns()
+    fresh = compile_flat_tree(tree).to_columns()
     assert twin.keys() == fresh.keys()
     for name, column in fresh.items():
         np.testing.assert_array_equal(twin[name], column, err_msg=f"{name} after {step}")
@@ -65,13 +67,11 @@ def test_cached_twin_equals_a_fresh_compile_after_every_model_change():
 
 def test_a_forest_compiles_each_class_tree_once_per_model_change(monkeypatch, tmp_path):
     compiled = []
-    compile_tree = FlatTree.compile.__func__
-
-    def counting_compile(cls, tree):
+    def counting_compile(tree):
         compiled.append(tree)
-        return compile_tree(cls, tree)
+        return compile_flat_tree(tree)
 
-    monkeypatch.setattr(FlatTree, "compile", classmethod(counting_compile))
+    monkeypatch.setattr(bayes_tree_module, "compile_flat_tree", counting_compile)
     dataset = make_dataset("pendigits", size=300, random_state=0)
     classifier = AnytimeBayesClassifier(config=BayesTreeConfig(tree=TREE)).fit(
         dataset.features[:260], dataset.labels[:260]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BayesTree, BayesTreeConfig, make_descent_strategy
-from repro.core.frontier import pdq
+from repro.core.bayes_tree import pdq
 from repro.index import TreeParameters
 
 from object_graph_reference import density_from_scratch, reference_frontier, represented_objects

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import BayesTree, BayesTreeConfig
-from repro.core.frontier import pdq
+from repro.core.bayes_tree import pdq
 from repro.index import TreeParameters
 
 

@@ -262,14 +262,14 @@ class TestBatchClassificationEquivalence:
         assert sum(classifier.priors.values()) == pytest.approx(1.0)
 
     def test_budgeted_predict_batch_chunking_preserves_results(self, monkeypatch):
-        import repro.core.classifier as classifier_module
+        import repro.core.driver as driver_module
 
         points, labels = self.multiclass_stream(seed=9, per_class=30, n_classes=3)
         classifier = AnytimeBayesClassifier(config=small_config())
         classifier.fit(points[:60], labels[:60])
         queries = points[60:80]
         unchunked = classifier.predict_batch(queries, node_budget=10)
-        monkeypatch.setattr(classifier_module, "BATCH_CHUNK_QUERIES", 7)
+        monkeypatch.setattr(driver_module, "BATCH_CHUNK_QUERIES", 7)
         chunked = classifier.predict_batch(queries, node_budget=10)
         assert chunked == unchunked
 

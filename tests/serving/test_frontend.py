@@ -21,6 +21,7 @@ from repro.serving import (
     AsyncServingClient,
     DeadlineExceededError,
     FrontendClosedError,
+    ModelRegistry,
     QueueFullError,
     ServingEngine,
     drive_open_loop,
@@ -311,6 +312,15 @@ def test_validation_errors(snapshot, engine):
                     await client.classify(dataset.features[240], node_budget=budget)
                 with pytest.raises(ValueError, match="node_budget"):
                     await client.classify_batch(dataset.features[240:242], node_budget=budget)
+            # Non-finite features are refused before admission too (JSON
+            # bodies may carry NaN and Infinity).
+            for value in (np.nan, np.inf, -np.inf):
+                row = dataset.features[240].copy()
+                row[3] = value
+                with pytest.raises(ValueError, match="finite"):
+                    await client.classify(row)
+                with pytest.raises(ValueError, match="finite"):
+                    await client.classify_batch(np.stack([dataset.features[241], row]))
             assert client.stats.submitted == 0
             served = await client.classify(dataset.features[240], node_budget=np.int64(4))
             assert served == engine.predict_batch(dataset.features[240:241], node_budget=4)[0]
@@ -358,6 +368,33 @@ def test_a_refused_budget_does_not_fail_the_round_it_would_join(snapshot, engine
     assert isinstance(refused, ValueError) and "node_budget" in str(refused)
     assert good == engine.predict_batch(dataset.features[240:241], node_budget=8)[0]
     assert submitted == 1
+
+
+def test_a_wrong_dimension_row_fails_only_its_own_round(snapshot):
+    """Regression: a tenant registered but not resident has no known
+    dimension, so a row of the wrong length is admitted; coalesced with a good
+    row, it used to fail both (``np.stack`` of unequal rows)."""
+    path, dataset = snapshot
+    good = dataset.features[240]
+    dimension = good.shape[0]
+
+    async def run(registry):
+        async with AsyncServingClient(registry=registry, linger_s=0.05) as client:
+            outcomes = await asyncio.gather(
+                client.classify(good, node_budget=8, tenant="t"),
+                client.classify(good[:-1], node_budget=8, tenant="t"),
+                return_exceptions=True,
+            )
+            return outcomes, client.stats.batches
+
+    with ModelRegistry(capacity=2) as registry:
+        registry.register("t", path)
+        assert registry.expected_dimension("t") is None
+        (served, refused), batches = asyncio.run(run(registry))
+        assert batches == 2
+        assert isinstance(refused, ValueError)
+        assert f"queries must be an (m, {dimension}) array" in str(refused)
+        assert served == registry.predict_batch("t", good[None, :], node_budget=8)[0]
 
 
 def test_arrival_rate_estimator_ewma():

@@ -141,13 +141,18 @@ def test_error_codes(snapshot):
         bad_shape = await _request(
             host, port, "POST", "/classify", {"features": [1.0, 2.0]},
         )
+        # json.dumps writes NaN as the bare token that json.loads accepts.
+        not_finite = await _request(
+            host, port, "POST", "/v1/tenants/default/classify",
+            {"features": [float("nan")] + dataset.features[220, 1:].tolist()},
+        )
         timeout = await _request(
             host, port, "POST", "/classify",
             {"features": dataset.features[220].tolist(), "deadline_ms": 1},
         )
-        return not_found, bad_json, bad_budgets, bad_shape, timeout
+        return not_found, bad_json, bad_budgets, bad_shape, not_finite, timeout
 
-    not_found, bad_json, bad_budgets, bad_shape, timeout = _serve(
+    not_found, bad_json, bad_budgets, bad_shape, not_finite, timeout = _serve(
         path, scenario, linger_s=0.1
     )
     assert not_found[0] == 404
@@ -158,6 +163,8 @@ def test_error_codes(snapshot):
         assert status == 400 and body["error"]["code"] == "bad_request"
         assert "node_budget" in body["error"]["message"]
     assert bad_shape[0] == 400
+    assert not_finite[0] == 400 and not_finite[1]["error"]["code"] == "bad_request"
+    assert "finite" in not_finite[1]["error"]["message"]
     assert timeout[0] == 504
     assert timeout[1]["error"]["code"] == "deadline_exceeded"
 

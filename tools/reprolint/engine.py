@@ -48,6 +48,7 @@ __all__ = [
 #: deterministic; the determinism rule (RL005) applies to that closure.
 TRACE_DRIVER_MODULES = (
     "repro.core.classifier",
+    "repro.core.driver",
     "repro.core.flat",
     "repro.stream.anytime",
 )

@@ -293,11 +293,12 @@ class TraceDeterminism(Rule):
     bit-identical ``classification_trace_hash`` values; any hidden source of
     nondeterminism in the modules those drivers import turns that gate into a
     flaky coin-flip.  Within the transitive import closure of
-    ``repro.core.classifier``, ``repro.core.flat`` and ``repro.stream.anytime``
-    (explicit imports only — package facades are not expanded through), this
-    rule forbids wall-clock reads, global-state RNG calls (``np.random.*``,
-    stdlib ``random.*``), unseeded ``default_rng()`` / ``RandomState()``, and
-    iteration over sets (hash-order-dependent; wrap in ``sorted(...)``).
+    ``repro.core.classifier``, ``repro.core.driver``, ``repro.core.flat`` and
+    ``repro.stream.anytime`` (explicit imports only — package facades are not
+    expanded through), this rule forbids wall-clock reads, global-state RNG
+    calls (``np.random.*``, stdlib ``random.*``), unseeded ``default_rng()`` /
+    ``RandomState()``, and iteration over sets (hash-order-dependent; wrap in
+    ``sorted(...)``).
     """
 
     code = "RL005"
