@@ -9,9 +9,12 @@ The file feeds the CI benchmark-regression gate (``check_regression.py``),
 which compares it against the committed ``benchmarks/baseline.json``.
 
 Metric design: shared CI runners vary wildly in absolute speed, so every
-timing metric is either a *ratio of two timings on the same machine*
-(``batch_speedup_vs_scalar``) or *normalised by a calibration workload*
-(a fixed Python-bound loop of tiny numpy calls, timed in the same process).
+gated timing metric is either *normalised by a calibration workload* (a
+fixed Python-bound loop of tiny numpy calls, timed in the same process) or a
+*ratio of two timings on the same machine*.  ``batch_speedup_vs_scalar``
+(the scalar ``predict`` loop over ``predict_batch``) is reported but not
+gated: its two sides move independently, so each is gated on its own
+(``classification_throughput_norm`` and ``scalar_throughput_norm``).
 Accuracy metrics are fully deterministic (seeded generators, seeded streams).
 """
 
@@ -91,7 +94,7 @@ def _calibration_seconds() -> float:
 
 
 def _classification_metrics() -> dict:
-    """Full-refinement batch classification throughput and speedup."""
+    """Scalar ``predict`` and full-refinement ``predict_batch`` throughput, and their ratio."""
     dataset = make_dataset("pendigits", size=600, random_state=0)
     classifier = AnytimeBayesClassifier(config=DEFAULT_EXPERIMENT_CONFIG)
     classifier.fit(dataset.features[:500], dataset.labels[:500])
@@ -110,6 +113,7 @@ def _classification_metrics() -> dict:
     return {
         "batch_seconds": best,
         "throughput_qps": len(queries) / best,
+        "scalar_qps": len(queries) / scalar_seconds,
         "speedup": scalar_seconds / best,
     }
 
@@ -292,10 +296,15 @@ def collect() -> dict:
             "direction": "higher",
             "note": "full-refinement queries/s x calibration seconds (machine-normalised)",
         },
+        "scalar_throughput_norm": {
+            "value": classification["scalar_qps"] * calibration,
+            "direction": "higher",
+            "note": "scalar predict (one-row anytime driver, full refinement) queries/s x calibration seconds (machine-normalised)",
+        },
         "batch_speedup_vs_scalar": {
             "value": classification["speedup"],
             "direction": "higher",
-            "note": "vectorised predict_batch vs scalar predict loop (dimensionless)",
+            "note": "vectorised predict_batch vs scalar predict loop (dimensionless; reported, not gated)",
         },
         "stream_wallclock_norm": {
             "value": stream["seconds"] / calibration,

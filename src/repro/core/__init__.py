@@ -24,8 +24,6 @@ __all__ = [
     "GlobalBestDescent",
     "make_descent_strategy",
     "Frontier",
-    "FrontierArrays",
-    "FrontierItem",
     "pdq",
     "pdq_scalar",
     "log_pdq",
@@ -48,8 +46,6 @@ _EXPORTS = {
     "GlobalBestDescent": ".descent",
     "make_descent_strategy": ".descent",
     "Frontier": ".frontier",
-    "FrontierArrays": ".frontier",
-    "FrontierItem": ".frontier",
     "pdq": ".bayes_tree",
     "pdq_scalar": ".bayes_tree",
     "log_pdq": ".bayes_tree",
@@ -70,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - the eager view, for type checkers and li
     )
     from .driver import AnytimeClassification, default_qbk_k
     from .flat import FlatForest, FlatTree
-    from .frontier import Frontier, FrontierArrays, FrontierItem
+    from .frontier import Frontier
     from .single_tree import SingleTreeAnytimeClassifier
 else:
     __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

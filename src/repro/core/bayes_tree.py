@@ -294,7 +294,6 @@ class BayesTree:
         self._stats_origin: Optional[np.ndarray] = None
         self._stats = DecayedClusterFeature(dimension, decay_rate=self.config.decay_rate)
         self._leaf_means = _LeafMeansBuffer(dimension)
-        self._leaf_arrays_cache: Optional[Tuple[Tuple, _BatchParams]] = None
         self._twin: Optional[Tuple[Tuple, FlatTree]] = None
         self._decay_sync_key: Optional[Tuple[int, float]] = None
         self._last_expiry_sweep = 0.0
@@ -670,18 +669,6 @@ class BayesTree:
             return None
         return self._bandwidth ** 2
 
-    def _cache_key(self) -> Tuple:
-        """Key under which packed query parameters stay valid.
-
-        Decayed trees add the logical time: mixture weights age as the clock
-        advances, so packings are only shared between queries at the same
-        "now" (the stream driver advances time once per micro-batch, which
-        keeps the sharing of PR 1/2 intact within a batch).
-        """
-        if self.clock.enabled:
-            return (self.index.version, self._bandwidth_epoch, self.clock.now)
-        return (self.index.version, self._bandwidth_epoch)
-
     def _sync_decay(self) -> None:
         """Age all stored summaries to ``clock.now`` before they are read.
 
@@ -718,11 +705,11 @@ class BayesTree:
         :class:`~repro.core.flat.FlatTree`.  It is replaced whenever a fresh
         ``compile_flat_tree(tree)`` would differ: after a structural change,
         a new bandwidth epoch or a moved clock.  Compile writes
-        ``clock.now`` into the twin even without decay, so unlike
-        :meth:`_cache_key` the key always holds the clock; an undecayed
-        tree whose clock alone moved is restamped, not recompiled.  As with
-        :meth:`leaf_arrays`, an entry stamped behind the tree's back after
-        the twin was cached stays invisible until the next model change.
+        ``clock.now`` into the twin even without decay, so the key always
+        holds the clock; an undecayed tree whose clock alone moved is
+        restamped, not recompiled.  An entry stamped behind the tree's back
+        after the twin was cached stays invisible until the next model
+        change.
         """
         cached = self._twin
         key = self._twin_key()
@@ -744,20 +731,18 @@ class BayesTree:
 
         The flat twin's leaf columns are compiled from them, so they back the
         fully-refined (full kernel density estimate) batch evaluation path
-        (:meth:`FlatTree.log_density_batch`).  They are maintained
+        (:meth:`FlatTree.log_density_batch`); :meth:`flat_twin` caches that
+        compile, so this packing is not cached itself.  It is maintained
         incrementally: the means are a view of the amortised-append leaf
         buffer (rows in insertion order), and — because every stored kernel
         shares the tree's epoch-tagged bandwidth — the scales are an O(1)
         broadcast of the current bandwidth instead of ``n`` stamped copies.
-        A streamed insert therefore patches this packing in O(d) rather than
-        invalidating it wholesale.
+        A streamed insert therefore costs O(d) here.
 
         Entries carrying explicit per-entry parameters are detected by an
-        O(n) verification scan when the packing is (re)built (an already-O(n)
-        operation) and force the exact per-entry path; stamping entries
-        *after* a packing was cached is invisible until the next model change
-        (external mutation carries no invalidation signal).  Inserts stay
-        O(d): the scan only runs when the packing is actually consumed.
+        O(n) verification scan on each packing (an already-O(n) operation)
+        and force the exact per-entry path.  Inserts stay O(d): the scan only
+        runs when the packing is actually consumed.
         """
         if self.n_objects == 0:
             raise ValueError("cannot pack leaf arrays of an empty Bayes tree")
@@ -766,10 +751,6 @@ class BayesTree:
             # The index was mutated without going through insert()/adopt_index
             # (e.g. direct index manipulation in tests); fall back to a rebuild.
             self.recompute_statistics()
-        key = self._cache_key()
-        cached = self._leaf_arrays_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
         # The broadcast fast path assumes every kernel shares the tree's
         # bandwidth and kernel family.  Entries stamped with explicit
         # per-entry parameters (which the frontier path honours) force the
@@ -807,7 +788,6 @@ class BayesTree:
             )
             log_weights = np.log(n_objects) - math.log(float(n_objects.sum()))
             arrays = (means, scales, kinds, log_weights)
-        self._leaf_arrays_cache = (key, arrays)
         return arrays
 
     def density(self, query: Sequence[float] | np.ndarray, nodes: Optional[int] = None) -> float:

@@ -7,17 +7,17 @@ measure we tested a geometric measure, i.e. the distance from the query object
 to the MBR, and a probabilistic measure, i.e. the weighted probability density
 for the query object w.r.t. the Gaussian component of each entry."
 
-A strategy looks at the *refinable* frontier items (those whose entry is a
-directory entry, i.e. has a child node that could be read next) and picks the
-one to expand in the next time step.  The items' entries are slots of the
-frontier's flat tree, so the geometric measure asks the tree for
-``tree.min_distance(item.entry, query)``, the MINDIST to that slot's MBR.
+A strategy looks at the *refinable* rows of a frontier (those whose entry is
+a directory entry, i.e. has a child node that could be read next), takes
+them in the order their entries joined the frontier, and returns the row to
+expand in the next time step.  The geometric measure asks the frontier for
+``min_distance(row)``, the MINDIST from the query to that row's MBR.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence, TYPE_CHECKING
+from typing import Protocol
 
 import numpy as np
 
@@ -25,29 +25,47 @@ __all__ = [
     "DescentStrategy",
     "BreadthFirstDescent",
     "DepthFirstDescent",
+    "FrontierRows",
     "GlobalBestDescent",
     "make_descent_strategy",
     "DESCENT_STRATEGIES",
 ]
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .flat import FlatTree
-    from .frontier import FrontierItem
+
+class FrontierRows(Protocol):
+    """What a strategy reads of a frontier: its rows.
+
+    :class:`~repro.core.frontier.Frontier` is one; the §4.1 single-tree
+    classifier passes a view over its own item list.
+    """
+
+    @property
+    def levels(self) -> np.ndarray:
+        """Level of the node each row's entry points to (-1 for kernels)."""
+
+    @property
+    def log_contributions(self) -> np.ndarray:
+        """Log weighted density of each row's entry for the query."""
+
+    def refinable_rows(self) -> np.ndarray:
+        """Rows whose entry has an unread child node, in join order."""
+
+    def min_distance(self, row: int) -> float:
+        """MINDIST from the query to the MBR of ``row``'s directory entry."""
 
 
 class DescentStrategy(ABC):
-    """Picks which frontier entry to refine next for a given query."""
+    """Picks which frontier row to refine next for a given query."""
 
     name: str = "abstract"
 
     @abstractmethod
-    def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
-    ) -> "FrontierItem":
-        """Return the frontier item to refine next.
+    def choose(self, frontier: FrontierRows) -> int:
+        """Return the row of ``frontier`` to refine next.
 
-        ``candidates`` is never empty and contains only refinable items of a
-        frontier over ``tree``.
+        ``frontier`` has at least one refinable row.  Every strategy reduces
+        over ``frontier.refinable_rows()`` in join order and keeps the first
+        row the reduction picks, so ties go to the entry that joined first.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -58,16 +76,15 @@ class BreadthFirstDescent(DescentStrategy):
     """Refine the tree level by level (bft in the paper).
 
     Among the refinable frontier entries the one closest to the root is
-    expanded first; ties are broken by insertion order, which makes the
+    expanded first; ties are broken by join order, which makes the
     traversal exactly breadth first.
     """
 
     name = "bft"
 
-    def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
-    ) -> "FrontierItem":
-        return min(candidates, key=lambda item: (-item.level, item.order))
+    def choose(self, frontier: FrontierRows) -> int:
+        rows = frontier.refinable_rows()
+        return int(rows[np.argmax(frontier.levels[rows])])
 
 
 class DepthFirstDescent(DescentStrategy):
@@ -79,10 +96,8 @@ class DepthFirstDescent(DescentStrategy):
 
     name = "dft"
 
-    def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
-    ) -> "FrontierItem":
-        return max(candidates, key=lambda item: item.order)
+    def choose(self, frontier: FrontierRows) -> int:
+        return int(frontier.refinable_rows()[-1])
 
 
 class GlobalBestDescent(DescentStrategy):
@@ -100,27 +115,21 @@ class GlobalBestDescent(DescentStrategy):
         self.measure = measure
         self.name = "glo" if measure == "probabilistic" else "glo-geometric"
 
-    def choose(
-        self, candidates: Sequence["FrontierItem"], query: np.ndarray, tree: "FlatTree"
-    ) -> "FrontierItem":
+    def choose(self, frontier: FrontierRows) -> int:
+        rows = frontier.refinable_rows()
         if self.measure == "probabilistic":
             # Highest weighted density first: the entry currently contributing
             # the most to the query's density is the most promising to refine.
             # Ranking happens on the log contributions — linear-space densities
             # all underflow to 0.0 in high dimensions, which used to collapse
             # this choice into an arbitrary first-candidate pick.
-            scores = np.fromiter(
-                (item.log_contribution for item in candidates),
-                dtype=float,
-                count=len(candidates),
-            )
-            return candidates[int(np.argmax(scores))]
+            return int(rows[np.argmax(frontier.log_contributions[rows])])
         distances = np.fromiter(
-            (tree.min_distance(item.entry, query) for item in candidates),
+            (frontier.min_distance(row) for row in rows.tolist()),
             dtype=float,
-            count=len(candidates),
+            count=len(rows),
         )
-        return candidates[int(np.argmin(distances))]
+        return int(rows[np.argmin(distances)])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GlobalBestDescent(measure={self.measure!r})"

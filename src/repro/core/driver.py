@@ -37,7 +37,7 @@ import numpy as np
 
 from ..stats.gaussian import safe_exp
 from .descent import DescentStrategy
-from .frontier import Frontier, FrontierItem, component_log_densities
+from .frontier import Frontier, component_log_densities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .classifier import AnytimeBayesClassifier
@@ -223,26 +223,25 @@ def _choose_refinement(
     return rotation.next(top)
 
 
-def _refine_group(members: List[Tuple[Frontier, FrontierItem]]) -> None:
+def _refine_group(members: List[Tuple[Frontier, int]]) -> None:
     """Refine one tree node for every query in ``members`` with one evaluation.
 
-    All members read the same node of the same class tree, so one
-    ``tree.expand`` serves the group: its children's component parameters
-    (including the tree's variance inflation) are identical across the
-    group, and the children's log densities for all member queries form one
-    batched call.
+    Each member is a frontier and the row it refines.  All members read the
+    same node of the same class tree, so one ``tree.expand`` serves the
+    group: its children's component parameters (including the tree's
+    variance inflation) are identical across the group, and the children's
+    log densities for all member queries form one batched call.
     """
-    first_frontier, first_item = members[0]
-    children = first_frontier.tree.expand(first_item.entry)
+    first_frontier, first_row = members[0]
+    children = first_frontier.tree.expand(first_frontier.handles[first_row])
     if len(members) == 1:
-        for frontier, item in members:
-            frontier.refine_item(item, children=children)
+        first_frontier.refine_item(first_row, children=children)
         return
     means, scales, kinds, _ = children[2]
     batch = np.stack([frontier.query for frontier, _ in members])
     log_densities = component_log_densities(batch, means, scales, kinds)
-    for row, (frontier, item) in enumerate(members):
-        frontier.refine_item(item, child_log_densities=log_densities[row], children=children)
+    for position, (frontier, row) in enumerate(members):
+        frontier.refine_item(row, child_log_densities=log_densities[position], children=children)
 
 
 def drive_classify_anytime_batch(
@@ -314,10 +313,10 @@ def _drive_batch_chunk(
     while True:
         # Each active query chooses its next node read (qbk rotation +
         # descent strategy), and the planned reads are grouped by tree node
-        # — ``(label, slot)`` — so all queries reading the same node share
+        # — ``(label, handle)`` — so all queries reading the same node share
         # one vectorised evaluation of its children.
         planned: List[_BatchQueryState] = []
-        groups: Dict[Tuple[Hashable, int], List[Tuple[Frontier, FrontierItem]]] = {}
+        groups: Dict[Tuple[Hashable, int], List[Tuple[Frontier, int]]] = {}
         for state in states:
             if not state.active:
                 continue
@@ -329,8 +328,8 @@ def _drive_batch_chunk(
                 state.active = False
                 continue
             frontier = state.frontiers[label]
-            item = descent.choose(frontier.refinable_items(), frontier.query, frontier.tree)
-            groups.setdefault((label, item.entry), []).append((frontier, item))
+            row = descent.choose(frontier)
+            groups.setdefault((label, frontier.handles[row]), []).append((frontier, row))
             planned.append(state)
         if not planned:
             break
@@ -401,12 +400,19 @@ def alive_trees(trees: Mapping[Hashable, "FlatTree"]) -> Dict[Hashable, "FlatTre
 def fitted_queries(
     forest: "AnytimeBayesClassifier | FlatForest", queries: np.ndarray
 ) -> np.ndarray:
-    """``queries`` as an ``(m, d)`` float array for a fitted ``forest``."""
+    """``queries`` as an ``(m, d)`` float array of finite values for a fitted ``forest``.
+
+    A NaN or infinite feature makes every class's density NaN or zero, so
+    such a row has no prediction; it is refused (``ValueError``) instead of
+    being given the label that wins the tie-break.
+    """
     if not forest.is_fitted:
         raise ValueError("classifier has not been fitted")
     queries = np.asarray(queries, dtype=float)
     if queries.ndim != 2:
         raise ValueError("queries must be an (m, d) array")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite (no NaN or infinity)")
     return queries
 
 

@@ -18,7 +18,7 @@ Because slots are assigned pre-order with each node's entries contiguous and
 each subtree contiguous, the two structural operations of the query engine
 become array slices:
 
-* "expand this frontier item" is :meth:`FlatTree.expand`: the slot range
+* "expand this frontier entry" is :meth:`FlatTree.expand`: the slot range
   ``[child_start, child_end)`` as the children's handles plus zero-copy
   column slices of their packed parameters — no pointer walk, no per-entry
   packing loop, no per-entry objects;
@@ -339,8 +339,8 @@ class FlatTree:
         """The entries below ``slot`` (the root block for ``None``), as columns.
 
         Returns ``(slots, levels, (means, scales, kinds, n_objects))``: the
-        child block's slot range as the frontier's handles, the level each
-        slot points to, and zero-copy slices of the parameter columns.
+        child block's slot range as the frontier's handles, and zero-copy
+        slices of the level column and the parameter columns.
         """
         if slot is None:
             start, end = 0, self.meta["root_count"]
@@ -348,7 +348,7 @@ class FlatTree:
             start, end = int(self.child_start[slot]), int(self.child_end[slot])
         return (
             range(start, end),
-            self.entry_levels[start:end].tolist(),
+            self.entry_levels[start:end],
             (
                 self.entry_means[start:end],
                 self.entry_scales[start:end],

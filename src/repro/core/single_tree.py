@@ -56,13 +56,31 @@ class _ClassAwareItem:
         return math.log(total) if total > 0 else float("-inf")
 
 
-class _EntryGeometry:
-    """The ``tree`` a descent strategy sees here: this classifier's frontier
-    items hold index entries, so geometric descent measures their MBRs."""
+class _ItemRows:
+    """The rows a descent strategy reads (:class:`~repro.core.descent.FrontierRows`).
 
-    @staticmethod
-    def min_distance(entry: DirectoryEntry, query: np.ndarray) -> float:
-        return entry.mbr.min_distance(query)
+    Row ``i`` is ``items[i]``: the item list keeps join order (items are
+    appended as they join and popped in place), and geometric descent
+    measures the items' index-entry MBRs.
+    """
+
+    def __init__(self, items: List[_ClassAwareItem], query: np.ndarray) -> None:
+        self.items = items
+        self.query = query
+
+    @property
+    def levels(self) -> np.ndarray:
+        return np.array([item.level for item in self.items], dtype=np.int64)
+
+    @property
+    def log_contributions(self) -> np.ndarray:
+        return np.array([item.log_contribution for item in self.items], dtype=float)
+
+    def refinable_rows(self) -> np.ndarray:
+        return np.flatnonzero(self.levels >= 0)
+
+    def min_distance(self, row: int) -> float:
+        return self.items[row].entry.mbr.min_distance(self.query)
 
 
 class SingleTreeAnytimeClassifier:
@@ -218,12 +236,11 @@ class SingleTreeAnytimeClassifier:
             )
 
         record()
+        rows = _ItemRows(items, query)
         for _ in range(max_nodes):
-            refinable = [item for item in items if item.is_refinable]
-            if not refinable:
+            if not any(item.is_refinable for item in items):
                 break
-            chosen = self.descent.choose(refinable, query, _EntryGeometry)  # type: ignore[arg-type]
-            items.remove(chosen)
+            chosen = items.pop(self.descent.choose(rows))
             child = chosen.entry.child  # type: ignore[union-attr]
             for entry in child.entries:
                 level = child.level - 1 if isinstance(entry, DirectoryEntry) else -1

@@ -12,9 +12,11 @@ Layout: one ``.npz`` archive (zip of ``.npy`` members) holding
   insertion-ordered leaf buffer with per-observation timestamps, the decayed
   running ``(n, LS, SS)`` statistics, the shared Silverman bandwidth and the
   expiry bookkeeping (:meth:`repro.core.bayes_tree.BayesTree.export_state`),
-* ``flat__*`` — optionally, the compiled :class:`repro.core.flat.FlatForest`
-  columns (``flat__t{i}__*`` per tree plus ``flat__forest__log_priors``), a
-  read-optimised twin of the same forest for serving.
+* ``flat__*`` — the compiled :class:`repro.core.flat.FlatForest` columns
+  (``flat__t{i}__*`` per tree plus ``flat__forest__log_priors``), a
+  read-optimised twin of the same forest for serving.  :func:`save_forest`
+  always writes them; a file without them (``flat`` false) still restores
+  through :func:`load_forest`, but the flat loaders refuse it.
 
 Since format version 2 the archive members are **stored uncompressed**
 (``numpy.savez``): every ``.npy`` member sits verbatim inside the zip, so
@@ -160,15 +162,12 @@ def _decode_label(spec: list) -> Hashable:
 
 # -- saving -----------------------------------------------------------------------------------
 
-def save_forest(
-    classifier: "AnytimeBayesClassifier", path: "str | Path", include_flat: bool = True
-) -> Path:
+def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Path:
     """Serialize a fitted forest into the snapshot container at ``path``.
 
-    With ``include_flat`` (the default) the snapshot additionally carries the
-    compiled flat-forest columns, which serving loads zero-copy via
-    :func:`load_flat_forest`; ``include_flat=False`` writes the object-graph
-    state only (smaller file, serving recompiles on load).
+    Besides the object-graph state, the snapshot carries the compiled
+    flat-forest columns, which serving loads zero-copy via
+    :func:`load_flat_forest`.
 
     The file is published atomically: written beside ``path`` and renamed
     over it, so a reader still holding the old snapshot (an open file or
@@ -245,14 +244,13 @@ def save_forest(
             arrays[prefix + "leaf_bw_values"] = np.stack(explicit).astype(float)
         trees_meta.append({"n": int(state["n"]), "label_table": label_table})
 
-    if include_flat:
-        # Compile the read-optimised columnar twin and store it alongside the
-        # object-graph state.  ``compile_flat`` iterates ``classifier.trees``
-        # in the same order as the loop above, so the ``flat__t{i}__``
-        # indices align with the manifest's class table.
-        flat = classifier.compile_flat()
-        for name, array in flat.to_columns().items():
-            arrays[_FLAT_PREFIX + name] = np.ascontiguousarray(array)
+    # Compile the read-optimised columnar twin and store it alongside the
+    # object-graph state.  ``compile_flat`` iterates ``classifier.trees`` in
+    # the same order as the loop above, so the ``flat__t{i}__`` indices align
+    # with the manifest's class table.
+    flat = classifier.compile_flat()
+    for name, array in flat.to_columns().items():
+        arrays[_FLAT_PREFIX + name] = np.ascontiguousarray(array)
 
     manifest = {
         "magic": _MAGIC,
@@ -263,7 +261,7 @@ def save_forest(
         "config": classifier.config.to_dict(),
         "classes": classes,
         "trees": trees_meta,
-        "flat": bool(include_flat),
+        "flat": True,
     }
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
     arrays["forest__floats"] = np.array([classifier._now], dtype=float)
@@ -498,10 +496,7 @@ def _flat_columns(
     read-only ``np.memmap`` of the file; the rest are read normally.
     """
     if not manifest.get("flat", False):
-        raise SnapshotError(
-            f"snapshot {path} carries no flat forest columns "
-            "(saved with include_flat=False?)"
-        )
+        raise SnapshotError(f"snapshot {path} carries no flat forest columns")
     mapped = np.memmap(handle, mode="r") if mmap else None
     columns: Dict[str, np.ndarray] = {}
     for name in data.files:
@@ -525,18 +520,17 @@ def read_flat_columns(path: "str | Path", mmap: bool = True) -> Dict[str, np.nda
         return _flat_columns(path, handle, data, manifest, mmap)
 
 
-def read_snapshot(path: "str | Path") -> Tuple[dict, Optional[Dict[str, np.ndarray]]]:
+def read_snapshot(path: "str | Path") -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a snapshot's manifest and memory-mapped flat columns in one pass.
 
     Returns ``(manifest, columns)``: the :func:`read_manifest` dict and the
-    flat columns as :func:`read_flat_columns` maps them, or ``None`` for a
-    snapshot saved without flat columns.  This is the serving registry's
-    load: one open of the file and one parse of its zip directory.
+    flat columns as :func:`read_flat_columns` maps them.  This is the
+    serving registry's load: one open of the file and one parse of its zip
+    directory.  Raises :class:`SnapshotError` when the snapshot carries no
+    flat columns (:func:`load_forest` still restores such a file).
     """
     with _open_snapshot(path) as (handle, data, manifest):
-        summary = _summary(manifest)
-        columns = _flat_columns(path, handle, data, manifest, mmap=True) if summary["has_flat"] else None
-        return summary, columns
+        return _summary(manifest), _flat_columns(path, handle, data, manifest, mmap=True)
 
 
 def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:

@@ -101,7 +101,8 @@ class ServingEngine:
         old forest, then drains in-flight rounds, switches, and releases the
         old store.  A snapshot re-saved at the current path is swapped in
         too; the same unchanged file is a no-op.  A snapshot that is
-        unreadable, has no servable class or has another feature dimension
-        is rejected and the engine keeps serving the old one.
+        unreadable, carries no flat columns, has no servable class or has
+        another feature dimension is rejected and the engine keeps serving
+        the old one.
         """
         self.registry.load(self.tenant, snapshot_path)

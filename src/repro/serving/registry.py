@@ -383,7 +383,7 @@ class ModelRegistry:
             class, or when a swap's snapshot has another feature dimension
             than the resident one.
         repro.persist.SnapshotError
-            When the container is unreadable.
+            When the container is unreadable or carries no flat columns.
         RegistryClosedError
             When the registry is closed, also by a ``close()`` that ran while
             the snapshot was loading (the built store is then released).
@@ -701,12 +701,12 @@ class ModelRegistry:
     ) -> _TenantEntry:
         """Materialise a tenant: snapshot columns -> column store -> zero-copy forest.
 
-        A snapshot without flat members (``include_flat=False`` or format v1)
-        is restored once and compiled here.  ``dimension`` (the resident
-        entry's, on a swap) rejects a snapshot of another feature dimension
-        before any store is built.  The columns are copied out of the
-        snapshot's file map, so a file truncated in place cannot fault a
-        round.
+        A snapshot without flat members is refused (``SnapshotError`` from
+        ``read_snapshot``): serving never restores the write side.
+        ``dimension`` (the resident entry's, on a swap) rejects a snapshot of
+        another feature dimension before any store is built.  The columns
+        are copied out of the snapshot's file map, so a file truncated in
+        place cannot fault a round.
         """
         start = time.perf_counter()
         # Stat before reading: a file replaced in between is stamped with the
@@ -722,13 +722,6 @@ class ModelRegistry:
         labels = sorted((label for label, count in counts.items() if count > 0), key=repr)
         if not labels:
             raise ValueError("snapshot holds no servable (non-empty) classes")
-        if columns is None:
-            # The one path that restores a live forest: it loads the write
-            # side (the R* index and the live trees), which flat snapshots
-            # never need.
-            from ..persist import load_forest
-
-            columns = load_forest(path).compile_flat().to_columns()
         store = SharedColumnStore(columns)
         del columns  # drop the file map's references; the store owns the bytes now
         try:

@@ -6,6 +6,7 @@ obey the determinism rule, while modules it does *not* import
 (``repro.evaluation.unpinned``) are out of scope.
 """
 
+from ..persist import save
 from ..stream.pinned import classify_once
 
-__all__ = ["classify_once"]
+__all__ = ["classify_once", "save"]

@@ -12,8 +12,8 @@ way, so :func:`reference_classify` computes every anytime trace without
 reading anything ``compile_flat_tree`` wrote: a compile that drops a decay
 sync or misplaces a child block disagrees with it.
 
-Frontiers built here hold index entries, which also makes them the place for
-the entry-only checks (:func:`density_from_scratch`,
+Frontiers built here hold index entries as their rows' handles, which also
+makes them the place for the entry-only checks (:func:`density_from_scratch`,
 :func:`represented_objects`).
 """
 
@@ -95,7 +95,7 @@ def density_from_scratch(frontier: Frontier) -> float:
     bandwidth = frontier.tree.tree.bandwidth
     return pdq_scalar(
         frontier.query,
-        [item.entry for item in frontier],
+        frontier.handles,
         total_objects=frontier.total_objects,
         variance_inflation=None if bandwidth is None else bandwidth ** 2,
         leaf_bandwidth=bandwidth,
@@ -104,4 +104,4 @@ def density_from_scratch(frontier: Frontier) -> float:
 
 def represented_objects(frontier: Frontier) -> float:
     """Observations an object-graph frontier represents (invariant under refinement)."""
-    return float(sum(item.entry.n_objects for item in frontier))
+    return float(sum(entry.n_objects for entry in frontier.handles))

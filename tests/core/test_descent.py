@@ -1,14 +1,14 @@
 """Tests for the descent strategies (bft, dft, global best).
 
-The strategies choose among the items of a frontier over a tree's flat twin;
-the checks that read index entries (MBRs, cluster features) run over the
+The strategies choose a row of a frontier over a tree's flat twin; the
+checks that read index entries (MBRs, cluster features) run over the
 object-graph reference.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import BayesTree, BayesTreeConfig, make_descent_strategy
+from repro.core import BayesTree, BayesTreeConfig, Frontier, make_descent_strategy
 from repro.core.descent import (
     BreadthFirstDescent,
     DepthFirstDescent,
@@ -57,13 +57,10 @@ def test_breadth_first_refines_levels_in_order():
     frontier = tree.flat_twin().frontier(points[0])
     strategy = make_descent_strategy("bft")
     seen_levels = []
-    while True:
-        candidates = frontier.refinable_items()
-        if not candidates:
-            break
-        chosen = strategy.choose(candidates, frontier.query, frontier.tree)
-        seen_levels.append(chosen.level)
-        frontier.refine_item(chosen)
+    while not frontier.is_fully_refined:
+        row = strategy.choose(frontier)
+        seen_levels.append(int(frontier.levels[row]))
+        frontier.refine_item(row)
     # Levels must be non-increasing: higher levels are exhausted before lower ones.
     assert all(a >= b for a, b in zip(seen_levels, seen_levels[1:]))
 
@@ -73,26 +70,22 @@ def test_depth_first_descends_before_broadening():
     frontier = tree.flat_twin().frontier(points[0])
     strategy = make_descent_strategy("dft")
     # The second refinement must expand a child of the first refined entry,
-    # i.e. the newest refinable item (LIFO behaviour).
-    first_candidates = frontier.refinable_items()
-    first = strategy.choose(first_candidates, frontier.query, frontier.tree)
-    max_order_before = max(item.order for item in frontier.items)
-    frontier.refine_item(first)
-    second_candidates = frontier.refinable_items()
-    if second_candidates:
-        second = strategy.choose(second_candidates, frontier.query, frontier.tree)
-        if any(item.order > max_order_before for item in second_candidates):
-            assert second.order > max_order_before
+    # i.e. the newest refinable row (LIFO behaviour).
+    max_order_before = int(frontier.orders.max())
+    frontier.refine_item(strategy.choose(frontier))
+    rows = frontier.refinable_rows()
+    if len(rows) and np.any(frontier.orders[rows] > max_order_before):
+        assert frontier.orders[strategy.choose(frontier)] > max_order_before
 
 
 def test_global_best_probabilistic_picks_highest_contribution():
     tree, points = fitted_tree(seed=2)
-    query = points[0]
-    frontier = tree.flat_twin().frontier(query)
+    frontier = tree.flat_twin().frontier(points[0])
     strategy = GlobalBestDescent(measure="probabilistic")
-    candidates = frontier.refinable_items()
-    chosen = strategy.choose(candidates, query, frontier.tree)
-    assert chosen.contribution == pytest.approx(max(c.contribution for c in candidates))
+    row = strategy.choose(frontier)
+    rows = frontier.refinable_rows()
+    assert row in rows.tolist()
+    assert frontier.log_contributions[row] == frontier.log_contributions[rows].max()
 
 
 def test_global_best_geometric_picks_closest_mbr():
@@ -100,10 +93,9 @@ def test_global_best_geometric_picks_closest_mbr():
     query = points[0]
     frontier = reference_frontier(tree, query)
     strategy = GlobalBestDescent(measure="geometric")
-    candidates = frontier.refinable_items()
-    chosen = strategy.choose(candidates, query, frontier.tree)
-    distances = [c.entry.mbr.min_distance(query) for c in candidates]
-    assert chosen.entry.mbr.min_distance(query) == pytest.approx(min(distances))
+    row = strategy.choose(frontier)
+    distances = [frontier.handles[r].mbr.min_distance(query) for r in frontier.refinable_rows()]
+    assert frontier.handles[row].mbr.min_distance(query) == pytest.approx(min(distances))
 
 
 def test_global_best_refines_the_cluster_containing_the_query():
@@ -114,14 +106,60 @@ def test_global_best_refines_the_cluster_containing_the_query():
     strategy = make_descent_strategy("glo")
     refined_centers = []
     for _ in range(3):
-        candidates = frontier.refinable_items()
-        if not candidates:
+        if frontier.is_fully_refined:
             break
-        chosen = strategy.choose(candidates, query, frontier.tree)
-        refined_centers.append(chosen.entry.cluster_feature.mean())
-        frontier.refine_item(chosen)
+        row = strategy.choose(frontier)
+        refined_centers.append(frontier.handles[row].cluster_feature.mean())
+        frontier.refine_item(row)
     for center in refined_centers:
         assert np.linalg.norm(center - query) < np.linalg.norm(center - np.array([8.0, 8.0]))
+
+
+class _TiedTree:
+    """A two-level stub tree whose root holds entries ``a``, ``b`` and ``c``.
+
+    ``b`` and ``c`` are identical directory entries (the same component,
+    weight and MBR around the query); ``a`` has two kernel children.
+    Refining ``a`` moves ``c``, the last row, into ``a``'s row 0, so ``c``
+    then sits at a lower row than ``b`` although ``b`` joined first.
+    """
+
+    _BLOCKS = {
+        None: (["a", "b", "c"], [0, 0, 0], [0.0, 1.0, 1.0]),
+        "a": (["a1", "a2"], [-1, -1], [0.5, -0.5]),
+    }
+
+    def expand(self, handle):
+        handles, levels, means = self._BLOCKS[handle]
+        count = len(handles)
+        params = (
+            np.array(means)[:, None],
+            np.ones((count, 1)),
+            np.zeros(count, dtype=np.int8),
+            np.full(count, 2.0),
+        )
+        return handles, levels, params
+
+    @staticmethod
+    def min_distance(handle, query):
+        return 0.0  # the query lies inside every MBR
+
+
+@pytest.mark.parametrize("strategy_name", ["bft", "glo", "glo-geometric"])
+def test_ties_go_to_the_row_that_joined_first(strategy_name):
+    frontier = Frontier(_TiedTree(), np.array([1.0]))
+    frontier.refine_item(frontier.handles.index("a"))
+    assert frontier.handles[:2] == ["c", "b"]
+    rows = frontier.refinable_rows()
+    assert rows.tolist() == [1, 0]  # join order: b before c
+    assert frontier.log_contributions[0] == frontier.log_contributions[1]
+    assert frontier.handles[make_descent_strategy(strategy_name).choose(frontier)] == "b"
+
+
+def test_depth_first_takes_the_row_that_joined_last():
+    frontier = Frontier(_TiedTree(), np.array([1.0]))
+    frontier.refine_item(frontier.handles.index("a"))
+    assert frontier.handles[make_descent_strategy("dft").choose(frontier)] == "c"
 
 
 def test_all_strategies_reach_full_refinement():

@@ -175,23 +175,25 @@ def test_flat_frontier_expands_slots_through_column_views():
     slots, levels, (means, scales, kinds, n_objects) = tree.expand(None)
     root_count = tree.meta["root_count"]
     assert slots == range(root_count)
-    assert levels == tree.entry_levels[:root_count].tolist()
+    np.testing.assert_array_equal(levels, tree.entry_levels[:root_count])
     for view, column in zip(
-        (means, scales, kinds, n_objects),
-        (tree.entry_means, tree.entry_scales, tree.entry_kinds, tree.entry_n),
+        (levels, means, scales, kinds, n_objects),
+        (tree.entry_levels, tree.entry_means, tree.entry_scales, tree.entry_kinds, tree.entry_n),
     ):
         assert np.shares_memory(view, column)
 
     frontier = tree.frontier(queries[0])
-    assert [item.entry for item in frontier] == list(range(root_count))
-    item = frontier.refinable_items()[0]
-    start, end = int(tree.child_start[item.entry]), int(tree.child_end[item.entry])
-    children = tree.expand(item.entry)
+    assert frontier.handles == list(range(root_count))
+    row = int(frontier.refinable_rows()[0])
+    slot = frontier.handles[row]
+    start, end = int(tree.child_start[slot]), int(tree.child_end[slot])
+    children = tree.expand(slot)
     assert children[0] == range(start, end)
     assert np.shares_memory(children[2][0], tree.entry_means)
-    frontier.refine_item(item)
-    assert all(isinstance(item.entry, int) for item in frontier)
-    assert {item.entry for item in frontier} >= set(range(start, end))
+    assert frontier.refine_item(row) == slot
+    assert all(isinstance(handle, int) for handle in frontier.handles)
+    assert set(frontier.handles) >= set(range(start, end))
+    assert slot not in frontier.handles
 
 
 def test_flat_forest_is_read_only_surface():

@@ -121,19 +121,45 @@ def test_refine_item_rejects_leaf_entries():
     tree, points = fitted_tree(seed=6, count=20)
     frontier = tree.flat_twin().frontier(points[0])
     frontier.refine_fully(make_descent_strategy("bft"))
-    leaf_item = frontier.items[0]
-    with pytest.raises(ValueError):
-        frontier.refine_item(leaf_item)
+    reads, rows = frontier.nodes_read, len(frontier)
+    assert frontier.levels[0] == -1
+    with pytest.raises(ValueError, match="kernel"):
+        frontier.refine_item(0)
+    assert (frontier.nodes_read, len(frontier)) == (reads, rows)
 
 
-def test_refine_item_rejects_foreign_items():
+def test_refine_item_rejects_out_of_range_rows():
     tree, points = fitted_tree(seed=7, count=60)
-    frontier_a = tree.flat_twin().frontier(points[0])
-    frontier_b = tree.flat_twin().frontier(points[1])
-    foreign = frontier_b.refinable_items()[0]
-    frontier_b.refine_item(foreign)
-    with pytest.raises(ValueError):
-        frontier_a.refine_item(foreign)
+    frontier = tree.flat_twin().frontier(points[0])
+    before = (list(frontier.handles), frontier.log_density)
+    for row in (-1, len(frontier), len(frontier) + 5):
+        with pytest.raises(ValueError, match="not a row"):
+            frontier.refine_item(row)
+    assert (list(frontier.handles), frontier.log_density) == before
+    assert frontier.nodes_read == 0
+
+
+@pytest.mark.parametrize("strategy_name", ["bft", "dft", "glo", "glo-geometric"])
+def test_rows_past_the_initial_capacity_keep_the_density_exact(strategy_name):
+    """Row buffers grow past their initial 32 rows and stay packed under swap-removal."""
+    tree, points = fitted_tree(seed=10, count=200)
+    frontier = reference_frontier(tree, points[5] + 0.3)
+    strategy = make_descent_strategy(strategy_name)
+    total = represented_objects(frontier)
+    grew = False
+    while frontier.refine(strategy) is not None:
+        grew = grew or len(frontier) > 32
+        assert frontier.density == pytest.approx(density_from_scratch(frontier), rel=1e-9)
+        assert represented_objects(frontier) == pytest.approx(total)
+        # Every entry sits in exactly one row, and the rows' join orders
+        # are distinct: the removed row's slot was refilled, not duplicated.
+        assert len(set(map(id, frontier.handles))) == len(frontier)
+        assert len(set(frontier.orders.tolist())) == len(frontier)
+        rows = frontier.refinable_rows()
+        assert np.all(np.diff(frontier.orders[rows]) > 0)
+        assert np.array_equal(np.sort(rows), np.flatnonzero(frontier.levels >= 0))
+    assert grew
+    assert frontier.is_fully_refined and len(frontier) == tree.n_objects
 
 
 def test_pdq_empty_entry_set_is_zero():

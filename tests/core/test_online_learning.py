@@ -91,8 +91,6 @@ def test_leaf_arrays_are_patched_incrementally_on_insert():
     rng = np.random.default_rng(5)
     tree = BayesTree(dimension=3, config=small_config()).fit(rng.normal(size=(50, 3)))
     means_before = tree.leaf_arrays()[0].copy()
-    # Cached between queries while the model is unchanged.
-    assert tree.leaf_arrays() is tree.leaf_arrays()
     new_point = rng.normal(size=3)
     tree.insert(new_point)
     means, scales, kinds, log_weights = tree.leaf_arrays()

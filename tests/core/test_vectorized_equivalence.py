@@ -1,7 +1,7 @@
 """Numerical equivalence of the vectorised log-space query engine.
 
-The vectorised engine (batched ``log_gaussian_pdf`` + log-sum-exp over the
-packed :class:`FrontierArrays`) must reproduce the scalar linear-space
+The vectorised engine (batched ``log_gaussian_pdf`` + log-sum-exp over a
+frontier's log contribution rows) must reproduce the scalar linear-space
 reference path (`pdq_scalar`, one ``math.exp`` per entry) to floating-point
 round-off, and the batch classification drivers must yield exactly the same
 predictions as their per-query counterparts.
@@ -23,7 +23,6 @@ from repro.core import (
     pdq,
     pdq_scalar,
 )
-from repro.core.frontier import FrontierArrays
 from repro.evaluation import classification_trace_hash
 from repro.index import TreeParameters
 from repro.stats.gaussian import log_gaussian_pdf, log_gaussian_pdf_batch, logsumexp
@@ -127,7 +126,7 @@ def test_vectorized_pdq_matches_scalar_on_random_frontiers(seed, strategy_name, 
     for _ in range(steps):
         if frontier.refine(strategy) is None:
             break
-    entries = [item.entry for item in frontier.items]
+    entries = list(frontier.handles)
     inflation = tree._variance_inflation()
     vectorized = pdq(
         query, entries, variance_inflation=inflation, leaf_bandwidth=tree.bandwidth
@@ -152,40 +151,10 @@ def test_epanechnikov_vectorized_pdq_matches_scalar(seed):
     query = points[int(rng.integers(0, len(points)))] + rng.normal(scale=0.2, size=2)
     frontier = reference_frontier(tree, query)
     frontier.refine_fully(make_descent_strategy("glo"))
-    entries = [item.entry for item in frontier.items]
+    entries = list(frontier.handles)
     vectorized = pdq(query, entries, leaf_bandwidth=tree.bandwidth)
     scalar = pdq_scalar(query, entries, leaf_bandwidth=tree.bandwidth)
     assert vectorized == pytest.approx(scalar, rel=1e-9, abs=1e-300)
-
-
-class TestFrontierArrays:
-    def test_swap_remove_keeps_rows_packed(self):
-        arrays = FrontierArrays(dimension=2, capacity=2)
-        means = np.arange(10, dtype=float).reshape(5, 2)
-        scales = np.ones((5, 2))
-        kinds = np.zeros(5, dtype=np.int8)
-        log_weights = np.log(np.full(5, 0.2))
-        log_densities = np.arange(5, dtype=float)
-        arrays.append_batch(means, scales, kinds, log_weights, log_densities)
-        assert arrays.size == 5
-        moved = arrays.swap_remove(1)
-        assert moved == 4
-        assert arrays.size == 4
-        np.testing.assert_array_equal(arrays.means[1], means[4])
-        assert arrays.swap_remove(3) is None
-        assert arrays.size == 3
-
-    def test_log_density_is_logsumexp_of_contributions(self):
-        arrays = FrontierArrays(dimension=1)
-        arrays.append_batch(
-            np.zeros((3, 1)),
-            np.ones((3, 1)),
-            np.zeros(3, dtype=np.int8),
-            np.log(np.full(3, 1 / 3)),
-            np.array([-1.0, -2.0, -3.0]),
-        )
-        expected = logsumexp(np.log(1 / 3) + np.array([-1.0, -2.0, -3.0]))
-        assert arrays.log_density() == pytest.approx(expected, rel=1e-12)
 
 
 class TestLinearViewSaturation:
@@ -308,6 +277,21 @@ class TestBatchClassificationEquivalence:
             classifier.classify_anytime_batch(points[:3], max_nodes=-1)
         with pytest.raises(ValueError):
             classifier.predict_batch(points[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_both_forests_refuse_non_finite_queries(self, bad):
+        points, labels = self.multiclass_stream(seed=8)
+        classifier = AnytimeBayesClassifier(config=small_config()).fit(points[:100], labels[:100])
+        queries = points[100:102].copy()
+        queries[0, 1] = bad
+        for forest in (classifier, classifier.compile_flat()):
+            with pytest.raises(ValueError, match="finite"):
+                forest.classify_anytime(queries[0], max_nodes=5)
+            with pytest.raises(ValueError, match="finite"):
+                forest.classify_anytime_batch(queries, max_nodes=5)
+            for node_budget in (None, 5):
+                with pytest.raises(ValueError, match="finite"):
+                    forest.predict_batch(queries, node_budget=node_budget)
 
 
 class TestBayesTreeBatchDensity:

@@ -92,10 +92,10 @@ def test_mmap_columns_are_read_only_views(tmp_path):
         assert not array.flags.writeable
 
 
-def test_snapshot_without_flat_members_refuses_flat_api(tmp_path):
+def test_snapshot_without_flat_members_refuses_flat_api(tmp_path, strip_flat_members):
     classifier, queries = _decayed_forest(size=140)
-    path = tmp_path / "legacy.npz"
-    save_forest(classifier, path, include_flat=False)
+    save_forest(classifier, tmp_path / "forest.npz")
+    path = strip_flat_members(tmp_path / "forest.npz", tmp_path / "legacy.npz")
     manifest = read_manifest(path)
     assert manifest["has_flat"] is False
     # The object-graph path is untouched...
@@ -105,6 +105,8 @@ def test_snapshot_without_flat_members_refuses_flat_api(tmp_path):
         read_flat_columns(path)
     with pytest.raises(SnapshotError, match="flat"):
         load_flat_forest(path)
+    with pytest.raises(SnapshotError, match="flat"):
+        read_snapshot(path)
 
 
 def test_truncated_flat_member_is_rejected(tmp_path):
@@ -220,13 +222,11 @@ def test_read_snapshot_matches_the_separate_readers(tmp_path):
     save_forest(classifier, path)
     manifest, columns = read_snapshot(path)
     assert manifest == read_manifest(path)
+    assert manifest["has_flat"] is True
     expected = read_flat_columns(path, mmap=False)
     assert sorted(columns) == sorted(expected)
     for name, column in expected.items():
         np.testing.assert_array_equal(columns[name], column)
-    legacy = tmp_path / "legacy.npz"
-    save_forest(classifier, legacy, include_flat=False)
-    assert read_snapshot(legacy) == (read_manifest(legacy), None)
 
 
 _RESAVE_UNDER_A_LIVE_MAP = """

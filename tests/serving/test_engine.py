@@ -189,3 +189,19 @@ def test_engine_validates_inputs(snapshot):
             engine.predict_batch(queries, node_budget=np.asarray([1, 2]))
     with pytest.raises(TypeError):
         ServingEngine(path, workers=2)  # type: ignore[call-arg]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_engine_refuses_non_finite_queries(snapshot, bad):
+    """A row with a NaN or infinite feature has no density, so no label."""
+    path, queries = snapshot
+    block = queries[:2].copy()
+    block[1, 3] = bad
+    with ServingEngine(path) as engine:
+        for node_budget in (None, 8):
+            with pytest.raises(ValueError, match="finite"):
+                engine.predict_batch(block, node_budget=node_budget)
+        with pytest.raises(ValueError, match="finite"):
+            engine.registry.classify_anytime_batch(engine.tenant, block, max_nodes=8)
+        # The refusal leaves the engine serving.
+        assert len(engine.predict_batch(queries[:2])) == 2

@@ -6,8 +6,7 @@ forest that wraps the store it built, swap and close release that store,
 a dispose under a live forest cannot unmap its columns, serving imports no
 ``multiprocessing`` and starts no child process, rounds racing hot swaps
 always answer from a snapshot that was serving during the call, and
-snapshots without flat members are compiled on the fly (construction and
-hot swap).
+snapshots without flat members are refused (construction and hot swap).
 """
 
 import gc
@@ -25,14 +24,14 @@ import pytest
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig
 from repro.data import make_dataset
 from repro.core import FlatForest
-from repro.persist import load_flat_forest, load_forest, read_snapshot, save_forest
+from repro.persist import SnapshotError, load_flat_forest, load_forest, read_snapshot, save_forest
 from repro.serving import ServingEngine, SharedColumnStore
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
-def snapshot(tmp_path_factory):
+def snapshot(tmp_path_factory, strip_flat_members):
     dataset = make_dataset("pendigits", size=360, random_state=8)
     config = BayesTreeConfig(decay_rate=0.01, expiry_threshold=1e-4)
     classifier = AnytimeBayesClassifier(config=config)
@@ -42,8 +41,7 @@ def snapshot(tmp_path_factory):
         )
     path = tmp_path_factory.mktemp("zero_copy") / "forest.npz"
     save_forest(classifier, path)
-    legacy = tmp_path_factory.mktemp("zero_copy") / "legacy.npz"
-    save_forest(classifier, legacy, include_flat=False)
+    legacy = strip_flat_members(path, tmp_path_factory.mktemp("zero_copy") / "legacy.npz")
     return path, legacy, dataset.features[300:]
 
 
@@ -309,23 +307,19 @@ def test_serving_starts_no_resource_tracker_and_no_name_outlives_its_build(
     assert report["imported"] == [], "serving imported multiprocessing"
 
 
-# -- compile-on-demand for legacy snapshots -------------------------------------------------
-def test_snapshot_without_flat_members_is_compiled_engine_side(snapshot):
-    path, legacy, queries = snapshot
-    local = load_forest(path)
-    with ServingEngine(legacy) as engine:
-        assert _store_bytes(engine) > 0
-        assert engine.predict_batch(queries) == local.predict_batch(queries)
-        assert engine.predict_batch(queries, node_budget=8) == local.predict_batch(
-            queries, node_budget=8
-        )
+# -- snapshots without flat members ---------------------------------------------------------
+def test_snapshot_without_flat_members_is_refused(snapshot, built_stores):
+    _, legacy, _ = snapshot
+    with pytest.raises(SnapshotError, match="flat"):
+        ServingEngine(legacy)
+    assert built_stores == []
 
 
-def test_swap_to_legacy_snapshot_compiles_on_swap(snapshot):
+def test_swap_to_a_snapshot_without_flat_members_keeps_the_old_one(snapshot):
     path, legacy, queries = snapshot
     local = load_forest(path)
     with ServingEngine(path) as engine:
-        engine.swap_snapshot(legacy)
-        assert engine.snapshot_path == str(legacy)
-        assert _store_bytes(engine) > 0
+        with pytest.raises(SnapshotError, match="flat"):
+            engine.swap_snapshot(legacy)
+        assert engine.snapshot_path == str(path)
         assert engine.predict_batch(queries) == local.predict_batch(queries)

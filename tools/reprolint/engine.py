@@ -230,22 +230,28 @@ def build_file_context(path: Path, relpath: str) -> FileContext:
     return ctx
 
 
-def _resolve_relative(module: str, node: ast.ImportFrom) -> Optional[str]:
-    """Absolute dotted target of a relative import, given the importing module."""
-    package_parts = module.split(".")
-    # A module's package is its parents; ``level`` strips that many levels.
+def _resolve_relative(package: str, node: ast.ImportFrom) -> Optional[str]:
+    """Absolute dotted target of a relative import made inside ``package``.
+
+    ``package`` is the importing module's package: the module itself for a
+    package ``__init__.py``, its parent for any other module.  Level 1 is
+    that package; each further level strips one more component.
+    """
+    package_parts = package.split(".") if package else []
     if len(package_parts) < node.level:
         return None
-    base = package_parts[: len(package_parts) - node.level]
+    base = package_parts[: len(package_parts) - node.level + 1]
     if node.module:
         base = base + node.module.split(".")
-    return ".".join(base) if base else None
+    return ".".join(base)
 
 
 def _module_imports(ctx: FileContext) -> Set[str]:
     """All intra-``repro`` modules this file references (absolute or relative)."""
     assert ctx.module is not None
     found: Set[str] = set()
+    is_package = Path(ctx.relpath).name == "__init__.py"
+    package = ctx.module if is_package else ctx.module.rpartition(".")[0]
 
     def note(target: Optional[str], names: Sequence[ast.alias] = ()) -> None:
         if not target or not target.split(".")[0] == "repro":
@@ -264,7 +270,7 @@ def _module_imports(ctx: FileContext) -> Set[str]:
             if node.level == 0:
                 note(node.module, node.names)
             else:
-                note(_resolve_relative(ctx.module, node), node.names)
+                note(_resolve_relative(package, node), node.names)
     return found
 
 
