@@ -10,8 +10,9 @@ which compares it against the committed ``benchmarks/baseline.json``.
 
 Metric design: shared CI runners vary wildly in absolute speed, so every
 gated timing metric is either *normalised by a calibration workload* (a
-fixed Python-bound loop of tiny numpy calls, timed in the same process) or a
-*ratio of two timings on the same machine*.  ``batch_speedup_vs_scalar``
+fixed Python-bound loop of tiny numpy calls, timed just before and just
+after that metric's own timed block) or a *ratio of two timings on the same
+machine*.  ``batch_speedup_vs_scalar``
 (the scalar ``predict`` loop over ``predict_batch``) is reported but not
 gated: its two sides move independently, so each is gated on its own
 (``classification_throughput_norm`` and ``scalar_throughput_norm``).
@@ -20,7 +21,7 @@ Accuracy metrics are fully deterministic (seeded generators, seeded streams).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple, TypeVar
 
 import argparse
 import json
@@ -56,6 +57,8 @@ from tenant_churn import run_registry_trace_identity, run_tenant_churn_soak  # n
 from tenant_fairness import run_two_tenant_starvation  # noqa: E402
 
 SCHEMA = 1
+
+T = TypeVar("T")
 
 
 #: Runs of the yardstick per collection; the minimum is kept.
@@ -93,6 +96,19 @@ def _calibration_seconds() -> float:
     return min(once() for _ in range(CALIBRATION_RUNS))
 
 
+def _calibrated(measure: Callable[[], T]) -> Tuple[T, float]:
+    """``measure()`` and the yardstick read beside it.
+
+    The yardstick is the smaller of one reading just before and one just
+    after the timed block: a slow spell of the host at either end would
+    otherwise inflate it and hide a regression, and a reading taken
+    minutes away from the block need not describe the host during it.
+    """
+    before = _calibration_seconds()
+    result = measure()
+    return result, min(before, _calibration_seconds())
+
+
 def _classification_metrics() -> dict:
     """Scalar ``predict`` and full-refinement ``predict_batch`` throughput, and their ratio."""
     dataset = make_dataset("pendigits", size=600, random_state=0)
@@ -100,20 +116,28 @@ def _classification_metrics() -> dict:
     classifier.fit(dataset.features[:500], dataset.labels[:500])
     queries = dataset.features[500:]
 
-    start = time.perf_counter()
-    scalar = [classifier.predict(query) for query in queries]
-    scalar_seconds = time.perf_counter() - start
-
-    best = float("inf")
-    for _ in range(3):
+    def scalar_loop() -> tuple:
         start = time.perf_counter()
-        batch = classifier.predict_batch(queries)
-        best = min(best, time.perf_counter() - start)
+        predictions = [classifier.predict(query) for query in queries]
+        return time.perf_counter() - start, predictions
+
+    def batch_best() -> tuple:
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            predictions = classifier.predict_batch(queries)
+            best = min(best, time.perf_counter() - start)
+        return best, predictions
+
+    (scalar_seconds, scalar), scalar_calibration = _calibrated(scalar_loop)
+    (best, batch), batch_calibration = _calibrated(batch_best)
     assert batch == scalar, "batch and scalar predictions diverged"
     return {
         "batch_seconds": best,
         "throughput_qps": len(queries) / best,
+        "batch_calibration_s": batch_calibration,
         "scalar_qps": len(queries) / scalar_seconds,
+        "scalar_calibration_s": scalar_calibration,
         "speedup": scalar_seconds / best,
     }
 
@@ -133,8 +157,15 @@ def _stream_metrics() -> dict:
         result = run_anytime_stream(classifier, stream, online_learning=True, chunk_size=64)
         return time.perf_counter() - start, result
 
-    seconds, result = min((once() for _ in range(2)), key=lambda pair: pair[0])
-    return {"seconds": seconds, "accuracy": result.accuracy, "objects": len(result.steps)}
+    (seconds, result), calibration = _calibrated(
+        lambda: min((once() for _ in range(2)), key=lambda pair: pair[0])
+    )
+    return {
+        "seconds": seconds,
+        "calibration_s": calibration,
+        "accuracy": result.accuracy,
+        "objects": len(result.steps),
+    }
 
 
 def _serving_metrics() -> dict:
@@ -148,8 +179,10 @@ def _serving_metrics() -> dict:
         queries = build_serving_snapshot(
             snapshot, train_size=2400, query_size=512, random_state=0
         )
-        one = run_serving_load(snapshot, queries=queries, batches=8, warmup=2)
-    return {"qps_1w": one["qps"], "p99_ms_1w": one["p99_ms"]}
+        one, calibration = _calibrated(
+            lambda: run_serving_load(snapshot, queries=queries, batches=8, warmup=2)
+        )
+    return {"qps_1w": one["qps"], "p99_ms_1w": one["p99_ms"], "calibration_s": calibration}
 
 
 def _frontend_metrics() -> dict:
@@ -168,7 +201,9 @@ def _frontend_metrics() -> dict:
         )
         tail = build_labelled_tail(train_size=1600, tail_size=200, random_state=0)
         identity = run_frontend_trace_identity(snapshot, queries[:96], node_budget=8)
-        closed = run_frontend_closed_loop(snapshot, queries, batches=6, warmup=1)
+        closed, calibration = _calibrated(
+            lambda: run_frontend_closed_loop(snapshot, queries, batches=6, warmup=1)
+        )
         slow = run_frontend_open_loop(snapshot, tail, speed=40.0, limit=120)
         burst = run_frontend_open_loop(snapshot, tail, speed=4000.0, limit=120)
     return {
@@ -176,6 +211,7 @@ def _frontend_metrics() -> dict:
         "trace_hash": identity["trace_hash"],
         "qps": closed["qps"],
         "p99_ms": closed["p99_ms"],
+        "calibration_s": calibration,
         "mean_budget_slow": slow["mean_node_budget"],
         "mean_budget_burst": burst["mean_node_budget"],
         "accuracy_slow": slow["accuracy"],
@@ -226,11 +262,13 @@ def _tenant_metrics() -> dict:
         queries = build_serving_snapshot(
             main_snapshot, train_size=1600, query_size=256, random_state=0
         )
-        churn = run_tenant_churn_soak(
-            snapshots, queries, n_tenants=32, capacity=4, rounds=96, batch=32
+        churn, calibration = _calibrated(
+            lambda: run_tenant_churn_soak(
+                snapshots, queries, n_tenants=32, capacity=4, rounds=96, batch=32
+            )
         )
         identity = run_registry_trace_identity(main_snapshot, queries[:96], node_budget=8)
-    return {"churn": churn, "identity": identity}
+    return {"churn": churn, "identity": identity, "calibration_s": calibration}
 
 
 def _fairness_metrics() -> dict:
@@ -274,7 +312,6 @@ def _scenario_metrics() -> dict:
 
 
 def collect() -> dict:
-    calibration = _calibration_seconds()
     classification = _classification_metrics()
     stream = _stream_metrics()
     serving = _serving_metrics()
@@ -286,18 +323,26 @@ def collect() -> dict:
     drift = run_drift_recovery_experiment(
         size=600, warmup=64, window=100, decay_rate=0.02, expiry_threshold=1e-3, random_state=0
     )
-    # Read the yardstick again after the workload: a slow spell of the host
-    # at either end would otherwise inflate it and hide a regression.
-    calibration = min(calibration, _calibration_seconds())
+    # Each calibrated metric is scaled by the yardstick read beside its own
+    # timed block (``_calibrated``).
+    calibrations = {
+        "classification_throughput_norm": classification["batch_calibration_s"],
+        "scalar_throughput_norm": classification["scalar_calibration_s"],
+        "stream_wallclock_norm": stream["calibration_s"],
+        "serving_throughput_1w_norm": serving["calibration_s"],
+        "frontend_throughput_norm": frontend["calibration_s"],
+        "tenant_churn_p99_norm": tenant["calibration_s"],
+        "tenant_cold_load_norm": tenant["calibration_s"],
+    }
 
     metrics = {
         "classification_throughput_norm": {
-            "value": classification["throughput_qps"] * calibration,
+            "value": classification["throughput_qps"] * calibrations["classification_throughput_norm"],
             "direction": "higher",
             "note": "full-refinement queries/s x calibration seconds (machine-normalised)",
         },
         "scalar_throughput_norm": {
-            "value": classification["scalar_qps"] * calibration,
+            "value": classification["scalar_qps"] * calibrations["scalar_throughput_norm"],
             "direction": "higher",
             "note": "scalar predict (one-row anytime driver, full refinement) queries/s x calibration seconds (machine-normalised)",
         },
@@ -307,7 +352,7 @@ def collect() -> dict:
             "note": "vectorised predict_batch vs scalar predict loop (dimensionless; reported, not gated)",
         },
         "stream_wallclock_norm": {
-            "value": stream["seconds"] / calibration,
+            "value": stream["seconds"] / calibrations["stream_wallclock_norm"],
             "direction": "lower",
             "note": "1436-object test-then-train wall-clock / calibration seconds",
         },
@@ -327,7 +372,7 @@ def collect() -> dict:
             "note": "decayed minus plain post-drift accuracy (deterministic)",
         },
         "serving_throughput_1w_norm": {
-            "value": serving["qps_1w"] * calibration,
+            "value": serving["qps_1w"] * calibrations["serving_throughput_1w_norm"],
             "direction": "higher",
             "note": "one-process engine serving queries/s x calibration seconds (machine-normalised)",
         },
@@ -337,7 +382,7 @@ def collect() -> dict:
             "note": "async front-end fixed-budget predictions == engine == lockstep trace (deterministic)",
         },
         "frontend_throughput_norm": {
-            "value": frontend["qps"] * calibration,
+            "value": frontend["qps"] * calibrations["frontend_throughput_norm"],
             "direction": "higher",
             "note": "closed-loop async front-end queries/s x calibration seconds (machine-normalised)",
         },
@@ -369,12 +414,12 @@ def collect() -> dict:
             ),
         },
         "tenant_churn_p99_norm": {
-            "value": tenant["churn"]["p99_ms"] / 1000.0 / calibration,
+            "value": tenant["churn"]["p99_ms"] / 1000.0 / calibrations["tenant_churn_p99_norm"],
             "direction": "lower",
             "note": "p99 round latency under tenant churn / calibration seconds (cold reloads included)",
         },
         "tenant_cold_load_norm": {
-            "value": tenant["churn"]["cold_load_ms_mean"] / 1000.0 / calibration,
+            "value": tenant["churn"]["cold_load_ms_mean"] / 1000.0 / calibrations["tenant_cold_load_norm"],
             "direction": "lower",
             "note": "mean cold tenant load (manifest read + compile + shm publish) / calibration seconds",
         },
@@ -416,7 +461,9 @@ def collect() -> dict:
     }
     return {
         "schema": SCHEMA,
-        "calibration_s": calibration,
+        # The smallest yardstick reading; each metric's own is in "calibrations".
+        "calibration_s": min(calibrations.values()),
+        "calibrations": calibrations,
         "cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),
         "metrics": metrics,

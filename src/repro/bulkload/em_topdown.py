@@ -23,6 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..index.entry import DirectoryEntry
 from ..index.node import Node
 from ..index.rstar import RStarTree
@@ -155,7 +156,7 @@ class EMTopDownBulkLoader(BulkLoader):
         return Node(level=level, entries=[DirectoryEntry.for_node(child) for child in children])
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         rng = np.random.default_rng(self.random_state)
         root = self._build_node(points, label, rng)
         return RStarTree.from_root(root, dimension=points.shape[1], params=self.config.tree)

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..curves.zorder import z_order
 from ..index.entry import DirectoryEntry, LeafEntry
 from ..index.node import AnyEntry, Node
@@ -255,7 +256,7 @@ class GoldbergerBulkLoader(BulkLoader):
         return components
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         params = self.config.tree
 
         components = self._leaf_components(points, label)

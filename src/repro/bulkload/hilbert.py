@@ -15,6 +15,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..curves.hilbert import hilbert_order
 from ..index.entry import DirectoryEntry
 from ..index.rstar import RStarTree
@@ -41,7 +42,7 @@ class HilbertBulkLoader(BulkLoader):
         return [entries[i] for i in order]
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         params = self.config.tree
         order = hilbert_order(points, bits=self.bits)
         leaf_entries = self._make_leaf_entries(points[order], label)

@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..index.rstar import RStarTree
 from ..core.config import BayesTreeConfig
 from .base import BulkLoader
@@ -36,7 +37,7 @@ class IterativeInsertionLoader(BulkLoader):
         self.random_state = random_state
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         if self.shuffle:
             rng = np.random.default_rng(self.random_state)
             points = points[rng.permutation(points.shape[0])]

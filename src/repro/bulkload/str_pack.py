@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..index.entry import DirectoryEntry
 from ..index.rstar import RStarTree
 from .base import BulkLoader, pack_entries_into_nodes, stack_levels
@@ -52,7 +53,7 @@ class STRBulkLoader(BulkLoader):
         return [entries[i] for i in order]
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         params = self.config.tree
         order = _str_order(points, params.leaf_capacity)
         leaf_entries = self._make_leaf_entries(points[order], label)

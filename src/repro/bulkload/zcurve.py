@@ -11,6 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..core.bayes_tree import finite_points
 from ..curves.zorder import z_order
 from ..index.entry import DirectoryEntry
 from ..index.rstar import RStarTree
@@ -37,7 +38,7 @@ class ZCurveBulkLoader(BulkLoader):
         return [entries[i] for i in order]
 
     def build_index(self, points: np.ndarray, label: Optional[object] = None) -> RStarTree:
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         params = self.config.tree
         order = z_order(points, bits=self.bits)
         leaf_entries = self._make_leaf_entries(points[order], label)

@@ -25,10 +25,9 @@ only serves compiled snapshots never imports it (see DESIGN.md, import
 layering).
 
 Incremental maintenance (see DESIGN.md, incremental maintenance): the tree
-keeps per-dimension ``(n, LS, SS)`` running sums, an epoch-tagged shared
-bandwidth vector (leaf entries no longer carry stamped copies), and an
-amortised-append buffer of the leaf kernel centers that backs the packed
-``leaf_arrays`` without wholesale invalidation on insert.
+keeps per-dimension ``(n, LS, SS)`` running sums and an epoch-tagged shared
+bandwidth vector (leaf entries no longer carry stamped copies), so an insert
+updates the model in O(d) beside the index insertion.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..index.cluster_feature import ClusterFeature
-from ..index.decay import LOG_HALF, DecayClock, DecayedClusterFeature, decay_factor
+from ..index.decay import DecayClock, DecayedClusterFeature, decay_factor
 from ..index.entry import DirectoryEntry, LeafEntry
 from ..index.node import AnyEntry, Node
 from ..index.rstar import RStarTree
@@ -54,6 +53,7 @@ __all__ = [
     "BayesTree",
     "compile_flat_tree",
     "entry_component_params",
+    "finite_points",
     "log_pdq",
     "pdq",
     "pdq_scalar",
@@ -63,6 +63,19 @@ __all__ = [
 #: Silverman's rule targets the Gaussian kernel, the Epanechnikov kernel
 #: needs a ~2.2x wider window for the same amount of smoothing.
 _EPANECHNIKOV_RESCALE = 2.214
+
+
+def finite_points(points: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``points`` as a float array, refused (``ValueError``) if any value is NaN or infinite.
+
+    One non-finite coordinate poisons every summary above its kernel and,
+    through them, every read of its class, so training refuses it before
+    any state changes, as the read side refuses such queries.
+    """
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite (no NaN or infinity)")
+    return points
 
 
 # -- density queries over a live tree's index entries ------------------------------------------
@@ -213,62 +226,6 @@ def pdq(
     return safe_exp(log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth))
 
 
-class _LeafMeansBuffer:
-    """Amortised-growth buffer of the leaf kernel centers, in insertion order.
-
-    Appends are O(d) amortised (capacity doubles on overflow); bulk rebuilds
-    (tree adoption, expiry) compact the buffer to a small headroom.  The
-    ``view`` is the packed ``(n, d)`` prefix backing the tree's
-    ``leaf_arrays``; ``times_view`` is the parallel vector of insertion
-    timestamps from which the decayed mixture weights are derived in one
-    vectorised expression (all zeros in undecayed trees).
-    """
-
-    __slots__ = ("dimension", "size", "_buffer", "_times")
-
-    def __init__(self, dimension: int, capacity: int = 64) -> None:
-        self.dimension = dimension
-        self.size = 0
-        self._buffer = np.empty((max(1, capacity), dimension))
-        self._times = np.zeros(self._buffer.shape[0])
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._buffer[: self.size]
-
-    @property
-    def times_view(self) -> np.ndarray:
-        return self._times[: self.size]
-
-    def append(self, point: np.ndarray, timestamp: float = 0.0) -> None:
-        if self.size == self._buffer.shape[0]:
-            grown = np.empty((2 * self._buffer.shape[0], self.dimension))
-            grown[: self.size] = self._buffer
-            self._buffer = grown
-            grown_times = np.zeros(grown.shape[0])
-            grown_times[: self.size] = self._times[: self.size]
-            self._times = grown_times
-        self._buffer[self.size] = point
-        self._times[self.size] = timestamp
-        self.size += 1
-
-    def rebuild(self, points: np.ndarray, times: Optional[np.ndarray] = None) -> None:
-        """Replace the contents with ``points`` (compacts to ~12% headroom)."""
-        count = points.shape[0]
-        self._buffer = np.empty((max(64, count + count // 8), self.dimension))
-        self._buffer[:count] = points
-        self._times = np.zeros(self._buffer.shape[0])
-        if times is not None:
-            self._times[:count] = times
-        self.size = count
-
-    def clear(self) -> None:
-        # Onto fresh storage, like rebuild(): a compiled twin may still serve
-        # the old rows through its ``leaf_means`` view, and appends into the
-        # old buffer would overwrite them under it.
-        self.rebuild(np.empty((0, self.dimension)))
-
-
 class BayesTree:
     """Hierarchical mixture model over the training objects of a single class."""
 
@@ -293,7 +250,9 @@ class BayesTree:
         # relative to its spread (e.g. timestamp-like features).
         self._stats_origin: Optional[np.ndarray] = None
         self._stats = DecayedClusterFeature(dimension, decay_rate=self.config.decay_rate)
-        self._leaf_means = _LeafMeansBuffer(dimension)
+        # Kernels stored through this tree's own maintenance: an index whose
+        # size disagrees was mutated behind the tree's back.
+        self._n_kernels = 0
         self._twin: Optional[Tuple[Tuple, FlatTree]] = None
         self._decay_sync_key: Optional[Tuple[int, float]] = None
         self._last_expiry_sweep = 0.0
@@ -345,7 +304,7 @@ class BayesTree:
         are exactly those of :meth:`insert`, so a tree grown by streamed
         ``insert`` calls is bit-identical to one fitted on the same data.
         """
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         if points.ndim != 2 or points.shape[1] != self.dimension:
             raise ValueError(f"points must be an (n, {self.dimension}) array")
         for point in points:
@@ -373,16 +332,15 @@ class BayesTree:
     ) -> None:
         """Incremental online learning of a single new training object.
 
-        Amortised O(d) model maintenance on top of the index insertion: the
-        running sufficient statistics and the shared Silverman bandwidth are
-        updated in closed form, and the packed leaf arrays are patched by
-        appending the new kernel center — nothing re-scans the training set.
+        O(d) model maintenance on top of the index insertion: the running
+        sufficient statistics and the shared Silverman bandwidth are updated
+        in closed form — nothing re-scans the training set.
 
         ``timestamp`` advances the logical clock before the insertion; the
         new kernel is stamped with the clock's (possibly advanced) time and
         the decayed running statistics are aged to it first.
         """
-        point = np.asarray(point, dtype=float)
+        point = finite_points(point)
         if timestamp is not None:
             self.clock.advance(timestamp)
         self.index.insert(point, label=label, kernel=self.config.kernel)
@@ -390,7 +348,7 @@ class BayesTree:
             self._stats_origin = point.copy()
         shifted = point - self._stats_origin
         self._stats.add_point(shifted, now=self.clock.now)
-        self._leaf_means.append(point, self.clock.now)
+        self._n_kernels += 1
         self._update_bandwidth()
         self._maybe_expire()
 
@@ -410,7 +368,7 @@ class BayesTree:
         return self
 
     def recompute_statistics(self) -> None:
-        """Rebuild sufficient statistics, leaf buffer and bandwidth from the index.
+        """Rebuild sufficient statistics, kernel count and bandwidth from the index.
 
         O(n·d): used after adopting a bulk-loaded index, after an expiry
         sweep, as the safety net when the underlying index was mutated behind
@@ -419,9 +377,8 @@ class BayesTree:
         management — their kernel family is forced to ``config.kernel`` and
         explicit bandwidth copies are dropped in favour of the shared
         epoch-tagged vector — exactly as the historical per-entry restamp
-        did, so the packed ``leaf_arrays`` and the frontier refinement path
-        always evaluate the same model.  In decayed trees the statistics are
-        the weighted sums under each kernel's decayed weight at ``clock.now``.
+        did.  In decayed trees the statistics are the weighted sums under
+        each kernel's decayed weight at ``clock.now``.
         """
         decaying = self.clock.enabled
         now = self.clock.now
@@ -437,11 +394,10 @@ class BayesTree:
             self._stats = DecayedClusterFeature(
                 self.dimension, decay_rate=self.config.decay_rate, last_update=now
             )
-            self._leaf_means.clear()
+            self._n_kernels = 0
             self._update_bandwidth()
             return
         stacked = np.asarray([entry.point for entry in entries], dtype=float)
-        times = np.array([entry.timestamp for entry in entries])
         origin = stacked[0].copy()
         shifted = stacked - origin
         self._stats_origin = origin
@@ -461,7 +417,7 @@ class BayesTree:
             feature=feature,
             last_update=now,
         )
-        self._leaf_means.rebuild(stacked, times)
+        self._n_kernels = len(entries)
         self._update_bandwidth()
 
     def _update_bandwidth(self) -> None:
@@ -513,8 +469,8 @@ class BayesTree:
         their leaves in place (:meth:`RStarTree.remove_leaf_entries`), so
         only their paths change; survivors keep their insertion timestamps,
         labels and, outside those paths, their place in the tree.
-        Statistics, leaf buffers and the bandwidth are refreshed from the
-        survivors.  Returns the number of expired observations.
+        Statistics, the kernel count and the bandwidth are refreshed from
+        the survivors.  Returns the number of expired observations.
         """
         threshold = self.config.expiry_threshold
         if threshold <= 0 or not self.clock.enabled:
@@ -539,14 +495,12 @@ class BayesTree:
 
         The returned dict holds only numpy arrays, plain scalars and raw
         per-observation attribute lists (labels / kernel names / optional
-        explicit bandwidths, all in leaf-buffer row order) — encoding them
-        into a container is ``repro.persist``'s job.  Captured verbatim:
+        explicit bandwidths) — encoding them into a container is
+        ``repro.persist``'s job.  Captured verbatim:
 
         * the exact index topology and directory summaries
-          (:meth:`RStarTree.export_structure`), with each pre-order leaf slot
-          mapped to its row in the insertion-ordered leaf buffer, so the
-          packed ``leaf_arrays`` of a restored tree run their float
-          reductions in the saved order,
+          (:meth:`RStarTree.export_structure`), with one leaf row per kernel
+          in the pre-order that structure places them in,
         * the decay state — logical time, per-observation insertion
           timestamps, decayed running statistics and the last expiry sweep,
         * the shared Silverman bandwidth and the running ``(n, LS, SS)``
@@ -554,44 +508,23 @@ class BayesTree:
           either from the data could pick a different origin or summation
           order and perturb the last bits).
         """
-        if self._leaf_means.size != len(self.index):
-            # Same safety net as leaf_arrays(): an externally mutated index
-            # is re-adopted before we serialize it.
-            self.recompute_statistics()
+        self._readopt_if_mutated()
         structure, preorder = self.index.export_structure()
-        points = self._leaf_means.view
-        times = self._leaf_means.times_view
-        rows_by_key: dict = {}
-        for row in range(points.shape[0]):
-            rows_by_key.setdefault((points[row].tobytes(), float(times[row])), []).append(row)
-        leaf_ref = np.empty(len(preorder), dtype=np.int64)
-        labels: list = [None] * points.shape[0]
-        kernels: list = [self.config.kernel] * points.shape[0]
-        bandwidths: list = [None] * points.shape[0]
-        for position, entry in enumerate(preorder):
-            key = (np.asarray(entry.point, dtype=float).tobytes(), float(entry.timestamp))
-            bucket = rows_by_key.get(key)
-            if not bucket:
-                raise ValueError(
-                    "leaf buffer out of sync with the index; the tree was mutated "
-                    "behind the model's back"
-                )
-            row = bucket.pop(0)
-            leaf_ref[position] = row
-            labels[row] = entry.label
-            kernels[row] = entry.kernel
-            bandwidths[row] = None if entry.bandwidth is None else np.array(entry.bandwidth)
         feature = self._stats.feature
         return {
             "dimension": self.dimension,
             "n": len(self.index),
             "structure": structure,
-            "leaf_ref": leaf_ref,
-            "leaf_points": points.copy(),
-            "leaf_times": times.copy(),
-            "leaf_labels": labels,
-            "leaf_kernels": kernels,
-            "leaf_bandwidths": bandwidths,
+            "leaf_points": np.array(
+                [entry.point for entry in preorder], dtype=float
+            ).reshape(-1, self.dimension),
+            "leaf_stamps": np.array([entry.timestamp for entry in preorder], dtype=float),
+            "leaf_labels": [entry.label for entry in preorder],
+            "leaf_kernels": [entry.kernel for entry in preorder],
+            "leaf_bandwidths": [
+                None if entry.bandwidth is None else np.array(entry.bandwidth)
+                for entry in preorder
+            ],
             "clock_now": self.clock.now,
             "stats_origin": None if self._stats_origin is None else self._stats_origin.copy(),
             "stats_n": feature.n,
@@ -607,7 +540,7 @@ class BayesTree:
         """Rebuild a tree from :meth:`export_state` output (the exact inverse).
 
         No insertion is replayed and no statistic is re-derived: topology,
-        summaries, buffer order, bandwidth and decay state are adopted
+        summaries, leaf order, bandwidth and decay state are adopted
         verbatim, so every query — scalar, frontier-refined or batched — and
         every future insertion behaves bit-identically to the saved tree.
         """
@@ -617,8 +550,8 @@ class BayesTree:
         rate = tree.clock.decay_rate
         now = tree.clock.now
         points = np.asarray(state["leaf_points"], dtype=float)
-        times = np.asarray(state["leaf_times"], dtype=float)
-        row_entries = [
+        times = np.asarray(state["leaf_stamps"], dtype=float)
+        preorder = [
             LeafEntry(
                 point=points[row],
                 label=state["leaf_labels"][row],
@@ -629,7 +562,6 @@ class BayesTree:
             )
             for row in range(points.shape[0])
         ]
-        preorder = [row_entries[int(row)] for row in state["leaf_ref"]]
         tree.index = RStarTree.from_structure(
             state["structure"],
             preorder,
@@ -650,7 +582,7 @@ class BayesTree:
             ),
             last_update=float(state["stats_last_update"]),
         )
-        tree._leaf_means.rebuild(points, times)
+        tree._n_kernels = len(preorder)
         bandwidth = state["bandwidth"]
         tree._bandwidth = None if bandwidth is None else np.asarray(bandwidth, dtype=float)
         tree._bandwidth_epoch = 1
@@ -701,94 +633,36 @@ class BayesTree:
     def flat_twin(self) -> FlatTree:
         """This tree compiled into flat columns, cached until the model changes.
 
-        Every anytime read of the tree goes through this one
-        :class:`~repro.core.flat.FlatTree`.  It is replaced whenever a fresh
-        ``compile_flat_tree(tree)`` would differ: after a structural change,
-        a new bandwidth epoch or a moved clock.  Compile writes
-        ``clock.now`` into the twin even without decay, so the key always
-        holds the clock; an undecayed tree whose clock alone moved is
-        restamped, not recompiled.  An entry stamped behind the tree's back
-        after the twin was cached stays invisible until the next model
-        change.
+        Every read of the tree, anytime or fully refined, goes through this
+        one :class:`~repro.core.flat.FlatTree`.  It is replaced whenever a
+        fresh ``compile_flat_tree(tree)`` would differ: after a structural
+        change, a new bandwidth epoch or, with decay, a moved clock (without
+        decay no column depends on the clock, so the key omits it).  An entry
+        stamped behind the tree's back after the twin was cached stays
+        invisible until the next model change.
         """
         cached = self._twin
-        key = self._twin_key()
-        if cached is None or cached[0] != key:
-            if cached is not None and not self.clock.enabled and cached[0][:2] == key[:2]:
-                twin = cached[1].restamped(self.clock.now)
-            else:
-                twin = compile_flat_tree(self)
+        if cached is None or cached[0] != self._twin_key():
+            twin = compile_flat_tree(self)
             # Compile re-adopts an index mutated behind the tree's back
             # (a new bandwidth epoch), so the key is read after it.
             cached = self._twin = (self._twin_key(), twin)
         return cached[1]
 
     def _twin_key(self) -> Tuple:
-        return (self.index.version, self._bandwidth_epoch, self.clock.now)
+        key = (self.index.version, self._bandwidth_epoch)
+        return key + (self.clock.now,) if self.clock.enabled else key
 
-    def leaf_arrays(self) -> _BatchParams:
-        """Packed ``(means, scales, kinds, log_weights)`` over all leaf entries.
+    def _readopt_if_mutated(self) -> None:
+        """Re-adopt the index if it was mutated behind the tree's back.
 
-        The flat twin's leaf columns are compiled from them, so they back the
-        fully-refined (full kernel density estimate) batch evaluation path
-        (:meth:`FlatTree.log_density_batch`); :meth:`flat_twin` caches that
-        compile, so this packing is not cached itself.  It is maintained
-        incrementally: the means are a view of the amortised-append leaf
-        buffer (rows in insertion order), and — because every stored kernel
-        shares the tree's epoch-tagged bandwidth — the scales are an O(1)
-        broadcast of the current bandwidth instead of ``n`` stamped copies.
-        A streamed insert therefore costs O(d) here.
-
-        Entries carrying explicit per-entry parameters are detected by an
-        O(n) verification scan on each packing (an already-O(n) operation)
-        and force the exact per-entry path.  Inserts stay O(d): the scan only
-        runs when the packing is actually consumed.
+        An index changed without :meth:`insert`, :meth:`adopt_index` or
+        :meth:`expire` (e.g. direct index manipulation in tests) holds a
+        kernel count the tree did not record; its statistics and bandwidth
+        are then rebuilt before anything reads or saves the model.
         """
-        if self.n_objects == 0:
-            raise ValueError("cannot pack leaf arrays of an empty Bayes tree")
-        self._sync_decay()
-        if self._leaf_means.size != len(self.index):
-            # The index was mutated without going through insert()/adopt_index
-            # (e.g. direct index manipulation in tests); fall back to a rebuild.
+        if self._n_kernels != len(self.index):
             self.recompute_statistics()
-        # The broadcast fast path assumes every kernel shares the tree's
-        # bandwidth and kernel family.  Entries stamped with explicit
-        # per-entry parameters (which the frontier path honours) force the
-        # exact per-entry packing so both full-model paths stay equivalent.
-        shared = all(
-            entry.is_tree_managed(self.config.kernel)
-            for entry in self.index.iter_leaf_entries()
-        )
-        if shared:
-            means = self._leaf_means.view
-            count = means.shape[0]
-            if self.config.kernel == "epanechnikov":
-                scales = np.broadcast_to(self._bandwidth, (count, self.dimension))
-                kind = EPANECHNIKOV_KIND
-            else:
-                scales = np.broadcast_to(self._bandwidth ** 2, (count, self.dimension))
-                kind = GAUSSIAN_KIND
-            kinds = np.full(count, kind, dtype=np.int8)
-            if self.clock.enabled:
-                # Decayed mixture weights, derived in one vectorised
-                # expression from the immutable insertion timestamps:
-                # ln w_i = -lambda * ln(2) * (now - t_i), normalised so the
-                # packed model stays a proper (weighted) density.
-                raw = (LOG_HALF * self.clock.decay_rate) * (
-                    self.clock.now - self._leaf_means.times_view
-                )
-                log_weights = raw - logsumexp(raw)
-            else:
-                log_weights = np.full(count, -math.log(count))
-            arrays = (means, scales, kinds, log_weights)
-        else:
-            entries = list(self.index.iter_leaf_entries())
-            means, scales, kinds, n_objects = _entry_batch_params(
-                entries, None, self._bandwidth
-            )
-            log_weights = np.log(n_objects) - math.log(float(n_objects.sum()))
-            arrays = (means, scales, kinds, log_weights)
-        return arrays
 
     def density(self, query: Sequence[float] | np.ndarray, nodes: Optional[int] = None) -> float:
         """Density estimate after reading ``nodes`` additional nodes (all if None).
@@ -842,6 +716,7 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
     :meth:`BayesTree.flat_twin` caches the result; call this directly
     only for a copy that no later read shares.
     """
+    tree._readopt_if_mutated()
     dimension = tree.dimension
     n_leaf = int(tree.n_objects)
     if n_leaf == 0:
@@ -910,17 +785,6 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
     if cursor != total_entries or dir_cursor != n_dir:
         raise AssertionError("flat compilation lost entries during the pre-order walk")
 
-    leaf_means, leaf_scales, leaf_kinds, leaf_log_weights = tree.leaf_arrays()
-    shared_scales = leaf_scales.ndim == 2 and leaf_scales.strides[0] == 0
-    if shared_scales:
-        # The broadcast scale row is stored once; loading broadcasts it
-        # back to (n, d), so the shared-memory/on-disk footprint of the
-        # full kernel model stays O(n·d) for means but O(d) for scales.
-        leaf_scales_stored = np.ascontiguousarray(leaf_scales[:1])
-    else:
-        leaf_scales_stored = np.ascontiguousarray(leaf_scales)
-    feature = tree._stats.feature
-
     columns = {
         "entry_means": entry_means,
         "entry_scales": entry_scales,
@@ -934,16 +798,6 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
         "dir_index": dir_index,
         "dir_mbr_lower": dir_mbr_lower,
         "dir_mbr_upper": dir_mbr_upper,
-        "leaf_means": np.ascontiguousarray(leaf_means),
-        "leaf_scales": leaf_scales_stored,
-        "leaf_kinds": np.ascontiguousarray(leaf_kinds),
-        "leaf_log_weights": np.ascontiguousarray(leaf_log_weights),
-        "leaf_times": tree._leaf_means.times_view.copy(),
-        "bandwidth": (
-            np.zeros(0) if bandwidth is None else np.asarray(bandwidth, dtype=float)
-        ),
-        "stats_ls": np.asarray(feature.linear_sum, dtype=float).copy(),
-        "stats_ss": np.asarray(feature.squared_sum, dtype=float).copy(),
     }
     meta = {
         "n_entries": total_entries,
@@ -954,15 +808,8 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
         "n_leaf_nodes": n_leaf_nodes,
         "height": int(tree.height()),
         "leaf_capacity": int(tree.config.tree.leaf_capacity),
-        "shared_scales": int(shared_scales),
-        "has_bandwidth": int(bandwidth is not None),
     }
-    meta_floats = {
-        "clock_now": float(tree.clock.now),
-        "prior_weight": float(tree.prior_weight),
-        "stats_n": float(feature.n),
-    }
-    return FlatTree(columns, meta, meta_floats)
+    return FlatTree(columns, meta, {"prior_weight": float(tree.prior_weight)})
 
 
 def _empty_flat_tree(tree: BayesTree) -> FlatTree:
@@ -981,14 +828,6 @@ def _empty_flat_tree(tree: BayesTree) -> FlatTree:
         "dir_index": np.zeros(0, dtype=np.int64),
         "dir_mbr_lower": np.zeros((0, dimension)),
         "dir_mbr_upper": np.zeros((0, dimension)),
-        "leaf_means": np.zeros((0, dimension)),
-        "leaf_scales": np.zeros((0, dimension)),
-        "leaf_kinds": np.zeros(0, dtype=np.int8),
-        "leaf_log_weights": np.zeros(0),
-        "leaf_times": np.zeros(0),
-        "bandwidth": np.zeros(0),
-        "stats_ls": np.zeros(dimension),
-        "stats_ss": np.zeros(dimension),
     }
     meta = {
         "n_entries": 0,
@@ -999,12 +838,5 @@ def _empty_flat_tree(tree: BayesTree) -> FlatTree:
         "n_leaf_nodes": 0,
         "height": 0,
         "leaf_capacity": int(tree.config.tree.leaf_capacity),
-        "shared_scales": 0,
-        "has_bandwidth": 0,
     }
-    meta_floats = {
-        "clock_now": float(tree.clock.now),
-        "prior_weight": 0.0,
-        "stats_n": 0.0,
-    }
-    return FlatTree(columns, meta, meta_floats)
+    return FlatTree(columns, meta, {"prior_weight": 0.0})

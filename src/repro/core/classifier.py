@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence
 import numpy as np
 
 from ..stats.gaussian import probabilities_from_log
-from .bayes_tree import BayesTree
+from .bayes_tree import BayesTree, finite_points
 from .config import BayesTreeConfig
 from .descent import DescentStrategy, make_descent_strategy
 from .driver import classify_forest, predict_forest
@@ -83,7 +83,7 @@ class AnytimeBayesClassifier:
 
     def fit(self, points: np.ndarray, labels: Sequence[Hashable]) -> "AnytimeBayesClassifier":
         """Train one Bayes tree per class by iterative insertion."""
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         if points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
         labels = list(labels)
@@ -150,19 +150,20 @@ class AnytimeBayesClassifier:
     ) -> None:
         """Incremental online learning from one new labelled object (stream training).
 
-        Amortised O(d) model maintenance on top of the O(log n) index
-        insertion: the class tree updates its Silverman bandwidth from running
-        sufficient statistics and patches its packed leaf arrays in place
-        (historically this re-ran Silverman's rule over the *full* training
-        set and restamped every leaf entry — Θ(n) per insert, Θ(n²) per
-        stream), and the prior cache is invalidated in O(1) and re-derived
-        from the trees' (decayed) weights the next time it is read.
+        O(d) model maintenance on top of the O(log n) index insertion: the
+        class tree updates its Silverman bandwidth from running sufficient
+        statistics (historically this re-ran Silverman's rule over the *full*
+        training set and stamped a copy into every leaf entry — Θ(n) per
+        insert, Θ(n²) per stream), and the prior cache is invalidated in
+        O(1) and re-derived from the trees' (decayed) weights the next time
+        it is read.  A NaN or infinite coordinate is refused (``ValueError``)
+        before the clock moves or the label gets a tree.
 
         ``timestamp`` advances the forest clock before learning, so the new
         kernel is stamped with its arrival time and older data keeps fading
         (ignored — a no-op — when the configured ``decay_rate`` is zero).
         """
-        point = np.asarray(point, dtype=float)
+        point = finite_points(point)
         if timestamp is not None:
             self.advance_time(timestamp)
         if self.dimension is None:

@@ -44,7 +44,8 @@ columns too (:meth:`FlatTree.log_density_batch`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence
+import math
+from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,6 @@ from .frontier import (
     EPANECHNIKOV_KIND,
     GAUSSIAN_KIND,
     Frontier,
-    _BatchParams,
     _Expansion,
     component_log_densities,
 )
@@ -75,12 +75,10 @@ _META_I_FIELDS = (
     "n_leaf_nodes",
     "height",
     "leaf_capacity",
-    "shared_scales",
-    "has_bandwidth",
 )
 
 #: Float metadata slots of a FlatTree (``meta_f`` column), in order.
-_META_F_FIELDS = ("clock_now", "prior_weight", "stats_n")
+_META_F_FIELDS = ("prior_weight",)
 
 #: Per-tree column names a serialized FlatTree consists of (fixed order).
 TREE_COLUMNS = (
@@ -96,14 +94,6 @@ TREE_COLUMNS = (
     "dir_index",
     "dir_mbr_lower",
     "dir_mbr_upper",
-    "leaf_means",
-    "leaf_scales",
-    "leaf_kinds",
-    "leaf_log_weights",
-    "leaf_times",
-    "bandwidth",
-    "stats_ls",
-    "stats_ss",
     "meta_i",
     "meta_f",
 )
@@ -128,13 +118,14 @@ class FlatTree:
     ``post``                (S,) i8     end of the entry's descendant block (-1 leaf)
     ``dir_index``           (S,) i8     row into the MBR columns (-1 for kernels)
     ``dir_mbr_lower/upper`` (D, d)      bounding boxes for geometric descent
-    ``leaf_*``              (n, ...)    packed full kernel model (fully-refined path)
     ======================  ==========  ==================================================
 
     Slots are assigned pre-order with every node's entries contiguous and
     every subtree contiguous, so an entry's children are
     ``[child_start, child_end)`` and its whole descendant block is
-    ``[child_start, post)`` — both plain slices.
+    ``[child_start, post)`` — both plain slices.  The kernel slots
+    (``entry_levels < 0``) are the full kernel model: what a fully refined
+    frontier holds, and what :meth:`log_density_batch` evaluates.
     """
 
     def __init__(
@@ -158,30 +149,10 @@ class FlatTree:
         self.dir_index = columns["dir_index"]
         self.dir_mbr_lower = columns["dir_mbr_lower"]
         self.dir_mbr_upper = columns["dir_mbr_upper"]
-        self.leaf_means = columns["leaf_means"]
-        self.leaf_scales = columns["leaf_scales"]
-        self.leaf_kinds = columns["leaf_kinds"]
-        self.leaf_log_weights = columns["leaf_log_weights"]
-        self.leaf_times = columns["leaf_times"]
-        self.stats_ls = columns["stats_ls"]
-        self.stats_ss = columns["stats_ss"]
-        bandwidth = columns["bandwidth"]
-        self.bandwidth: Optional[np.ndarray] = (
-            bandwidth if meta["has_bandwidth"] else None
-        )
         self.meta: Dict[str, int] = dict(meta)
         self.meta_floats: Dict[str, float] = dict(meta_floats)
         self.dimension = int(self.entry_means.shape[1])
-        self._leaf_scales_full: Optional[np.ndarray] = None
-
-    def restamped(self, clock_now: float) -> "FlatTree":
-        """This tree stamped with another compile-time clock, sharing every column.
-
-        What compiling an undecayed tree again gives after its clock moved:
-        without decay, ``clock_now`` is the only value the clock reaches.
-        """
-        meta_floats = {**self.meta_floats, "clock_now": float(clock_now)}
-        return FlatTree(self.to_columns(), self.meta, meta_floats)
+        self._kernels: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # -- serialization ----------------------------------------------------------------------
     def to_columns(self) -> Dict[str, np.ndarray]:
@@ -195,10 +166,6 @@ class FlatTree:
             elif name == "meta_f":
                 out[name] = np.array(
                     [self.meta_floats[field] for field in _META_F_FIELDS], dtype=float
-                )
-            elif name == "bandwidth":
-                out[name] = (
-                    np.zeros(0) if self.bandwidth is None else np.asarray(self.bandwidth)
                 )
             else:
                 out[name] = getattr(self, name)
@@ -304,24 +271,18 @@ class FlatTree:
                 "flat tree dir_index must map the directory slots one-to-one onto "
                 "the MBR rows and hold -1 for kernel slots"
             )
-        for name in ("entry_kinds", "leaf_kinds"):
-            kinds = np.asarray(columns[name])
-            if np.any((kinds != GAUSSIAN_KIND) & (kinds != EPANECHNIKOV_KIND)):
-                raise ValueError(f"flat tree column {name!r} holds an unknown component kind")
-        for name in ("leaf_means", "leaf_kinds", "leaf_log_weights", "leaf_times"):
-            expected = n_leaf
-            if columns[name].shape[0] != expected:
-                raise ValueError(
-                    f"flat tree column {name!r} has {columns[name].shape[0]} rows, "
-                    f"expected {expected} kernels"
-                )
-        leaf_scales = columns["leaf_scales"]
-        expected_scales = 1 if meta["shared_scales"] and n_leaf else n_leaf
-        if leaf_scales.shape[0] != expected_scales:
-            raise ValueError(
-                f"flat tree column 'leaf_scales' has {leaf_scales.shape[0]} rows, "
-                f"expected {expected_scales}"
-            )
+        kinds = np.asarray(columns["entry_kinds"])
+        if np.any((kinds != GAUSSIAN_KIND) & (kinds != EPANECHNIKOV_KIND)):
+            raise ValueError("flat tree column 'entry_kinds' holds an unknown component kind")
+        # Every read, full refinement included, evaluates these values: a
+        # NaN would score every query NaN, and a negative weight or scale
+        # has no density.
+        for name in ("entry_means", "entry_scales", "entry_n", "dir_mbr_lower", "dir_mbr_upper"):
+            if not np.isfinite(columns[name]).all():
+                raise ValueError(f"flat tree column {name!r} holds a non-finite value")
+        for name in ("entry_n", "entry_scales", "entry_depth"):
+            if np.any(np.asarray(columns[name]) < 0):
+                raise ValueError(f"flat tree column {name!r} holds a negative value")
 
     # -- query surface ------------------------------------------------------------------------
     @property
@@ -387,39 +348,42 @@ class FlatTree:
             raise ValueError(f"query must have shape ({self.dimension},)")
         return Frontier(self, query, root_log_densities)
 
-    def leaf_arrays(self) -> _BatchParams:
-        """Packed full kernel model ``(means, scales, kinds, log_weights)``."""
-        if self.n_objects == 0:
-            raise ValueError("cannot pack leaf arrays of an empty Bayes tree")
-        scales = self.leaf_scales
-        if self.meta["shared_scales"]:
-            full = self._leaf_scales_full
-            if full is None:
-                # Re-broadcast the stored single row: same zero-stride layout
-                # (and therefore the same evaluation) as the live tree's
-                # shared-bandwidth fast path.
-                full = np.broadcast_to(
-                    scales[0], (self.meta["n_leaf"], self.dimension)
-                )
-                self._leaf_scales_full = full
-            scales = full
-        return self.leaf_means, scales, self.leaf_kinds, self.leaf_log_weights
+    def _kernel_model(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The kernel slots and the log weights a fully refined frontier gives them.
+
+        A frontier weighs each entry by ``log n_e − log n``, with ``n`` the
+        root block's total summed in slot order (:class:`Frontier`); both
+        are computed once per tree.
+        """
+        model = self._kernels
+        if model is None:
+            slots = np.flatnonzero(self.entry_levels < 0)
+            total = float(sum(self.entry_n[: self.meta["root_count"]].tolist()))
+            # A tree without weight gives every kernel weight zero, as its frontier does.
+            log_total = math.log(total) if total > 0 else math.inf
+            with np.errstate(divide="ignore"):
+                log_weights = np.log(self.entry_n[slots]) - log_total
+            model = self._kernels = (slots, log_weights)
+        return model
 
     def log_density_batch(self, queries: np.ndarray) -> np.ndarray:
         """Full-model log densities for a batch of queries, fully vectorised.
 
-        Equivalent to refining a frontier per query until no directory entry
-        remains, but evaluates the complete kernel model with one batched call
-        over the packed leaf arrays — the full-refinement path of both
-        forests' ``predict_batch``.
+        The density a frontier reaches once no directory entry remains, but
+        evaluated over every kernel slot with one batched call — the
+        full-refinement path of both forests' ``predict_batch``.
         """
+        if self.n_objects == 0:
+            raise ValueError("cannot query an empty Bayes tree")
         queries = np.asarray(queries, dtype=float)
         single = queries.ndim == 1
         queries = np.atleast_2d(queries)
         if queries.shape[1] != self.dimension:
             raise ValueError(f"queries must have shape (m, {self.dimension})")
-        means, scales, kinds, log_weights = self.leaf_arrays()
-        logs = component_log_densities(queries, means, scales, kinds)
+        slots, log_weights = self._kernel_model()
+        logs = component_log_densities(
+            queries, self.entry_means[slots], self.entry_scales[slots], self.entry_kinds[slots]
+        )
         result = logsumexp(logs + log_weights[None, :], axis=1)
         return result[0] if single else result
 
@@ -556,6 +520,9 @@ class FlatForest:
             raise ValueError(
                 "flat forest prior column length disagrees with the class list"
             )
+        # -inf is the prior of a class whose kernels all expired.
+        if np.any(np.isnan(priors_column) | (priors_column == np.inf)):
+            raise ValueError("flat forest column 'forest__log_priors' holds NaN or +inf")
         trees: Dict[Hashable, FlatTree] = {}
         for position, label in enumerate(labels):
             prefix = f"t{position}__"

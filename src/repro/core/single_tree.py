@@ -23,7 +23,7 @@ import numpy as np
 from ..index.cluster_feature import ClusterFeature
 from ..index.entry import DirectoryEntry, LeafEntry
 from ..index.node import AnyEntry, Node
-from .bayes_tree import BayesTree
+from .bayes_tree import BayesTree, finite_points
 from .config import BayesTreeConfig
 from .descent import DescentStrategy, make_descent_strategy
 from .driver import AnytimeClassification
@@ -109,7 +109,7 @@ class SingleTreeAnytimeClassifier:
 
     def fit(self, points: np.ndarray, labels: Sequence[Hashable]) -> "SingleTreeAnytimeClassifier":
         """Build one tree over the complete training set by iterative insertion."""
-        points = np.asarray(points, dtype=float)
+        points = finite_points(points)
         labels = list(labels)
         if points.ndim != 2 or len(labels) != points.shape[0]:
             raise ValueError("points must be (n, d) with one label per row")
@@ -121,7 +121,7 @@ class SingleTreeAnytimeClassifier:
 
     def partial_fit(self, point: Sequence[float] | np.ndarray, label: Hashable) -> None:
         """Online insertion of a new labelled object."""
-        point = np.asarray(point, dtype=float)
+        point = finite_points(point)
         if self.tree is None:
             self.tree = BayesTree(dimension=point.shape[0], config=self.config)
         self.tree.insert(point, label=label)

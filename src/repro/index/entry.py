@@ -93,9 +93,7 @@ class LeafEntry:
         """Refresh the decayed weight view for logical time ``now``.
 
         Computed directly from the immutable insertion timestamp (not by
-        incremental scaling), so the result is exact, idempotent, and agrees
-        bit-for-bit with the vectorised timestamp-based weighting of the
-        packed leaf arrays.
+        incremental scaling), so the result is exact and idempotent.
         """
         self.weight = decay_factor(rate, now - self.timestamp)
 
@@ -112,17 +110,6 @@ class LeafEntry:
     @property
     def cluster_feature(self) -> ClusterFeature:
         return ClusterFeature.from_point(self.point, weight=self.weight)
-
-    def is_tree_managed(self, kernel: str) -> bool:
-        """True when this kernel fully follows its tree's shared parameters.
-
-        Tree-managed entries carry no private bandwidth copy and use the
-        tree's configured kernel family; they can be evaluated through the
-        broadcast fast paths (packed leaf arrays) and serialized as bare
-        ``(point, timestamp)`` rows.  Entries stamped with explicit per-entry
-        parameters force the exact per-entry paths instead.
-        """
-        return self.bandwidth is None and self.kernel == kernel
 
     def resolve_bandwidth(self, fallback: Optional[np.ndarray] = None) -> np.ndarray:
         """This entry's bandwidth, or the tree-shared ``fallback``.

@@ -8,8 +8,8 @@ Layout: one ``.npz`` archive (zip of ``.npy`` members) holding
   ``flat`` flag announcing the columnar members,
 * ``forest__floats`` — forest-level float state (the logical "now"),
 * ``t{i}__*`` — per-class-tree arrays: the exact index topology
-  (:meth:`repro.index.rstar.RStarTree.export_structure`), the
-  insertion-ordered leaf buffer with per-observation timestamps, the decayed
+  (:meth:`repro.index.rstar.RStarTree.export_structure`), the leaf rows in
+  that topology's pre-order with per-observation timestamps, the decayed
   running ``(n, LS, SS)`` statistics, the shared Silverman bandwidth and the
   expiry bookkeeping (:meth:`repro.core.bayes_tree.BayesTree.export_state`),
 * ``flat__*`` — the compiled :class:`repro.core.flat.FlatForest` columns
@@ -76,8 +76,10 @@ __all__ = [
 
 #: Bumped whenever the container layout changes incompatibly.
 #: Version 2: flat forest columns (``flat__*`` members, ``flat`` manifest
-#: flag) and uncompressed (mmap-able) archive members.
-FORMAT_VERSION = 2
+#: flag) and uncompressed (mmap-able) archive members.  Version 3: leaf rows
+#: in pre-order, and 14 flat columns per tree (the kernel slots are the full
+#: kernel model).
+FORMAT_VERSION = 3
 
 _MAGIC = "repro-bayes-forest"
 
@@ -195,9 +197,8 @@ def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Pat
         classes.append(_encode_label(label))
         for key in _STRUCTURE_KEYS:
             arrays[prefix + key] = state["structure"][key]
-        arrays[prefix + "leaf_ref"] = state["leaf_ref"]
         arrays[prefix + "leaf_points"] = state["leaf_points"]
-        arrays[prefix + "leaf_times"] = state["leaf_times"]
+        arrays[prefix + "leaf_stamps"] = state["leaf_stamps"]
         arrays[prefix + "floats"] = np.array(
             [
                 state["clock_now"],
@@ -390,9 +391,8 @@ def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
         "dimension": dimension,
         "n": int(meta["n"]),
         "structure": {key: data[prefix + key] for key in _STRUCTURE_KEYS},
-        "leaf_ref": np.asarray(data[prefix + "leaf_ref"], dtype=np.int64),
         "leaf_points": points,
-        "leaf_times": np.asarray(data[prefix + "leaf_times"], dtype=float),
+        "leaf_stamps": np.asarray(data[prefix + "leaf_stamps"], dtype=float),
         "leaf_labels": labels,
         "leaf_kernels": kernels,
         "leaf_bandwidths": bandwidths,

@@ -1,11 +1,11 @@
 """``decay_rate=0`` must be bit-identical to the never-forgetting tree.
 
 The adaptive Bayes forest refactors the statistics spine of the whole stack
-(index cluster features, running training statistics, packed leaf arrays,
+(index cluster features, running training statistics, compiled twins,
 priors, stream driver).  These tests pin the acceptance criterion: with a
 zero decay rate — even with the logical clock advancing — every prediction,
-every packed array and the full test-then-train trace equal the plain tree's
-bit for bit.
+every compiled column and the full test-then-train trace equal the plain
+tree's bit for bit.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ def _dataset(size=240, seed=11):
     return make_dataset("pendigits", size=size, random_state=seed)
 
 
-def test_zero_rate_tree_leaf_arrays_identical_despite_clock():
+def test_zero_rate_tree_twin_identical_despite_clock():
     dataset = _dataset()
     plain = BayesTree(dimension=dataset.n_features, config=BayesTreeConfig())
     clocked = BayesTree(dimension=dataset.n_features, config=BayesTreeConfig(decay_rate=0.0))
@@ -28,8 +28,10 @@ def test_zero_rate_tree_leaf_arrays_identical_despite_clock():
         clocked.insert(point, timestamp=float(i))
     clocked.advance_time(1e6)  # pure time passage must change nothing
     np.testing.assert_array_equal(plain.bandwidth, clocked.bandwidth)
-    for a, b in zip(plain.leaf_arrays(), clocked.leaf_arrays()):
-        np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
+    ours, theirs = plain.flat_twin().to_columns(), clocked.flat_twin().to_columns()
+    assert ours.keys() == theirs.keys()
+    for name, column in ours.items():
+        np.testing.assert_array_equal(column, theirs[name], err_msg=name)
     queries = dataset.features[:32]
     np.testing.assert_array_equal(
         plain.flat_twin().log_density_batch(queries),

@@ -120,6 +120,46 @@ def test_structure_stats_reflect_the_object_graph():
         assert sum(per_class["root_subtree_kernels"]) == per_class["n_kernels"]
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        BayesTreeConfig(),
+        BayesTreeConfig(decay_rate=0.05, expiry_threshold=0.05),
+        BayesTreeConfig(kernel="epanechnikov"),
+    ],
+    ids=["undecayed", "decayed-with-expiry", "epanechnikov"],
+)
+def test_full_refinement_is_the_fully_refined_frontier(config):
+    """One kernel model: full-refinement ``predict_batch`` and
+    ``log_density_batch`` read the kernel slots every frontier refines to."""
+    dataset = make_dataset("pendigits", size=300, random_state=5)
+    classifier = AnytimeBayesClassifier(config=config)
+    for i in range(240):
+        classifier.partial_fit(dataset.features[i], dataset.labels[i], timestamp=0.5 * i)
+    if config.decay_rate:
+        assert sum(tree.n_objects for tree in classifier.trees.values()) < 240  # expired
+    queries = dataset.features[240:]
+    every_node = sum(tree.node_count() for tree in classifier.trees.values())
+    live_twins = {label: tree.flat_twin() for label, tree in classifier.trees.items()}
+    flat = classifier.compile_flat()
+    for forest, trees in ((classifier, live_twins), (flat, flat.trees)):
+        refined = forest.classify_anytime_batch(queries, max_nodes=every_node)
+        # Every node below each alive root was read: every frontier is the kernels.
+        reads = sum(tree.node_count() - 1 for tree in trees.values() if tree.n_objects)
+        assert all(result.nodes_read == reads for result in refined)
+        assert forest.predict_batch(queries) == [result.final_prediction for result in refined]
+        descent = forest.descent
+        for tree in trees.values():
+            if tree.n_objects == 0:
+                continue
+            batched = tree.log_density_batch(queries)
+            for query, log_density in zip(queries, batched):
+                frontier = tree.frontier(query)
+                frontier.refine_fully(descent)
+                assert frontier.is_fully_refined
+                assert log_density == pytest.approx(frontier.log_density, rel=1e-12)
+
+
 def test_malformed_columns_are_rejected():
     classifier, _ = _streamed_forest(size=160)
     label = next(iter(classifier.trees))
@@ -157,13 +197,35 @@ def test_malformed_columns_are_rejected():
         ("dir_index", kernel_slot, 0, "dir_index"),
         ("child_end", kernel_slot, 3, "child intervals"),
         ("entry_kinds", 0, 7, "kind"),
-        ("leaf_kinds", 0, 7, "kind"),
+        # Full refinement reads every kernel slot's mean, scale and weight.
+        ("entry_n", kernel_slot, -5.0, "negative"),
+        ("entry_n", 0, np.inf, "non-finite"),
+        ("entry_means", (kernel_slot, 1), np.nan, "non-finite"),
+        ("entry_scales", (kernel_slot, 0), np.inf, "non-finite"),
+        ("entry_scales", (0, 1), -1.0, "negative"),
+        ("entry_depth", kernel_slot, -1, "negative"),
+        ("dir_mbr_lower", (0, 0), np.nan, "non-finite"),
+        ("dir_mbr_upper", (0, 0), -np.inf, "non-finite"),
     ):
         bad = dict(columns)
         bad[name] = np.array(columns[name], copy=True)
         bad[name][slot] = value
         with pytest.raises(ValueError, match=message):
             FlatTree.from_columns(bad)
+
+    # A class whose kernels all expired has the prior -inf; NaN or +inf
+    # would outvote every class.
+    forest_columns = classifier.compile_flat().to_columns()
+    layout = dict(labels=list(classifier.trees), descent="glo", qbk_k=None, dimension=tree.dimension)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = dict(forest_columns)
+        bad["forest__log_priors"] = np.array(forest_columns["forest__log_priors"], copy=True)
+        bad["forest__log_priors"][0] = value
+        if value == -np.inf:
+            FlatForest.from_columns(bad, **layout)
+        else:
+            with pytest.raises(ValueError, match="log_priors"):
+                FlatForest.from_columns(bad, **layout)
 
 
 def test_flat_frontier_expands_slots_through_column_views():

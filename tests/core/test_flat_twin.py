@@ -52,8 +52,8 @@ def test_cached_twin_equals_a_fresh_compile_after_every_model_change():
         ("insert", plain, lambda: plain.insert(points[40])),
         ("timestamped insert", decayed, lambda: decayed.insert(points[41], timestamp=4.5)),
         ("advance_time on a decayed tree", decayed, lambda: decayed.advance_time(5.0)),
-        # The undecayed tree's clock moves too, and compile writes it into
-        # meta_f, although no packed parameter changes.
+        # The undecayed tree's clock moves too; no column depends on it, so
+        # the cached twin stays.
         ("advance_time on an undecayed tree", plain, lambda: plain.advance_time(3.0)),
         ("expire", decayed, expire_stale_kernels),
         ("adopt_index", plain, lambda: plain.adopt_index(bulk)),
@@ -100,7 +100,7 @@ def test_a_compiled_forest_does_not_follow_a_class_that_expired_and_recurred():
         classifier.partial_fit(rng.normal(size=2), "a", timestamp=0.0)
         classifier.partial_fit(rng.normal(loc=5.0, size=2), "b", timestamp=0.0)
     tree = classifier.compile_flat().trees["a"]
-    means = tree.leaf_means.copy()
+    means = tree.entry_means.copy()
     query = np.zeros((1, 2))
     log_density = tree.log_density_batch(query)
 
@@ -113,5 +113,5 @@ def test_a_compiled_forest_does_not_follow_a_class_that_expired_and_recurred():
         now += 0.1
         classifier.partial_fit(rng.normal(loc=9.0, size=2), "a", timestamp=now)
 
-    np.testing.assert_array_equal(tree.leaf_means, means)
+    np.testing.assert_array_equal(tree.entry_means, means)
     np.testing.assert_array_equal(tree.log_density_batch(query), log_density)

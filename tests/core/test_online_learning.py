@@ -2,7 +2,7 @@
 
 The tentpole guarantee of the incremental maintenance path (DESIGN.md,
 incremental maintenance): after N ``partial_fit`` calls the classifier's
-bandwidths, packed leaf arrays, priors and predictions must match a classifier
+bandwidths, compiled twins, priors and predictions must match a classifier
 trained from scratch on the same data (tolerance 1e-9 — in practice the two
 paths execute the identical per-point updates and agree bitwise).
 """
@@ -53,8 +53,10 @@ def test_partial_fit_matches_fit_from_scratch(kernel):
         np.testing.assert_allclose(
             streamed_tree.bandwidth, scratch_tree.bandwidth, rtol=1e-9, atol=0
         )
-        for got, expected in zip(streamed_tree.leaf_arrays(), scratch_tree.leaf_arrays()):
-            np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0)
+        got, expected = streamed_tree.flat_twin().to_columns(), scratch_tree.flat_twin().to_columns()
+        assert got.keys() == expected.keys()
+        for name, column in expected.items():
+            np.testing.assert_allclose(got[name], column, rtol=1e-9, atol=0, err_msg=name)
     assert streamed.priors == pytest.approx(scratch.priors, rel=1e-9)
 
     rng = np.random.default_rng(2)
@@ -87,30 +89,46 @@ def test_bandwidth_epoch_advances_without_restamping_entries():
     assert all(entry.bandwidth is None for entry in tree.index.iter_leaf_entries())
 
 
-def test_leaf_arrays_are_patched_incrementally_on_insert():
+def _kernel_rows(twin):
+    """The twin's kernel slots (the full kernel model) as sorted mean rows."""
+    return sorted(map(tuple, twin.entry_means[twin.entry_levels < 0]))
+
+
+def test_an_insert_adds_one_kernel_to_the_full_model():
     rng = np.random.default_rng(5)
     tree = BayesTree(dimension=3, config=small_config()).fit(rng.normal(size=(50, 3)))
-    means_before = tree.leaf_arrays()[0].copy()
+    before = tree.flat_twin()
     new_point = rng.normal(size=3)
     tree.insert(new_point)
-    means, scales, kinds, log_weights = tree.leaf_arrays()
-    assert means.shape == (51, 3)
-    np.testing.assert_array_equal(means[:50], means_before)
-    np.testing.assert_array_equal(means[50], new_point)
-    # All kernels share the current epoch's bandwidth.
+    twin = tree.flat_twin()
+    kernels = twin.entry_levels < 0
+    assert int(kernels.sum()) == 51
+    assert _kernel_rows(twin) == sorted(_kernel_rows(before) + [tuple(new_point)])
+    # All kernels share the current epoch's bandwidth and weigh one object.
+    scales = twin.entry_scales[kernels]
     np.testing.assert_allclose(scales, np.broadcast_to(tree.bandwidth**2, scales.shape))
-    np.testing.assert_allclose(log_weights, np.full(51, -np.log(51)))
+    np.testing.assert_array_equal(twin.entry_n[kernels], np.ones(51))
+    # The twin handed out before the insert does not follow it.
+    assert int((before.entry_levels < 0).sum()) == 50
 
 
 def test_direct_index_mutation_falls_back_to_full_rebuild():
     rng = np.random.default_rng(6)
-    tree = BayesTree(dimension=2, config=small_config()).fit(rng.normal(size=(30, 2)))
+    points = rng.normal(size=(30, 2))
+    tree = BayesTree(dimension=2, config=small_config()).fit(points)
     # Bypass the Bayes tree maintenance entirely (not part of the API, but the
-    # packed arrays must never silently go stale).
+    # model must never silently go stale): the tree's kernel count no longer
+    # matches the index, so the next read re-adopts the index.
     tree.index.insert(np.array([9.0, 9.0]), kernel="gaussian")
-    means, _, _, log_weights = tree.leaf_arrays()
-    assert means.shape[0] == 31
-    assert log_weights.shape[0] == 31
+    twin = tree.flat_twin()
+    assert int((twin.entry_levels < 0).sum()) == 31
+    np.testing.assert_allclose(
+        tree.bandwidth, silverman_bandwidth(np.vstack([points, [9.0, 9.0]])), rtol=1e-9
+    )
+    query = np.array([8.5, 9.5])
+    assert twin.log_density_batch(query) == pytest.approx(
+        np.log(tree.full_model_density(query)), rel=1e-12
+    )
 
 
 def test_streamed_bandwidth_is_stable_for_large_offset_data():
@@ -130,7 +148,7 @@ def test_streamed_bandwidth_is_stable_for_large_offset_data():
 
 def test_adopted_index_is_normalised_to_the_tree_kernel():
     """Regression: adopting an index whose leaf entries disagree with
-    ``config.kernel`` must not leave the packed leaf arrays and the frontier
+    ``config.kernel`` must not leave full refinement and the frontier
     refinement path evaluating two different models."""
     from repro.index import RStarTree
 
@@ -152,8 +170,8 @@ def test_adopted_index_is_normalised_to_the_tree_kernel():
 
 
 def test_explicitly_stamped_entries_keep_both_full_model_paths_equivalent():
-    """Regression: the broadcast leaf_arrays fast path must not override
-    explicit per-entry bandwidths that the frontier path honours."""
+    """Regression: full refinement must honour explicit per-entry
+    bandwidths, as the frontier path does."""
     rng = np.random.default_rng(11)
     tree = BayesTree(dimension=2, config=small_config()).fit(rng.normal(size=(40, 2)))
     wide = tree.bandwidth * 3.0

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bulkload import BULK_LOADERS, make_bulk_loader
 from repro.core import (
     AnytimeBayesClassifier,
     BayesTree,
     BayesTreeConfig,
+    SingleTreeAnytimeClassifier,
     log_pdq,
     make_descent_strategy,
     pdq,
@@ -293,18 +295,56 @@ class TestBatchClassificationEquivalence:
                 with pytest.raises(ValueError, match="finite"):
                     forest.predict_batch(queries, node_budget=node_budget)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_training_refuses_non_finite_points(self, bad):
+        """One NaN kernel would poison its class's summaries (a NaN mean in
+        every ancestor), so training refuses it before any state changes."""
+        points, labels = self.multiclass_stream(seed=8)
+        poisoned = points[:40].copy()
+        poisoned[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AnytimeBayesClassifier(config=small_config()).fit(poisoned, labels[:40])
+        with pytest.raises(ValueError, match="finite"):
+            SingleTreeAnytimeClassifier(config=small_config()).fit(poisoned, labels[:40])
+        with pytest.raises(ValueError, match="finite"):
+            BayesTree(dimension=4, config=small_config()).fit(poisoned)
+        for name in sorted(BULK_LOADERS):
+            with pytest.raises(ValueError, match="finite"):
+                make_bulk_loader(name, config=small_config()).build_index(poisoned)
+
+        forest = AnytimeBayesClassifier(config=small_config(decay_rate=0.1))
+        forest.fit(points[:100], labels[:100])
+        single = SingleTreeAnytimeClassifier(config=small_config()).fit(points[:100], labels[:100])
+        tree = forest.trees[labels[0]]
+        queries = points[100:]
+        before = (forest.predict_batch(queries), forest.priors, forest._now, len(tree))
+        single_before = [single.predict(query, node_budget=8) for query in queries[:10]]
+        with pytest.raises(ValueError, match="finite"):
+            forest.partial_fit(poisoned[7], "new class", timestamp=50.0)
+        with pytest.raises(ValueError, match="finite"):
+            forest.partial_fit(poisoned[7], labels[0])
+        with pytest.raises(ValueError, match="finite"):
+            tree.insert(poisoned[7], timestamp=60.0)
+        with pytest.raises(ValueError, match="finite"):
+            single.partial_fit(poisoned[7], labels[0])
+        assert "new class" not in forest.trees
+        assert tree.clock.now == 0.0
+        assert (forest.predict_batch(queries), forest.priors, forest._now, len(tree)) == before
+        assert [single.predict(query, node_budget=8) for query in queries[:10]] == single_before
+
 
 class TestBayesTreeBatchDensity:
     def test_log_density_batch_matches_full_refinement(self):
         rng = np.random.default_rng(9)
         tree, points = random_tree(rng, count=50, dim=3)
         queries = points[:8] + rng.normal(scale=0.3, size=(8, 3))
-        batched = tree.flat_twin().log_density_batch(queries)
+        twin = tree.flat_twin()
+        batched = twin.log_density_batch(queries)
         assert batched.shape == (8,)
         for i, query in enumerate(queries):
-            assert math.exp(batched[i]) == pytest.approx(
-                tree.full_model_density(query), rel=1e-9
-            )
+            frontier = twin.frontier(query)
+            frontier.refine_fully(make_descent_strategy("glo"))
+            assert batched[i] == pytest.approx(frontier.log_density, rel=1e-12)
 
     def test_leaf_cache_invalidated_by_insert(self):
         rng = np.random.default_rng(10)

@@ -246,7 +246,7 @@ def test_in_place_expiry_matches_a_rebuilt_tree(
             continue
         sweep = tree._last_expiry_sweep
         tree.validate()
-        assert tree._leaf_means.size == len(tree.index)
+        assert tree._n_kernels == len(tree.index)
         stored = sorted((e.timestamp, e.point.tobytes()) for e in tree.index.iter_leaf_entries())
         expected = sorted(
             (stamp, key) for stamp, key in inserted

@@ -23,6 +23,7 @@ from repro.persist import (
     SnapshotVersionError,
     load_forest,
     read_manifest,
+    read_snapshot,
     read_tenant_manifest,
     save_forest,
     save_tenant_manifest,
@@ -40,6 +41,14 @@ def _decayed_midstream_forest(size=260, decay_rate=0.02, seed=3):
     # Warm the query caches so the snapshot is taken from a "serving" state.
     classifier.predict_batch(dataset.features[size - 60 : size - 40])
     return classifier, dataset
+
+
+def _assert_same_twin(tree, other):
+    """Both live trees compile to the same flat columns, array for array."""
+    ours, theirs = tree.flat_twin().to_columns(), other.flat_twin().to_columns()
+    assert ours.keys() == theirs.keys()
+    for name, column in ours.items():
+        np.testing.assert_array_equal(column, theirs[name], err_msg=name)
 
 
 def _trace(classifier, queries, max_nodes=25):
@@ -61,8 +70,7 @@ def test_roundtrip_trace_hash_equality_under_decay(tmp_path):
     for label, tree in classifier.trees.items():
         other = restored.trees[label]
         np.testing.assert_array_equal(tree.bandwidth, other.bandwidth)
-        for ours, theirs in zip(tree.leaf_arrays(), other.leaf_arrays()):
-            np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
+        _assert_same_twin(tree, other)
         other.validate()
 
 
@@ -80,8 +88,7 @@ def test_roundtrip_then_continued_stream_stays_identical(tmp_path):
     queries = dataset.features[:40]
     assert _trace(restored, queries) == _trace(classifier, queries)
     for label, tree in classifier.trees.items():
-        for ours, theirs in zip(tree.leaf_arrays(), restored.trees[label].leaf_arrays()):
-            np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
+        _assert_same_twin(tree, restored.trees[label])
 
 
 @settings(max_examples=8, deadline=None)
@@ -224,6 +231,14 @@ def test_version_and_magic_mismatch_are_rejected(tmp_path):
     with pytest.raises(SnapshotVersionError):
         read_manifest(future)
 
+    # A file of the previous version lays its members out differently.
+    past = tmp_path / "past.npz"
+    _rewrite_manifest(path, past, lambda m: m.update(format_version=FORMAT_VERSION - 1))
+    with pytest.raises(SnapshotVersionError, match="format version"):
+        load_forest(past)
+    with pytest.raises(SnapshotVersionError):
+        read_snapshot(past)
+
     impostor = tmp_path / "impostor.npz"
     _rewrite_manifest(path, impostor, lambda m: m.update(magic="other-format"))
     with pytest.raises(SnapshotError, match="magic"):
@@ -273,8 +288,7 @@ def test_single_tree_state_roundtrip_preserves_buffer_order():
         tree.insert(rng.normal(size=2), timestamp=float(i))
     restored = BayesTree.from_state(tree.export_state(), config=tree.config)
     restored.validate()
-    for ours, theirs in zip(tree.leaf_arrays(), restored.leaf_arrays()):
-        np.testing.assert_array_equal(np.asarray(ours), np.asarray(theirs))
+    _assert_same_twin(tree, restored)
     queries = rng.normal(size=(15, 2))
     np.testing.assert_array_equal(
         tree.flat_twin().log_density_batch(queries),

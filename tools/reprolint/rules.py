@@ -395,7 +395,7 @@ class BatchHotPathLoops(Rule):
     functions on the batch hot path (``*_batch``, the ``drive_*`` drivers,
     the registry's serving ``_round``) must not loop over a batch parameter while
     calling a scalar-path evaluator in the loop body — use the batch/SoA helpers
-    (``leaf_arrays`` / ``log_density_batch`` / ``_entry_batch_params``).
+    (``log_density_batch`` / ``classify_anytime_batch`` / ``_entry_batch_params``).
     Per-item *bookkeeping* loops (building result objects) stay legal.
     """
 
@@ -462,7 +462,7 @@ class BatchHotPathLoops(Rule):
                         self.violation(
                             ctx, loop, f"per-item loop over a query batch calls scalar-path "
                             f"`{evaluator}`; use the batch/SoA helpers instead "
-                            "(leaf_arrays / log_density_batch / classify_anytime_batch)",
+                            "(log_density_batch / classify_anytime_batch / _entry_batch_params)",
                         )
                     )
         return found
