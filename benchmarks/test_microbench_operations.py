@@ -144,6 +144,7 @@ class _PerInsertRefreshClassifier(AnytimeBayesClassifier):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._point_lists = {}
+        self._stamps = {}
 
     def seed(self, features, labels):
         self.fit(features, labels)
@@ -158,9 +159,11 @@ class _PerInsertRefreshClassifier(AnytimeBayesClassifier):
         points = self._point_lists.setdefault(label, [])
         points.append(np.asarray(point, dtype=float))
         bandwidth = silverman_bandwidth(np.asarray(points, dtype=float))
-        for entry in tree.index.iter_leaf_entries():
-            entry.bandwidth = bandwidth
-            entry.kernel = tree.config.kernel
+        # The restamp: one bandwidth copy written per stored kernel (entries
+        # hold no bandwidth of their own today, so the copies sit beside them).
+        self._stamps[label] = [
+            (bandwidth, tree.config.kernel) for _ in tree.index.iter_leaf_entries()
+        ]
 
 
 def _stream_items(total, d=16, budget=4, seed=7):
@@ -295,9 +298,8 @@ def test_bench_bandwidth_maintenance_incremental_vs_refresh(benchmark):
         tree.insert(point)
         tree.recompute_statistics()
         bandwidth = tree.bandwidth
-        for entry in tree.index.iter_leaf_entries():
-            entry.bandwidth = bandwidth
-            entry.kernel = tree.config.kernel
+        stamps = [(bandwidth, tree.config.kernel) for _ in tree.index.iter_leaf_entries()]
+        assert len(stamps) == len(tree.index)
 
     start = time.perf_counter()
     for point in points[10_192:10_256]:

@@ -119,9 +119,7 @@ class BulkLoader(ABC):
 
     # -- shared helpers -----------------------------------------------------------------------
     def _make_leaf_entries(self, points: np.ndarray, label: Optional[object]) -> List[LeafEntry]:
-        return [
-            LeafEntry(point=point, label=label, kernel=self.config.kernel) for point in points
-        ]
+        return [LeafEntry(point=point, label=label) for point in points]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

@@ -249,7 +249,7 @@ class GoldbergerBulkLoader(BulkLoader):
         variance = np.maximum(bandwidth ** 2, MIN_VARIANCE)
         components: List[_Component] = []
         for point in points:
-            entry = LeafEntry(point=point, label=label, kernel=self.config.kernel)
+            entry = LeafEntry(point=point, label=label)
             components.append(
                 _Component(entry=entry, weight=1.0 / n, mean=point.astype(float), variance=variance.copy())
             )

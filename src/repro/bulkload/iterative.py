@@ -43,5 +43,5 @@ class IterativeInsertionLoader(BulkLoader):
             points = points[rng.permutation(points.shape[0])]
         index = RStarTree(dimension=points.shape[1], params=self.config.tree)
         for point in points:
-            index.insert(point, label=label, kernel=self.config.kernel)
+            index.insert(point, label=label)
         return index

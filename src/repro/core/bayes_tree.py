@@ -26,8 +26,9 @@ layering).
 
 Incremental maintenance (see DESIGN.md, incremental maintenance): the tree
 keeps per-dimension ``(n, LS, SS)`` running sums and an epoch-tagged shared
-bandwidth vector (leaf entries no longer carry stamped copies), so an insert
-updates the model in O(d) beside the index insertion.
+bandwidth vector (one kernel family and bandwidth per tree; leaf entries
+carry neither), so an insert updates the model in O(d) beside the index
+insertion.
 """
 
 from __future__ import annotations
@@ -84,20 +85,20 @@ def entry_component_params(
     entry: AnyEntry,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """``(mean, scale, kind)`` of the entry's mixture component.
 
     Directory entries are the moment match of the kernel mixture they
     summarise (cluster-feature variance plus the squared kernel bandwidth,
-    see :meth:`DirectoryEntry.to_gaussian`); Gaussian leaf entries are exact
-    Gaussians with variance ``h**2``; Epanechnikov leaves keep their bandwidth
-    and are flagged with :data:`EPANECHNIKOV_KIND`.
+    see :meth:`DirectoryEntry.to_gaussian`); leaf entries are their tree's
+    ``kernel``: exact Gaussians with variance ``h**2``, or Epanechnikov
+    kernels that keep the bandwidth and are flagged with
+    :data:`EPANECHNIKOV_KIND`.
 
-    ``leaf_bandwidth`` is the tree-shared, epoch-tagged kernel bandwidth.
-    Tree-managed leaf entries no longer carry per-entry bandwidth copies
-    (updating a copy per entry made every streamed insert O(n)); the shared
-    vector is resolved here, at evaluation time.  An explicit per-entry
-    ``entry.bandwidth`` still wins when set.
+    ``leaf_bandwidth`` is the tree-shared, epoch-tagged kernel bandwidth ``h``:
+    leaf entries carry no copy of it (updating a copy per entry made every
+    streamed insert O(n)), so it is resolved here, at evaluation time.
     """
     if isinstance(entry, DirectoryEntry):
         feature = entry.cluster_feature
@@ -105,10 +106,11 @@ def entry_component_params(
         if variance_inflation is not None:
             variance = variance + variance_inflation
         return feature.mean(), variance, GAUSSIAN_KIND
-    bandwidth = entry.resolve_bandwidth(leaf_bandwidth)
-    if entry.kernel == "epanechnikov":
-        return entry.point, bandwidth, EPANECHNIKOV_KIND
-    return entry.point, bandwidth ** 2, GAUSSIAN_KIND
+    if leaf_bandwidth is None:
+        raise ValueError("leaf entry has no bandwidth assigned yet")
+    if kernel == "epanechnikov":
+        return entry.point, leaf_bandwidth, EPANECHNIKOV_KIND
+    return entry.point, leaf_bandwidth ** 2, GAUSSIAN_KIND
 
 
 def _entry_density(
@@ -116,6 +118,7 @@ def _entry_density(
     x: np.ndarray,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> float:
     """Unweighted density of an entry's model component at ``x`` (scalar path).
 
@@ -127,7 +130,7 @@ def _entry_density(
     """
     if isinstance(entry, DirectoryEntry):
         return entry.density(x, variance_inflation=variance_inflation)
-    return entry.density(x, bandwidth=leaf_bandwidth)
+    return entry.density(x, bandwidth=leaf_bandwidth, kernel=kernel)
 
 
 def pdq_scalar(
@@ -136,6 +139,7 @@ def pdq_scalar(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> float:
     """Linear-space scalar probability density query (reference implementation).
 
@@ -154,7 +158,7 @@ def pdq_scalar(
         sum(
             entry.n_objects
             / total_objects
-            * _entry_density(entry, x, variance_inflation, leaf_bandwidth)
+            * _entry_density(entry, x, variance_inflation, leaf_bandwidth, kernel)
             for entry in entries
         )
     )
@@ -164,9 +168,12 @@ def _entry_batch_params(
     entries: Sequence[AnyEntry],
     variance_inflation: Optional[np.ndarray],
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> _BatchParams:
     """Pack ``(means, scales, kinds, n_objects)`` arrays for a batch of entries."""
-    first_mean, _, _ = entry_component_params(entries[0], variance_inflation, leaf_bandwidth)
+    first_mean, _, _ = entry_component_params(
+        entries[0], variance_inflation, leaf_bandwidth, kernel
+    )
     dimension = first_mean.shape[0]
     count = len(entries)
     means = np.empty((count, dimension))
@@ -174,7 +181,9 @@ def _entry_batch_params(
     kinds = np.empty(count, dtype=np.int8)
     n_objects = np.empty(count)
     for i, entry in enumerate(entries):
-        mean, scale, kind = entry_component_params(entry, variance_inflation, leaf_bandwidth)
+        mean, scale, kind = entry_component_params(
+            entry, variance_inflation, leaf_bandwidth, kernel
+        )
         means[i] = mean
         scales[i] = scale
         kinds[i] = kind
@@ -188,6 +197,7 @@ def log_pdq(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> float:
     """Log-space probability density query over an arbitrary entry set.
 
@@ -199,7 +209,7 @@ def log_pdq(
         return -math.inf
     x = np.asarray(x, dtype=float)
     means, scales, kinds, n_objects = _entry_batch_params(
-        entries, variance_inflation, leaf_bandwidth
+        entries, variance_inflation, leaf_bandwidth, kernel
     )
     if total_objects is None:
         total_objects = float(n_objects.sum())
@@ -216,14 +226,18 @@ def pdq(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
+    kernel: str = "gaussian",
 ) -> float:
     """Probability density query over an arbitrary entry set (paper Def. 3).
 
     Vectorised log-space implementation; agrees with :func:`pdq_scalar` to
     floating-point round-off and is the hot path of level-model and baseline
-    density evaluations.
+    density evaluations.  ``leaf_bandwidth`` and ``kernel`` are the tree's
+    kernel bandwidth and family, which every leaf entry shares.
     """
-    return safe_exp(log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth))
+    return safe_exp(
+        log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth, kernel)
+    )
 
 
 class BayesTree:
@@ -343,7 +357,7 @@ class BayesTree:
         point = finite_points(point)
         if timestamp is not None:
             self.clock.advance(timestamp)
-        self.index.insert(point, label=label, kernel=self.config.kernel)
+        self.index.insert(point, label=label)
         if self._stats_origin is None:
             self._stats_origin = point.copy()
         shifted = point - self._stats_origin
@@ -373,12 +387,8 @@ class BayesTree:
         O(n·d): used after adopting a bulk-loaded index, after an expiry
         sweep, as the safety net when the underlying index was mutated behind
         the tree's back, and by benchmarks to emulate the historical
-        per-insert full refresh.  Leaf entries are normalised to tree
-        management — their kernel family is forced to ``config.kernel`` and
-        explicit bandwidth copies are dropped in favour of the shared
-        epoch-tagged vector — exactly as the historical per-entry restamp
-        did.  In decayed trees the statistics are the weighted sums under
-        each kernel's decayed weight at ``clock.now``.
+        per-insert full refresh.  In decayed trees the statistics are the
+        weighted sums under each kernel's decayed weight at ``clock.now``.
         """
         decaying = self.clock.enabled
         now = self.clock.now
@@ -387,8 +397,6 @@ class BayesTree:
             if decaying:
                 entry.decay_to(now, self.clock.decay_rate)
             entries.append(entry)
-            entry.kernel = self.config.kernel
-            entry.bandwidth = None
         if not entries:
             self._stats_origin = None
             self._stats = DecayedClusterFeature(
@@ -493,9 +501,8 @@ class BayesTree:
     def export_state(self) -> dict:
         """Everything needed to rebuild this tree with bit-identical behaviour.
 
-        The returned dict holds only numpy arrays, plain scalars and raw
-        per-observation attribute lists (labels / kernel names / optional
-        explicit bandwidths) — encoding them into a container is
+        The returned dict holds only numpy arrays, plain scalars and the raw
+        per-observation label list — encoding them into a container is
         ``repro.persist``'s job.  Captured verbatim:
 
         * the exact index topology and directory summaries
@@ -520,11 +527,6 @@ class BayesTree:
             ).reshape(-1, self.dimension),
             "leaf_stamps": np.array([entry.timestamp for entry in preorder], dtype=float),
             "leaf_labels": [entry.label for entry in preorder],
-            "leaf_kernels": [entry.kernel for entry in preorder],
-            "leaf_bandwidths": [
-                None if entry.bandwidth is None else np.array(entry.bandwidth)
-                for entry in preorder
-            ],
             "clock_now": self.clock.now,
             "stats_origin": None if self._stats_origin is None else self._stats_origin.copy(),
             "stats_n": feature.n,
@@ -555,8 +557,6 @@ class BayesTree:
             LeafEntry(
                 point=points[row],
                 label=state["leaf_labels"][row],
-                bandwidth=state["leaf_bandwidths"][row],
-                kernel=state["leaf_kernels"][row],
                 timestamp=float(times[row]),
                 weight=decay_factor(rate, now - float(times[row])),
             )
@@ -701,6 +701,7 @@ class BayesTree:
             entries,
             variance_inflation=self._variance_inflation(),
             leaf_bandwidth=self._bandwidth,
+            kernel=self.config.kernel,
         )
 
 
@@ -710,9 +711,11 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
     """Compile a live :class:`BayesTree` into its flat columnar form.
 
     The tree's summaries are first aged to its current logical time, then
-    each node's entries are packed with :func:`_entry_batch_params` in
-    entry-list order — the float64 values and summation orders the object
-    graph defines.
+    each directory node's entries are packed with :func:`_entry_batch_params`
+    in entry-list order — the float64 values and summation orders the object
+    graph defines — and each leaf node's kernels contribute their points
+    and weights.  The tree's one kernel scale (``h**2`` for Gaussian
+    kernels, ``h`` for Epanechnikov ones) is stored once.
     :meth:`BayesTree.flat_twin` caches the result; call this directly
     only for a copy that no later read shares.
     """
@@ -724,78 +727,76 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
     tree._sync_decay()
     variance_inflation = tree._variance_inflation()
     bandwidth = tree._bandwidth
+    if bandwidth is None:
+        raise ValueError("leaf entry has no bandwidth assigned yet")
+    kernel_kind = _kernel_kind(tree)
+    kernel_scale = bandwidth if kernel_kind == EPANECHNIKOV_KIND else bandwidth ** 2
 
     nodes = list(tree.index.iter_nodes())
     total_entries = sum(len(node.entries) for node in nodes)
     n_dir = total_entries - n_leaf
 
     entry_means = np.empty((total_entries, dimension))
-    entry_scales = np.empty((total_entries, dimension))
-    entry_kinds = np.empty(total_entries, dtype=np.int8)
     entry_n = np.empty(total_entries)
-    entry_levels = np.full(total_entries, -1, dtype=np.int64)
-    entry_depth = np.empty(total_entries, dtype=np.int64)
-    child_start = np.full(total_entries, -1, dtype=np.int64)
-    child_end = np.full(total_entries, -1, dtype=np.int64)
-    post = np.full(total_entries, -1, dtype=np.int64)
-    dir_index = np.full(total_entries, -1, dtype=np.int64)
+    entry_scales = np.empty((n_dir, dimension))
+    entry_levels = np.empty(n_dir, dtype=np.int64)
+    entry_depth = np.empty(n_dir, dtype=np.int64)
+    child_start = np.empty(n_dir, dtype=np.int64)
+    child_end = np.empty(n_dir, dtype=np.int64)
+    post = np.empty(n_dir, dtype=np.int64)
     dir_mbr_lower = np.empty((n_dir, dimension))
     dir_mbr_upper = np.empty((n_dir, dimension))
 
-    cursor = 0
     dir_cursor = 0
+    kernel_cursor = n_dir
     n_leaf_nodes = 0
 
-    # Pre-order slot assignment: a node's entries occupy one contiguous
-    # block, and recursing into each directory entry immediately after
-    # placing the block makes every descendant set contiguous as well —
-    # the invariant behind the [child_start, post) interval columns.
-    def place(node: "Node", depth: int) -> None:
-        nonlocal cursor, dir_cursor, n_leaf_nodes
+    # Directory slots first, kernel slots after them, each numbered in
+    # pre-order: a node's entries take one contiguous block of their region,
+    # and recursing into each directory entry right after placing the block
+    # makes every subtree's directory slots and its kernel slots contiguous —
+    # the invariant behind the [child_start, child_end) and post columns.
+    def place(node: "Node", depth: int) -> Tuple[int, int]:
+        nonlocal dir_cursor, kernel_cursor, n_leaf_nodes
         entries = node.entries
-        start = cursor
-        cursor += len(entries)
-        params = _entry_batch_params(entries, variance_inflation, bandwidth)
-        means, scales, kinds, n_objects = params
-        entry_means[start : start + len(entries)] = means
-        entry_scales[start : start + len(entries)] = scales
-        entry_kinds[start : start + len(entries)] = kinds
-        entry_n[start : start + len(entries)] = n_objects
-        entry_depth[start : start + len(entries)] = depth
         if node.is_leaf:
             n_leaf_nodes += 1
-            return
-        for offset, entry in enumerate(entries):
-            slot = start + offset
-            child = entry.child
-            entry_levels[slot] = child.level
-            row = dir_cursor
-            dir_cursor += 1
-            dir_index[slot] = row
-            dir_mbr_lower[row] = entry.mbr.lower
-            dir_mbr_upper[row] = entry.mbr.upper
-            block_start = cursor
-            place(child, depth + 1)
-            child_start[slot] = block_start
-            child_end[slot] = block_start + len(child.entries)
-            post[slot] = cursor
+            start = kernel_cursor
+            kernel_cursor += len(entries)
+            for slot, entry in enumerate(entries, start):
+                entry_means[slot] = entry.point
+                entry_n[slot] = entry.weight
+            return start, kernel_cursor
+        start = dir_cursor
+        end = dir_cursor = start + len(entries)
+        means, scales, _, n_objects = _entry_batch_params(entries, variance_inflation)
+        entry_means[start:end] = means
+        entry_scales[start:end] = scales
+        entry_n[start:end] = n_objects
+        entry_depth[start:end] = depth
+        for slot, entry in enumerate(entries, start):
+            entry_levels[slot] = entry.child.level
+            dir_mbr_lower[slot] = entry.mbr.lower
+            dir_mbr_upper[slot] = entry.mbr.upper
+            child_start[slot], child_end[slot] = place(entry.child, depth + 1)
+            post[slot] = kernel_cursor
+        return start, end
 
     root = tree.root
     place(root, 0)
-    if cursor != total_entries or dir_cursor != n_dir:
+    if dir_cursor != n_dir or kernel_cursor != total_entries:
         raise AssertionError("flat compilation lost entries during the pre-order walk")
 
     columns = {
         "entry_means": entry_means,
-        "entry_scales": entry_scales,
-        "entry_kinds": entry_kinds,
         "entry_n": entry_n,
+        "entry_scales": entry_scales,
+        "kernel_scale": np.array(kernel_scale, dtype=float),
         "entry_levels": entry_levels,
         "entry_depth": entry_depth,
         "child_start": child_start,
         "child_end": child_end,
         "post": post,
-        "dir_index": dir_index,
         "dir_mbr_lower": dir_mbr_lower,
         "dir_mbr_upper": dir_mbr_upper,
     }
@@ -808,6 +809,7 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
         "n_leaf_nodes": n_leaf_nodes,
         "height": int(tree.height()),
         "leaf_capacity": int(tree.config.tree.leaf_capacity),
+        "kernel_kind": kernel_kind,
     }
     return FlatTree(columns, meta, {"prior_weight": float(tree.prior_weight)})
 
@@ -817,15 +819,14 @@ def _empty_flat_tree(tree: BayesTree) -> FlatTree:
     dimension = tree.dimension
     columns = {
         "entry_means": np.zeros((0, dimension)),
-        "entry_scales": np.zeros((0, dimension)),
-        "entry_kinds": np.zeros(0, dtype=np.int8),
         "entry_n": np.zeros(0),
+        "entry_scales": np.zeros((0, dimension)),
+        "kernel_scale": np.zeros(dimension),
         "entry_levels": np.zeros(0, dtype=np.int64),
         "entry_depth": np.zeros(0, dtype=np.int64),
         "child_start": np.zeros(0, dtype=np.int64),
         "child_end": np.zeros(0, dtype=np.int64),
         "post": np.zeros(0, dtype=np.int64),
-        "dir_index": np.zeros(0, dtype=np.int64),
         "dir_mbr_lower": np.zeros((0, dimension)),
         "dir_mbr_upper": np.zeros((0, dimension)),
     }
@@ -838,5 +839,11 @@ def _empty_flat_tree(tree: BayesTree) -> FlatTree:
         "n_leaf_nodes": 0,
         "height": 0,
         "leaf_capacity": int(tree.config.tree.leaf_capacity),
+        "kernel_kind": _kernel_kind(tree),
     }
     return FlatTree(columns, meta, {"prior_weight": 0.0})
+
+
+def _kernel_kind(tree: BayesTree) -> int:
+    """The component kind of the tree's kernels (``config.kernel``)."""
+    return EPANECHNIKOV_KIND if tree.config.kernel == "epanechnikov" else GAUSSIAN_KIND

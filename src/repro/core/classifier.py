@@ -301,7 +301,7 @@ class AnytimeBayesClassifier:
 
         ``node_budget=None`` (full refinement) takes the flat vectorised path:
         every class's complete kernel model is evaluated for all queries with
-        one batched call over its twin's packed leaf arrays, skipping the
+        one batched call over its twin's kernel block, skipping the
         tree descent entirely (a class tree changed since its last read is
         compiled first).  A finite budget goes through
         :meth:`classify_anytime_batch`.

@@ -352,7 +352,7 @@ def drive_predict_full(
     log_priors: Dict[Hashable, float],
     queries: np.ndarray,
 ) -> List[Hashable]:
-    """Fully-refined batch prediction straight from the packed leaf arrays."""
+    """Fully-refined batch prediction from every class tree's kernel block."""
     labels = sorted(trees.keys(), key=repr)
     scores = np.empty((queries.shape[0], len(labels)))
     for column, label in enumerate(labels):
@@ -450,7 +450,7 @@ def predict_forest(
     """``predict_batch`` of either forest.
 
     ``node_budget=None`` (full refinement) evaluates every alive class's
-    packed leaf arrays in ``flat_trees`` for all queries at once, skipping
+    kernel block in ``flat_trees`` for all queries at once, skipping
     the descent; a finite budget goes through the forest's
     ``classify_anytime_batch``.
     """

@@ -1,30 +1,34 @@
-"""Flat pre/post-order forest encoding: the read path of every forest.
+"""Flat pre-order forest encoding: the read path of every forest.
 
 The live forest is a Python object graph — nodes hold entry lists, directory
 entries hold child pointers — and stays the write side (R* insertion, decay,
 expiry).  Each :class:`~repro.core.bayes_tree.BayesTree` compiles itself
 (:func:`~repro.core.bayes_tree.compile_flat_tree`) into a **FlatTree** — a
-handful of contiguous structure-of-arrays numpy columns keyed by *pre-order
-entry slot* — and the forest into a :class:`FlatForest` of such trees.
+handful of contiguous structure-of-arrays numpy columns keyed by *entry
+slot* — and the forest into a :class:`FlatForest` of such trees.
 Every anytime read runs over these columns; a live tree caches its compiled
 twin (:meth:`BayesTree.flat_twin`).  This module is the read side: it
 imports neither the live tree nor the R* index, so a process that serves
 snapshots loads none of the write side.
 
-The encoding borrows the XPath-accelerator idea: every entry records, besides
-its mixture component (mean / scale / kind / decayed weight), the half-open
-slot interval ``[child_start, post)`` covering its entire descendant block.
-Because slots are assigned pre-order with each node's entries contiguous and
-each subtree contiguous, the two structural operations of the query engine
-become array slices:
+The encoding borrows the XPath-accelerator idea.  The ``D`` directory slots
+come first and the ``K`` kernel slots after them, each region numbered in
+pre-order with every node's entries contiguous, so every subtree's directory
+slots and every subtree's kernels are contiguous too.  A kernel slot holds
+only its mean and decayed weight: every kernel of a tree shares one kernel
+scale and the tree's kernel kind (paper §2.2: one bandwidth per class).  A
+directory slot also records its Gaussian's variance, its MBR and the slot
+intervals of its child block and of its kernels, which make the two
+structural operations of the query engine array slices:
 
 * "expand this frontier entry" is :meth:`FlatTree.expand`: the slot range
   ``[child_start, child_end)`` as the children's handles plus zero-copy
-  column slices of their packed parameters — no pointer walk, no per-entry
-  packing loop, no per-entry objects;
-* "how large / deep / balanced is this subtree" is a range reduction over
-  ``[child_start, post)`` — the cheap structure-health metrics reported by
-  the serving stats.
+  column slices of their packed parameters (a kernel block reads the shared
+  scale broadcast to the block) — no pointer walk, no per-entry packing
+  loop, no per-entry objects;
+* "how many kernels does this subtree hold" is a difference of ``post``
+  values — the cheap structure-health metrics reported by the serving
+  stats.
 
 A frontier therefore holds slot ints and refines through the one
 :class:`~repro.core.frontier.Frontier`; the driver in
@@ -39,7 +43,8 @@ compile, share — and what makes the columns safe to place in a serving
 column store's mapping (:mod:`repro.serving.shared_mem`) or to memory-map
 from disk (:mod:`repro.persist.snapshot`): every reader reads, nobody
 writes.  Both forests' full-refinement ``predict_batch`` reads these
-columns too (:meth:`FlatTree.log_density_batch`).
+columns too (:meth:`FlatTree.log_density_batch`, over the contiguous kernel
+block).
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from ..stats.gaussian import logsumexp
+from ..stats.gaussian import log_gaussian_pdf_shared, logsumexp, shared_gaussian_normaliser
+from ..stats.kernel import log_epanechnikov_pdf_batch
 from .descent import DescentStrategy, make_descent_strategy
 from .driver import classify_forest, predict_forest
 from .frontier import (
@@ -57,7 +63,6 @@ from .frontier import (
     GAUSSIAN_KIND,
     Frontier,
     _Expansion,
-    component_log_densities,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,6 +80,7 @@ _META_I_FIELDS = (
     "n_leaf_nodes",
     "height",
     "leaf_capacity",
+    "kernel_kind",
 )
 
 #: Float metadata slots of a FlatTree (``meta_f`` column), in order.
@@ -83,49 +89,66 @@ _META_F_FIELDS = ("prior_weight",)
 #: Per-tree column names a serialized FlatTree consists of (fixed order).
 TREE_COLUMNS = (
     "entry_means",
-    "entry_scales",
-    "entry_kinds",
     "entry_n",
+    "entry_scales",
+    "kernel_scale",
     "entry_levels",
     "entry_depth",
     "child_start",
     "child_end",
     "post",
-    "dir_index",
     "dir_mbr_lower",
     "dir_mbr_upper",
     "meta_i",
     "meta_f",
 )
 
+#: Columns with one row per slot (directory and kernel slots alike).
+_SLOT_COLUMNS = ("entry_means", "entry_n")
+
+#: Columns with one row per directory slot.
+_DIRECTORY_COLUMNS = (
+    "entry_scales",
+    "entry_levels",
+    "entry_depth",
+    "child_start",
+    "child_end",
+    "post",
+    "dir_mbr_lower",
+    "dir_mbr_upper",
+)
+
 
 class FlatTree:
     """One Bayes tree compiled into contiguous pre-order SoA columns.
 
-    Column overview (``S`` entry slots, ``D`` directory entries, ``n`` stored
-    kernels, ``d`` dimensions):
+    Column overview (``D`` directory slots ``[0, D)``, ``K`` kernel slots
+    ``[D, D + K)``, ``d`` dimensions):
 
     ======================  ==========  ==================================================
     column                  shape       meaning
     ======================  ==========  ==================================================
-    ``entry_means``         (S, d)      component mean per slot
-    ``entry_scales``        (S, d)      variance (Gaussian) / bandwidth (Epanechnikov)
-    ``entry_kinds``         (S,) i1     component kind flag
-    ``entry_n``             (S,)        decayed object weight below the entry
-    ``entry_levels``        (S,) i8     level of the entry's child node; -1 for kernels
-    ``entry_depth``         (S,) i8     depth of the containing node (root node = 0)
-    ``child_start/end``     (S,) i8     slot range of the child node's entries (-1 leaf)
-    ``post``                (S,) i8     end of the entry's descendant block (-1 leaf)
-    ``dir_index``           (S,) i8     row into the MBR columns (-1 for kernels)
+    ``entry_means``         (D+K, d)    component mean per slot (a kernel's point)
+    ``entry_n``             (D+K,)      decayed object weight below the entry
+    ``entry_scales``        (D, d)      variance of each directory entry's Gaussian
+    ``kernel_scale``        (d,)        the kernels' one scale: variance (Gaussian) /
+                                        bandwidth (Epanechnikov)
+    ``entry_levels``        (D,) i8     level of the entry's child node
+    ``entry_depth``         (D,) i8     depth of the containing node (root node = 0)
+    ``child_start/end``     (D,) i8     slot range of the child node's entries
+    ``post``                (D,) i8     end of the entry's kernel block
     ``dir_mbr_lower/upper`` (D, d)      bounding boxes for geometric descent
     ======================  ==========  ==================================================
 
-    Slots are assigned pre-order with every node's entries contiguous and
-    every subtree contiguous, so an entry's children are
-    ``[child_start, child_end)`` and its whole descendant block is
-    ``[child_start, post)`` — both plain slices.  The kernel slots
-    (``entry_levels < 0``) are the full kernel model: what a fully refined
-    frontier holds, and what :meth:`log_density_batch` evaluates.
+    plus ``meta_i`` (counts, root block, capacity and the kernel kind) and
+    ``meta_f`` (the prior weight).  Each region is numbered in pre-order
+    with every node's entries contiguous, so an entry's children are
+    ``[child_start, child_end)`` — a directory block if its child level is
+    above 0, a kernel block otherwise — and its subtree's kernels are
+    ``[post of the previous sibling (or the parent's first kernel), post)``.
+    Directory slots are Gaussian; kernel slots take the tree's kernel kind.
+    The kernel block ``[D, D + K)`` is the full kernel model: what a fully
+    refined frontier holds, and what :meth:`log_density_batch` evaluates.
     """
 
     def __init__(
@@ -138,21 +161,30 @@ class FlatTree:
         # read slices them, and a np.memmap slice costs ~10x an ndarray one.
         columns = {name: np.asarray(array) for name, array in columns.items()}
         self.entry_means = columns["entry_means"]
-        self.entry_scales = columns["entry_scales"]
-        self.entry_kinds = columns["entry_kinds"]
         self.entry_n = columns["entry_n"]
+        self.entry_scales = columns["entry_scales"]
+        self.kernel_scale = columns["kernel_scale"]
         self.entry_levels = columns["entry_levels"]
         self.entry_depth = columns["entry_depth"]
         self.child_start = columns["child_start"]
         self.child_end = columns["child_end"]
         self.post = columns["post"]
-        self.dir_index = columns["dir_index"]
         self.dir_mbr_lower = columns["dir_mbr_lower"]
         self.dir_mbr_upper = columns["dir_mbr_upper"]
         self.meta: Dict[str, int] = dict(meta)
         self.meta_floats: Dict[str, float] = dict(meta_floats)
         self.dimension = int(self.entry_means.shape[1])
-        self._kernels: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: Number of directory slots: the kernel block starts here.
+        self.n_directory = self.meta["n_entries"] - self.meta["n_leaf"]
+        # What a block's entries share, as stride-0 views that expand slices
+        # like the columns: directory blocks are Gaussian, kernel blocks are
+        # level -1, the tree's kernel kind and its one kernel scale.
+        kernels = self.meta["n_leaf"]
+        self._directory_kinds = np.broadcast_to(np.int8(GAUSSIAN_KIND), (self.n_directory,))
+        self._kernel_levels = np.broadcast_to(np.int64(-1), (kernels,))
+        self._kernel_kinds = np.broadcast_to(np.int8(self.meta["kernel_kind"]), (kernels,))
+        self._kernel_scales = np.broadcast_to(self.kernel_scale, (kernels, self.dimension))
+        self._kernels: Optional[Tuple[np.ndarray, np.ndarray, float]] = None
 
     # -- serialization ----------------------------------------------------------------------
     def to_columns(self) -> Dict[str, np.ndarray]:
@@ -198,89 +230,68 @@ class FlatTree:
     def _validate_columns(columns: Mapping[str, np.ndarray], meta: Dict[str, int]) -> None:
         """Structural validation of deserialized columns (raises ValueError)."""
         total = meta["n_entries"]
-        n_leaf = meta["n_leaf"]
+        n_dir = total - meta["n_leaf"]
         root_count = meta["root_count"]
-        per_slot = (
-            "entry_means",
-            "entry_scales",
-            "entry_kinds",
-            "entry_n",
-            "entry_levels",
-            "entry_depth",
-            "child_start",
-            "child_end",
-            "post",
-            "dir_index",
-        )
-        for name in per_slot:
-            if columns[name].shape[0] != total:
-                raise ValueError(
-                    f"flat tree column {name!r} has {columns[name].shape[0]} rows, "
-                    f"expected {total} (interval/column length disagreement)"
-                )
-        levels = np.asarray(columns["entry_levels"])
-        child_start = np.asarray(columns["child_start"])
-        child_end = np.asarray(columns["child_end"])
-        post = np.asarray(columns["post"])
-        dir_mask = levels >= 0
-        n_dir = int(dir_mask.sum())
-        if total - n_dir != n_leaf:
-            raise ValueError(
-                "flat tree leaf slot count disagrees with the recorded kernel count"
-            )
-        for name in ("dir_mbr_lower", "dir_mbr_upper"):
-            if columns[name].shape[0] != n_dir:
-                raise ValueError(
-                    f"flat tree column {name!r} has {columns[name].shape[0]} rows, "
-                    f"expected {n_dir} directory entries"
-                )
+        if n_dir < 0:
+            raise ValueError("flat tree records more kernels than entry slots")
+        for names, rows in ((_SLOT_COLUMNS, total), (_DIRECTORY_COLUMNS, n_dir)):
+            for name in names:
+                if columns[name].shape[0] != rows:
+                    raise ValueError(
+                        f"flat tree column {name!r} has {columns[name].shape[0]} rows, "
+                        f"expected {rows} (interval/column length disagreement)"
+                    )
+        dimension = columns["entry_means"].shape[1:]
+        for name in ("entry_scales", "dir_mbr_lower", "dir_mbr_upper"):
+            if columns[name].shape[1:] != dimension:
+                raise ValueError(f"flat tree column {name!r} has the wrong dimension")
+        if columns["kernel_scale"].shape != dimension:
+            raise ValueError("flat tree column 'kernel_scale' must be one (d,) row")
+        if meta["kernel_kind"] not in (GAUSSIAN_KIND, EPANECHNIKOV_KIND):
+            raise ValueError("flat tree meta_i holds an unknown kernel kind")
+        # The root block is the first root_count slots of one region: the
+        # directory region, or the kernels of a tree whose root is a leaf.
+        if total and not 0 < root_count <= (n_dir if n_dir else total):
+            raise ValueError("flat tree root block is out of bounds")
+        if not n_dir and root_count != total:
+            raise ValueError("flat tree root leaf must hold every kernel")
         if n_dir:
-            starts = child_start[dir_mask]
-            ends = child_end[dir_mask]
-            posts = post[dir_mask]
+            levels = np.asarray(columns["entry_levels"])
+            starts = np.asarray(columns["child_start"])
+            ends = np.asarray(columns["child_end"])
+            posts = np.asarray(columns["post"])
+            above_leaf = levels == 0
+            # A child block lies in one region: kernels below level-0
+            # entries, directory slots below the rest.
             if not (
-                np.all(starts >= root_count)
+                np.all(levels >= 0)
+                and np.all(starts >= root_count)
                 and np.all(starts < ends)
-                and np.all(ends <= posts)
-                and np.all(posts <= total)
+                and np.all(np.where(above_leaf, starts >= n_dir, ends <= n_dir))
+                and np.all(ends <= total)
             ):
                 raise ValueError("flat tree subtree intervals are out of bounds")
             if int((ends - starts).sum()) != total - root_count:
                 raise ValueError(
                     "flat tree child ranges do not partition the non-root slots"
                 )
-        leaf_mask = ~dir_mask
-        if (
-            np.any(child_start[leaf_mask] != -1)
-            or np.any(child_end[leaf_mask] != -1)
-            or np.any(post[leaf_mask] != -1)
-        ):
-            raise ValueError("flat tree kernel slots must not carry child intervals")
-        # Geometric descent reads MBR row dir_index[slot]: every directory
-        # slot owns exactly one row, and kernel slots own none.  Checked by a
-        # range test plus bincount: np.sort or np.isin here faulted in about
-        # 0.3 MB of numpy code pages in every shard worker that attaches.
-        dir_index = np.asarray(columns["dir_index"])
-        rows = dir_index[dir_mask]
-        if (
-            np.any(dir_index[leaf_mask] != -1)
-            or np.any((rows < 0) | (rows >= n_dir))
-            or np.any(np.bincount(rows, minlength=n_dir) != 1)
-        ):
-            raise ValueError(
-                "flat tree dir_index must map the directory slots one-to-one onto "
-                "the MBR rows and hold -1 for kernel slots"
-            )
-        kinds = np.asarray(columns["entry_kinds"])
-        if np.any((kinds != GAUSSIAN_KIND) & (kinds != EPANECHNIKOV_KIND)):
-            raise ValueError("flat tree column 'entry_kinds' holds an unknown component kind")
+            # post ends the entry's kernel block: its leaf's block end, or
+            # its last child's post; the root block's last post ends them all.
+            last_child = np.where(above_leaf, 0, ends - 1)
+            if not (
+                np.all(posts == np.where(above_leaf, ends, posts[last_child]))
+                and posts[root_count - 1] == total
+            ):
+                raise ValueError("flat tree post column disagrees with the child intervals")
         # Every read, full refinement included, evaluates these values: a
         # NaN would score every query NaN, and a negative weight or scale
         # has no density.
-        for name in ("entry_means", "entry_scales", "entry_n", "dir_mbr_lower", "dir_mbr_upper"):
+        for name in (
+            "entry_means", "entry_scales", "kernel_scale", "entry_n", "dir_mbr_lower", "dir_mbr_upper"
+        ):
             if not np.isfinite(columns[name]).all():
                 raise ValueError(f"flat tree column {name!r} holds a non-finite value")
-        for name in ("entry_n", "entry_scales", "entry_depth"):
+        for name in ("entry_n", "entry_scales", "kernel_scale", "entry_depth"):
             if np.any(np.asarray(columns[name]) < 0):
                 raise ValueError(f"flat tree column {name!r} holds a negative value")
 
@@ -301,31 +312,35 @@ class FlatTree:
 
         Returns ``(slots, levels, (means, scales, kinds, n_objects))``: the
         child block's slot range as the frontier's handles, and zero-copy
-        slices of the level column and the parameter columns.
+        slices of the columns.  A block is all directory slots or all kernel
+        slots; a kernel block's levels, kinds and scales are the shared
+        values broadcast to the block.
         """
         if slot is None:
             start, end = 0, self.meta["root_count"]
         else:
             start, end = int(self.child_start[slot]), int(self.child_end[slot])
+        means, n_objects = self.entry_means[start:end], self.entry_n[start:end]
+        if start < self.n_directory:
+            return (
+                range(start, end),
+                self.entry_levels[start:end],
+                (means, self.entry_scales[start:end], self._directory_kinds[start:end], n_objects),
+            )
+        first, last = start - self.n_directory, end - self.n_directory
         return (
             range(start, end),
-            self.entry_levels[start:end],
-            (
-                self.entry_means[start:end],
-                self.entry_scales[start:end],
-                self.entry_kinds[start:end],
-                self.entry_n[start:end],
-            ),
+            self._kernel_levels[first:last],
+            (means, self._kernel_scales[first:last], self._kernel_kinds[first:last], n_objects),
         )
 
     def min_distance(self, slot: int, query: np.ndarray) -> float:
         """MINDIST from ``query`` to the MBR of directory slot ``slot``."""
-        row = int(self.dir_index[slot])
         point = np.asarray(query, dtype=float)
         # The float ops of ``MBR.min_distance``, so geometric descent ranks
         # exactly as it would over the live tree's entries.
-        below = np.maximum(self.dir_mbr_lower[row] - point, 0.0)
-        above = np.maximum(point - self.dir_mbr_upper[row], 0.0)
+        below = np.maximum(self.dir_mbr_lower[slot] - point, 0.0)
+        above = np.maximum(point - self.dir_mbr_upper[slot], 0.0)
         gaps = np.maximum(below, above)
         return float(np.sqrt((gaps * gaps).sum()))
 
@@ -348,30 +363,37 @@ class FlatTree:
             raise ValueError(f"query must have shape ({self.dimension},)")
         return Frontier(self, query, root_log_densities)
 
-    def _kernel_model(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The kernel slots and the log weights a fully refined frontier gives them.
+    def _kernel_model(self) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``(log weights, scale, normaliser)`` of the kernel block, computed once.
 
-        A frontier weighs each entry by ``log n_e − log n``, with ``n`` the
-        root block's total summed in slot order (:class:`Frontier`); both
-        are computed once per tree.
+        The log weights are those a fully refined frontier gives the
+        kernels: ``log n_e − log n``, with ``n`` the root block's total
+        summed in slot order (:class:`Frontier`).  A Gaussian tree's scale is
+        its kernel variance floored at ``MIN_VARIANCE`` with its normaliser
+        (:func:`~repro.stats.gaussian.shared_gaussian_normaliser`); an
+        Epanechnikov tree's is the bandwidth broadcast to the block.
         """
         model = self._kernels
         if model is None:
-            slots = np.flatnonzero(self.entry_levels < 0)
             total = float(sum(self.entry_n[: self.meta["root_count"]].tolist()))
             # A tree without weight gives every kernel weight zero, as its frontier does.
             log_total = math.log(total) if total > 0 else math.inf
             with np.errstate(divide="ignore"):
-                log_weights = np.log(self.entry_n[slots]) - log_total
-            model = self._kernels = (slots, log_weights)
+                log_weights = np.log(self.entry_n[self.n_directory :]) - log_total
+            if self.meta["kernel_kind"] == GAUSSIAN_KIND:
+                scale, normaliser = shared_gaussian_normaliser(self.kernel_scale)
+            else:
+                scale, normaliser = self._kernel_scales, 0.0
+            model = self._kernels = (log_weights, scale, normaliser)
         return model
 
     def log_density_batch(self, queries: np.ndarray) -> np.ndarray:
         """Full-model log densities for a batch of queries, fully vectorised.
 
         The density a frontier reaches once no directory entry remains, but
-        evaluated over every kernel slot with one batched call — the
-        full-refinement path of both forests' ``predict_batch``.
+        evaluated over the whole kernel block at once — the full-refinement
+        path of both forests' ``predict_batch``.  The block's means are a
+        zero-copy view of ``entry_means``.
         """
         if self.n_objects == 0:
             raise ValueError("cannot query an empty Bayes tree")
@@ -380,10 +402,12 @@ class FlatTree:
         queries = np.atleast_2d(queries)
         if queries.shape[1] != self.dimension:
             raise ValueError(f"queries must have shape (m, {self.dimension})")
-        slots, log_weights = self._kernel_model()
-        logs = component_log_densities(
-            queries, self.entry_means[slots], self.entry_scales[slots], self.entry_kinds[slots]
-        )
+        log_weights, scale, normaliser = self._kernel_model()
+        means = self.entry_means[self.n_directory :]
+        if self.meta["kernel_kind"] == GAUSSIAN_KIND:
+            logs = log_gaussian_pdf_shared(queries, means, scale, normaliser)
+        else:
+            logs = log_epanechnikov_pdf_batch(queries, means, scale)
         result = logsumexp(logs + log_weights[None, :], axis=1)
         return result[0] if single else result
 
@@ -391,11 +415,12 @@ class FlatTree:
     def structure_stats(self) -> Dict[str, object]:
         """Cheap structural health metrics straight from the interval columns.
 
-        Everything here is a vectorised reduction over the per-slot columns —
-        no tree walk, no object graph: the depth profile is a bincount over
-        the kernels' node depths, leaf occupancy compares stored kernels to
-        leaf-node capacity, and the root balance ratio counts kernels per
-        root subtree with one prefix sum sliced by ``[child_start, post)``.
+        Everything here is a vectorised reduction over the directory
+        columns — no tree walk, no object graph: the depth profile is a
+        bincount over the kernels' node depths (one below each leaf's parent
+        entry), leaf occupancy compares stored kernels to leaf-node capacity,
+        and the root balance ratio counts kernels per root subtree as the
+        differences of the root entries' ``post`` values.
         """
         meta = self.meta
         if meta["n_entries"] == 0:
@@ -414,22 +439,22 @@ class FlatTree:
                 "root_balance_ratio": 1.0,
                 "prior_weight": 0.0,
             }
-        leaf_mask = np.asarray(self.entry_levels) < 0
-        n_kernels = int(leaf_mask.sum())
-        depths = np.asarray(self.entry_depth)[leaf_mask]
+        n_kernels = meta["n_leaf"]
+        n_dir = self.n_directory
+        if n_dir:
+            leaf_parents = np.flatnonzero(self.entry_levels == 0)
+            depths = np.repeat(
+                self.entry_depth[leaf_parents] + 1,
+                self.child_end[leaf_parents] - self.child_start[leaf_parents],
+            )
+            # Root subtrees hold consecutive kernel blocks starting at slot D.
+            root_counts = np.diff(self.post[: meta["root_count"]], prepend=n_dir).tolist()
+        else:
+            # A root leaf: every kernel is a root entry at depth 0.
+            depths = np.zeros(n_kernels, dtype=np.int64)
+            root_counts = [1] * meta["root_count"]
         profile = np.bincount(depths) if depths.size else np.zeros(0, dtype=np.int64)
         capacity = meta["n_leaf_nodes"] * meta["leaf_capacity"]
-        # Prefix sum over the kernel indicator: kernels inside any subtree
-        # interval [start, post) are cumulative[post] - cumulative[start].
-        cumulative = np.concatenate(([0], np.cumsum(leaf_mask.astype(np.int64))))
-        root_counts: List[int] = []
-        for slot in range(meta["root_count"]):
-            if self.entry_levels[slot] >= 0:
-                start = int(self.child_start[slot])
-                stop = int(self.post[slot])
-                root_counts.append(int(cumulative[stop] - cumulative[start]))
-            else:
-                root_counts.append(1)
         if root_counts and max(root_counts) > 0:
             balance = min(root_counts) / max(root_counts)
         else:
@@ -437,7 +462,7 @@ class FlatTree:
         return {
             "n_entries": meta["n_entries"],
             "n_kernels": n_kernels,
-            "n_directory_entries": meta["n_entries"] - n_kernels,
+            "n_directory_entries": n_dir,
             "n_nodes": meta["n_nodes"],
             "n_leaf_nodes": meta["n_leaf_nodes"],
             "height": meta["height"],

@@ -167,7 +167,9 @@ class SingleTreeAnytimeClassifier:
         if isinstance(entry, LeafEntry):
             label = entry.label
             weight = 1.0 / self._class_count(label)
-            contributions[label] = weight * entry.density(query, bandwidth=self.tree.bandwidth)
+            contributions[label] = weight * entry.density(
+                query, bandwidth=self.tree.bandwidth, kernel=self.config.kernel
+            )
             return contributions
         bandwidth = self.tree.bandwidth
         inflation = None if bandwidth is None else bandwidth ** 2

@@ -23,7 +23,7 @@ from ..stats.gaussian import Gaussian
 __all__ = ["ClusterFeature"]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ClusterFeature:
     """Additive sufficient statistics (n, LS, SS) of a set of vectors."""
 

@@ -3,13 +3,14 @@
 Paper Definition 1: an entry stores the MBR of the objects in its subtree, a
 pointer to the subtree and the cluster feature (n, LS, SS) of those objects.
 Leaf nodes store the observations themselves (d-dimensional kernels), which we
-model as :class:`LeafEntry` carrying the raw point, its class label and the
-kernel bandwidth.
+model as :class:`LeafEntry` carrying the raw point and its class label.  A
+kernel's family and bandwidth are its tree's (one kernel per tree): density
+evaluations take them as arguments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +34,7 @@ def _owned(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LeafEntry:
     """A stored observation: a d-dimensional kernel estimator at leaf level.
 
@@ -45,11 +46,6 @@ class LeafEntry:
     label:
         Optional class label; kept so a single tree can hold several classes
         (the structural modification discussed in paper §4.1).
-    bandwidth:
-        Kernel bandwidth vector ``h`` (a read-only copy, like ``point``), or
-        ``None`` for a kernel that uses its tree's shared bandwidth.
-    kernel:
-        Name of the kernel family (``"gaussian"`` or ``"epanechnikov"``).
     timestamp:
         Logical insertion time of the observation (0.0 when the owning tree
         keeps no clock).  Immutable: the decayed weight is always re-derived
@@ -62,23 +58,18 @@ class LeafEntry:
 
     point: np.ndarray
     label: Optional[object] = None
-    bandwidth: Optional[np.ndarray] = None
-    kernel: str = "gaussian"
     timestamp: float = 0.0
     weight: float = 1.0
+    _mbr: Optional[MBR] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # The entry owns read-only copies of its point and bandwidth: a caller
-        # may reuse one buffer across inserts, and the index keeps these
-        # arrays for the entry's lifetime (the point also as both MBR bounds).
+        # The entry owns a read-only copy of its point: a caller may reuse one
+        # buffer across inserts, and the index keeps this array for the
+        # entry's lifetime (also as both MBR bounds).
         self.point = _owned(self.point)
         if self.point.ndim != 1:
             raise ValueError("point must be a 1-d vector")
-        if self.bandwidth is not None:
-            self.bandwidth = _owned(self.bandwidth)
-            if self.bandwidth.shape != self.point.shape:
-                raise ValueError("bandwidth must have the same shape as point")
-        self._mbr: Optional[MBR] = None
+        self._mbr = None
 
     @property
     def dimension(self) -> int:
@@ -111,49 +102,48 @@ class LeafEntry:
     def cluster_feature(self) -> ClusterFeature:
         return ClusterFeature.from_point(self.point, weight=self.weight)
 
-    def resolve_bandwidth(self, fallback: Optional[np.ndarray] = None) -> np.ndarray:
-        """This entry's bandwidth, or the tree-shared ``fallback``.
-
-        A per-entry ``bandwidth`` (set explicitly at construction) wins;
-        tree-managed entries leave it ``None`` and resolve the shared,
-        epoch-tagged bandwidth of their Bayes tree at evaluation time instead
-        of carrying a stamped copy.
-        """
-        if self.bandwidth is not None:
-            return self.bandwidth
-        if fallback is not None:
-            return fallback
-        raise ValueError("leaf entry has no bandwidth assigned yet")
-
-    def to_gaussian(self, weight: float = 1.0, bandwidth: Optional[np.ndarray] = None) -> Gaussian:
+    def to_gaussian(
+        self,
+        weight: float = 1.0,
+        bandwidth: Optional[np.ndarray] = None,
+        kernel: str = "gaussian",
+    ) -> Gaussian:
         """Kernel estimator viewed as a Gaussian component.
 
-        For a Gaussian kernel this is exact (variance ``h**2``); for an
-        Epanechnikov kernel the Gaussian is moment matched (variance
-        ``h**2 / 5``), which is only used when the entry is aggregated — the
-        density evaluation path uses :meth:`density` instead.
+        ``bandwidth`` and ``kernel`` are the owning tree's.  For a Gaussian
+        kernel this is exact (variance ``h**2``); for an Epanechnikov kernel
+        the Gaussian is moment matched (variance ``h**2 / 5``), which is only
+        used when the entry is aggregated — the density evaluation path uses
+        :meth:`density` instead.
         """
-        h = self.resolve_bandwidth(bandwidth)
-        if self.kernel == "epanechnikov":
-            variance = h ** 2 / 5.0
-        else:
-            variance = h ** 2
+        h = _tree_bandwidth(bandwidth)
+        variance = h ** 2 / 5.0 if kernel == "epanechnikov" else h ** 2
         return Gaussian(mean=self.point, variance=variance, weight=weight)
 
     def density(
-        self, x: Sequence[float] | np.ndarray, bandwidth: Optional[np.ndarray] = None
+        self,
+        x: Sequence[float] | np.ndarray,
+        bandwidth: Optional[np.ndarray] = None,
+        kernel: str = "gaussian",
     ) -> float:
         """Kernel density contribution of this observation at ``x``.
 
-        ``bandwidth`` supplies the tree-shared kernel bandwidth for entries
-        that do not carry their own copy.
+        ``bandwidth`` and ``kernel`` are the owning tree's shared kernel
+        bandwidth and family.
         """
         from ..stats.kernel import make_kernel
 
-        return make_kernel(self.kernel, self.point, self.resolve_bandwidth(bandwidth)).pdf(x)
+        return make_kernel(kernel, self.point, _tree_bandwidth(bandwidth)).pdf(x)
 
 
-@dataclass(eq=False)
+def _tree_bandwidth(bandwidth: Optional[np.ndarray]) -> np.ndarray:
+    """The tree's kernel bandwidth; ``ValueError`` before the tree has one."""
+    if bandwidth is None:
+        raise ValueError("leaf entry has no bandwidth assigned yet")
+    return bandwidth
+
+
+@dataclass(eq=False, slots=True)
 class DirectoryEntry:
     """An inner-node entry: MBR + subtree pointer + cluster feature (Def. 1).
 

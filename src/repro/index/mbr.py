@@ -18,7 +18,7 @@ import numpy as np
 __all__ = ["MBR"]
 
 
-@dataclass
+@dataclass(slots=True)
 class MBR:
     """Axis-aligned minimum bounding rectangle in d dimensions."""
 

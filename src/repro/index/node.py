@@ -9,7 +9,7 @@ of an inner node is one more than the level of its children (paper Def. 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,12 +23,13 @@ __all__ = ["Node", "AnyEntry"]
 AnyEntry = Union[LeafEntry, DirectoryEntry]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
     """A Bayes tree node holding either observations or directory entries."""
 
     level: int
     entries: List[AnyEntry] = field(default_factory=list)
+    _bounds_cache: Optional[Tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Stacked (lowers, uppers) arrays over this node's entry MBRs, lazily

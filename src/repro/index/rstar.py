@@ -131,8 +131,6 @@ class RStarTree:
         self,
         point: Sequence[float] | np.ndarray,
         label: Optional[object] = None,
-        bandwidth: Optional[np.ndarray] = None,
-        kernel: str = "gaussian",
     ) -> LeafEntry:
         """Insert an observation and return its leaf entry.
 
@@ -145,8 +143,6 @@ class RStarTree:
         entry = LeafEntry(
             point=point,
             label=label,
-            bandwidth=bandwidth,
-            kernel=kernel,
             timestamp=0.0 if self.clock is None else self.clock.now,
         )
         self._insert_entry(entry, target_level=0, reinserted_levels=set())

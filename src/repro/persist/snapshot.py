@@ -78,16 +78,15 @@ __all__ = [
 #: Version 2: flat forest columns (``flat__*`` members, ``flat`` manifest
 #: flag) and uncompressed (mmap-able) archive members.  Version 3: leaf rows
 #: in pre-order, and 14 flat columns per tree (the kernel slots are the full
-#: kernel model).
-FORMAT_VERSION = 3
+#: kernel model).  Version 4: one kernel family and bandwidth per tree (no
+#: per-leaf kernel members), and 13 flat columns per tree — directory slots
+#: first, then one contiguous kernel block sharing one kernel scale.
+FORMAT_VERSION = 4
 
 _MAGIC = "repro-bayes-forest"
 
 #: Member-name prefix of the compiled flat-forest columns.
 _FLAT_PREFIX = "flat__"
-
-#: Kernel families are stored as indices into this table.
-_KERNELS = ("gaussian", "epanechnikov")
 
 #: Keys of the structure arrays produced by ``RStarTree.export_structure``.
 _STRUCTURE_KEYS = (
@@ -231,18 +230,6 @@ def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Pat
                 label_table.append(encoded)
             label_indices[row] = position
         arrays[prefix + "leaf_labels"] = label_indices
-        try:
-            kernel_indices = np.array(
-                [_KERNELS.index(kernel) for kernel in state["leaf_kernels"]], dtype=np.int8
-            )
-        except ValueError as error:
-            raise SnapshotError(f"unknown kernel family in tree {label!r}") from error
-        arrays[prefix + "leaf_kernels"] = kernel_indices
-        explicit = [bw for bw in state["leaf_bandwidths"] if bw is not None]
-        if explicit:
-            mask = np.array([bw is not None for bw in state["leaf_bandwidths"]], dtype=bool)
-            arrays[prefix + "leaf_bw_mask"] = mask
-            arrays[prefix + "leaf_bw_values"] = np.stack(explicit).astype(float)
         trees_meta.append({"n": int(state["n"]), "label_table": label_table})
 
     # Compile the read-optimised columnar twin and store it alongside the
@@ -374,19 +361,6 @@ def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
         None if label_indices[row] < 0 else label_table[int(label_indices[row])]
         for row in range(count)
     ]
-    kernel_indices = np.asarray(data[prefix + "leaf_kernels"], dtype=np.int64)
-    kernels = [_KERNELS[int(kernel_indices[row])] for row in range(count)]
-    bandwidths: List[Optional[np.ndarray]] = [None] * count
-    if prefix + "leaf_bw_mask" in data.files:
-        mask = np.asarray(data[prefix + "leaf_bw_mask"], dtype=bool)
-        values = np.asarray(data[prefix + "leaf_bw_values"], dtype=float)
-        cursor = 0
-        for row in range(count):
-            if mask[row]:
-                bandwidths[row] = values[cursor]
-                cursor += 1
-        if cursor != values.shape[0]:
-            raise SnapshotError("malformed snapshot: bandwidth mask/value mismatch")
     return {
         "dimension": dimension,
         "n": int(meta["n"]),
@@ -394,8 +368,6 @@ def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
         "leaf_points": points,
         "leaf_stamps": np.asarray(data[prefix + "leaf_stamps"], dtype=float),
         "leaf_labels": labels,
-        "leaf_kernels": kernels,
-        "leaf_bandwidths": bandwidths,
         "clock_now": float(floats[0]),
         "stats_origin": (
             np.asarray(data[prefix + "stats_origin"], dtype=float)

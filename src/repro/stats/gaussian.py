@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,9 +20,11 @@ __all__ = [
     "gaussian_pdf",
     "log_gaussian_pdf",
     "log_gaussian_pdf_batch",
+    "log_gaussian_pdf_shared",
     "logsumexp",
     "probabilities_from_log",
     "safe_exp",
+    "shared_gaussian_normaliser",
     "MIN_VARIANCE",
 ]
 
@@ -120,10 +122,51 @@ def log_gaussian_pdf_batch(
         )
     # Normalisation term is query independent: -0.5 * sum(log(2 pi var)).
     norm = -0.5 * np.sum(np.log(2.0 * math.pi * variances), axis=1)
+    out = _log_gaussian_chunks(queries, means, variances, norm)
+    return out[0] if single else out
+
+
+def shared_gaussian_normaliser(variance: np.ndarray) -> Tuple[np.ndarray, float]:
+    """``(floored variance, normaliser)`` of Gaussians that share one variance.
+
+    The query-independent half of :func:`log_gaussian_pdf_batch` for one
+    ``(d,)`` variance vector: the variance clamped at :data:`MIN_VARIANCE`
+    and ``-0.5 * sum(log(2 pi var))``, each the value that function computes
+    for every component row with this variance.  Feed both to
+    :func:`log_gaussian_pdf_shared`.
+    """
+    floored = np.maximum(np.asarray(variance, dtype=float), MIN_VARIANCE)
+    return floored, float(-0.5 * np.sum(np.log(2.0 * math.pi * floored)))
+
+
+def log_gaussian_pdf_shared(
+    queries: np.ndarray, means: np.ndarray, variance: np.ndarray, normaliser: float
+) -> np.ndarray:
+    """Log densities ``(m, n)`` of ``n`` diagonal Gaussians sharing one variance.
+
+    ``queries`` is ``(m, d)``, ``means`` ``(n, d)``, and ``variance`` and
+    ``normaliser`` come from :func:`shared_gaussian_normaliser`.  The same
+    float ops and chunking as :func:`log_gaussian_pdf_batch`, so every value
+    has the bits that function gives the same components, without
+    re-flooring the variance or re-summing the normaliser per component.
+    """
+    return _log_gaussian_chunks(queries, means, variance, normaliser)
+
+
+def _log_gaussian_chunks(
+    queries: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    norm: "np.ndarray | float",
+) -> np.ndarray:
+    """``norm - 0.5 * sum((x - mu)^2 / var)`` for ``(m, d)`` queries, chunked.
+
+    ``variances`` is ``(n, d)`` or one shared ``(d,)`` row, ``norm`` the
+    matching ``(n,)`` normalisers or one shared value.
+    """
     m, n = queries.shape[0], means.shape[0]
     if n == 0:
-        empty = np.empty((m, 0))
-        return empty[0] if single else empty
+        return np.empty((m, 0))
     out = np.empty((m, n))
     step = max(1, _BATCH_CHUNK_SCALARS // max(1, n * means.shape[1]))
     for start in range(0, m, step):
@@ -132,7 +175,7 @@ def log_gaussian_pdf_batch(
         out[start : start + len(chunk)] = norm - 0.5 * np.sum(
             diff * diff / variances, axis=2
         )
-    return out[0] if single else out
+    return out
 
 
 def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray | float:

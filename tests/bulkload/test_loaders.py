@@ -54,12 +54,11 @@ def test_loader_sets_labels_and_bandwidths(name):
     tree = loader.build_tree(points, label="class-a")
     assert tree.bandwidth is not None
     np.testing.assert_allclose(tree.bandwidth, silverman_bandwidth(points))
-    # Leaf entries resolve the tree-shared bandwidth at evaluation time
-    # instead of carrying per-entry stamped copies.
+    # Leaf entries use the tree-shared bandwidth at evaluation time instead
+    # of carrying per-entry stamped copies.
     for entry in tree.index.iter_leaf_entries():
         assert entry.label == "class-a"
-        assert entry.bandwidth is None
-        np.testing.assert_allclose(entry.resolve_bandwidth(tree.bandwidth), tree.bandwidth)
+        assert not hasattr(entry, "bandwidth")
 
 
 @pytest.mark.parametrize("name", LOADER_NAMES)

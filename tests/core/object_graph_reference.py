@@ -48,7 +48,9 @@ class ObjectGraphTree:
         tree = self.tree
         tree._sync_decay()
         node = tree.root if entry is None else entry.child
-        params = _entry_batch_params(node.entries, tree._variance_inflation(), tree.bandwidth)
+        params = _entry_batch_params(
+            node.entries, tree._variance_inflation(), tree.bandwidth, tree.config.kernel
+        )
         return node.entries, [node.level - 1] * len(node.entries), params
 
     @staticmethod
@@ -92,13 +94,15 @@ def density_from_scratch(frontier: Frontier) -> float:
     Goes through the scalar linear-space ``pdq_scalar`` over the frontier's
     entries, an independent check of the incremental log-space engine.
     """
-    bandwidth = frontier.tree.tree.bandwidth
+    tree = frontier.tree.tree
+    bandwidth = tree.bandwidth
     return pdq_scalar(
         frontier.query,
         frontier.handles,
         total_objects=frontier.total_objects,
         variance_inflation=None if bandwidth is None else bandwidth ** 2,
         leaf_bandwidth=bandwidth,
+        kernel=tree.config.kernel,
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BayesTree, BayesTreeConfig, make_descent_strategy
+from repro.core.frontier import EPANECHNIKOV_KIND
 from repro.index import TreeParameters
 from repro.stats import silverman_bandwidth
 
@@ -31,8 +32,7 @@ def test_fit_stores_all_points_and_sets_bandwidth():
     # Leaf entries carry no stamped copies: the shared, epoch-tagged bandwidth
     # is resolved at evaluation time instead (O(d) updates per insert).
     for entry in tree.index.iter_leaf_entries():
-        assert entry.bandwidth is None
-        np.testing.assert_allclose(entry.resolve_bandwidth(tree.bandwidth), expected)
+        assert not hasattr(entry, "bandwidth")
     tree.validate()
 
 
@@ -116,7 +116,7 @@ def test_epanechnikov_kernel_configuration():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(50, 2))
     tree = BayesTree(dimension=2, config=small_config(kernel="epanechnikov")).fit(points)
-    assert all(entry.kernel == "epanechnikov" for entry in tree.index.iter_leaf_entries())
+    assert tree.flat_twin().meta["kernel_kind"] == EPANECHNIKOV_KIND
     assert tree.full_model_density(points[0]) > 0.0
     assert tree.full_model_density(np.full(2, 50.0)) == 0.0
 

@@ -14,10 +14,13 @@ round-trips exactly and malformed columns are rejected with
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnytimeBayesClassifier, BayesTreeConfig, FlatForest, FlatTree
 from repro.core.bayes_tree import compile_flat_tree
 from repro.core.descent import DESCENT_STRATEGIES
+from repro.core.frontier import GAUSSIAN_KIND
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
 
@@ -160,6 +163,85 @@ def test_full_refinement_is_the_fully_refined_frontier(config):
                 assert log_density == pytest.approx(frontier.log_density, rel=1e-12)
 
 
+_BATCH_CONFIGS = {
+    "gaussian": BayesTreeConfig(),
+    "epanechnikov": BayesTreeConfig(kernel="epanechnikov"),
+    "decayed-with-expiry": BayesTreeConfig(decay_rate=0.05, expiry_threshold=0.05),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_BATCH_CONFIGS))
+def batch_forest(request):
+    """A streamed forest and 300 held-out queries, per kernel/decay setting."""
+    config = _BATCH_CONFIGS[request.param]
+    dataset = make_dataset("pendigits", size=700, random_state=11)
+    classifier = AnytimeBayesClassifier(config=config)
+    for i in range(400):
+        classifier.partial_fit(dataset.features[i], dataset.labels[i], timestamp=0.5 * i)
+    if config.decay_rate:
+        assert sum(tree.n_objects for tree in classifier.trees.values()) < 400  # expired
+    queries = dataset.features[400:]
+    flat = classifier.compile_flat()
+    trees = {label: tree for label, tree in flat.trees.items() if tree.n_objects}
+    # Each row alone: the answers every batch must reproduce.
+    alone_labels = [flat.predict_batch(query[None, :])[0] for query in queries]
+    alone_logs = {
+        label: np.array([tree.log_density_batch(query[None, :])[0] for query in queries])
+        for label, tree in trees.items()
+    }
+    return classifier, flat, queries, alone_labels, alone_logs
+
+
+@settings(deadline=None, max_examples=5, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cuts=st.lists(st.integers(1, 299), max_size=12, unique=True))
+def test_full_refinement_is_batch_invariant(batch_forest, cuts):
+    """A row's full-refinement label and log densities do not depend on its batch.
+
+    Alone, in batches of 1, 7, 64 and 300 rows and in any split of the 300,
+    every row gets the same label from the live and the flat forest, and
+    every ``FlatTree.log_density_batch`` value has the same bits — so a
+    request that the serving client coalesces with others keeps its answer.
+    """
+    classifier, flat, queries, alone_labels, alone_logs = batch_forest
+    bounds = [0, *sorted(cuts), len(queries)]
+    splits = [list(zip(bounds[:-1], bounds[1:]))] + [
+        [(start, start + size) for start in range(0, len(queries), size)]
+        for size in (1, 7, 64, 300)
+    ]
+    for split in splits:
+        for forest in (flat, classifier):
+            labels = [label for a, b in split for label in forest.predict_batch(queries[a:b])]
+            assert labels == alone_labels
+        for label, expected in alone_logs.items():
+            tree = flat.trees[label]
+            batched = np.concatenate([tree.log_density_batch(queries[a:b]) for a, b in split])
+            assert batched.tobytes() == expected.tobytes()
+
+
+def test_column_bytes_follow_the_layout():
+    """A kernel slot stores its mean and weight and nothing else.
+
+    ``FlatTree.nbytes()`` of an 800-object pendigits forest is exactly the
+    layout's formula: (D+K)·(d+1) floats of means and weights, the D-row
+    directory columns (scales and the MBR pair: 3·d floats; level, depth,
+    child_start, child_end, post: 5 ints), one kernel scale row per tree and
+    the meta columns (9 ints, 1 float).  A per-kernel column cannot come
+    back without failing here.
+    """
+    dataset = make_dataset("pendigits", size=800, random_state=0)
+    classifier = AnytimeBayesClassifier().fit(dataset.features, dataset.labels)
+    flat = classifier.compile_flat()
+    d = dataset.features.shape[1]
+    for tree in flat.trees.values():
+        n_dir, n_kernels = tree.n_directory, tree.n_objects
+        assert n_kernels and n_dir
+        expected = 8 * (
+            (n_dir + n_kernels) * (d + 1) + n_dir * (3 * d + 5) + d + (9 + 1)
+        )
+        assert tree.nbytes() == expected
+    assert flat.nbytes() == sum(tree.nbytes() for tree in flat.trees.values()) + 8 * len(flat.trees)
+
+
 def test_malformed_columns_are_rejected():
     classifier, _ = _streamed_forest(size=160)
     label = next(iter(classifier.trees))
@@ -185,25 +267,36 @@ def test_malformed_columns_are_rejected():
     with pytest.raises(ValueError):
         FlatTree.from_columns(torn)
 
-    # Geometric descent reads MBR row dir_index[slot]: a row that is missing,
-    # out of range or shared must not load (-1 would silently read the last
-    # row, 10**6 would raise IndexError mid-round).
-    directory = columns["entry_levels"] >= 0
-    kernel_slot = int(np.flatnonzero(~directory)[0])
+    # Directory slots [0, D) own every per-directory column row (the MBR
+    # rows included) and the kernel block [D, D + K) owns the rest of the
+    # slots: a column with a row too many or too few, a child block that
+    # leaves its region, or an unknown kernel kind must not load.
+    n_dir = tree.flat_twin().n_directory
+    kernel_slot = n_dir
+    above_leaf = int(np.flatnonzero(columns["entry_levels"] == 0)[0])
+    for name in ("entry_scales", "child_end", "dir_mbr_lower", "dir_mbr_upper"):
+        bad = dict(columns)
+        bad[name] = np.concatenate([columns[name], columns[name][:1]])
+        with pytest.raises(ValueError, match=name):
+            FlatTree.from_columns(bad)
+    bad = dict(columns)
+    bad["kernel_scale"] = np.tile(columns["kernel_scale"], (2, 1))
+    with pytest.raises(ValueError, match="kernel_scale"):
+        FlatTree.from_columns(bad)
     for name, slot, value, message in (
-        ("dir_index", directory, -1, "dir_index"),
-        ("dir_index", directory, 10**6, "dir_index"),
-        ("dir_index", np.flatnonzero(directory)[1], columns["dir_index"][directory][0], "dir_index"),
-        ("dir_index", kernel_slot, 0, "dir_index"),
-        ("child_end", kernel_slot, 3, "child intervals"),
-        ("entry_kinds", 0, 7, "kind"),
-        # Full refinement reads every kernel slot's mean, scale and weight.
+        ("child_start", above_leaf, 0, "intervals"),
+        ("entry_levels", above_leaf, 1, "intervals"),
+        ("entry_levels", 0, -1, "intervals"),
+        ("child_end", above_leaf, len(columns["entry_n"]) + 1, "intervals"),
+        ("meta_i", list(FlatTree.from_columns(columns).meta).index("kernel_kind"), 7, "kind"),
+        # Full refinement reads every kernel's mean and weight and the scale.
         ("entry_n", kernel_slot, -5.0, "negative"),
         ("entry_n", 0, np.inf, "non-finite"),
         ("entry_means", (kernel_slot, 1), np.nan, "non-finite"),
-        ("entry_scales", (kernel_slot, 0), np.inf, "non-finite"),
+        ("kernel_scale", 0, np.inf, "non-finite"),
+        ("kernel_scale", 1, -1.0, "negative"),
         ("entry_scales", (0, 1), -1.0, "negative"),
-        ("entry_depth", kernel_slot, -1, "negative"),
+        ("entry_depth", 0, -1, "negative"),
         ("dir_mbr_lower", (0, 0), np.nan, "non-finite"),
         ("dir_mbr_upper", (0, 0), -np.inf, "non-finite"),
     ):
@@ -239,10 +332,21 @@ def test_flat_frontier_expands_slots_through_column_views():
     assert slots == range(root_count)
     np.testing.assert_array_equal(levels, tree.entry_levels[:root_count])
     for view, column in zip(
-        (levels, means, scales, kinds, n_objects),
-        (tree.entry_levels, tree.entry_means, tree.entry_scales, tree.entry_kinds, tree.entry_n),
+        (levels, means, scales, n_objects),
+        (tree.entry_levels, tree.entry_means, tree.entry_scales, tree.entry_n),
     ):
         assert np.shares_memory(view, column)
+    assert np.all(kinds == GAUSSIAN_KIND)  # directory entries are Gaussians
+
+    # A kernel block: zero-copy means and weights, and the tree's one kernel
+    # scale broadcast to the block rather than stored per kernel.
+    leaf_parent = int(np.flatnonzero(tree.entry_levels == 0)[0])
+    kernel_slots, kernel_levels, (means, scales, kinds, n_objects) = tree.expand(leaf_parent)
+    assert kernel_slots.start >= tree.n_directory
+    assert np.all(kernel_levels == -1) and np.all(kinds == GAUSSIAN_KIND)
+    assert np.shares_memory(means, tree.entry_means) and np.shares_memory(n_objects, tree.entry_n)
+    assert np.shares_memory(scales, tree.kernel_scale) and scales.strides[0] == 0
+    np.testing.assert_array_equal(scales, np.broadcast_to(tree.kernel_scale, scales.shape))
 
     frontier = tree.frontier(queries[0])
     assert frontier.handles == list(range(root_count))

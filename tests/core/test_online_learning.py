@@ -86,12 +86,12 @@ def test_bandwidth_epoch_advances_without_restamping_entries():
         epochs.append(tree.bandwidth_epoch)
     assert epochs == sorted(epochs) and len(set(epochs)) == len(epochs)
     # No stamped copies anywhere: the shared vector is resolved at evaluation.
-    assert all(entry.bandwidth is None for entry in tree.index.iter_leaf_entries())
+    assert not any(hasattr(entry, "bandwidth") for entry in tree.index.iter_leaf_entries())
 
 
 def _kernel_rows(twin):
-    """The twin's kernel slots (the full kernel model) as sorted mean rows."""
-    return sorted(map(tuple, twin.entry_means[twin.entry_levels < 0]))
+    """The twin's kernel block (the full kernel model) as sorted mean rows."""
+    return sorted(map(tuple, twin.entry_means[twin.n_directory :]))
 
 
 def test_an_insert_adds_one_kernel_to_the_full_model():
@@ -101,15 +101,13 @@ def test_an_insert_adds_one_kernel_to_the_full_model():
     new_point = rng.normal(size=3)
     tree.insert(new_point)
     twin = tree.flat_twin()
-    kernels = twin.entry_levels < 0
-    assert int(kernels.sum()) == 51
+    assert twin.entry_means.shape[0] - twin.n_directory == 51
     assert _kernel_rows(twin) == sorted(_kernel_rows(before) + [tuple(new_point)])
     # All kernels share the current epoch's bandwidth and weigh one object.
-    scales = twin.entry_scales[kernels]
-    np.testing.assert_allclose(scales, np.broadcast_to(tree.bandwidth**2, scales.shape))
-    np.testing.assert_array_equal(twin.entry_n[kernels], np.ones(51))
+    np.testing.assert_array_equal(twin.kernel_scale, tree.bandwidth**2)
+    np.testing.assert_array_equal(twin.entry_n[twin.n_directory :], np.ones(51))
     # The twin handed out before the insert does not follow it.
-    assert int((before.entry_levels < 0).sum()) == 50
+    assert before.entry_means.shape[0] - before.n_directory == 50
 
 
 def test_direct_index_mutation_falls_back_to_full_rebuild():
@@ -119,9 +117,9 @@ def test_direct_index_mutation_falls_back_to_full_rebuild():
     # Bypass the Bayes tree maintenance entirely (not part of the API, but the
     # model must never silently go stale): the tree's kernel count no longer
     # matches the index, so the next read re-adopts the index.
-    tree.index.insert(np.array([9.0, 9.0]), kernel="gaussian")
+    tree.index.insert(np.array([9.0, 9.0]))
     twin = tree.flat_twin()
-    assert int((twin.entry_levels < 0).sum()) == 31
+    assert twin.entry_means.shape[0] - twin.n_directory == 31
     np.testing.assert_allclose(
         tree.bandwidth, silverman_bandwidth(np.vstack([points, [9.0, 9.0]])), rtol=1e-9
     )
@@ -147,39 +145,25 @@ def test_streamed_bandwidth_is_stable_for_large_offset_data():
 
 
 def test_adopted_index_is_normalised_to_the_tree_kernel():
-    """Regression: adopting an index whose leaf entries disagree with
-    ``config.kernel`` must not leave full refinement and the frontier
-    refinement path evaluating two different models."""
+    """Regression: adopting an index built without the tree's kernel must
+    not leave full refinement and the frontier refinement path evaluating
+    two different models: every kernel takes ``config.kernel``."""
+    from repro.core.frontier import EPANECHNIKOV_KIND
     from repro.index import RStarTree
 
     rng = np.random.default_rng(9)
     points = rng.normal(size=(40, 2))
     index = RStarTree(dimension=2, params=small_config().tree)
     for point in points:
-        index.insert(point)  # defaults to kernel="gaussian", no bandwidth
+        index.insert(point)
     config = small_config(kernel="epanechnikov")
     tree = BayesTree(dimension=2, config=config).adopt_index(index)
-    assert all(
-        entry.kernel == "epanechnikov" and entry.bandwidth is None
-        for entry in tree.index.iter_leaf_entries()
-    )
+    twin = tree.flat_twin()
+    assert twin.meta["kernel_kind"] == EPANECHNIKOV_KIND
+    np.testing.assert_array_equal(twin.kernel_scale, tree.bandwidth)
     query = points[3] + 0.05
     assert tree.full_model_density(query) == pytest.approx(
-        float(np.exp(tree.flat_twin().log_density_batch(query))), rel=1e-9
-    )
-
-
-def test_explicitly_stamped_entries_keep_both_full_model_paths_equivalent():
-    """Regression: full refinement must honour explicit per-entry
-    bandwidths, as the frontier path does."""
-    rng = np.random.default_rng(11)
-    tree = BayesTree(dimension=2, config=small_config()).fit(rng.normal(size=(40, 2)))
-    wide = tree.bandwidth * 3.0
-    for entry in tree.index.iter_leaf_entries():
-        entry.bandwidth = wide
-    query = rng.normal(size=2)
-    assert tree.full_model_density(query) == pytest.approx(
-        float(np.exp(tree.flat_twin().log_density_batch(query))), rel=1e-9
+        float(np.exp(twin.log_density_batch(query))), rel=1e-9
     )
 
 

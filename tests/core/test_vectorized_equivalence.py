@@ -154,8 +154,8 @@ def test_epanechnikov_vectorized_pdq_matches_scalar(seed):
     frontier = reference_frontier(tree, query)
     frontier.refine_fully(make_descent_strategy("glo"))
     entries = list(frontier.handles)
-    vectorized = pdq(query, entries, leaf_bandwidth=tree.bandwidth)
-    scalar = pdq_scalar(query, entries, leaf_bandwidth=tree.bandwidth)
+    vectorized = pdq(query, entries, leaf_bandwidth=tree.bandwidth, kernel="epanechnikov")
+    scalar = pdq_scalar(query, entries, leaf_bandwidth=tree.bandwidth, kernel="epanechnikov")
     assert vectorized == pytest.approx(scalar, rel=1e-9, abs=1e-300)
 
 

@@ -6,36 +6,43 @@ import pytest
 from repro.index import DirectoryEntry, LeafEntry, MBR, Node
 
 
-def make_leaf_node(points, bandwidth=None):
-    entries = [LeafEntry(point=np.asarray(p, float), bandwidth=bandwidth) for p in points]
+def make_leaf_node(points):
+    entries = [LeafEntry(point=np.asarray(p, float)) for p in points]
     return Node(level=0, entries=entries)
 
 
 class TestLeafEntry:
     def test_basic_properties(self):
-        entry = LeafEntry(point=np.array([1.0, 2.0]), label="a", bandwidth=np.array([0.5, 0.5]))
+        entry = LeafEntry(point=np.array([1.0, 2.0]), label="a")
         assert entry.dimension == 2
         assert entry.n_objects == 1.0
         assert entry.label == "a"
         assert entry.mbr == MBR.from_point([1.0, 2.0])
         np.testing.assert_allclose(entry.cluster_feature.mean(), [1.0, 2.0])
 
-    def test_owns_read_only_copies_of_its_point_and_bandwidth(self):
-        buffer, scales = np.array([1.0, 2.0]), np.array([0.5, 0.5])
-        entry = LeafEntry(point=buffer, bandwidth=scales)
-        buffer[:] = [5.0, 6.0]  # a caller reusing its buffers
-        scales[:] = 9.0
+    def test_owns_a_read_only_copy_of_its_point(self):
+        buffer = np.array([1.0, 2.0])
+        entry = LeafEntry(point=buffer)
+        buffer[:] = [5.0, 6.0]  # a caller reusing its buffer
         np.testing.assert_array_equal(entry.point, [1.0, 2.0])
-        np.testing.assert_array_equal(entry.bandwidth, [0.5, 0.5])
-        assert not entry.point.flags.writeable and not entry.bandwidth.flags.writeable
+        assert not entry.point.flags.writeable
         # The degenerate MBR shares the entry's point instead of copying it.
         assert entry.mbr.lower is entry.point and entry.mbr.upper is entry.point
+
+    def test_carries_no_kernel_of_its_own(self):
+        """One kernel per tree: the family and bandwidth are the tree's, and
+        a slotted entry has no attribute to hold a copy."""
+        entry = LeafEntry(point=np.zeros(2))
+        for name in ("kernel", "bandwidth", "__dict__"):
+            assert not hasattr(entry, name)
+        with pytest.raises(TypeError):
+            LeafEntry(point=np.zeros(2), bandwidth=np.ones(2))
+        with pytest.raises(AttributeError):
+            entry.bandwidth = np.ones(2)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             LeafEntry(point=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            LeafEntry(point=np.zeros(2), bandwidth=np.ones(3))
 
     def test_to_gaussian_requires_bandwidth(self):
         entry = LeafEntry(point=np.zeros(2))
@@ -45,16 +52,17 @@ class TestLeafEntry:
             entry.density(np.zeros(2))
 
     def test_gaussian_kernel_variance_is_bandwidth_squared(self):
-        entry = LeafEntry(point=np.zeros(2), bandwidth=np.array([0.5, 2.0]))
-        gaussian = entry.to_gaussian()
+        entry = LeafEntry(point=np.zeros(2))
+        gaussian = entry.to_gaussian(bandwidth=np.array([0.5, 2.0]))
         np.testing.assert_allclose(gaussian.variance, [0.25, 4.0])
 
     def test_epanechnikov_moment_matched_variance(self):
-        entry = LeafEntry(point=np.zeros(1), bandwidth=np.array([1.0]), kernel="epanechnikov")
-        gaussian = entry.to_gaussian()
+        entry = LeafEntry(point=np.zeros(1))
+        bandwidth = np.array([1.0])
+        gaussian = entry.to_gaussian(bandwidth=bandwidth, kernel="epanechnikov")
         np.testing.assert_allclose(gaussian.variance, [0.2])
         # Density outside the support is exactly zero for the kernel itself.
-        assert entry.density(np.array([2.0])) == 0.0
+        assert entry.density(np.array([2.0]), bandwidth=bandwidth, kernel="epanechnikov") == 0.0
 
 
 class TestDirectoryEntry:

@@ -1,8 +1,8 @@
 """Flat snapshot members: mmap loading must be exact, corruption must be typed.
 
-Format v2 carries the compiled flat-forest columns as uncompressed,
+A snapshot carries the compiled flat-forest columns as uncompressed,
 memory-mappable ``flat__*`` members next to the object-graph state.  These
-tests pin the new surface: ``load_flat_forest`` (mmap and plain) serves
+tests pin that surface: ``load_flat_forest`` (mmap and plain) serves
 traces hash-identical to ``load_forest``, snapshots written without flat
 members refuse the flat API with :class:`SnapshotError`, and corrupted flat
 columns — truncated members, interval/length disagreement — are rejected
@@ -143,20 +143,20 @@ def test_interval_column_disagreement_is_rejected(tmp_path):
         load_flat_forest(torn)
 
 
-def test_torn_dir_index_member_is_rejected(tmp_path):
+def test_torn_mbr_member_is_rejected(tmp_path):
+    """A directory slot is its own MBR row: an MBR member that lost a row
+    would send geometric descent past the end, so it must not load."""
     classifier, _ = _decayed_forest(size=140)
     path = tmp_path / "forest.npz"
     save_forest(classifier, path)
 
-    def tear_dir_index(arrays):
-        name = next(n for n in arrays if n.endswith("t0__dir_index"))
-        dir_index = np.array(arrays[name], copy=True)
-        dir_index[dir_index >= 0] = -1
-        arrays[name] = dir_index
+    def tear_mbr(arrays):
+        name = "flat__t0__dir_mbr_lower"
+        arrays[name] = arrays[name][:-1]
 
-    torn = tmp_path / "torn_dir_index.npz"
-    _rewrite(path, torn, tear_dir_index)
-    with pytest.raises(SnapshotError, match="dir_index"):
+    torn = tmp_path / "torn_mbr.npz"
+    _rewrite(path, torn, tear_mbr)
+    with pytest.raises(SnapshotError, match="dir_mbr_lower"):
         load_flat_forest(torn)
 
 
