@@ -41,7 +41,6 @@ from repro.core import AnytimeBayesClassifier  # noqa: E402
 from repro.data import make_dataset  # noqa: E402
 from repro.evaluation import run_drift_recovery_experiment, run_scenario_battery  # noqa: E402
 from repro.evaluation.experiment import DEFAULT_EXPERIMENT_CONFIG  # noqa: E402
-from repro.persist import load_flat_forest  # noqa: E402
 from repro.scenarios import SMOKE_SCENARIOS  # noqa: E402
 from repro.stream import DataStream, run_anytime_stream  # noqa: E402
 
@@ -227,7 +226,7 @@ def _flat_metrics() -> dict:
 
     Deterministic and in-process: the trace hash of the snapshot's flat
     columns must equal that of the twins compiled from the restored object
-    graph, and the columns' bytes per stored kernel are reported.
+    graph.
     """
     with tempfile.TemporaryDirectory() as tmpdir:
         snapshot = Path(tmpdir) / "forest.npz"
@@ -235,10 +234,7 @@ def _flat_metrics() -> dict:
             snapshot, train_size=1600, query_size=256, random_state=0
         )
         descent = run_flat_descent_comparison(snapshot, queries[:128], max_nodes=20)
-        forest = load_flat_forest(snapshot, mmap=False)
-        kernels = sum(tree.n_objects for tree in forest.trees.values())
-        bytes_per_kernel = forest.nbytes() / kernels
-    return {"descent": descent, "bytes_per_kernel": bytes_per_kernel}
+    return {"descent": descent}
 
 
 def _tenant_metrics() -> dict:
@@ -399,11 +395,6 @@ def collect() -> dict:
             "value": 1.0 if flat["descent"]["identical"] else 0.0,
             "direction": "higher",
             "note": "the snapshot's flat columns and the twins compiled from the restored object graph give hash-equal traces (deterministic)",
-        },
-        "flat_bytes_per_kernel": {
-            "value": flat["bytes_per_kernel"],
-            "direction": "lower",
-            "note": "flat-forest column bytes per stored kernel of the 1,600-object pendigits serving snapshot (deterministic)",
         },
         "tenant_churn_bounded": {
             "value": 1.0 if tenant["churn"]["bounded"] and tenant["churn"]["released"] else 0.0,

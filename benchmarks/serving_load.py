@@ -241,7 +241,8 @@ def run_flat_descent_comparison(
 
     Loads the forest both ways — ``load_forest`` (the object graph; its
     anytime reads run over flat twins compiled from the restored trees) and
-    ``load_flat_forest`` (the pre/post-order columns stored in the snapshot)
+    ``load_flat_forest`` (the directory-then-kernel pre-order columns stored
+    in the snapshot)
     — and pins that their anytime lockstep traces are hash-identical, which
     fails when save, restore or the flat loader diverge.  Both sides read
     through the same flat driver, so there is no speed to compare.

@@ -85,7 +85,8 @@ def entry_component_params(
     entry: AnyEntry,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """``(mean, scale, kind)`` of the entry's mixture component.
 
@@ -118,7 +119,8 @@ def _entry_density(
     x: np.ndarray,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> float:
     """Unweighted density of an entry's model component at ``x`` (scalar path).
 
@@ -139,7 +141,8 @@ def pdq_scalar(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> float:
     """Linear-space scalar probability density query (reference implementation).
 
@@ -158,7 +161,7 @@ def pdq_scalar(
         sum(
             entry.n_objects
             / total_objects
-            * _entry_density(entry, x, variance_inflation, leaf_bandwidth, kernel)
+            * _entry_density(entry, x, variance_inflation, leaf_bandwidth, kernel=kernel)
             for entry in entries
         )
     )
@@ -168,11 +171,12 @@ def _entry_batch_params(
     entries: Sequence[AnyEntry],
     variance_inflation: Optional[np.ndarray],
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> _BatchParams:
     """Pack ``(means, scales, kinds, n_objects)`` arrays for a batch of entries."""
     first_mean, _, _ = entry_component_params(
-        entries[0], variance_inflation, leaf_bandwidth, kernel
+        entries[0], variance_inflation, leaf_bandwidth, kernel=kernel
     )
     dimension = first_mean.shape[0]
     count = len(entries)
@@ -182,7 +186,7 @@ def _entry_batch_params(
     n_objects = np.empty(count)
     for i, entry in enumerate(entries):
         mean, scale, kind = entry_component_params(
-            entry, variance_inflation, leaf_bandwidth, kernel
+            entry, variance_inflation, leaf_bandwidth, kernel=kernel
         )
         means[i] = mean
         scales[i] = scale
@@ -197,7 +201,8 @@ def log_pdq(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> float:
     """Log-space probability density query over an arbitrary entry set.
 
@@ -209,7 +214,7 @@ def log_pdq(
         return -math.inf
     x = np.asarray(x, dtype=float)
     means, scales, kinds, n_objects = _entry_batch_params(
-        entries, variance_inflation, leaf_bandwidth, kernel
+        entries, variance_inflation, leaf_bandwidth, kernel=kernel
     )
     if total_objects is None:
         total_objects = float(n_objects.sum())
@@ -226,7 +231,8 @@ def pdq(
     total_objects: Optional[float] = None,
     variance_inflation: Optional[np.ndarray] = None,
     leaf_bandwidth: Optional[np.ndarray] = None,
-    kernel: str = "gaussian",
+    *,
+    kernel: str,
 ) -> float:
     """Probability density query over an arbitrary entry set (paper Def. 3).
 
@@ -236,7 +242,7 @@ def pdq(
     kernel bandwidth and family, which every leaf entry shares.
     """
     return safe_exp(
-        log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth, kernel)
+        log_pdq(x, entries, total_objects, variance_inflation, leaf_bandwidth, kernel=kernel)
     )
 
 
@@ -769,7 +775,9 @@ def compile_flat_tree(tree: BayesTree) -> FlatTree:
             return start, kernel_cursor
         start = dir_cursor
         end = dir_cursor = start + len(entries)
-        means, scales, _, n_objects = _entry_batch_params(entries, variance_inflation)
+        means, scales, _, n_objects = _entry_batch_params(
+            entries, variance_inflation, kernel=tree.config.kernel
+        )
         entry_means[start:end] = means
         entry_scales[start:end] = scales
         entry_n[start:end] = n_objects

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Dict, Hashable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from ..stats.gaussian import log_gaussian_pdf_shared, logsumexp, shared_gaussian_normaliser
+from ..stats.gaussian import log_gaussian_pdf_normalised, logsumexp, shared_gaussian_normaliser
 from ..stats.kernel import log_epanechnikov_pdf_batch
 from .descent import DescentStrategy, make_descent_strategy
 from .driver import classify_forest, predict_forest
@@ -405,7 +405,7 @@ class FlatTree:
         log_weights, scale, normaliser = self._kernel_model()
         means = self.entry_means[self.n_directory :]
         if self.meta["kernel_kind"] == GAUSSIAN_KIND:
-            logs = log_gaussian_pdf_shared(queries, means, scale, normaliser)
+            logs = log_gaussian_pdf_normalised(queries, means, scale, normaliser)
         else:
             logs = log_epanechnikov_pdf_batch(queries, means, scale)
         result = logsumexp(logs + log_weights[None, :], axis=1)

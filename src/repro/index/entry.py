@@ -106,7 +106,8 @@ class LeafEntry:
         self,
         weight: float = 1.0,
         bandwidth: Optional[np.ndarray] = None,
-        kernel: str = "gaussian",
+        *,
+        kernel: str,
     ) -> Gaussian:
         """Kernel estimator viewed as a Gaussian component.
 
@@ -124,7 +125,8 @@ class LeafEntry:
         self,
         x: Sequence[float] | np.ndarray,
         bandwidth: Optional[np.ndarray] = None,
-        kernel: str = "gaussian",
+        *,
+        kernel: str,
     ) -> float:
         """Kernel density contribution of this observation at ``x``.
 

@@ -20,7 +20,7 @@ __all__ = [
     "gaussian_pdf",
     "log_gaussian_pdf",
     "log_gaussian_pdf_batch",
-    "log_gaussian_pdf_shared",
+    "log_gaussian_pdf_normalised",
     "logsumexp",
     "probabilities_from_log",
     "safe_exp",
@@ -122,7 +122,7 @@ def log_gaussian_pdf_batch(
         )
     # Normalisation term is query independent: -0.5 * sum(log(2 pi var)).
     norm = -0.5 * np.sum(np.log(2.0 * math.pi * variances), axis=1)
-    out = _log_gaussian_chunks(queries, means, variances, norm)
+    out = log_gaussian_pdf_normalised(queries, means, variances, norm)
     return out[0] if single else out
 
 
@@ -133,36 +133,28 @@ def shared_gaussian_normaliser(variance: np.ndarray) -> Tuple[np.ndarray, float]
     ``(d,)`` variance vector: the variance clamped at :data:`MIN_VARIANCE`
     and ``-0.5 * sum(log(2 pi var))``, each the value that function computes
     for every component row with this variance.  Feed both to
-    :func:`log_gaussian_pdf_shared`.
+    :func:`log_gaussian_pdf_normalised`.
     """
     floored = np.maximum(np.asarray(variance, dtype=float), MIN_VARIANCE)
     return floored, float(-0.5 * np.sum(np.log(2.0 * math.pi * floored)))
 
 
-def log_gaussian_pdf_shared(
-    queries: np.ndarray, means: np.ndarray, variance: np.ndarray, normaliser: float
-) -> np.ndarray:
-    """Log densities ``(m, n)`` of ``n`` diagonal Gaussians sharing one variance.
-
-    ``queries`` is ``(m, d)``, ``means`` ``(n, d)``, and ``variance`` and
-    ``normaliser`` come from :func:`shared_gaussian_normaliser`.  The same
-    float ops and chunking as :func:`log_gaussian_pdf_batch`, so every value
-    has the bits that function gives the same components, without
-    re-flooring the variance or re-summing the normaliser per component.
-    """
-    return _log_gaussian_chunks(queries, means, variance, normaliser)
-
-
-def _log_gaussian_chunks(
+def log_gaussian_pdf_normalised(
     queries: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
-    norm: "np.ndarray | float",
+    normaliser: "np.ndarray | float",
 ) -> np.ndarray:
-    """``norm - 0.5 * sum((x - mu)^2 / var)`` for ``(m, d)`` queries, chunked.
+    """``normaliser - 0.5 * sum((x - mu)^2 / var)`` for ``(m, d)`` queries, chunked.
 
-    ``variances`` is ``(n, d)`` or one shared ``(d,)`` row, ``norm`` the
-    matching ``(n,)`` normalisers or one shared value.
+    Log densities ``(m, n)`` of diagonal Gaussians whose query-independent
+    half is already computed: ``variances`` is ``(n, d)`` or one shared
+    ``(d,)`` row, floored at :data:`MIN_VARIANCE`, and ``normaliser`` the
+    matching ``(n,)`` normalisers or one shared value
+    (:func:`shared_gaussian_normaliser`).  :func:`log_gaussian_pdf_batch`
+    ends in this call, so components that share one variance get the bits
+    that function gives them, without re-flooring the variance or
+    re-summing the normaliser per component.
     """
     m, n = queries.shape[0], means.shape[0]
     if n == 0:
@@ -172,7 +164,7 @@ def _log_gaussian_chunks(
     for start in range(0, m, step):
         chunk = queries[start : start + step]
         diff = chunk[:, None, :] - means[None, :, :]
-        out[start : start + len(chunk)] = norm - 0.5 * np.sum(
+        out[start : start + len(chunk)] = normaliser - 0.5 * np.sum(
             diff * diff / variances, axis=2
         )
     return out

@@ -83,7 +83,10 @@ def test_loader_full_refinement_equals_kernel_density(name):
     frontier = tree.flat_twin().frontier(query)
     frontier.refine_fully(make_descent_strategy("glo"))
     expected = pdq(
-        query, list(tree.index.iter_leaf_entries()), leaf_bandwidth=tree.bandwidth
+        query,
+        list(tree.index.iter_leaf_entries()),
+        leaf_bandwidth=tree.bandwidth,
+        kernel=tree.config.kernel,
     )
     assert frontier.density == pytest.approx(expected, rel=1e-9)
 

@@ -49,7 +49,7 @@ class ObjectGraphTree:
         tree._sync_decay()
         node = tree.root if entry is None else entry.child
         params = _entry_batch_params(
-            node.entries, tree._variance_inflation(), tree.bandwidth, tree.config.kernel
+            node.entries, tree._variance_inflation(), tree.bandwidth, kernel=tree.config.kernel
         )
         return node.entries, [node.level - 1] * len(node.entries), params
 

@@ -1,8 +1,9 @@
 """Flat forest encoding: descent over columns must be bit-identical.
 
-Every anytime read runs over the pre/post-order column encoding
-(:mod:`repro.core.flat`): the live classifier over its trees' cached twins,
-``compile_flat()`` over the same twins.  Both are checked against the
+Every anytime read runs over the flat column encoding — directory slots
+first, then one kernel block, each in pre-order (:mod:`repro.core.flat`):
+the live classifier over its trees' cached twins, ``compile_flat()`` over
+the same twins.  Both are checked against the
 object-graph read path kept in ``object_graph_reference`` — the lockstep
 driver over index entries, which never reads a compiled column — for
 hash-equal classification traces (same predictions, same nodes-read counts,

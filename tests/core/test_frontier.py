@@ -80,7 +80,10 @@ def test_full_refinement_matches_kernel_density_estimate():
     # Full refinement = kernel density estimate over all training points
     # (leaf entries resolve the tree-shared bandwidth at evaluation time).
     expected = pdq(
-        query, list(tree.index.iter_leaf_entries()), leaf_bandwidth=tree.bandwidth
+        query,
+        list(tree.index.iter_leaf_entries()),
+        leaf_bandwidth=tree.bandwidth,
+        kernel=tree.config.kernel,
     )
     assert frontier.density == pytest.approx(expected, rel=1e-9)
 
@@ -163,7 +166,7 @@ def test_rows_past_the_initial_capacity_keep_the_density_exact(strategy_name):
 
 
 def test_pdq_empty_entry_set_is_zero():
-    assert pdq(np.zeros(2), []) == 0.0
+    assert pdq(np.zeros(2), [], kernel="gaussian") == 0.0
 
 
 def test_pdq_weights_entries_by_object_count():
@@ -174,7 +177,7 @@ def test_pdq_weights_entries_by_object_count():
         entry.n_objects / sum(e.n_objects for e in entries) * entry.density(query)
         for entry in entries
     )
-    assert pdq(query, entries) == pytest.approx(manual)
+    assert pdq(query, entries, kernel=tree.config.kernel) == pytest.approx(manual)
 
 
 def test_max_nodes_limits_refinement():
@@ -201,6 +204,11 @@ def test_density_invariants_for_all_strategies(seed, strategy_name):
     assert all(np.isfinite(d) and d >= 0 for d in densities)
     assert frontier.is_fully_refined
     assert densities[-1] == pytest.approx(
-        pdq(query, list(tree.index.iter_leaf_entries()), leaf_bandwidth=tree.bandwidth),
+        pdq(
+            query,
+            list(tree.index.iter_leaf_entries()),
+            leaf_bandwidth=tree.bandwidth,
+            kernel=tree.config.kernel,
+        ),
         rel=1e-9,
     )

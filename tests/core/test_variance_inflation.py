@@ -39,10 +39,11 @@ def test_empty_tree_has_no_inflation():
 def test_root_model_density_uses_inflated_directory_gaussians():
     tree, points = fitted_tree(seed=1)
     query = points[0]
-    expected = pdq(query, tree.root.entries, variance_inflation=tree.bandwidth ** 2)
+    kernel = tree.config.kernel
+    expected = pdq(query, tree.root.entries, variance_inflation=tree.bandwidth ** 2, kernel=kernel)
     assert tree.density(query, nodes=0) == pytest.approx(expected)
     # Without the inflation the coarse model is a different (more peaked) density.
-    uninflated = pdq(query, tree.root.entries)
+    uninflated = pdq(query, tree.root.entries, kernel=kernel)
     assert uninflated != pytest.approx(expected)
 
 
@@ -71,6 +72,9 @@ def test_full_model_density_is_unaffected_by_inflation():
     tree, points = fitted_tree(seed=3, count=40)
     query = points[5] + 0.1
     expected = pdq(
-        query, list(tree.index.iter_leaf_entries()), leaf_bandwidth=tree.bandwidth
+        query,
+        list(tree.index.iter_leaf_entries()),
+        leaf_bandwidth=tree.bandwidth,
+        kernel=tree.config.kernel,
     )
     assert tree.full_model_density(query) == pytest.approx(expected, rel=1e-9)

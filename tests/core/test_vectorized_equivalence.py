@@ -130,19 +130,16 @@ def test_vectorized_pdq_matches_scalar_on_random_frontiers(seed, strategy_name, 
             break
     entries = list(frontier.handles)
     inflation = tree._variance_inflation()
-    vectorized = pdq(
-        query, entries, variance_inflation=inflation, leaf_bandwidth=tree.bandwidth
+    model = dict(
+        variance_inflation=inflation, leaf_bandwidth=tree.bandwidth, kernel=tree.config.kernel
     )
-    scalar = pdq_scalar(
-        query, entries, variance_inflation=inflation, leaf_bandwidth=tree.bandwidth
-    )
+    vectorized = pdq(query, entries, **model)
+    scalar = pdq_scalar(query, entries, **model)
     assert vectorized == pytest.approx(scalar, rel=1e-9, abs=1e-300)
     # The incrementally maintained frontier density agrees with both.
     assert frontier.density == pytest.approx(scalar, rel=1e-9, abs=1e-300)
     # And the log-space value is consistent with the linear one.
-    assert log_pdq(
-        query, entries, variance_inflation=inflation, leaf_bandwidth=tree.bandwidth
-    ) == pytest.approx(math.log(scalar) if scalar > 0 else -math.inf, rel=1e-9)
+    assert log_pdq(query, entries, **model) == pytest.approx(math.log(scalar) if scalar > 0 else -math.inf, rel=1e-9)
 
 
 @settings(deadline=None, max_examples=10)
@@ -157,6 +154,16 @@ def test_epanechnikov_vectorized_pdq_matches_scalar(seed):
     vectorized = pdq(query, entries, leaf_bandwidth=tree.bandwidth, kernel="epanechnikov")
     scalar = pdq_scalar(query, entries, leaf_bandwidth=tree.bandwidth, kernel="epanechnikov")
     assert vectorized == pytest.approx(scalar, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("query_fn", [pdq, pdq_scalar, log_pdq])
+def test_entry_set_queries_require_the_tree_kernel(query_fn):
+    """Leaf entries carry no kernel, so leaving the tree's out is an error,
+    not a silent switch to Gaussian kernels."""
+    tree, points = random_tree(np.random.default_rng(4), count=30, dim=2, kernel="epanechnikov")
+    entries = list(tree.index.iter_leaf_entries())
+    with pytest.raises(TypeError):
+        query_fn(points[0], entries, leaf_bandwidth=tree.bandwidth)
 
 
 class TestLinearViewSaturation:

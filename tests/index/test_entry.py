@@ -47,13 +47,13 @@ class TestLeafEntry:
     def test_to_gaussian_requires_bandwidth(self):
         entry = LeafEntry(point=np.zeros(2))
         with pytest.raises(ValueError):
-            entry.to_gaussian()
+            entry.to_gaussian(kernel="gaussian")
         with pytest.raises(ValueError):
-            entry.density(np.zeros(2))
+            entry.density(np.zeros(2), kernel="gaussian")
 
     def test_gaussian_kernel_variance_is_bandwidth_squared(self):
         entry = LeafEntry(point=np.zeros(2))
-        gaussian = entry.to_gaussian(bandwidth=np.array([0.5, 2.0]))
+        gaussian = entry.to_gaussian(bandwidth=np.array([0.5, 2.0]), kernel="gaussian")
         np.testing.assert_allclose(gaussian.variance, [0.25, 4.0])
 
     def test_epanechnikov_moment_matched_variance(self):
