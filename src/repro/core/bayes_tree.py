@@ -34,13 +34,14 @@ insertion.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..index.cluster_feature import ClusterFeature
 from ..index.decay import DecayClock, DecayedClusterFeature, decay_factor
 from ..index.entry import DirectoryEntry, LeafEntry
+from ..index.mbr import MBR
 from ..index.node import AnyEntry, Node
 from ..index.rstar import RStarTree
 from ..stats.gaussian import logsumexp, safe_exp
@@ -504,95 +505,145 @@ class BayesTree:
         return len(stale)
 
     # -- snapshot state (persistence support, see repro.persist) --------------------------
-    def export_state(self) -> dict:
-        """Everything needed to rebuild this tree with bit-identical behaviour.
+    def export_state(self) -> Dict[str, np.ndarray]:
+        """The write-side state that the :meth:`flat_twin` columns do not hold.
 
-        The returned dict holds only numpy arrays, plain scalars and the raw
-        per-observation label list — encoding them into a container is
-        ``repro.persist``'s job.  Captured verbatim:
+        The twin is compiled first, and the compile ages every summary to
+        ``clock.now``: the directory sums below are valued at the time of
+        the twin's weights, and in a decayed tree every directory entry's
+        ``last_update`` is ``clock.now``.  Rows follow the twin's slot
+        order.  Float arrays only; encoding them is ``repro.persist``'s job:
 
-        * the exact index topology and directory summaries
-          (:meth:`RStarTree.export_structure`), with one leaf row per kernel
-          in the pre-order that structure places them in,
-        * the decay state — logical time, per-observation insertion
-          timestamps, decayed running statistics and the last expiry sweep,
-        * the shared Silverman bandwidth and the running ``(n, LS, SS)``
-          training statistics around their accumulation origin (recomputing
-          either from the data could pick a different origin or summation
-          order and perturb the last bits).
+        * ``dir_cf_ls``, ``dir_cf_ss`` — one row per directory slot: the
+          entry's ``LS`` and ``SS`` (its ``n`` is the slot's ``entry_n``),
+        * ``leaf_stamps`` — one insertion time per kernel slot,
+        * ``floats`` — ``[clock.now, stats n, stats last update, last
+          expiry sweep]``,
+        * ``stats_ls``, ``stats_ss`` and, once set, ``stats_origin`` and
+          ``bandwidth`` — the running ``(n, LS, SS)`` around their
+          accumulation origin and the shared Silverman bandwidth
+          (recomputing either from the data could pick another origin or
+          summation order and perturb the last bits).
         """
-        self._readopt_if_mutated()
-        structure, preorder = self.index.export_structure()
+        self.flat_twin()
+        directory = [
+            entry for node in self.index.iter_nodes() if not node.is_leaf for entry in node.entries
+        ]
         feature = self._stats.feature
-        return {
-            "dimension": self.dimension,
-            "n": len(self.index),
-            "structure": structure,
-            "leaf_points": np.array(
-                [entry.point for entry in preorder], dtype=float
+        state = {
+            "dir_cf_ls": np.array(
+                [entry.cluster_feature.linear_sum for entry in directory], dtype=float
             ).reshape(-1, self.dimension),
-            "leaf_stamps": np.array([entry.timestamp for entry in preorder], dtype=float),
-            "leaf_labels": [entry.label for entry in preorder],
-            "clock_now": self.clock.now,
-            "stats_origin": None if self._stats_origin is None else self._stats_origin.copy(),
-            "stats_n": feature.n,
+            "dir_cf_ss": np.array(
+                [entry.cluster_feature.squared_sum for entry in directory], dtype=float
+            ).reshape(-1, self.dimension),
+            "leaf_stamps": np.array(
+                [entry.timestamp for entry in self.index.iter_leaf_entries()], dtype=float
+            ),
+            "floats": np.array(
+                [self.clock.now, feature.n, self._stats.last_update, self._last_expiry_sweep]
+            ),
             "stats_ls": feature.linear_sum.copy(),
             "stats_ss": feature.squared_sum.copy(),
-            "stats_last_update": self._stats.last_update,
-            "bandwidth": None if self._bandwidth is None else self._bandwidth.copy(),
-            "last_expiry_sweep": self._last_expiry_sweep,
         }
+        if self._stats_origin is not None:
+            state["stats_origin"] = self._stats_origin.copy()
+        if self._bandwidth is not None:
+            state["bandwidth"] = self._bandwidth.copy()
+        return state
 
     @classmethod
-    def from_state(cls, state: dict, config: Optional[BayesTreeConfig] = None) -> "BayesTree":
-        """Rebuild a tree from :meth:`export_state` output (the exact inverse).
+    def from_state(
+        cls,
+        twin: FlatTree,
+        state: Mapping[str, np.ndarray],
+        config: Optional[BayesTreeConfig] = None,
+        label: Optional[object] = None,
+    ) -> "BayesTree":
+        """Rebuild a tree from its flat twin and :meth:`export_state` output.
 
-        No insertion is replayed and no statistic is re-derived: topology,
-        summaries, leaf order, bandwidth and decay state are adopted
-        verbatim, so every query — scalar, frontier-refined or batched — and
-        every future insertion behaves bit-identically to the saved tree.
+        The twin gives the topology (``child_start``, ``child_end`` and
+        ``entry_levels`` below the root block), the kernel points, each
+        directory entry's MBR and the ``n`` of its cluster feature; ``state``
+        gives the rest.  Two values are derived, not stored: every kernel's
+        label is ``label``, and every directory entry's ``last_update`` is
+        the clock's time, at which the twin was compiled.  No insertion is
+        replayed and entry order is kept, so every later query and insertion
+        behaves bit-identically to the saved tree.  Every array is copied:
+        the twin's columns may map a read-only snapshot file.
+
+        Raises ``ValueError`` when a member is missing or unknown, holds a
+        non-finite value or disagrees with the twin's rows, or when the
+        twin's slots do not form one tree of the configured kernel.
         """
-        dimension = int(state["dimension"])
+        dimension, n_dir, n_kernels = twin.dimension, twin.n_directory, twin.n_objects
+        state = _checked_state(state, n_dir, n_kernels, dimension)
         tree = cls(dimension=dimension, config=config)
-        tree.clock.advance(float(state["clock_now"]))
+        if twin.meta["kernel_kind"] != _kernel_kind(tree):
+            raise ValueError("the flat twin's kernel kind is not the configured kernel")
+        clock_now, stats_n, stats_last_update, last_expiry_sweep = state["floats"].tolist()
+        now = tree.clock.advance(clock_now)
         rate = tree.clock.decay_rate
-        now = tree.clock.now
-        points = np.asarray(state["leaf_points"], dtype=float)
-        times = np.asarray(state["leaf_stamps"], dtype=float)
-        preorder = [
+        kernels = [
             LeafEntry(
-                point=points[row],
-                label=state["leaf_labels"][row],
-                timestamp=float(times[row]),
-                weight=decay_factor(rate, now - float(times[row])),
+                point=twin.entry_means[slot],
+                label=label,
+                timestamp=stamp,
+                weight=decay_factor(rate, now - stamp),
             )
-            for row in range(points.shape[0])
+            for slot, stamp in enumerate(state["leaf_stamps"].tolist(), n_dir)
         ]
-        tree.index = RStarTree.from_structure(
-            state["structure"],
-            preorder,
-            dimension=dimension,
-            params=tree.config.tree,
-            clock=tree.clock,
-        )
-        tree._stats_origin = (
-            None if state["stats_origin"] is None else np.asarray(state["stats_origin"], dtype=float)
-        )
+        levels = twin.entry_levels.tolist()
+        starts, ends = twin.child_start.tolist(), twin.child_end.tolist()
+        placed = [0, 0]  # directory entries, kernels
+
+        def build(level: int, start: int, end: int) -> Node:
+            if level == 0:
+                placed[1] += end - start
+                return Node(level=0, entries=kernels[start - n_dir : end - n_dir])
+            placed[0] += end - start
+            entries: List[AnyEntry] = []
+            for slot in range(start, end):
+                if levels[slot] >= level:
+                    raise ValueError("the flat twin's child levels do not fall towards the leaves")
+                entries.append(
+                    DirectoryEntry(
+                        mbr=MBR(
+                            lower=twin.dir_mbr_lower[slot].copy(),
+                            upper=twin.dir_mbr_upper[slot].copy(),
+                        ),
+                        cluster_feature=ClusterFeature(
+                            n=float(twin.entry_n[slot]),
+                            linear_sum=state["dir_cf_ls"][slot].copy(),
+                            squared_sum=state["dir_cf_ss"][slot].copy(),
+                        ),
+                        child=build(levels[slot], starts[slot], ends[slot]),
+                        last_update=now,
+                    )
+                )
+            return Node(level=level, entries=entries)
+
+        root_level = twin.meta["root_level"]
+        if (root_level > 0) != (n_dir > 0):
+            raise ValueError("the flat twin's root level disagrees with its directory slots")
+        root = build(root_level, 0, twin.meta["root_count"])
+        if placed != [n_dir, n_kernels]:
+            raise ValueError("the flat twin's slots are not all below its root block")
+        tree.index = RStarTree.from_root(root, dimension, params=tree.config.tree)
+        tree.index.clock = tree.clock
+        tree._stats_origin = state.get("stats_origin")
         tree._stats = DecayedClusterFeature(
             dimension,
             decay_rate=tree.config.decay_rate,
             feature=ClusterFeature(
-                n=float(state["stats_n"]),
-                linear_sum=np.asarray(state["stats_ls"], dtype=float),
-                squared_sum=np.asarray(state["stats_ss"], dtype=float),
+                n=stats_n, linear_sum=state["stats_ls"], squared_sum=state["stats_ss"]
             ),
-            last_update=float(state["stats_last_update"]),
+            last_update=stats_last_update,
         )
-        tree._n_kernels = len(preorder)
-        bandwidth = state["bandwidth"]
-        tree._bandwidth = None if bandwidth is None else np.asarray(bandwidth, dtype=float)
+        tree._n_kernels = n_kernels
+        tree._bandwidth = state.get("bandwidth")
         tree._bandwidth_epoch = 1
-        tree._last_expiry_sweep = float(state["last_expiry_sweep"])
+        tree._last_expiry_sweep = last_expiry_sweep
         return tree
 
     def _variance_inflation(self) -> Optional[np.ndarray]:
@@ -855,3 +906,40 @@ def _empty_flat_tree(tree: BayesTree) -> FlatTree:
 def _kernel_kind(tree: BayesTree) -> int:
     """The component kind of the tree's kernels (``config.kernel``)."""
     return EPANECHNIKOV_KIND if tree.config.kernel == "epanechnikov" else GAUSSIAN_KIND
+
+
+def _checked_state(
+    state: Mapping[str, np.ndarray], n_dir: int, n_kernels: int, dimension: int
+) -> Dict[str, np.ndarray]:
+    """Float copies of :meth:`BayesTree.export_state` members, checked against the twin.
+
+    Raises ``ValueError`` unless every member is known and finite, has the
+    rows of its twin region (``n_dir`` directory slots, ``n_kernels`` kernel
+    slots, or one ``(dimension,)`` row), and only ``stats_origin`` and
+    ``bandwidth``, which a tree without training data leaves out, are absent.
+    """
+    shapes = {
+        "dir_cf_ls": (n_dir, dimension),
+        "dir_cf_ss": (n_dir, dimension),
+        "leaf_stamps": (n_kernels,),
+        "floats": (4,),
+        "stats_ls": (dimension,),
+        "stats_ss": (dimension,),
+        "stats_origin": (dimension,),
+        "bandwidth": (dimension,),
+    }
+    missing = sorted(set(shapes) - {"stats_origin", "bandwidth"} - set(state))
+    unknown = sorted(set(state) - set(shapes))
+    if missing or unknown:
+        raise ValueError(f"tree state members missing {missing}, unknown {unknown}")
+    checked = {}
+    for name, array in state.items():
+        array = np.array(array, dtype=float)
+        if array.shape != shapes[name]:
+            raise ValueError(
+                f"tree state member {name!r} has shape {array.shape}, expected {shapes[name]}"
+            )
+        if not np.isfinite(array).all():
+            raise ValueError(f"tree state member {name!r} holds a non-finite value")
+        checked[name] = array
+    return checked

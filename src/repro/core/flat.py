@@ -271,7 +271,12 @@ class FlatTree:
                 and np.all(ends <= total)
             ):
                 raise ValueError("flat tree subtree intervals are out of bounds")
-            if int((ends - starts).sum()) != total - root_count:
+            # Disjoint ranges that cover every non-root slot give each slot
+            # one parent.
+            order = np.argsort(starts)
+            if int((ends - starts).sum()) != total - root_count or np.any(
+                ends[order[:-1]] > starts[order[1:]]
+            ):
                 raise ValueError(
                     "flat tree child ranges do not partition the non-root slots"
                 )
@@ -557,6 +562,8 @@ class FlatForest:
                 if name.startswith(prefix)
             }
             trees[label] = FlatTree.from_columns(tree_columns)
+            if trees[label].dimension != dimension:
+                raise ValueError(f"flat tree {position} has another dimension than the forest")
         log_priors = {
             label: float(priors_column[position])
             for position, label in enumerate(labels)

@@ -32,14 +32,12 @@ classifier logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cluster_feature import ClusterFeature
 from .decay import DecayClock
 from .entry import DirectoryEntry, LeafEntry
-from .mbr import MBR
 from .node import AnyEntry, Node
 from .split import rstar_split
 
@@ -408,126 +406,6 @@ class RStarTree:
             node._bounds_cache = None
         return removed
 
-    # -- structural serialization (snapshot support) -----------------------------------------
-    def export_structure(self) -> Tuple[Dict[str, np.ndarray], List[LeafEntry]]:
-        """Flatten the exact node/entry topology into plain numpy arrays.
-
-        Returns ``(arrays, leaf_entries)``: the arrays describe every node
-        (pre-order ids) and every directory entry *verbatim* — MBR bounds,
-        the current (possibly decayed) cluster feature and its valuation
-        timestamp — and ``leaf_entries`` lists the stored observations in the
-        same pre-order traversal.  Together with :meth:`from_structure` this
-        round-trips a tree without replaying a single insertion, so the
-        restored topology, entry order and summary values are bit-identical
-        to the saved ones (``repro.persist`` builds its snapshot container on
-        top of this).
-        """
-        nodes = list(self.iter_nodes())
-        node_ids = {id(node): index for index, node in enumerate(nodes)}
-        dimension = self.dimension
-        leaf_entries: List[LeafEntry] = []
-        dir_child: List[int] = []
-        dir_lower: List[np.ndarray] = []
-        dir_upper: List[np.ndarray] = []
-        dir_cf_n: List[float] = []
-        dir_cf_ls: List[np.ndarray] = []
-        dir_cf_ss: List[np.ndarray] = []
-        dir_last_update: List[float] = []
-        for node in nodes:
-            for entry in node.entries:
-                if node.is_leaf:
-                    leaf_entries.append(entry)  # type: ignore[arg-type]
-                else:
-                    dir_child.append(node_ids[id(entry.child)])  # type: ignore[union-attr]
-                    dir_lower.append(entry.mbr.lower)  # type: ignore[union-attr]
-                    dir_upper.append(entry.mbr.upper)  # type: ignore[union-attr]
-                    feature = entry.cluster_feature
-                    dir_cf_n.append(feature.n)
-                    dir_cf_ls.append(feature.linear_sum)
-                    dir_cf_ss.append(feature.squared_sum)
-                    dir_last_update.append(entry.last_update)  # type: ignore[union-attr]
-
-        def stack(rows: List[np.ndarray]) -> np.ndarray:
-            if not rows:
-                return np.empty((0, dimension))
-            return np.stack(rows).astype(float)
-
-        arrays = {
-            "node_levels": np.array([node.level for node in nodes], dtype=np.int64),
-            "node_counts": np.array([len(node.entries) for node in nodes], dtype=np.int64),
-            "dir_child": np.array(dir_child, dtype=np.int64),
-            "dir_mbr_lower": stack(dir_lower),
-            "dir_mbr_upper": stack(dir_upper),
-            "dir_cf_n": np.array(dir_cf_n, dtype=float),
-            "dir_cf_ls": stack(dir_cf_ls),
-            "dir_cf_ss": stack(dir_cf_ss),
-            "dir_last_update": np.array(dir_last_update, dtype=float),
-        }
-        return arrays, leaf_entries
-
-    @classmethod
-    def from_structure(
-        cls,
-        arrays: Dict[str, np.ndarray],
-        leaf_entries: Sequence[LeafEntry],
-        dimension: int,
-        params: TreeParameters | None = None,
-        clock: Optional[DecayClock] = None,
-        version: int = 1,
-    ) -> "RStarTree":
-        """Rebuild a tree from :meth:`export_structure` output.
-
-        ``leaf_entries`` must be the observations in the exported pre-order;
-        the caller owns their construction (the persist layer re-creates them
-        from the packed per-observation arrays).  Entry order within every
-        node is preserved exactly, which keeps all order-sensitive float
-        reductions downstream (packed parameter arrays, log-sum-exp) on the
-        same summation order as the saved tree.
-        """
-        node_levels = np.asarray(arrays["node_levels"], dtype=np.int64)
-        node_counts = np.asarray(arrays["node_counts"], dtype=np.int64)
-        if node_levels.shape != node_counts.shape or node_levels.size == 0:
-            raise ValueError("malformed structure arrays: node tables disagree")
-        nodes = [Node(level=int(level)) for level in node_levels]
-        dir_child = np.asarray(arrays["dir_child"], dtype=np.int64)
-        dir_cursor = 0
-        leaf_cursor = 0
-        for position, node in enumerate(nodes):
-            count = int(node_counts[position])
-            if node.is_leaf:
-                node.entries = list(leaf_entries[leaf_cursor : leaf_cursor + count])
-                if len(node.entries) != count:
-                    raise ValueError("malformed structure arrays: missing leaf entries")
-                leaf_cursor += count
-                continue
-            for offset in range(dir_cursor, dir_cursor + count):
-                child_index = int(dir_child[offset])
-                if not (0 <= child_index < len(nodes)):
-                    raise ValueError("malformed structure arrays: child index out of range")
-                node.entries.append(
-                    DirectoryEntry(
-                        mbr=MBR(
-                            lower=np.array(arrays["dir_mbr_lower"][offset], dtype=float),
-                            upper=np.array(arrays["dir_mbr_upper"][offset], dtype=float),
-                        ),
-                        cluster_feature=ClusterFeature(
-                            n=float(arrays["dir_cf_n"][offset]),
-                            linear_sum=np.array(arrays["dir_cf_ls"][offset], dtype=float),
-                            squared_sum=np.array(arrays["dir_cf_ss"][offset], dtype=float),
-                        ),
-                        child=nodes[child_index],
-                        last_update=float(arrays["dir_last_update"][offset]),
-                    )
-                )
-            dir_cursor += count
-        if leaf_cursor != len(leaf_entries) or dir_cursor != dir_child.shape[0]:
-            raise ValueError("malformed structure arrays: entry streams not fully consumed")
-        tree = cls(dimension=dimension, params=params, clock=clock)
-        tree.root = nodes[0]
-        tree._size = len(leaf_entries)
-        tree.version = version
-        return tree
-
     # -- validation -------------------------------------------------------------------------
     def validate(self, enforce_fanout: bool = True, require_balance: bool = True) -> None:
         """Check all structural invariants; raises ``AssertionError`` on violation."""
@@ -553,7 +431,7 @@ class RStarTree:
     # -- construction from prebuilt structure (bulk loading) --------------------------------
     @classmethod
     def from_root(cls, root: Node, dimension: int, params: TreeParameters | None = None) -> "RStarTree":
-        """Wrap an externally built node hierarchy (used by the bulk loaders).
+        """Wrap an externally built node hierarchy (bulk loaders, snapshot restore).
 
         The stored size is the exact number of leaf entries.  It is *not*
         derived from ``root.n_objects``: cluster features may carry non-unit

@@ -1,22 +1,21 @@
 """Durable forest snapshots: a portable, versioned, pickle-free format.
 
 ``save_forest`` serializes a full :class:`~repro.core.AnytimeBayesClassifier`
-— R*-tree topology, decayed cluster features with insertion timestamps, the
-logical decay clock, running bandwidth statistics, priors' inputs and the
-configuration — into a compact ``.npz``/JSON container; ``load_forest``
-restores a forest whose predictions, refinement traces and future training
-behaviour are bit-identical to the saved one.  No pickle is involved at any
-point, so snapshots can be exchanged between untrusting processes.
+into a compact ``.npz``/JSON container: the compiled flat-forest columns
+(:class:`repro.core.flat.FlatForest`), which are the model, plus each class
+tree's write-side state — directory sums, insertion timestamps, the logical
+decay clock, running bandwidth statistics and the configuration.
+``load_forest`` rebuilds every live tree from those columns and that state,
+and its predictions, refinement traces and future training behaviour are
+bit-identical to the saved forest's.  No pickle is involved at any point,
+so snapshots can be exchanged between untrusting processes.
 
-Snapshots additionally carry the compiled flat-forest columns
-(:class:`repro.core.flat.FlatForest`) as uncompressed, memory-mappable
-members: ``load_flat_forest`` opens the read-optimised twin of the same
-forest without rebuilding an object graph, ``read_flat_columns`` exposes
-the raw columns, and ``read_snapshot`` returns the manifest with those
-columns for the serving registry to place in shared memory.  Every loader
-makes one pass over the archive, and ``save_forest`` publishes atomically
-(temp file, then rename), so re-saving never tears a reader's mapped
-columns.
+The flat columns are uncompressed, memory-mappable members:
+``load_flat_forest`` opens the read-optimised forest without rebuilding an
+object graph, and ``read_snapshot`` returns the manifest with those columns
+for the serving registry to place in shared memory.  Every loader makes one
+pass over the archive, and ``save_forest`` publishes atomically (temp file,
+then rename), so re-saving never tears a reader's mapped columns.
 
 Multi-tenant deployments additionally persist a *tenant manifest*
 (:mod:`repro.persist.tenants`): a small versioned JSON catalogue mapping
@@ -31,7 +30,6 @@ from .snapshot import (
     SnapshotVersionError,
     load_flat_forest,
     load_forest,
-    read_flat_columns,
     read_manifest,
     read_snapshot,
     save_forest,
@@ -49,7 +47,6 @@ __all__ = [
     "SnapshotVersionError",
     "load_flat_forest",
     "load_forest",
-    "read_flat_columns",
     "read_manifest",
     "read_snapshot",
     "read_tenant_manifest",

@@ -4,27 +4,25 @@ Layout: one ``.npz`` archive (zip of ``.npy`` members) holding
 
 * ``manifest`` — a UTF-8 JSON document (stored as a ``uint8`` array) with the
   magic string, format version, classifier-level settings (configuration,
-  descent strategy, qbk k, dimension), the per-class label tables and the
-  ``flat`` flag announcing the columnar members,
+  descent strategy, qbk k, dimension), the class labels and each class's
+  kernel count,
 * ``forest__floats`` — forest-level float state (the logical "now"),
-* ``t{i}__*`` — per-class-tree arrays: the exact index topology
-  (:meth:`repro.index.rstar.RStarTree.export_structure`), the leaf rows in
-  that topology's pre-order with per-observation timestamps, the decayed
-  running ``(n, LS, SS)`` statistics, the shared Silverman bandwidth and the
-  expiry bookkeeping (:meth:`repro.core.bayes_tree.BayesTree.export_state`),
 * ``flat__*`` — the compiled :class:`repro.core.flat.FlatForest` columns
-  (``flat__t{i}__*`` per tree plus ``flat__forest__log_priors``), a
-  read-optimised twin of the same forest for serving.  :func:`save_forest`
-  always writes them; a file without them (``flat`` false) still restores
-  through :func:`load_forest`, but the flat loaders refuse it.
+  (``flat__t{i}__*`` per tree plus ``flat__forest__log_priors``): the model
+  itself, which serving reads as it is and from which :func:`load_forest`
+  rebuilds each live tree,
+* ``t{i}__*`` — per class tree, what only the write side keeps
+  (:meth:`repro.core.bayes_tree.BayesTree.export_state`): each directory
+  entry's ``LS`` and ``SS``, each kernel's insertion time, the running
+  ``(n, LS, SS)`` statistics, the shared Silverman bandwidth and the decay
+  and expiry bookkeeping.
 
-Since format version 2 the archive members are **stored uncompressed**
-(``numpy.savez``): every ``.npy`` member sits verbatim inside the zip, so
-:func:`read_flat_columns` can hand out ``numpy.memmap`` views straight into
-the file — a server "loads" a multi-gigabyte forest by mapping pages,
-not by copying them.  ``numpy.load`` reads compressed members too, so
-externally recompressed snapshots still load (the mmap fast path simply falls
-back to a plain read).
+The archive members are **stored uncompressed** (``numpy.savez``): every
+``.npy`` member sits verbatim inside the zip, so the loaders hand out
+``numpy.memmap`` views of the flat columns straight into the file — a server
+"loads" a multi-gigabyte forest by mapping pages, not by copying them.
+``numpy.load`` reads compressed members too, so externally recompressed
+snapshots still load (those members are read instead of mapped).
 
 Design constraints, in order:
 
@@ -32,15 +30,14 @@ Design constraints, in order:
    travel through an explicit typed codec — a snapshot is safe to load even
    from an untrusted producer (it can be malformed, never executable).
 2. **Bit-identical restore.**  Every float is stored verbatim (numpy arrays
-   in the archive; JSON floats round-trip exactly through ``repr``), topology
-   and entry order are restored 1:1, and nothing is re-derived from the data.
-   The flat columns are held to the same bar: a forest restored through
-   :func:`load_flat_forest` produces refinement traces hash-identical to the
-   live forest the snapshot was saved from.
+   in the archive; JSON floats round-trip exactly through ``repr``), and
+   topology and entry order are restored 1:1.  A forest restored through
+   :func:`load_forest` or :func:`load_flat_forest` produces refinement
+   traces hash-identical to the live forest the snapshot was saved from.
 3. **Versioned.**  ``FORMAT_VERSION`` gates the loader: snapshots from a
    different format version are rejected with :class:`SnapshotVersionError`
-   instead of being misinterpreted; corrupt or truncated containers raise
-   :class:`SnapshotError`.
+   instead of being misinterpreted; corrupt, truncated or malformed
+   containers raise :class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import secrets
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Dict, Hashable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -69,37 +66,23 @@ __all__ = [
     "save_forest",
     "load_forest",
     "load_flat_forest",
-    "read_flat_columns",
     "read_manifest",
     "read_snapshot",
 ]
 
 #: Bumped whenever the container layout changes incompatibly.
-#: Version 2: flat forest columns (``flat__*`` members, ``flat`` manifest
-#: flag) and uncompressed (mmap-able) archive members.  Version 3: leaf rows
-#: in pre-order, and 14 flat columns per tree (the kernel slots are the full
-#: kernel model).  Version 4: one kernel family and bandwidth per tree (no
-#: per-leaf kernel members), and 13 flat columns per tree — directory slots
-#: first, then one contiguous kernel block sharing one kernel scale.
-FORMAT_VERSION = 4
+#: Version 2: flat forest columns and uncompressed (mmap-able) archive
+#: members.  Version 3: leaf rows in pre-order, and 14 flat columns per tree.
+#: Version 4: one kernel family and bandwidth per tree, and 13 flat columns
+#: per tree — directory slots first, then one contiguous kernel block.
+#: Version 5: the flat columns are the only copy of the model; each tree
+#: adds just its write-side members (no second topology, no kernel labels).
+FORMAT_VERSION = 5
 
 _MAGIC = "repro-bayes-forest"
 
 #: Member-name prefix of the compiled flat-forest columns.
 _FLAT_PREFIX = "flat__"
-
-#: Keys of the structure arrays produced by ``RStarTree.export_structure``.
-_STRUCTURE_KEYS = (
-    "node_levels",
-    "node_counts",
-    "dir_child",
-    "dir_mbr_lower",
-    "dir_mbr_upper",
-    "dir_cf_n",
-    "dir_cf_ls",
-    "dir_cf_ss",
-    "dir_last_update",
-)
 
 
 class SnapshotError(RuntimeError):
@@ -166,9 +149,10 @@ def _decode_label(spec: list) -> Hashable:
 def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Path:
     """Serialize a fitted forest into the snapshot container at ``path``.
 
-    Besides the object-graph state, the snapshot carries the compiled
-    flat-forest columns, which serving loads zero-copy via
-    :func:`load_flat_forest`.
+    The snapshot holds the compiled flat-forest columns, which serving maps
+    zero-copy (:func:`read_snapshot`, :func:`load_flat_forest`), and each
+    class tree's write-side state, from which :func:`load_forest` rebuilds
+    the live forest over those columns.
 
     The file is published atomically: written beside ``path`` and renamed
     over it, so a reader still holding the old snapshot (an open file or
@@ -187,59 +171,17 @@ def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Pat
             f"{DESCENT_STRATEGIES}; snapshots only carry registered strategies"
         )
 
-    arrays: Dict[str, np.ndarray] = {}
-    classes: List[list] = []
-    trees_meta: List[dict] = []
-    for index, (label, tree) in enumerate(classifier.trees.items()):
-        state = tree.export_state()
-        prefix = f"t{index}__"
-        classes.append(_encode_label(label))
-        for key in _STRUCTURE_KEYS:
-            arrays[prefix + key] = state["structure"][key]
-        arrays[prefix + "leaf_points"] = state["leaf_points"]
-        arrays[prefix + "leaf_stamps"] = state["leaf_stamps"]
-        arrays[prefix + "floats"] = np.array(
-            [
-                state["clock_now"],
-                state["stats_n"],
-                state["stats_last_update"],
-                state["last_expiry_sweep"],
-            ],
-            dtype=float,
-        )
-        arrays[prefix + "stats_ls"] = state["stats_ls"]
-        arrays[prefix + "stats_ss"] = state["stats_ss"]
-        if state["stats_origin"] is not None:
-            arrays[prefix + "stats_origin"] = state["stats_origin"]
-        if state["bandwidth"] is not None:
-            arrays[prefix + "bandwidth"] = state["bandwidth"]
-
-        count = state["leaf_points"].shape[0]
-        label_table: List[list] = []
-        label_keys: Dict[str, int] = {}
-        label_indices = np.full(count, -1, dtype=np.int64)
-        for row, leaf_label in enumerate(state["leaf_labels"]):
-            if leaf_label is None:
-                continue
-            encoded = _encode_label(leaf_label)
-            key = json.dumps(encoded)
-            position = label_keys.get(key)
-            if position is None:
-                position = len(label_table)
-                label_keys[key] = position
-                label_table.append(encoded)
-            label_indices[row] = position
-        arrays[prefix + "leaf_labels"] = label_indices
-        trees_meta.append({"n": int(state["n"]), "label_table": label_table})
-
-    # Compile the read-optimised columnar twin and store it alongside the
-    # object-graph state.  ``compile_flat`` iterates ``classifier.trees`` in
-    # the same order as the loop above, so the ``flat__t{i}__`` indices align
-    # with the manifest's class table.
+    # A tree's write-side rows follow its twin's slots and are valued at its
+    # compile time (``export_state`` compiles before it exports), so the
+    # columns and the state describe one model.
     flat = classifier.compile_flat()
-    for name, array in flat.to_columns().items():
-        arrays[_FLAT_PREFIX + name] = np.ascontiguousarray(array)
-
+    arrays = {
+        _FLAT_PREFIX + name: np.ascontiguousarray(array)
+        for name, array in flat.to_columns().items()
+    }
+    for index, tree in enumerate(classifier.trees.values()):
+        for name, array in tree.export_state().items():
+            arrays[f"t{index}__{name}"] = array
     manifest = {
         "magic": _MAGIC,
         "format_version": FORMAT_VERSION,
@@ -247,9 +189,8 @@ def save_forest(classifier: "AnytimeBayesClassifier", path: "str | Path") -> Pat
         "descent": descent_name,
         "qbk_k": classifier.qbk_k,
         "config": classifier.config.to_dict(),
-        "classes": classes,
-        "trees": trees_meta,
-        "flat": True,
+        "classes": [_encode_label(label) for label in classifier.trees],
+        "trees": [{"n": tree.n_objects} for tree in classifier.trees.values()],
     }
     arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
     arrays["forest__floats"] = np.array([classifier._now], dtype=float)
@@ -332,7 +273,6 @@ def _summary(manifest: dict) -> dict:
         "config": manifest["config"],
         "classes": [_decode_label(spec) for spec in manifest["classes"]],
         "class_counts": [tree["n"] for tree in manifest["trees"]],
-        "has_flat": bool(manifest.get("flat", False)),
     }
 
 
@@ -348,66 +288,29 @@ def read_manifest(path: "str | Path") -> dict:
         return _summary(manifest)
 
 
-def _tree_state(data: Any, index: int, meta: dict, dimension: int) -> dict:
-    prefix = f"t{index}__"
-    floats = np.asarray(data[prefix + "floats"], dtype=float)
-    if floats.shape != (4,):
-        raise SnapshotError("malformed snapshot: tree float block has wrong shape")
-    points = np.asarray(data[prefix + "leaf_points"], dtype=float)
-    count = points.shape[0]
-    label_table = [_decode_label(spec) for spec in meta["label_table"]]
-    label_indices = np.asarray(data[prefix + "leaf_labels"], dtype=np.int64)
-    labels = [
-        None if label_indices[row] < 0 else label_table[int(label_indices[row])]
-        for row in range(count)
-    ]
-    return {
-        "dimension": dimension,
-        "n": int(meta["n"]),
-        "structure": {key: data[prefix + key] for key in _STRUCTURE_KEYS},
-        "leaf_points": points,
-        "leaf_stamps": np.asarray(data[prefix + "leaf_stamps"], dtype=float),
-        "leaf_labels": labels,
-        "clock_now": float(floats[0]),
-        "stats_origin": (
-            np.asarray(data[prefix + "stats_origin"], dtype=float)
-            if prefix + "stats_origin" in data.files
-            else None
-        ),
-        "stats_n": float(floats[1]),
-        "stats_ls": np.asarray(data[prefix + "stats_ls"], dtype=float),
-        "stats_ss": np.asarray(data[prefix + "stats_ss"], dtype=float),
-        "stats_last_update": float(floats[2]),
-        "bandwidth": (
-            np.asarray(data[prefix + "bandwidth"], dtype=float)
-            if prefix + "bandwidth" in data.files
-            else None
-        ),
-        "last_expiry_sweep": float(floats[3]),
-    }
-
-
-def _restore(data: Any, manifest: dict) -> "AnytimeBayesClassifier":
+def _restore(handle: BinaryIO, data: Any, manifest: dict) -> "AnytimeBayesClassifier":
     # The live classes, and the R* index under them, load here only: a
     # process that serves flat columns never restores an object graph.
     from ..core.bayes_tree import BayesTree
     from ..core.classifier import AnytimeBayesClassifier
     from ..core.config import BayesTreeConfig
 
+    flat = _flat_forest(handle, data, manifest)
     config = BayesTreeConfig.from_dict(manifest["config"])
     classifier = AnytimeBayesClassifier(
         config=config, descent=manifest["descent"], qbk_k=manifest["qbk_k"]
     )
-    dimension = int(manifest["dimension"])
-    classifier.dimension = dimension
+    classifier.dimension = flat.dimension
     classifier._now = float(np.asarray(data["forest__floats"], dtype=float)[0])
     if len(manifest["classes"]) != len(manifest["trees"]):
         raise SnapshotError("malformed snapshot: class/tree tables disagree")
-    for index, (spec, meta) in enumerate(zip(manifest["classes"], manifest["trees"])):
-        label = _decode_label(spec)
-        state = _tree_state(data, index, meta, dimension)
-        tree = BayesTree.from_state(state, config=config)
-        if len(tree.index) != state["n"]:
+    for index, (label, meta) in enumerate(zip(flat.labels, manifest["trees"])):
+        prefix = f"t{index}__"
+        state = {
+            name[len(prefix) :]: data[name] for name in data.files if name.startswith(prefix)
+        }
+        tree = BayesTree.from_state(flat.trees[label], state, config=config, label=label)
+        if len(tree.index) != meta["n"]:
             raise SnapshotError("malformed snapshot: stored size disagrees with topology")
         classifier.trees[label] = tree
     classifier._invalidate_priors()
@@ -459,81 +362,77 @@ def _member_view(
     return mapped[offset:end].view(dtype).reshape(shape)
 
 
-def _flat_columns(
-    path: "str | Path", handle: BinaryIO, data: Any, manifest: dict, mmap: bool
-) -> Dict[str, np.ndarray]:
+def _flat_columns(handle: BinaryIO, data: Any) -> Dict[str, np.ndarray]:
     """The flat columns of an open snapshot (``flat__`` prefix stripped).
 
-    With ``mmap`` every member that can be mapped is a view into one
-    read-only ``np.memmap`` of the file; the rest are read normally.
+    Every member that can be mapped is a view into one read-only
+    ``np.memmap`` of the file; the rest are read normally.  Raises
+    :class:`SnapshotError` when the snapshot carries no flat columns.
     """
-    if not manifest.get("flat", False):
-        raise SnapshotError(f"snapshot {path} carries no flat forest columns")
-    mapped = np.memmap(handle, mode="r") if mmap else None
+    mapped = np.memmap(handle, mode="r")
     columns: Dict[str, np.ndarray] = {}
     for name in data.files:
         if not name.startswith(_FLAT_PREFIX):
             continue
-        view = None if mapped is None else _member_view(handle, data.zip, mapped, name)
+        view = _member_view(handle, data.zip, mapped, name)
         columns[name[len(_FLAT_PREFIX) :]] = data[name] if view is None else view
+    if not columns:
+        raise SnapshotError("snapshot carries no flat forest columns")
     return columns
 
 
-def read_flat_columns(path: "str | Path", mmap: bool = True) -> Dict[str, np.ndarray]:
-    """Read the flat-forest columns of a snapshot (``flat__`` prefix stripped).
-
-    With ``mmap`` (the default) every uncompressed member is returned as a
-    read-only memory map into the snapshot file — opening a multi-gigabyte
-    forest touches no data pages until they are actually queried.  Members
-    that cannot be mapped are read normally.  Raises :class:`SnapshotError`
-    when the snapshot carries no flat columns or is unreadable.
-    """
-    with _open_snapshot(path) as (handle, data, manifest):
-        return _flat_columns(path, handle, data, manifest, mmap)
+def _flat_forest(handle: BinaryIO, data: Any, manifest: dict) -> FlatForest:
+    """The validated flat forest of an open snapshot, over its mapped columns."""
+    summary = _summary(manifest)
+    return FlatForest.from_columns(
+        _flat_columns(handle, data),
+        labels=summary["classes"],
+        descent=summary["descent"],
+        qbk_k=summary["qbk_k"],
+        dimension=int(summary["dimension"]),
+    )
 
 
 def read_snapshot(path: "str | Path") -> Tuple[dict, Dict[str, np.ndarray]]:
     """Read a snapshot's manifest and memory-mapped flat columns in one pass.
 
     Returns ``(manifest, columns)``: the :func:`read_manifest` dict and the
-    flat columns as :func:`read_flat_columns` maps them.  This is the
-    serving registry's load: one open of the file and one parse of its zip
-    directory.  Raises :class:`SnapshotError` when the snapshot carries no
-    flat columns (:func:`load_forest` still restores such a file).
+    flat columns (``flat__`` prefix stripped), each uncompressed member a
+    read-only memory map into the snapshot file — opening a multi-gigabyte
+    forest touches no data pages until they are actually queried.  This is
+    the serving registry's load: one open of the file and one parse of its
+    zip directory.  Raises :class:`SnapshotError` when the snapshot carries
+    no flat columns or is unreadable.
     """
     with _open_snapshot(path) as (handle, data, manifest):
-        return _summary(manifest), _flat_columns(path, handle, data, manifest, mmap=True)
+        return _summary(manifest), _flat_columns(handle, data)
 
 
-def load_flat_forest(path: "str | Path", mmap: bool = True) -> FlatForest:
-    """Restore the compiled flat forest from a snapshot (zero-copy capable).
+def load_flat_forest(path: "str | Path") -> FlatForest:
+    """Restore the compiled flat forest from a snapshot, zero-copy.
 
     The returned :class:`FlatForest` serves the full prediction surface with
     refinement traces hash-identical to :func:`load_forest` of the same
-    snapshot, but its columns are (by default) memory-mapped views into the
-    file rather than rebuilt object graphs — this is the milliseconds-order
-    warm-start path of the serving engine.  Raises
-    :class:`SnapshotVersionError` / :class:`SnapshotError` like the other
-    loaders, including for structurally inconsistent flat columns.
+    snapshot, but its columns are memory-mapped views into the file rather
+    than rebuilt object graphs — this is the milliseconds-order warm-start
+    path of the serving engine.  Raises :class:`SnapshotVersionError` /
+    :class:`SnapshotError` like the other loaders, including for
+    structurally inconsistent flat columns.
     """
     with _open_snapshot(path) as (handle, data, manifest):
-        summary = _summary(manifest)
-        return FlatForest.from_columns(
-            _flat_columns(path, handle, data, manifest, mmap),
-            labels=summary["classes"],
-            descent=summary["descent"],
-            qbk_k=summary["qbk_k"],
-            dimension=int(summary["dimension"]),
-        )
+        return _flat_forest(handle, data, manifest)
 
 
 def load_forest(path: "str | Path") -> "AnytimeBayesClassifier":
     """Restore a forest from a snapshot written by :func:`save_forest`.
 
-    The restored classifier produces bit-identical predictions, refinement
-    traces and (given the same subsequent stream) training behaviour as the
-    saved one.  Raises :class:`SnapshotVersionError` for snapshots of another
-    format version and :class:`SnapshotError` for anything unreadable.
+    Each class tree is rebuilt from its validated flat columns and its
+    write-side members.  The restored classifier produces bit-identical
+    predictions, refinement traces and (given the same subsequent stream)
+    training behaviour as the saved one.  Raises
+    :class:`SnapshotVersionError` for snapshots of another format version and
+    :class:`SnapshotError` for anything unreadable or malformed, a file
+    without flat columns included.
     """
-    with _open_snapshot(path) as (_, data, manifest):
-        return _restore(data, manifest)
+    with _open_snapshot(path) as (handle, data, manifest):
+        return _restore(handle, data, manifest)

@@ -1,7 +1,5 @@
 """Fixtures shared across the test packages."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,17 +8,13 @@ import pytest
 def strip_flat_members():
     """``strip(source, target)``: copy a snapshot without its flat columns.
 
-    Drops every ``flat__*`` member and clears the manifest's ``flat`` flag,
-    giving a file that only :func:`repro.persist.load_forest` restores.
-    Returns ``target``.
+    Drops every ``flat__*`` member, giving a file whose manifest still
+    reads but that every loader refuses.  Returns ``target``.
     """
 
     def strip(source, target):
         with np.load(source, allow_pickle=False) as data:
             arrays = {name: data[name] for name in data.files if not name.startswith("flat__")}
-        manifest = json.loads(arrays["manifest"].tobytes().decode("utf-8"))
-        manifest["flat"] = False
-        arrays["manifest"] = np.frombuffer(json.dumps(manifest).encode("utf-8"), dtype=np.uint8)
         with open(target, "wb") as handle:
             np.savez(handle, **arrays)
         return target

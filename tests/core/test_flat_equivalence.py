@@ -307,10 +307,28 @@ def test_malformed_columns_are_rejected():
         with pytest.raises(ValueError, match=message):
             FlatTree.from_columns(bad)
 
-    # A class whose kernels all expired has the prior -inf; NaN or +inf
-    # would outvote every class.
+    # Child blocks that overlap, here two sibling leaves sharing a kernel
+    # (and one kernel in no leaf), keep every length and post check true.
+    levels, starts = columns["entry_levels"], columns["child_start"]
+    block_starts = set(starts.tolist()) | {0}
+    leaf = next(
+        slot for slot in range(n_dir - 1)
+        if levels[slot] == 0 and levels[slot + 1] == 0 and slot + 1 not in block_starts
+    )
+    bad = dict(columns)
+    for name in ("child_start", "child_end", "post"):
+        bad[name] = np.array(columns[name], copy=True)
+        bad[name][leaf] += 1
+    with pytest.raises(ValueError, match="partition"):
+        FlatTree.from_columns(bad)
+
     forest_columns = classifier.compile_flat().to_columns()
     layout = dict(labels=list(classifier.trees), descent="glo", qbk_k=None, dimension=tree.dimension)
+    # Every tree holds points of the forest's dimension.
+    with pytest.raises(ValueError, match="dimension"):
+        FlatForest.from_columns(forest_columns, **dict(layout, dimension=tree.dimension + 1))
+    # A class whose kernels all expired has the prior -inf; NaN or +inf
+    # would outvote every class.
     for value in (np.nan, np.inf, -np.inf):
         bad = dict(forest_columns)
         bad["forest__log_priors"] = np.array(forest_columns["forest__log_priors"], copy=True)

@@ -1,10 +1,11 @@
 """Flat snapshot members: mmap loading must be exact, corruption must be typed.
 
 A snapshot carries the compiled flat-forest columns as uncompressed,
-memory-mappable ``flat__*`` members next to the object-graph state.  These
-tests pin that surface: ``load_flat_forest`` (mmap and plain) serves
-traces hash-identical to ``load_forest``, snapshots written without flat
-members refuse the flat API with :class:`SnapshotError`, and corrupted flat
+memory-mappable ``flat__*`` members next to each tree's write-side state;
+the columns are the model, and ``load_forest`` rebuilds the live trees from
+them.  These tests pin that surface: ``load_flat_forest`` serves traces
+hash-identical to ``load_forest``, snapshots without flat members are
+refused by every loader with :class:`SnapshotError`, and corrupted flat
 columns — truncated members, interval/length disagreement — are rejected
 with :class:`SnapshotError` instead of loading garbage.
 """
@@ -27,7 +28,6 @@ from repro.persist import (
     SnapshotError,
     load_flat_forest,
     load_forest,
-    read_flat_columns,
     read_manifest,
     read_snapshot,
     save_forest,
@@ -65,24 +65,22 @@ def _rewrite(source, target, mutate_arrays):
 @pytest.mark.parametrize("descent", sorted(DESCENT_STRATEGIES))
 def test_flat_members_load_trace_identical(tmp_path, descent):
     # glo-geometric reads the MBR columns through FlatTree.min_distance,
-    # over read-only mapped columns when mmap=True.
+    # over read-only mapped columns.
     classifier, queries = _decayed_forest(descent=descent)
     path = tmp_path / "forest.npz"
     save_forest(classifier, path)
-    assert read_manifest(path)["has_flat"] is True
 
     reference = _trace(load_forest(path), queries)
-    for mmap in (True, False):
-        flat = load_flat_forest(path, mmap=mmap)
-        assert _trace(flat, queries) == reference
-        assert flat.predict_batch(queries) == classifier.predict_batch(queries)
+    flat = load_flat_forest(path)
+    assert _trace(flat, queries) == reference
+    assert flat.predict_batch(queries) == classifier.predict_batch(queries)
 
 
 def test_mmap_columns_are_read_only_views(tmp_path):
     classifier, _ = _decayed_forest(size=140)
     path = tmp_path / "forest.npz"
     save_forest(classifier, path)
-    columns = read_flat_columns(path, mmap=True)
+    _, columns = read_snapshot(path)
     assert columns, "expected flat columns"
     memmapped = [
         array for array in columns.values() if isinstance(array, np.memmap)
@@ -93,16 +91,14 @@ def test_mmap_columns_are_read_only_views(tmp_path):
 
 
 def test_snapshot_without_flat_members_refuses_flat_api(tmp_path, strip_flat_members):
-    classifier, queries = _decayed_forest(size=140)
+    classifier, _ = _decayed_forest(size=140)
     save_forest(classifier, tmp_path / "forest.npz")
     path = strip_flat_members(tmp_path / "forest.npz", tmp_path / "legacy.npz")
-    manifest = read_manifest(path)
-    assert manifest["has_flat"] is False
-    # The object-graph path is untouched...
-    assert load_forest(path).predict_batch(queries) == classifier.predict_batch(queries)
-    # ...while the flat API fails loudly instead of inventing columns.
+    assert read_manifest(path)["classes"] == list(classifier.trees)
+    # The columns are the model: every loader, the live restore included,
+    # fails loudly instead of inventing them.
     with pytest.raises(SnapshotError, match="flat"):
-        read_flat_columns(path)
+        load_forest(path)
     with pytest.raises(SnapshotError, match="flat"):
         load_flat_forest(path)
     with pytest.raises(SnapshotError, match="flat"):
@@ -122,8 +118,9 @@ def test_truncated_flat_member_is_rejected(tmp_path):
     _rewrite(path, broken, truncate)
     with pytest.raises(SnapshotError):
         load_flat_forest(broken)
-    # The object-graph members are intact; only the flat surface is poisoned.
-    assert load_forest(broken).is_fitted
+    # The live trees are rebuilt from the same columns, so they refuse too.
+    with pytest.raises(SnapshotError):
+        load_forest(broken)
 
 
 def test_interval_column_disagreement_is_rejected(tmp_path):
@@ -206,7 +203,7 @@ def test_loads_parse_the_zip_directory_once(tmp_path, monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(zipfile.ZipFile, "__init__", counting_init)
-    for load in (read_flat_columns, load_flat_forest, read_snapshot):
+    for load in (load_forest, load_flat_forest, read_snapshot):
         parses.clear()
         load(path)
         assert len(parses) == 1, load.__name__
@@ -222,8 +219,11 @@ def test_read_snapshot_matches_the_separate_readers(tmp_path):
     save_forest(classifier, path)
     manifest, columns = read_snapshot(path)
     assert manifest == read_manifest(path)
-    assert manifest["has_flat"] is True
-    expected = read_flat_columns(path, mmap=False)
+    # The mapped columns hold what a plain copying read of the members holds.
+    with np.load(path, allow_pickle=False) as data:
+        expected = {
+            name[len("flat__") :]: data[name] for name in data.files if name.startswith("flat__")
+        }
     assert sorted(columns) == sorted(expected)
     for name, column in expected.items():
         np.testing.assert_array_equal(columns[name], column)

@@ -11,12 +11,16 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bulkload import BULK_LOADERS, make_bulk_loader
 from repro.core import AnytimeBayesClassifier, BayesTree, BayesTreeConfig
+from repro.core.flat import TREE_COLUMNS, FlatTree
+from repro.core.frontier import EPANECHNIKOV_KIND
 from repro.data import make_dataset
 from repro.evaluation import classification_trace_hash
+from repro.evaluation.experiment import DEFAULT_EXPERIMENT_CONFIG
 from repro.persist import (
     FORMAT_VERSION,
     SnapshotError,
@@ -30,10 +34,12 @@ from repro.persist import (
 )
 
 
-def _decayed_midstream_forest(size=260, decay_rate=0.02, seed=3):
+def _decayed_midstream_forest(size=260, decay_rate=0.02, seed=3, kernel="gaussian"):
     """A forest caught mid-stream: active decay, expiry armed, warm caches."""
     dataset = make_dataset("pendigits", size=size, random_state=seed)
-    config = BayesTreeConfig(decay_rate=decay_rate, expiry_threshold=1e-3 if decay_rate else 0.0)
+    config = BayesTreeConfig(
+        decay_rate=decay_rate, expiry_threshold=1e-3 if decay_rate else 0.0, kernel=kernel
+    )
     classifier = AnytimeBayesClassifier(config=config)
     for i in range(size - 60):
         classifier.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i) * 0.5)
@@ -95,10 +101,14 @@ def test_roundtrip_then_continued_stream_stays_identical(tmp_path):
 @given(
     decay_rate=st.sampled_from([0.0, 0.005, 0.02, 0.1]),
     seed=st.integers(min_value=0, max_value=4),
+    kernel=st.sampled_from(["gaussian", "epanechnikov"]),
 )
-def test_roundtrip_property_over_rates_and_streams(tmp_path_factory, decay_rate, seed):
-    """Property: save→load is the identity on behaviour for any decay rate."""
-    classifier, dataset = _decayed_midstream_forest(size=150, decay_rate=decay_rate, seed=seed)
+@example(decay_rate=0.02, seed=0, kernel="epanechnikov")
+def test_roundtrip_property_over_rates_and_streams(tmp_path_factory, decay_rate, seed, kernel):
+    """Property: save→load is the identity on behaviour for any decay rate and kernel."""
+    classifier, dataset = _decayed_midstream_forest(
+        size=150, decay_rate=decay_rate, seed=seed, kernel=kernel
+    )
     path = tmp_path_factory.mktemp("prop") / "forest.npz"
     save_forest(classifier, path)
     restored = load_forest(path)
@@ -281,25 +291,224 @@ def test_config_dict_roundtrip_is_exact():
     assert BayesTreeConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
-def test_single_tree_state_roundtrip_preserves_buffer_order():
+def _node_shape(tree):
+    """``(level, entry count)`` of every node in pre-order: the exact topology."""
+    return [(node.level, len(node.entries)) for node in tree.index.iter_nodes()]
+
+
+@pytest.mark.parametrize("loader", sorted(BULK_LOADERS))
+def test_single_tree_state_roundtrip_preserves_buffer_order(loader):
+    """The rebuild reads each child's level from the twin: the EM top-down
+    loader's unbalanced trees (a child two levels down) restore exactly."""
     rng = np.random.default_rng(5)
-    tree = BayesTree(dimension=2, config=BayesTreeConfig(decay_rate=0.03))
-    for i in range(80):
-        tree.insert(rng.normal(size=2), timestamp=float(i))
-    restored = BayesTree.from_state(tree.export_state(), config=tree.config)
-    restored.validate()
+    options = {"random_state": 0} if loader == "em_topdown" else {}
+    builder = make_bulk_loader(loader, config=BayesTreeConfig(decay_rate=0.03), **options)
+    tree = builder.build_tree(rng.normal(size=(100, 3)))
+    for i in range(20):
+        tree.insert(rng.normal(size=3), timestamp=float(i))
+    skips = [
+        entry for node in tree.index.iter_nodes() if not node.is_leaf
+        for entry in node.entries if entry.child.level < node.level - 1
+    ]
+    assert bool(skips) == (loader == "em_topdown")
+    restored = BayesTree.from_state(tree.flat_twin(), tree.export_state(), config=tree.config)
+    restored.validate(enforce_fanout=False, require_balance=False)
+    assert _node_shape(restored) == _node_shape(tree)
     _assert_same_twin(tree, restored)
-    queries = rng.normal(size=(15, 2))
+    queries = rng.normal(size=(15, 3))
     np.testing.assert_array_equal(
         tree.flat_twin().log_density_batch(queries),
         restored.flat_twin().log_density_batch(queries),
     )
     # Future inserts take identical paths through identical topology.
     for i in range(20):
-        point = rng.normal(size=2)
-        tree.insert(point, timestamp=90.0 + i)
-        restored.insert(point, timestamp=90.0 + i)
+        point = rng.normal(size=3)
+        tree.insert(point, timestamp=30.0 + i)
+        restored.insert(point, timestamp=30.0 + i)
+    assert _node_shape(restored) == _node_shape(tree)
+    _assert_same_twin(tree, restored)
     np.testing.assert_array_equal(
         tree.flat_twin().log_density_batch(queries),
         restored.flat_twin().log_density_batch(queries),
     )
+
+
+#: Each edit of a twin's columns, and the words the rebuild refuses it with.
+_TWIN_EDITS = {
+    "kernel_kind": "kernel kind",
+    "root_level": "root level",
+    "rising_level": "child levels",
+    "unreachable_block": "root block",
+}
+
+
+@pytest.mark.parametrize("edit", list(_TWIN_EDITS))
+def test_rebuild_refuses_a_twin_that_is_not_one_tree_of_its_kernel(edit):
+    """Columns the serving validator accepts can still be no tree of the
+    configured kernel: the rebuild refuses them instead of guessing."""
+    rng = np.random.default_rng(5)
+    tree = BayesTree(dimension=3, config=BayesTreeConfig(decay_rate=0.03))
+    for i, point in enumerate(rng.normal(size=(300, 3))):
+        tree.insert(point, timestamp=float(i))
+    twin = tree.flat_twin()
+    assert twin.meta["root_level"] == 3 and twin.meta["root_count"] > 1
+    columns = {name: np.array(array) for name, array in twin.to_columns().items()}
+    meta_slot = list(twin.meta).index
+    if edit == "kernel_kind":
+        columns["meta_i"][meta_slot("kernel_kind")] = EPANECHNIKOV_KIND
+    elif edit == "root_level":
+        columns["meta_i"][meta_slot("root_level")] = 0
+    elif edit == "rising_level":
+        columns["entry_levels"][0] = twin.meta["root_level"]
+    else:
+        # Trade the child blocks of the first root entry and its first
+        # child: every length, range and post check still holds, but that
+        # child's block now hangs below itself, out of the root's reach.
+        inner = int(columns["child_start"][0])
+        for name in ("child_start", "child_end", "post"):
+            columns[name][[0, inner]] = columns[name][[inner, 0]]
+    edited = FlatTree.from_columns(columns)
+    with pytest.raises(ValueError, match=_TWIN_EDITS[edit]):
+        BayesTree.from_state(edited, tree.export_state(), config=tree.config)
+
+
+def test_each_tree_stores_its_flat_columns_and_write_side_members_only(tmp_path):
+    classifier, _ = _decayed_midstream_forest()
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    with np.load(path, allow_pickle=False) as data:
+        members = set(data.files)
+    write_side = (
+        "dir_cf_ls", "dir_cf_ss", "leaf_stamps", "floats",
+        "stats_ls", "stats_ss", "stats_origin", "bandwidth",
+    )
+    expected = {"manifest", "forest__floats", "flat__forest__log_priors"}
+    for index in range(len(classifier.trees)):
+        expected |= {f"flat__t{index}__{name}" for name in TREE_COLUMNS}
+        expected |= {f"t{index}__{name}" for name in write_side}
+    assert FORMAT_VERSION == 5
+    assert len(TREE_COLUMNS) == 13
+    assert members == expected
+
+
+def test_serving_snapshot_stays_within_its_size_bound(tmp_path):
+    """One copy of the model: the 1,600-object pendigits serving snapshot
+    (863,071 bytes and 303 members in format 4) stays within its bound."""
+    dataset = make_dataset("pendigits", size=2000, random_state=7)
+    classifier = AnytimeBayesClassifier(config=DEFAULT_EXPERIMENT_CONFIG).fit(
+        dataset.features[:1600], dataset.labels[:1600]
+    )
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    with np.load(path, allow_pickle=False) as data:
+        assert len(data.files) <= 215
+    assert path.stat().st_size <= 545_000
+
+
+def _streamed_forest(decay_rate, size=320):
+    """A pendigits forest streamed with timestamps, its clock moved after the
+    last insert with no read since (the save compiles every twin)."""
+    dataset = make_dataset("pendigits", size=size, random_state=4)
+    classifier = AnytimeBayesClassifier(
+        config=BayesTreeConfig(decay_rate=decay_rate, expiry_threshold=1e-4 if decay_rate else 0.0)
+    )
+    for i in range(size - 60):
+        classifier.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i))
+    classifier.advance_time(size - 60 + 25.0)
+    return classifier, dataset
+
+
+def _directory_entries(tree):
+    return [entry for node in tree.index.iter_nodes() if not node.is_leaf for entry in node.entries]
+
+
+@pytest.mark.parametrize("decay_rate", [0.01, 0.002])
+def test_kernel_labels_and_directory_times_are_derived_on_restore(tmp_path, decay_rate):
+    """A forest's kernels carry their class label, and once the save has
+    compiled, a decayed tree's directory summaries are all valued at its
+    clock: the snapshot stores neither, and the restore matches both."""
+    classifier, dataset = _streamed_forest(decay_rate)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    restored = load_forest(path)
+    for label, tree in classifier.trees.items():
+        for ours in (tree, restored.trees[label]):
+            assert all(entry.label == label for entry in ours.index.iter_leaf_entries())
+            assert all(
+                entry.last_update == tree.clock.now for entry in _directory_entries(ours)
+            )
+        _assert_same_twin(tree, restored.trees[label])
+    start = len(dataset.features) - 60
+    for i in range(start, len(dataset.features)):
+        for forest in (classifier, restored):
+            forest.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i) + 30.0)
+    for label, tree in classifier.trees.items():
+        _assert_same_twin(tree, restored.trees[label])
+
+
+def test_an_undecayed_tree_never_reads_its_directory_times(tmp_path):
+    """Without decay no path reads ``last_update``: the restore's derived
+    value (the clock's time) differs from the saved tree's and changes
+    nothing, on reads or on continued training."""
+    classifier, dataset = _streamed_forest(0.0)
+    path = tmp_path / "forest.npz"
+    save_forest(classifier, path)
+    restored = load_forest(path)
+    assert any(
+        entry.last_update != tree.clock.now
+        for tree in classifier.trees.values()
+        for entry in _directory_entries(tree)
+    )
+    start = len(dataset.features) - 60
+    for i in range(start, len(dataset.features)):
+        for forest in (classifier, restored):
+            forest.partial_fit(dataset.features[i], dataset.labels[i], timestamp=float(i) + 30.0)
+    queries = dataset.features[:30]
+    assert _trace(restored, queries) == _trace(classifier, queries)
+    for label, tree in classifier.trees.items():
+        _assert_same_twin(tree, restored.trees[label])
+
+
+@pytest.fixture(scope="module")
+def decayed_snapshot(tmp_path_factory):
+    classifier, _ = _decayed_midstream_forest(size=200)
+    path = tmp_path_factory.mktemp("malformed") / "forest.npz"
+    save_forest(classifier, path)
+    return path
+
+
+@pytest.mark.parametrize(
+    ("member", "fault"),
+    [
+        ("leaf_stamps", "extra_row"),
+        ("dir_cf_ls", "extra_row"),
+        ("dir_cf_ss", "extra_row"),
+        ("bandwidth", "extra_row"),
+        ("leaf_stamps", "nan"),
+        ("leaf_stamps", "inf"),
+        ("dir_cf_ls", "nan"),
+        ("dir_cf_ss", "nan"),
+        ("stats_ls", "inf"),
+        ("stats_ss", "nan"),
+        ("stats_origin", "nan"),
+        ("bandwidth", "nan"),
+        ("floats", "nan"),
+    ],
+)
+def test_malformed_write_side_member_is_refused(decayed_snapshot, tmp_path, member, fault):
+    """A write-side member with a non-finite value, or rows that disagree
+    with its flat region, is refused instead of restoring a tree that
+    scores other labels (a NaN stamp) or cannot be read."""
+    with np.load(decayed_snapshot, allow_pickle=False) as data:
+        arrays = {name: data[name] for name in data.files}
+    array = np.array(arrays[f"t0__{member}"], dtype=float)
+    if fault == "extra_row":
+        array = np.concatenate([array, array[-1:]])
+    else:
+        array.reshape(-1)[0] = float(fault)
+    arrays[f"t0__{member}"] = array
+    broken = tmp_path / "broken.npz"
+    with open(broken, "wb") as handle:
+        np.savez(handle, **arrays)
+    with pytest.raises(SnapshotError, match=member):
+        load_forest(broken)
